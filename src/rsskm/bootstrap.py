@@ -1,9 +1,14 @@
 """Rank-wise multiplier (perturbation) bootstrap for the RSS Kaplan-Meier.
 
 Each replicate reweights the counting and at-risk processes within every
-rank by iid nonnegative mean-1 weights, recomputes the weighted KM per rank,
-and averages across ranks; the variance across replicates estimates the
-sampling variance of the rank-averaged KM without redrawing subjects.
+rank by iid nonnegative mean-1 weights, recomputes the weighted KM of all
+ranks, and averages across ranks; the variance across replicates estimates
+the sampling variance of the rank-averaged KM without redrawing subjects.
+
+The sample is sorted once per call (``SortedSample``); each replicate only
+gathers its (k, m) weights into that order and reruns the product-limit
+arithmetic: dN* = sum W I(Y = u, event) and R* = sum W I(Y >= u) per tie
+group, S*(t) = prod_{u <= t} (1 - dN*/R*).
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rss import ParameterError, RankedSetSample
+from .rss import ParameterError, RankedSetSample, rank_sum
 from .sampling import RngStream
+from .survival import SortedSample
 
 
 @dataclass(frozen=True)
@@ -40,42 +46,6 @@ class MultiplierLaw:
         if self.kind == "gamma":
             return gen.gamma(self.gamma_shape, 1.0 / self.gamma_shape, size)
         return np.ones(size)
-
-
-def weighted_km_at(times, events, weights, t_grid):
-    """Weighted product-limit curve evaluated on t_grid.
-
-    dN*(u) = sum W I(Y = u, event), R*(u) = sum W I(Y >= u); the curve is
-    prod_{u <= t} (1 - dN*(u)/R*(u)) over event times u.  Returns the values
-    and a flag: True when some event time u <= max(t_grid) had R*(u) <= 0.
-    """
-    times = np.asarray(times, float)
-    events = np.asarray(events, bool)
-    weights = np.asarray(weights, float)
-    order = np.argsort(times, kind="stable")
-    ts, ev, w = times[order], events[order], weights[order]
-
-    # left-continuous weighted risk set at each sorted observation
-    r_star = np.cumsum(w[::-1])[::-1]
-    u_idx = np.flatnonzero(ev)
-    if u_idx.size == 0:
-        return np.ones(len(t_grid)), False
-
-    u_times = ts[u_idx]
-    uniq, start = np.unique(u_times, return_index=True)
-    # tie-aware: dN* sums event weights at the tied time; R* at first slot
-    dn = np.add.reduceat(w[u_idx], start)
-    first_pos = np.searchsorted(ts, uniq, side="left")
-    r_at = r_star[first_pos]
-
-    bad = r_at <= 0
-    degenerate = bool(np.any(bad & (uniq <= np.max(t_grid))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fac = np.where(bad, 0.0, 1.0 - np.clip(dn / np.where(bad, 1.0, r_at), 0.0, 1.0))
-    surv = np.cumprod(fac)
-    idx = np.searchsorted(uniq, t_grid, side="right") - 1
-    values = np.where(idx < 0, 1.0, surv[np.maximum(idx, 0)])
-    return values, degenerate
 
 
 @dataclass(frozen=True)
@@ -109,23 +79,16 @@ def multiplier_bootstrap(
     rng = rng or RngStream(0)
 
     k, m = sample.set_size_k, sample.cycles_m
-    point = np.mean(
-        [weighted_km_at(sample.times[r], sample.events[r], np.ones(m), t_grid)[0]
-         for r in range(k)],
-        axis=0,
-    )
+    sorted_sample = SortedSample(sample.times, sample.events)
+    point = rank_sum(sorted_sample.product_limit().survival_at(t_grid)) / k
 
     reps = np.empty((n_reps, t_grid.size))
     ok = np.ones(n_reps, dtype=bool)
     for b in range(n_reps):
-        gen = rng.child(b).generator()
-        w = law.draw(gen, (k, m))
-        acc = np.zeros(t_grid.size)
-        for r in range(k):
-            vals, bad = weighted_km_at(sample.times[r], sample.events[r], w[r], t_grid)
-            acc += vals
-            ok[b] &= not bad
-        reps[b] = acc / k
+        w = law.draw(rng.child(b).generator(), (k, m))
+        fit = sorted_sample.product_limit(w)
+        reps[b] = rank_sum(fit.survival_at(t_grid)) / k
+        ok[b] = not np.any(fit.vanished_at <= t_grid.max())
 
     kept = reps[ok]
     if kept.shape[0] < 2:

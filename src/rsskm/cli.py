@@ -38,6 +38,7 @@ from .rss import (
     EmptyDesignError,
     RankedSetSample,
     UnbalancedDesignError,
+    rank_sum,
     rss_kaplan_meier,
 )
 from .sampling import RngStream
@@ -62,7 +63,8 @@ _KNOWN_ERRORS = (
 
 
 def _read_observations(path: str) -> RankedSetSample:
-    """Load a (cycle, rank, time, event) CSV into a balanced sample."""
+    """Load a (cycle, rank, time, event) CSV into a balanced sample; rows may
+    come in any order, and each (rank, cycle) pair must occur exactly once."""
     obs = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -73,10 +75,13 @@ def _read_observations(path: str) -> RankedSetSample:
             )
         for lineno, row in enumerate(reader, 2):
             try:
+                event = int(row["event"])
+                if event not in (0, 1):
+                    raise ValueError(f"event must be 0 or 1, got {row['event']!r}")
                 obs.append(
                     CensoredObservation(
                         time=float(row["time"]),
-                        event=bool(int(row["event"])),
+                        event=bool(event),
                         rank=int(row["rank"]),
                         cycle=int(row["cycle"]),
                     )
@@ -111,14 +116,12 @@ def _cmd_estimate(args) -> int:
                 writer.writerow([r, *(f"{v:.6g}" for v in row)])
         # rank-averaged estimate on the union grid; NA columns are the
         # rank-averaged cumulative hazard and its (1/k^2)-scaled variance
-        k = est.set_size_k
-        for i, t in enumerate(est.grid):
-            ch = sum(c.cum_hazard_at(t) for c in est.rank_curves) / k
-            hv = sum(c.hazard_var_at(t) for c in est.rank_curves) / k**2
-            writer.writerow(
-                ["rss", f"{t:.6g}", f"{est.rss_survival[i]:.6g}",
-                 f"{est.rss_greenwood[i]:.6g}", f"{float(ch):.6g}", f"{float(hv):.6g}"]
-            )
+        k, grid = est.set_size_k, est.grid
+        columns = (grid, est.rss_survival, est.rss_greenwood,
+                   rank_sum(est.fit.cum_hazard_at(grid)) / k,
+                   rank_sum(est.fit.hazard_var_at(grid)) / k**2)
+        for values in zip(*columns):
+            writer.writerow(["rss", *(f"{v:.6g}" for v in values)])
     return 0
 
 
@@ -140,14 +143,10 @@ def _cmd_bootstrap(args) -> int:
         writer.writerow(
             ["t", "point_estimate", "greenwood_var", "bootstrap_var", "n_excluded_reps"]
         )
-        for i, t in enumerate(result.t_grid):
-            writer.writerow([
-                f"{t:.6g}",
-                f"{result.point_estimate[i]:.6g}",
-                f"{float(est.greenwood_at(t)):.6g}",
-                f"{result.variance[i]:.6g}",
-                result.n_excluded,
-            ])
+        columns = (result.t_grid, result.point_estimate,
+                   est.greenwood_at(result.t_grid), result.variance)
+        for values in zip(*columns):
+            writer.writerow([*(f"{v:.6g}" for v in values), result.n_excluded])
     return 0
 
 

@@ -103,3 +103,5 @@ def _validate(cfg: HarnessConfig, path: str) -> None:
         raise ConfigError(f"{path}: field 'levels': values must be in (0,1)")
     if cfg.b_mc < 2 or cfg.b_true < 2:
         raise ConfigError(f"{path}: field 'b_mc'/'b_true': must be >= 2")
+    if cfg.n_sets < 1:
+        raise ConfigError(f"{path}: field 'n_sets': must be >= 1")

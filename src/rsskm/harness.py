@@ -32,8 +32,9 @@ from .models import (
     dell_clutter_sigma,
     estimate_mixing_matrix,
 )
+from .rss import rank_sum
 from .sampling import RngStream, draw_balanced_rss, draw_srs
-from .survival import StepSurvivalCurve, fit_curve_arrays
+from .survival import SortedSample
 
 # per-cell substream branches
 _PRIMARY, _SECONDARY, _MIXING = 0, 1, 2
@@ -103,43 +104,31 @@ def prepare_model(
     return WeibullModel(base.shape_nu, base.scale_theta1, sigma_z)
 
 
-def _degenerate_at(curve: StepSurvivalCurve, t: float) -> bool:
-    return (
-        curve.degenerate_from is not None
-        and t >= curve.jump_times[curve.degenerate_from]
-    )
-
-
 def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
-    """Paired RSS/SRS replicates; returns per-replicate estimate arrays."""
+    """Paired RSS/SRS replicates; returns per-replicate estimate arrays and,
+    per evaluation time, the number of replicates in which some curve was
+    degenerate (its whole risk set died at or before that time)."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
-    nt = times.size
 
-    s_rss = np.empty((n_reps, nt))
-    gw_rss = np.empty((n_reps, nt))
-    s_srs = np.empty((n_reps, nt))
-    gw_srs = np.empty((n_reps, nt))
-    n_degenerate = 0
+    s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
+    n_degenerate = np.zeros(times.size, dtype=int)
 
     for i in range(n_reps):
         rep = rng.child(i)
         rss = draw_balanced_rss(model, k, m, censoring, rep.child(0))
         srs = draw_srs(model, n, censoring, rep.child(1))
+        rss_fit = SortedSample(rss.times, rss.events).product_limit()
+        srs_fit = SortedSample(srs.times, srs.events).product_limit()
 
-        curves = [fit_curve_arrays(rss.times[r], rss.events[r]) for r in range(k)]
-        s_rss[i] = sum(c.survival_at(times) for c in curves) / k
-        gw_rss[i] = sum(c.greenwood_at(times) for c in curves) / k**2
-
-        srs_curve = fit_curve_arrays(srs.times[0], srs.events[0])
-        s_srs[i] = srs_curve.survival_at(times)
-        gw_srs[i] = srs_curve.greenwood_at(times)
-
-        for t in times:
-            if _degenerate_at(srs_curve, t) or any(_degenerate_at(c, t) for c in curves):
-                n_degenerate += 1
+        s_rss[i] = rank_sum(rss_fit.survival_at(times)) / k
+        gw_rss[i] = rank_sum(rss_fit.greenwood_at(times)) / k**2
+        s_srs[i] = srs_fit.survival_at(times)[0]
+        gw_srs[i] = srs_fit.greenwood_at(times)[0]
+        exhausted = min(rss_fit.exhausted_at.min(), srs_fit.exhausted_at.min())
+        n_degenerate += exhausted <= times
 
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
 
@@ -209,7 +198,7 @@ def run_cell(
                 re_gw=m_gw_srs / m_gw_rss if m_gw_rss > 0 else float("nan"),
                 b_mc=b_mc,
                 b_true=b_true,
-                n_degenerate=n_deg,
+                n_degenerate=int(n_deg[j]),
                 seed=seed,
             )
         )

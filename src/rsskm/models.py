@@ -245,6 +245,8 @@ class MixingMatrix:
     def __post_init__(self):
         if self.w.shape != (self.k, self.k):
             raise ParameterError(f"mixing matrix must be {self.k}x{self.k}")
+        if not np.all(np.isfinite(self.w)):
+            raise ParameterError("mixing matrix entries must be finite")
         if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=1) - 1) > 1e-9):
             raise ParameterError("mixing matrix rows must be stochastic")
 
@@ -264,6 +266,8 @@ def estimate_mixing_matrix(
     lifetime, and tally P(true rank | judged rank)."""
     if k < 1:
         raise ParameterError("k must be >= 1")
+    if n_sets < 1:
+        raise ParameterError(f"n_sets must be >= 1, got {n_sets}")
     gen_x = rng.child(0).generator()
     gen_p = rng.child(1).generator()
     w = np.zeros((k, k))
@@ -293,15 +297,6 @@ def mixture_survival(mixing: MixingMatrix, s_pop: float, r: int) -> float:
 def _os_surv_value(sv: float, k: int, r: int) -> float:
     fv = 1.0 - sv
     return math.fsum(math.comb(k, i) * fv**i * sv ** (k - i) for i in range(r))
-
-
-def target_survival(mixing: MixingMatrix, s_pop: float) -> float:
-    """Rank-average target sum_j P(T=j) S_[j] under possibly non-uniform
-    true-rank frequencies; equals the population survival when the column
-    masses are uniform."""
-    masses = mixing.w.mean(axis=0)  # P(T=j) under balanced judged selection
-    return float(sum(masses[j] * _os_surv_value(s_pop, mixing.k, j + 1)
-                     for j in range(mixing.k)))
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The RSS Kaplan-Meier is the equal-weight average of the k within-rank
 product-limit curves; its plug-in variance is the sum of the k rank
-Greenwood variances divided by k^2.  A pooled-risk-set Greenwood (ranks
-discarded) and a simple shrinkage blend are provided for thin tails.
+Greenwood variances divided by k^2.  All k curves come from one call of the
+product-limit kernel on the (k, m) sample.  A pooled-risk-set Greenwood
+(ranks discarded) and a simple shrinkage blend are provided for thin tails.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from .survival import (
     CensoredObservation,
     ParameterError,
+    ProductLimit,
+    SortedSample,
     StepSurvivalCurve,
     fit_curve_arrays,
 )
@@ -33,9 +36,10 @@ class EmptyDesignError(ValueError):
 class RankedSetSample:
     """Balanced k x m grid of censored observations.
 
-    ``times`` and ``events`` are (k, m) arrays; row r-1 holds the m cycle
-    observations of judged rank r.  ``from_observations`` accepts the flat
-    record layout and checks balance.
+    ``times`` and ``events`` are (k, m) arrays; entry [r-1, j-1] holds the
+    observation of judged rank r in cycle j.  ``from_observations`` accepts
+    the flat record layout and checks that every (rank, cycle) pair occurs
+    exactly once.
     """
 
     set_size_k: int
@@ -58,23 +62,24 @@ class RankedSetSample:
         if not obs:
             raise EmptyDesignError("empty design")
         k = max(o.rank for o in obs)
-        counts = {r: 0 for r in range(1, k + 1)}
-        for o in obs:
-            counts[o.rank] += 1
-        m = counts[1]
-        if any(c != m for c in counts.values()):
+        m = max(o.cycle for o in obs)
+        if len(obs) != k * m:
             raise UnbalancedDesignError(
-                f"unbalanced design: per-rank counts {sorted(counts.values())}"
+                f"unbalanced design: {len(obs)} records for {k} ranks x {m} cycles"
             )
-        times = np.empty((k, m))
-        events = np.empty((k, m), dtype=bool)
-        slot = {r: 0 for r in counts}
-        for o in obs:
-            j = slot[o.rank]
-            times[o.rank - 1, j] = o.time
-            events[o.rank - 1, j] = o.event
-            slot[o.rank] += 1
-        return cls(k, m, times, events)
+        slot = np.array([(o.rank - 1) * m + o.cycle - 1 for o in obs])
+        counts = np.bincount(slot, minlength=k * m)
+        if np.any(counts != 1):
+            bad = int(np.argmax(counts != 1))
+            raise UnbalancedDesignError(
+                f"unbalanced design: (rank {bad // m + 1}, cycle {bad % m + 1}) occurs "
+                f"{counts[bad]} times; each pair in 1..{k} x 1..{m} must occur once"
+            )
+        times = np.empty(k * m)
+        events = np.empty(k * m, dtype=bool)
+        times[slot] = [o.time for o in obs]
+        events[slot] = [o.event for o in obs]
+        return cls(k, m, times.reshape(k, m), events.reshape(k, m))
 
     @cached_property
     def observations(self) -> list[CensoredObservation]:
@@ -94,52 +99,54 @@ class RankedSetSample:
         return int(np.min(np.sum(self.times >= t, axis=1)))
 
 
+def rank_sum(values) -> np.ndarray:
+    """Sum over the leading rank axis as a running total in rank order;
+    ``np.sum`` would switch to pairwise summation for a single evaluation
+    time and so make the last bits depend on the grid's shape."""
+    return np.cumsum(values, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class RssSurvivalEstimate:
-    """Equal-weight RSS KM with its rank-average and pooled Greenwood
-    plug-ins, evaluated on the union of rank event times."""
+    """Equal-weight RSS KM from the (k, m) product-limit fit of the ranks,
+    with its rank-average Greenwood plug-in, evaluated on the union of rank
+    event times."""
 
-    rank_curves: tuple[StepSurvivalCurve, ...]
+    fit: ProductLimit
     grid: np.ndarray
-    rss_survival: np.ndarray
-    rss_greenwood: np.ndarray
-    pooled_greenwood: np.ndarray
-    pooled_curve: StepSurvivalCurve
 
     @property
     def set_size_k(self) -> int:
-        return len(self.rank_curves)
+        return self.fit.times.shape[0]
+
+    @cached_property
+    def rank_curves(self) -> tuple[StepSurvivalCurve, ...]:
+        return tuple(self.fit.curve(r) for r in range(self.set_size_k))
+
+    @cached_property
+    def rss_survival(self) -> np.ndarray:
+        return self.survival_at(self.grid)
+
+    @cached_property
+    def rss_greenwood(self) -> np.ndarray:
+        return self.greenwood_at(self.grid)
 
     def survival_at(self, t):
-        k = self.set_size_k
-        return sum(c.survival_at(t) for c in self.rank_curves) / k
+        return rank_sum(self.fit.survival_at(t)) / self.set_size_k
 
     def greenwood_at(self, t):
-        k = self.set_size_k
-        return sum(c.greenwood_at(t) for c in self.rank_curves) / k**2
+        return rank_sum(self.fit.greenwood_at(t)) / self.set_size_k**2
 
 
 def rss_kaplan_meier(sample: RankedSetSample) -> RssSurvivalEstimate:
-    """Fit each rank's KM on its m observations and average across ranks.
+    """Fit every rank's KM on its m observations in one kernel call and
+    average across ranks.
 
     A rank without events contributes the constant-1 curve (which is what
     the product-limit formula yields with no jumps).
     """
-    curves = tuple(
-        fit_curve_arrays(sample.times[r], sample.events[r])
-        for r in range(sample.set_size_k)
-    )
-    grid = np.unique(np.concatenate([c.jump_times for c in curves]))
-    k = sample.set_size_k
-    if grid.size:
-        surv = sum(c.survival_at(grid) for c in curves) / k
-        gw = sum(c.greenwood_at(grid) for c in curves) / k**2
-    else:
-        surv = np.empty(0)
-        gw = np.empty(0)
-    pooled = fit_curve_arrays(sample.times.ravel(), sample.events.ravel())
-    pooled_gw = pooled.greenwood_at(grid) if grid.size else np.empty(0)
-    return RssSurvivalEstimate(curves, grid, surv, gw, pooled_gw, pooled)
+    fit = SortedSample(sample.times, sample.events).product_limit()
+    return RssSurvivalEstimate(fit, np.unique(fit.times[fit.deaths > 0]))
 
 
 def rss_greenwood(estimate: RssSurvivalEstimate, t: float) -> float:

@@ -1,15 +1,20 @@
-"""Kaplan-Meier and Nelson-Aalen estimation on right-censored samples.
+"""Tie-aware product-limit arithmetic: Kaplan-Meier, Greenwood and
+Nelson-Aalen on right-censored samples, deaths counted before censorings at
+tied times (R(u) = #{Y >= u}).
 
-Single-sample building block: everything here works on one homogeneous
-sample (an SRS, or the m observations of one rank of a ranked set sample).
-Curves are immutable step functions; all estimation is tie-aware, with
-deaths processed before censorings at tied times.
+One kernel serves every estimator.  It works over the last axis of
+``(..., m)`` arrays, so one call fits all k ranks of a ranked set sample,
+and it takes optional multiplier weights for the bootstrap.
+``SortedSample`` sorts each row and finds its tie groups once;
+``SortedSample.product_limit`` then turns one weight vector into S-hat,
+Greenwood, the cumulative hazard and its variance at every sorted position.
+``StepSurvivalCurve`` is the single-sample view of one row at its jumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +60,31 @@ class EvalResult(NamedTuple):
     degenerate: bool
 
 
+def _step(times: np.ndarray, values: np.ndarray, t, before: float):
+    """Right-continuous step lookup in sorted ``times`` with value ``before``
+    ahead of the first time (and everywhere, when there is none)."""
+    return np.r_[before, values][np.searchsorted(times, t, side="right")]
+
+
+class _StepLookups:
+    """Right-continuous lookups at t of a step curve or a kernel fit."""
+
+    def survival_at(self, t):
+        """S-hat at t; 1.0 before the first time."""
+        return self._at(self.survival, t, 1.0)
+
+    def greenwood_at(self, t):
+        return self._at(self.greenwood_var, t, 0.0)
+
+    def cum_hazard_at(self, t):
+        return self._at(self.cum_hazard, t, 0.0)
+
+    def hazard_var_at(self, t):
+        return self._at(self.hazard_var, t, 0.0)
+
+
 @dataclass(frozen=True)
-class StepSurvivalCurve:
+class StepSurvivalCurve(_StepLookups):
     """Right-continuous step estimates of S and the cumulative hazard.
 
     Values are stored at the distinct event times only (censoring times
@@ -73,107 +101,134 @@ class StepSurvivalCurve:
     cum_hazard: np.ndarray
     hazard_var: np.ndarray
     greenwood_var: np.ndarray
-    n_at_risk_initial: int
     last_observed: float
     degenerate_from: int | None = None
 
-    def _lookup(self, values: np.ndarray, t, before: float):
-        """Right-continuous step lookup with value ``before`` ahead of the
-        first jump (and everywhere, for a jumpless curve)."""
-        if self.jump_times.size == 0:
-            return np.full_like(np.asarray(t, dtype=float), before)
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        return np.where(idx < 0, before, values[np.maximum(idx, 0)])
-
-    def survival_at(self, t):
-        """Right-continuous lookup of S-hat; 1.0 before the first event."""
-        return self._lookup(self.survival, t, 1.0)
-
-    def greenwood_at(self, t):
-        return self._lookup(self.greenwood_var, t, 0.0)
-
-    def cum_hazard_at(self, t):
-        return self._lookup(self.cum_hazard, t, 0.0)
-
-    def hazard_var_at(self, t):
-        return self._lookup(self.hazard_var, t, 0.0)
+    def _at(self, values: np.ndarray, t, before: float):
+        return _step(self.jump_times, values, t, before)
 
 
-def _as_arrays(obs: Sequence[CensoredObservation] | Iterable):
-    obs = list(obs)
-    if not obs:
-        raise EmptySampleError("empty sample")
-    times = np.asarray([o.time for o in obs], dtype=float)
-    events = np.asarray([o.event for o in obs], dtype=bool)
-    return times, events
+class SortedSample:
+    """The rows of a ``(..., m)`` right-censored sample, each stably sorted
+    by time, with the tie groups that hold a death.  Built once per sample;
+    ``product_limit`` reruns the arithmetic for any weights without sorting.
+    """
 
+    def __init__(self, times, events):
+        times = np.asarray(times, dtype=float)
+        if times.size == 0:
+            raise EmptySampleError("empty sample")
+        if not np.all(np.isfinite(times)) or np.any(times < 0):
+            raise InvalidObservationError("invalid observation: negative or non-finite time")
+        self.order = np.argsort(times, axis=-1, kind="stable")
+        self.times = np.take_along_axis(times, self.order, axis=-1)
+        flat = self.times.ravel()
+        # a tie group starts at every row start and wherever the time changes
+        starts = np.r_[True, flat[1:] != flat[:-1]]
+        starts[:: times.shape[-1]] = True
+        first = np.flatnonzero(starts)
+        last = np.append(first[1:], flat.size) - 1
+        # sorted flat positions of the deaths; each tie group's deaths are a
+        # run among them, starting at ``death_starts``
+        died = np.take_along_axis(np.asarray(events, dtype=bool), self.order, axis=-1)
+        self.deaths = np.flatnonzero(died)
+        group = np.cumsum(starts)[self.deaths] - 1
+        self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
+        self.first = first[group[self.death_starts]]
+        self.last = last[group[self.death_starts]]
 
-def fit_curve_arrays(times: np.ndarray, events: np.ndarray) -> StepSurvivalCurve:
-    """Fit KM/NA from raw arrays; the fast path used by the MC harness."""
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    if times.size == 0:
-        raise EmptySampleError("empty sample")
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise InvalidObservationError("invalid observation: negative or non-finite time")
+    def product_limit(self, weights=None) -> "ProductLimit":
+        """Run the arithmetic under multiplier ``weights`` of the sample's
+        shape (unit weights when None).
 
-    n = times.size
-    order = np.argsort(times, kind="stable")
-    ts = times[order]
+        Per tie group with a death, R is the weight from the group's first
+        position on and dN the weight of its deaths; both sit at the group's
+        last position, with a neutral 1.0 / 0.0 at every other position.  A
+        group with R <= 0 (a vanished weighted risk set) stops the curve at 0.
+        """
+        m = self.times.shape[-1]
+        if weights is None:
+            at_risk = m - self.first % m
+            died = np.diff(self.death_starts, append=self.deaths.size)
+        else:
+            w = np.take_along_axis(np.asarray(weights, dtype=float), self.order, axis=-1)
+            at_risk = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1].ravel()[self.first]
+            died = np.add.reduceat(w.ravel()[self.deaths], self.death_starts)
+        r, dn = np.ones(self.times.shape), np.zeros(self.times.shape)
+        r.flat[self.last] = at_risk
+        dn.flat[self.last] = died
 
-    event_times = ts[events[order]]
-    if event_times.size == 0:
-        return StepSurvivalCurve(
-            jump_times=np.empty(0),
-            survival=np.empty(0),
-            cum_hazard=np.empty(0),
-            hazard_var=np.empty(0),
-            greenwood_var=np.empty(0),
-            n_at_risk_initial=n,
-            last_observed=float(ts[-1]),
+        gone, dead = r <= 0, dn >= r
+        r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
+        factor = np.where(gone, 0.0, 1.0 - np.clip(dn / r_safe, 0.0, 1.0))
+        survival = np.cumprod(factor, axis=-1)
+        greenwood_terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
+        return ProductLimit(
+            times=self.times,
+            deaths=dn,
+            survival=survival,
+            greenwood_var=survival**2 * np.cumsum(greenwood_terms, axis=-1),
+            cum_hazard=np.cumsum(dn / r_safe, axis=-1),
+            hazard_var=np.cumsum(dn / r_safe**2, axis=-1),
+            exhausted_at=np.where(dead, self.times, np.inf).min(axis=-1),
+            vanished_at=np.where(gone, self.times, np.inf).min(axis=-1),
         )
 
-    u, dn = np.unique(event_times, return_counts=True)
-    # R(u) = #{Y >= u}; ties between deaths and censorings keep both at risk
-    r = n - np.searchsorted(ts, u, side="left")
 
-    frac = dn / r
-    cum_hazard = np.cumsum(frac)
-    hazard_var = np.cumsum(dn / r**2)
-    survival = np.cumprod(1.0 - frac)
+@dataclass(frozen=True)
+class ProductLimit(_StepLookups):
+    """Estimates of every row of a ``SortedSample`` at each of its sorted
+    ``times``, for one weight vector: S-hat, the with-ties Greenwood
+    variance (0 once the whole risk set died), the Nelson-Aalen hazard sum
+    dN/R and its variance sum dN/R^2.  ``exhausted_at`` is each row's first
+    time its whole risk set died (dN >= R), ``vanished_at`` its first time
+    with a weighted risk set <= 0; both are inf when it never happens."""
 
-    exhausted = r == dn
-    degenerate_from = int(np.argmax(exhausted)) if exhausted.any() else None
-    gw_terms = np.where(exhausted, 0.0, dn / (r * np.maximum(r - dn, 1)))
-    greenwood_var = survival**2 * np.cumsum(gw_terms)
-    if degenerate_from is not None:
-        greenwood_var[degenerate_from:] = 0.0
+    times: np.ndarray
+    deaths: np.ndarray
+    survival: np.ndarray
+    greenwood_var: np.ndarray
+    cum_hazard: np.ndarray
+    hazard_var: np.ndarray
+    exhausted_at: np.ndarray
+    vanished_at: np.ndarray
 
-    return StepSurvivalCurve(
-        jump_times=u,
-        survival=survival,
-        cum_hazard=cum_hazard,
-        hazard_var=hazard_var,
-        greenwood_var=greenwood_var,
-        n_at_risk_initial=n,
-        last_observed=float(ts[-1]),
-        degenerate_from=degenerate_from,
-    )
+    def _at(self, values: np.ndarray, t, before: float) -> np.ndarray:
+        m = self.times.shape[-1]
+        rows = zip(self.times.reshape(-1, m), values.reshape(-1, m))
+        got = [_step(row_times, row, t, before) for row_times, row in rows]
+        return np.reshape(got, self.times.shape[:-1] + np.shape(t))
+
+    def curve(self, row: int = 0) -> StepSurvivalCurve:
+        """One row of a 2-D fit as a step curve at its event times."""
+        jumps = self.deaths[row] > 0
+        zero = self.survival[row][jumps] == 0
+        return StepSurvivalCurve(
+            jump_times=self.times[row][jumps],
+            survival=self.survival[row][jumps],
+            cum_hazard=self.cum_hazard[row][jumps],
+            hazard_var=self.hazard_var[row][jumps],
+            greenwood_var=self.greenwood_var[row][jumps],
+            last_observed=float(self.times[row, -1]),
+            degenerate_from=int(np.argmax(zero)) if zero.any() else None,
+        )
+
+
+def fit_curve_arrays(times, events) -> StepSurvivalCurve:
+    """Fit KM/NA from one sample's raw arrays."""
+    sample = SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1)))
+    return sample.product_limit().curve()
 
 
 def kaplan_meier(obs: Sequence[CensoredObservation]) -> StepSurvivalCurve:
     """Product-limit estimate with the with-ties Greenwood variance.
 
     S-hat(t) = prod_{u <= t} (1 - dN(u)/R(u)) over distinct event times u,
-    Greenwood(t) = S-hat(t)^2 * sum_{u <= t} dN / (R (R - dN)).
+    Greenwood(t) = S-hat(t)^2 * sum_{u <= t} dN / (R (R - dN)).  The curve
+    also carries the Nelson-Aalen hazard sum dN/R and its variance sum dN/R^2.
     """
-    return fit_curve_arrays(*_as_arrays(obs))
-
-
-def nelson_aalen(obs: Sequence[CensoredObservation]) -> StepSurvivalCurve:
-    """Cumulative-hazard estimate Lambda-hat(t) = sum_{u <= t} dN(u)/R(u),
-    with plug-in variance sum dN/R^2."""
-    return fit_curve_arrays(*_as_arrays(obs))
+    obs = list(obs)
+    return fit_curve_arrays([o.time for o in obs], [o.event for o in obs])
 
 
 def evaluate(curve: StepSurvivalCurve, t: float) -> EvalResult:
@@ -185,16 +240,10 @@ def evaluate(curve: StepSurvivalCurve, t: float) -> EvalResult:
     """
     if t < 0:
         raise InvalidObservationError(f"invalid time: {t}")
-    idx = int(np.searchsorted(curve.jump_times, t, side="right")) - 1
-    if idx < 0:
-        return EvalResult(1.0, 0.0, t > curve.last_observed, False)
-    degenerate = curve.degenerate_from is not None and idx >= curve.degenerate_from
-    return EvalResult(
-        float(curve.survival[idx]),
-        float(curve.greenwood_var[idx]),
-        t > curve.last_observed,
-        degenerate,
-    )
+    degenerate = (curve.degenerate_from is not None
+                  and t >= curve.jump_times[curve.degenerate_from])
+    return EvalResult(float(curve.survival_at(t)), float(curve.greenwood_at(t)),
+                      t > curve.last_observed, degenerate)
 
 
 def curve_to_rows(curve: StepSurvivalCurve):

@@ -35,8 +35,7 @@ from rsskm import (
     run_cell,
     run_grid,
 )
-from rsskm.bootstrap import weighted_km_at
-from rsskm.survival import fit_curve_arrays
+from rsskm.survival import SortedSample, fit_curve_arrays
 
 FULL = os.environ.get("RSSKM_FULL_ACCEPTANCE") == "1"
 B_MC = 10_000 if FULL else 2_000
@@ -200,9 +199,9 @@ def test_criterion_6_exact_identities():
 
     # (e) constant multiplier weights leave the weighted KM unchanged
     t_grid = np.sort(rss.times[0])
-    base, _ = weighted_km_at(rss.times[0], rss.events[0], np.ones(40), t_grid)
-    doubled, _ = weighted_km_at(
-        rss.times[0], rss.events[0], np.full(40, 2.0), t_grid)
+    kernel = SortedSample(rss.times, rss.events)
+    base = kernel.product_limit(np.ones((1, 40))).survival_at(t_grid)
+    doubled = kernel.product_limit(np.full((1, 40), 2.0)).survival_at(t_grid)
     e_ok = np.array_equal(base, doubled)
     details.append(f"(e) constant weights {'bitwise' if e_ok else 'MISMATCH'}")
 

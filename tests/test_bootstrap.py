@@ -16,10 +16,16 @@ from rsskm import (
     multiplier_bootstrap,
     rss_kaplan_meier,
 )
-from rsskm.bootstrap import weighted_km_at
-from rsskm.survival import fit_curve_arrays
+from rsskm.survival import SortedSample, fit_curve_arrays
 
 EXP = WeibullModel()
+
+
+def weighted_km_at(times, events, weights, t_grid):
+    """One sample's weighted product-limit curve on ``t_grid`` from the
+    kernel, and whether its weighted risk set vanished by max(t_grid)."""
+    fit = SortedSample(times[None], events[None]).product_limit(weights[None])
+    return fit.survival_at(t_grid)[0], bool(fit.vanished_at[0] <= np.max(t_grid))
 
 
 class TestMultiplierLaw:

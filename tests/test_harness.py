@@ -13,14 +13,19 @@ from rsskm import (
     HarnessConfig,
     RngStream,
     WeibullModel,
+    censoring_for_fraction,
     dell_clutter_sigma,
+    draw_balanced_rss,
+    draw_srs,
     eval_times_from_levels,
+    evaluate,
     parse_config,
     prepare_model,
     run_cell,
     run_grid,
 )
 from rsskm.cli import main
+from rsskm.survival import fit_curve_arrays
 
 EXP = WeibullModel()
 
@@ -76,6 +81,8 @@ class TestConfig:
             parse_config(write_config(tmp_path, "rho = 0, 0.5\n"))
         with pytest.raises(ConfigError, match="p_cens"):
             parse_config(write_config(tmp_path, "p_cens = 1.0\n"))
+        with pytest.raises(ConfigError, match="n_sets"):
+            parse_config(write_config(tmp_path, "n_sets = 0\n"))
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +148,29 @@ class TestRunCell:
         vals = [order_statistic_survival(0.5, 4, r, 0.0) for r in (1, 2, 3, 4)]
         want = 0.25 / np.mean([s * (1 - s) for s in vals])
         assert rec.re_true == pytest.approx(want, rel=1e-6)
+
+    def test_n_degenerate_counts_replicates_per_time(self):
+        # m=3 exhausts risk sets often; the reference refits every curve of
+        # every replicate (primary branch 0, replicate i, RSS 0 / SRS 1)
+        design = DesignPoint(EXP, 2, 3, 1.0, 0.0, (0.75, 0.5, 0.25, 0.1))
+        b_mc = 200
+        records = run_cell(design, b_mc, RngStream(4, 0), b_true=2)
+        counts = [rec.n_degenerate for rec in records]
+        assert all(0 <= c <= b_mc for c in counts)
+        by_time = np.asarray(counts)[np.argsort([rec.t for rec in records])]
+        assert np.all(np.diff(by_time) >= 0)
+
+        censoring = censoring_for_fraction(EXP, 0.0)
+        total = 0
+        for i in range(b_mc):
+            rep = RngStream(4, 0).child(0, i)
+            rss = draw_balanced_rss(EXP, 2, 3, censoring, rep.child(0))
+            srs = draw_srs(EXP, 6, censoring, rep.child(1))
+            curves = [fit_curve_arrays(t, e) for t, e in zip(rss.times, rss.events)]
+            curves.append(fit_curve_arrays(srs.times[0], srs.events[0]))
+            total += sum(any(evaluate(c, rec.t).degenerate for c in curves)
+                         for rec in records)
+        assert total > 0 and sum(counts) == total
 
     def test_b_mc_too_small(self):
         with pytest.raises(Exception, match="b_mc"):
@@ -213,6 +243,16 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: simulate:")
 
+    def test_zero_n_sets_is_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG.replace("n_sets = 5000", "n_sets = 0"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "2",
+                     "--rho", "0.5", "--n-sets", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("error: simulate:") and "n_sets" in err[0]
+        assert err[1].startswith("error: kernels:") and "n_sets" in err[1]
+
     @pytest.fixture()
     def obs_csv(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -244,6 +284,34 @@ class TestCli:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "error: estimate:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [
+        "1,1,1.0,7\n1,2,2.0,1\n",
+        "1,1,1.0,1\n1,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n",
+        "1,1,1.0,1\n3,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n",
+        "1,1,1.0,1\n1000000000000,2,2.0,1\n",
+    ], ids=["event-not-0-or-1", "pair-repeated", "pair-missing", "cycle-beyond-rows"])
+    def test_bad_observations_are_reported(self, tmp_path, capsys, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("cycle,rank,time,event\n" + rows)
+        code = main(["estimate", "--input", str(path), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: estimate:")
+
+    def test_row_order_does_not_matter(self, tmp_path, obs_csv):
+        header, *rows = open(obs_csv).read().splitlines(keepends=True)
+        np.random.default_rng(1).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows))
+        outputs = []
+        for path in (obs_csv, str(shuffled)):
+            est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
+            assert main(["estimate", "--input", path, "--out", str(est)]) == 0
+            assert main(["bootstrap", "--input", path, "--out", str(boot),
+                         "--reps", "50"]) == 0
+            outputs.append((est.read_bytes(), boot.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bootstrap(self, tmp_path, obs_csv):
         out = tmp_path / "boot.csv"

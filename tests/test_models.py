@@ -229,6 +229,12 @@ class TestMixingMatrix:
         with pytest.raises(ParameterError):
             MixingMatrix(2, np.eye(3), 10)
 
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ParameterError):
+            MixingMatrix(2, np.full((2, 2), np.nan), 0)
+        with pytest.raises(ParameterError, match="n_sets"):
+            estimate_mixing_matrix(WeibullModel(sigma_z=1.0), 2, 0, RngStream(0))
+
     def test_perfect_ranking_estimates_identity(self):
         mix = estimate_mixing_matrix(EXP, 4, 50_000, RngStream(1))
         np.testing.assert_array_equal(mix.w, np.eye(4))

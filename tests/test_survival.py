@@ -15,9 +15,8 @@ from rsskm import (
     InvalidObservationError,
     evaluate,
     kaplan_meier,
-    nelson_aalen,
 )
-from rsskm.survival import curve_to_rows, fit_curve_arrays
+from rsskm.survival import SortedSample, curve_to_rows, fit_curve_arrays
 
 
 def obs(pairs):
@@ -83,12 +82,12 @@ class TestKaplanMeier:
 class TestNelsonAalen:
     def test_hand_computed_hazard(self):
         # Lambda(3) = 1/3 + 1/1 = 4/3; var = 1/9 + 1/1 = 10/9
-        curve = nelson_aalen(THREE)
+        curve = kaplan_meier(THREE)
         assert curve.cum_hazard_at(3.0) == pytest.approx(4 / 3, abs=1e-15)
         assert curve.hazard_var_at(3.0) == pytest.approx(10 / 9, abs=1e-15)
 
     def test_hazard_zero_before_first_event(self):
-        curve = nelson_aalen(THREE)
+        curve = kaplan_meier(THREE)
         assert curve.cum_hazard_at(0.5) == 0.0
         assert curve.hazard_var_at(0.5) == 0.0
 
@@ -162,6 +161,64 @@ class TestProperties:
         curve = fit_curve_arrays(*sample)
         assert np.all(curve.hazard_var >= 0)
         assert np.all(np.diff(curve.cum_hazard) > 0)
+
+
+@st.composite
+def ranked_samples(draw):
+    """(k, m) samples on a coarse time grid, so that tie groups mix deaths
+    and censorings."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=12))
+    times = draw(st.lists(st.integers(min_value=0, max_value=6),
+                          min_size=k * m, max_size=k * m))
+    events = draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m))
+    return (np.asarray(times, dtype=float).reshape(k, m) / 2,
+            np.asarray(events).reshape(k, m))
+
+
+def direct_product_limit(times, events):
+    """One row's S-hat, Greenwood, hazard and hazard variance at every time
+    of the row, written out from the formulas: R = #{Y >= u},
+    dN = #{Y = u, death}, Greenwood terms dN/(R(R - dN)), and a Greenwood
+    variance of 0 once the whole risk set has died."""
+    out = []
+    s, gw_sum, ch, hv, dead = 1.0, 0.0, 0.0, 0.0, False
+    for u in np.unique(times):
+        r = np.count_nonzero(times >= u)
+        dn = np.count_nonzero((times == u) & events)
+        s *= 1.0 - dn / r
+        ch += dn / r
+        hv += dn / r**2
+        dead |= dn == r
+        gw_sum += 0.0 if dn == r else dn / (r * (r - dn))
+        out.append((u, s, 0.0 if dead else s * s * gw_sum, ch, hv))
+    return out
+
+
+class TestKernel:
+    @given(ranked_samples())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_direct_formulas(self, sample):
+        times, events = sample
+        fit = SortedSample(times, events).product_limit()
+        for r in range(times.shape[0]):
+            direct = direct_product_limit(times[r], events[r])
+            for u, s, gw, ch, hv in direct:
+                got = [float(fit.survival_at(u)[r]), float(fit.greenwood_at(u)[r]),
+                       float(fit.cum_hazard_at(u)[r]), float(fit.hazard_var_at(u)[r])]
+                np.testing.assert_allclose(got, [s, gw, ch, hv], rtol=0, atol=1e-12)
+            exhausted = [u for u, s, *_ in direct if s == 0.0]
+            assert fit.exhausted_at[r] == (exhausted[0] if exhausted else np.inf)
+
+    @given(ranked_samples())
+    @settings(max_examples=100, deadline=None)
+    def test_unit_weights_reproduce_unweighted_bitwise(self, sample):
+        times, events = sample
+        sorted_sample = SortedSample(times, events)
+        plain = sorted_sample.product_limit()
+        unit = sorted_sample.product_limit(np.ones_like(times))
+        np.testing.assert_array_equal(unit.survival, plain.survival)
+        assert np.all(unit.vanished_at == np.inf)
 
 
 def test_curve_to_rows_round_trip():
