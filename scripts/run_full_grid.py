@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the full-scale efficiency grid (b_mc=10000, b_true=4000).
+"""Run the full-scale efficiency grid (b_mc=10000).
 
 Equivalent to `rsskm simulate --full`, kept as a script so the full-scale
 run is a single command with sensible defaults:

@@ -1,11 +1,10 @@
 """Rank-aware Kaplan-Meier / Nelson-Aalen estimation under balanced ranked
 set sampling with right censoring, plus a Monte-Carlo efficiency harness."""
 
-from .bootstrap import BootstrapResult, MultiplierLaw, multiplier_bootstrap
+from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
 from .harness import (
     DesignPoint,
-    EfficiencyRecord,
     eval_times_from_levels,
     prepare_model,
     run_cell,
@@ -18,7 +17,6 @@ from .models import (
     InferenceWindowError,
     MixingMatrix,
     ParameterError,
-    SuperpopulationModel,
     WeibullModel,
     aft_rho_ceiling,
     aft_score_correlation,
@@ -35,7 +33,6 @@ from .models import (
 from .rss import (
     EmptyDesignError,
     RankedSetSample,
-    RssSurvivalEstimate,
     UnbalancedDesignError,
     pooled_greenwood,
     rss_greenwood,
@@ -46,7 +43,6 @@ from .sampling import RngStream, draw_balanced_rss, draw_srs
 from .survival import (
     CensoredObservation,
     EmptySampleError,
-    EvalResult,
     InvalidObservationError,
     StepSurvivalCurve,
     evaluate,
@@ -57,16 +53,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AftModel",
-    "BootstrapResult",
     "CalibrationError",
     "CensoredObservation",
     "CensoringLaw",
     "ConfigError",
     "DesignPoint",
-    "EfficiencyRecord",
     "EmptyDesignError",
     "EmptySampleError",
-    "EvalResult",
     "HarnessConfig",
     "InferenceWindowError",
     "InvalidObservationError",
@@ -75,9 +68,7 @@ __all__ = [
     "ParameterError",
     "RankedSetSample",
     "RngStream",
-    "RssSurvivalEstimate",
     "StepSurvivalCurve",
-    "SuperpopulationModel",
     "UnbalancedDesignError",
     "WeibullModel",
     "aft_rho_ceiling",

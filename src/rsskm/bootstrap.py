@@ -73,6 +73,8 @@ def multiplier_bootstrap(
     t_grid = np.asarray(t_grid, float)
     if t_grid.size == 0:
         raise ParameterError("empty evaluation grid")
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
+        raise ParameterError(f"grid times must be finite and >= 0, got {t_grid}")
     if n_reps < 2:
         raise ParameterError(f"n_reps must be >= 2, got {n_reps}")
     law = law or MultiplierLaw()

@@ -6,7 +6,8 @@ Subcommands:
 * ``estimate``  — fit rank-wise and rank-averaged KM/NA curves on a CSV of
   censored observations.
 * ``bootstrap`` — multiplier-bootstrap variance of the RSS KM on a CSV.
-* ``kernels``   — analytic asymptotic variance / RE tables (Weibull path).
+* ``kernels``   — analytic asymptotic variance / RE tables (Weibull lifetimes,
+  perfect and judged ranking).
 
 All failures exit nonzero after printing a single machine-readable
 ``error: <context>: <message>`` line on stderr.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, parse_config
-from .harness import run_grid
+from .harness import prepare_model, run_grid
 from .models import (
     CalibrationError,
     InferenceWindowError,
@@ -31,8 +32,6 @@ from .models import (
     asymptotic_km_variance,
     asymptotic_rss_km_variance,
     censoring_for_fraction,
-    dell_clutter_sigma,
-    estimate_mixing_matrix,
 )
 from .rss import (
     EmptyDesignError,
@@ -43,7 +42,6 @@ from .rss import (
 )
 from .sampling import RngStream
 from .survival import (
-    CensoredObservation,
     EmptySampleError,
     InvalidObservationError,
     curve_to_rows,
@@ -64,41 +62,44 @@ _KNOWN_ERRORS = (
 
 def _read_observations(path: str) -> RankedSetSample:
     """Load a (cycle, rank, time, event) CSV into a balanced sample; rows may
-    come in any order, and each (rank, cycle) pair must occur exactly once."""
-    obs = []
+    come in any order, and each (rank, cycle) pair must occur exactly once.
+    Blank lines are skipped; errors name the line of the first bad row."""
+    names = ("rank", "cycle", "time", "event")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"cycle", "rank", "time", "event"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(names) <= set(header):
             raise InvalidObservationError(
-                f"{path}: header must contain columns {sorted(required)}"
+                f"{path}: header must contain columns {sorted(names)}"
             )
-        for lineno, row in enumerate(reader, 2):
+        records = [(reader.line_num, row) for row in reader if row]
+    index = [header.index(name) for name in names]
+    columns = list(zip(*(row for _, row in records))) or [()] * len(header)
+    try:
+        values = [np.array(columns[i], dtype=float) for i in index]
+    except (IndexError, ValueError):
+        for lineno, row in records:  # name the first short or non-numeric row
             try:
-                event = int(row["event"])
-                if event not in (0, 1):
-                    raise ValueError(f"event must be 0 or 1, got {row['event']!r}")
-                obs.append(
-                    CensoredObservation(
-                        time=float(row["time"]),
-                        event=bool(event),
-                        rank=int(row["rank"]),
-                        cycle=int(row["cycle"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise InvalidObservationError(f"{path}:{lineno}: {exc}") from exc
-    return RankedSetSample.from_observations(obs)
+                [float(row[i]) for i in index]
+            except (IndexError, ValueError):
+                raise InvalidObservationError(
+                    f"{path}: line {lineno}: columns {', '.join(names)} must hold "
+                    f"numbers, got {row}") from None
+        raise
+    return RankedSetSample.from_columns(*values, lines=[n for n, _ in records])
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+    try:
+        return [float(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     if args.full:
-        cfg.b_mc, cfg.b_true = 10_000, 4_000
+        cfg.b_mc = 10_000
     run_grid(cfg, args.out, master_seed=args.seed, parallelism=args.jobs)
     return 0
 
@@ -153,7 +154,7 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_kernels(args) -> int:
     model = WeibullModel(args.nu, args.theta1)
     levels = _parse_floats(args.levels)
-    rng = RngStream(args.seed)
+    times = [model.quantile(level) for level in levels]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -161,30 +162,18 @@ def _cmd_kernels(args) -> int:
              "v_srs", "v_rss_perfect", "v_rss_judged", "re_perfect", "re_judged"]
         )
         for k in [int(v) for v in _parse_floats(args.k)]:
-            for i, rho in enumerate(_parse_floats(args.rho)):
-                if rho == 1.0:
-                    mixing = None
-                else:
-                    sigma_z = float(np.sqrt(dell_clutter_sigma(
-                        model.lifetime_variance, rho)))
-                    noisy = WeibullModel(args.nu, args.theta1, sigma_z)
-                    mixing = estimate_mixing_matrix(
-                        noisy, k, args.n_sets, rng.child(k, i))
+            for rho in _parse_floats(args.rho):
+                judged = prepare_model(model, rho)
                 for p in _parse_floats(args.p_cens):
                     cens = censoring_for_fraction(model, p)
-                    for level in levels:
-                        t = model.quantile(level)
+                    v_perf = asymptotic_rss_km_variance(model, cens, times, k)
+                    v_judg = asymptotic_rss_km_variance(judged, cens, times, k)
+                    for i, (level, t) in enumerate(zip(levels, times)):
                         v_srs = asymptotic_km_variance(model, cens, t)
-                        v_perf = asymptotic_rss_km_variance(model, cens, t, k)
-                        v_judg = (
-                            v_perf if mixing is None
-                            else asymptotic_rss_km_variance(
-                                model, cens, t, k, mixing=mixing)
-                        )
                         writer.writerow([
                             k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",
-                            f"{v_srs:.6g}", f"{v_perf:.6g}", f"{v_judg:.6g}",
-                            f"{v_srs / v_perf:.6g}", f"{v_srs / v_judg:.6g}",
+                            f"{v_srs:.6g}", f"{v_perf[i]:.6g}", f"{v_judg[i]:.6g}",
+                            f"{v_srs / v_perf[i]:.6g}", f"{v_srs / v_judg[i]:.6g}",
                         ])
     return 0
 
@@ -202,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (overrides the config)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--full", action="store_true",
-                   help="full scale: b_mc=10000, b_true=4000")
+    p.add_argument("--full", action="store_true", help="full scale: b_mc=10000")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="KM/NA curves from an observation CSV")
@@ -233,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="1.0", help="ranking correlations (1 = perfect)")
     p.add_argument("--p-cens", default="0,0.1,0.3,0.5", help="censoring fractions")
     p.add_argument("--levels", default="0.75,0.5,0.25", help="survival levels")
-    p.add_argument("--n-sets", type=int, default=1_000_000,
-                   help="draws per mixing matrix")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_kernels)
 
     return parser

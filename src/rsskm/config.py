@@ -14,9 +14,10 @@ Recognized keys (defaults in parentheses):
     p_cens        array of censoring fractions     (0,0.1,0.3,0.5)
     levels        survival levels for eval times   (0.75,0.5,0.25,0.1)
     b_mc          MC replicates per cell (2000; 10000 with --full)
-    b_true        secondary replicates   (1000; 4000 with --full)
-    n_sets        mixing-matrix draws    (1000000)
     seed          master seed            (0)
+
+Obsolete integer keys, accepted and ignored now that ``re_true`` is
+analytic: ``b_true`` (secondary MC replicates), ``n_sets`` (mixing draws).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class ConfigError(ValueError):
 
 _ARRAY_KEYS = {"k", "m", "rho", "p_cens", "levels"}
 _FLOAT_KEYS = {"mu", "beta", "sigma_eps", "nu", "theta1"}
-_INT_KEYS = {"b_mc", "b_true", "n_sets", "seed"}
+_INT_KEYS = {"b_mc", "seed"}
+_OBSOLETE_KEYS = {"b_true", "n_sets"}
 
 
 @dataclass
@@ -47,8 +49,6 @@ class HarnessConfig:
     p_cens: list[float] = field(default_factory=lambda: [0.0, 0.1, 0.3, 0.5])
     levels: list[float] = field(default_factory=lambda: [0.75, 0.5, 0.25, 0.1])
     b_mc: int = 2000
-    b_true: int = 1000
-    n_sets: int = 1_000_000
     seed: int = 0
 
 
@@ -83,6 +83,8 @@ def parse_config(path: str) -> HarnessConfig:
                 setattr(cfg, key, float(value))
             elif key in _INT_KEYS:
                 setattr(cfg, key, int(value))
+            elif key in _OBSOLETE_KEYS:
+                int(value)
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -101,7 +103,5 @@ def _validate(cfg: HarnessConfig, path: str) -> None:
         raise ConfigError(f"{path}: field 'p_cens': values must be in [0,1)")
     if any(not 0.0 < l < 1.0 for l in cfg.levels):
         raise ConfigError(f"{path}: field 'levels': values must be in (0,1)")
-    if cfg.b_mc < 2 or cfg.b_true < 2:
-        raise ConfigError(f"{path}: field 'b_mc'/'b_true': must be >= 2")
-    if cfg.n_sets < 1:
-        raise ConfigError(f"{path}: field 'n_sets': must be >= 1")
+    if cfg.b_mc < 2:
+        raise ConfigError(f"{path}: field 'b_mc': must be >= 2")

@@ -4,7 +4,8 @@ Each grid cell fixes (model, k, m, rho, p_cens); per replicate one balanced
 RSS sample and one SRS sample of the same size n = mk are drawn under the
 same censoring law (independent substreams), both KM estimates and both
 Greenwood plug-ins are evaluated at the level-matched times, and the cell
-aggregates means, MC variances, and three relative-efficiency ratios.
+aggregates means, MC variances, and three relative-efficiency ratios (MC,
+Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 
 Determinism contract: per-cell stream = (master seed, cell index), per
 replicate a child stream, reduction in replicate order; output is
@@ -30,20 +31,19 @@ from .models import (
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
-    estimate_mixing_matrix,
 )
 from .rss import rank_sum
 from .sampling import RngStream, draw_balanced_rss, draw_srs
 from .survival import SortedSample
 
-# per-cell substream branches
-_PRIMARY, _SECONDARY, _MIXING = 0, 1, 2
+# per-cell substream branch of the Monte-Carlo replicates
+_PRIMARY = 0
 
 CSV_COLUMNS = [
-    "model", "k", "m", "n", "rho", "p_cens", "level", "t", "s_true",
+    "model", "k", "m", "n", "rho", "p_cens", "level", "t",
     "mean_s_rss", "mean_s_srs", "v_rss_mc", "v_srs_mc",
     "mean_gw_rss", "mean_gw_srs", "re_true", "re_mc", "re_gw",
-    "b_mc", "b_true", "n_degenerate", "seed", "rank_noise_sd",
+    "b_mc", "n_degenerate", "seed", "rank_noise_sd",
 ]
 
 
@@ -74,7 +74,6 @@ class EfficiencyRecord:
     re_mc: float
     re_gw: float
     b_mc: int
-    b_true: int
     n_degenerate: int
     seed: int
 
@@ -133,38 +132,18 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
 
 
-def _true_re(design: DesignPoint, times, b_true: int, rng: RngStream, n_sets: int):
-    """Benchmark RE per eval time: analytic kernels on the Weibull path,
-    a secondary MC run on the AFT path."""
+def _true_re(design: DesignPoint, times) -> list[float]:
+    """Benchmark RE per eval time: the ratio of the SRS kernel to the
+    judged-rank RSS kernel, exactly 1.0 at k = 1."""
     model, k = design.model, design.k
-    if isinstance(model, WeibullModel):
-        if k == 1:
-            return [1.0 for _ in times]
-        censoring = censoring_for_fraction(model, design.p_cens)
-        mixing = None
-        if model.sigma_z > 0:
-            mixing = estimate_mixing_matrix(model, k, n_sets, rng.child(_MIXING))
-        out = []
-        for t in times:
-            v_srs = asymptotic_km_variance(model, censoring, t)
-            v_rss = asymptotic_rss_km_variance(model, censoring, t, k, mixing=mixing)
-            out.append(v_srs / v_rss)
-        return out
-    s_rss, _, s_srs, _, _ = _simulate_batch(
-        design, b_true, rng.child(_SECONDARY), times
-    )
-    return list(
-        np.var(s_srs, axis=0, ddof=1) / np.var(s_rss, axis=0, ddof=1)
-    )
+    censoring = censoring_for_fraction(model, design.p_cens)
+    v_srs = [asymptotic_km_variance(model, censoring, t) for t in times]
+    v_rss = v_srs if k == 1 else asymptotic_rss_km_variance(model, censoring, times, k)
+    return [a / b for a, b in zip(v_srs, v_rss)]
 
 
 def run_cell(
-    design: DesignPoint,
-    b_mc: int,
-    rng: RngStream,
-    b_true: int = 1000,
-    n_sets: int = 1_000_000,
-    seed: int = 0,
+    design: DesignPoint, b_mc: int, rng: RngStream, seed: int = 0
 ) -> list[EfficiencyRecord]:
     """Run one grid cell; one record per evaluation time."""
     if b_mc < 2:
@@ -174,7 +153,7 @@ def run_cell(
     s_rss, gw_rss, s_srs, gw_srs, n_deg = _simulate_batch(
         design, b_mc, rng.child(_PRIMARY), times
     )
-    re_true = _true_re(design, times, b_true, rng, n_sets)
+    re_true = _true_re(design, times)
 
     records = []
     for j, (t, level) in enumerate(zip(times, design.eval_levels)):
@@ -197,7 +176,6 @@ def run_cell(
                 re_mc=v_srs / v_rss if v_rss > 0 else float("nan"),
                 re_gw=m_gw_srs / m_gw_rss if m_gw_rss > 0 else float("nan"),
                 b_mc=b_mc,
-                b_true=b_true,
                 n_degenerate=int(n_deg[j]),
                 seed=seed,
             )
@@ -215,20 +193,9 @@ def _base_model(cfg: HarnessConfig) -> SuperpopulationModel:
     return WeibullModel(cfg.nu, cfg.theta1)
 
 
-def _grid_cells(cfg: HarnessConfig, calibrated: dict):
-    cells = []
-    for idx, (k, m, rho, p) in enumerate(
-        itertools.product(cfg.k, cfg.m, cfg.rho, cfg.p_cens)
-    ):
-        design = DesignPoint(calibrated[rho], k, m, rho, p, tuple(cfg.levels))
-        cells.append((idx, design))
-    return cells
-
-
 def _cell_task(args):
-    idx, design, b_mc, b_true, n_sets, seed = args
-    rng = RngStream(seed, idx)
-    return run_cell(design, b_mc, rng, b_true=b_true, n_sets=n_sets, seed=seed)
+    idx, design, b_mc, seed = args
+    return run_cell(design, b_mc, RngStream(seed, idx), seed=seed)
 
 
 def _fmt(x) -> str:
@@ -243,10 +210,10 @@ def record_to_row(rec: EfficiencyRecord) -> list[str]:
     noise = d.model.sigma_u if isinstance(d.model, AftModel) else d.model.sigma_z
     values = [
         model_name, d.k, d.m, d.k * d.m, d.rho_target, d.p_cens,
-        rec.s_true, rec.t, rec.s_true,
+        rec.s_true, rec.t,
         rec.mean_s_rss, rec.mean_s_srs, rec.v_rss_mc, rec.v_srs_mc,
         rec.mean_gw_rss, rec.mean_gw_srs, rec.re_true, rec.re_mc, rec.re_gw,
-        rec.b_mc, rec.b_true, rec.n_degenerate, rec.seed, noise,
+        rec.b_mc, rec.n_degenerate, rec.seed, noise,
     ]
     return [_fmt(v) for v in values]
 
@@ -267,10 +234,11 @@ def run_grid(
 
     base = _base_model(config)
     calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
-    cells = _grid_cells(config, calibrated)
+    cells = itertools.product(config.k, config.m, config.rho, config.p_cens)
     tasks = [
-        (idx, design, config.b_mc, config.b_true, config.n_sets, seed)
-        for idx, design in cells
+        (idx, DesignPoint(calibrated[rho], k, m, rho, p, tuple(config.levels)),
+         config.b_mc, seed)
+        for idx, (k, m, rho, p) in enumerate(cells)
     ]
 
     if parallelism > 1:
@@ -281,7 +249,7 @@ def run_grid(
 
     try:
         with open(output_path, "w") as fh:
-            fh.write("# schema_version=1\n")
+            fh.write("# schema_version=2\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for cell_records in results:
                 for rec in cell_records:

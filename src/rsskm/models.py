@@ -1,5 +1,5 @@
-"""Superpopulation laws, order-statistic and judged-rank mixtures,
-concomitant calibration, censoring construction, and asymptotic KM
+"""Superpopulation laws, order statistics, the judged-rank law of the
+sampler, concomitant calibration, censoring construction, and asymptotic KM
 variance kernels.
 
 Two generative families are supported:
@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import hermite_e, legendre
+from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from .sampling import RngStream
@@ -66,12 +68,6 @@ class AftModel:
             z = (np.log(t) - self.mu) / self.log_sd
         return np.where(t <= 0, 1.0, norm.sf(z))
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(t) - self.mu) / self.log_sd
-        return np.where(t <= 0, 0.0, norm.pdf(z) / (self.log_sd * np.maximum(t, 1e-300)))
-
     def quantile(self, level: float) -> float:
         """Time t with S(t) = level (closed-form lognormal inversion)."""
         if not 0.0 < level < 1.0:
@@ -88,6 +84,20 @@ class AftModel:
         if not math.isfinite(self.sigma_u):
             return noise
         return np.log(x) + self.sigma_u * noise
+
+    def lifetime_at(self, w):
+        """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
+        return np.exp(self.mu + self.log_sd * w)
+
+    def score_cdf_at(self, w, z):
+        """Score CDF F_V(log x + sigma_u * z) at the lifetime x of score w,
+        in closed form: log X and V are jointly normal."""
+        if self.sigma_u is None:
+            raise ParameterError("uncalibrated model: sigma_u is not set")
+        if not math.isfinite(self.sigma_u):
+            return ndtr(z)
+        s = self.log_sd
+        return ndtr((s * w + self.sigma_u * z) / math.hypot(s, self.sigma_u))
 
 
 @dataclass(frozen=True)
@@ -121,14 +131,6 @@ class WeibullModel:
         t = np.asarray(t, dtype=float)
         return np.where(t <= 0, 1.0, np.exp(-((np.maximum(t, 0) / self.scale_theta1) ** self.shape_nu)))
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        nu, th = self.shape_nu, self.scale_theta1
-        tt = np.maximum(t, 1e-300)
-        return np.where(
-            t <= 0, 0.0, (nu / th) * (tt / th) ** (nu - 1) * np.exp(-((tt / th) ** nu))
-        )
-
     def quantile(self, level: float) -> float:
         if not 0.0 < level < 1.0:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
@@ -142,6 +144,25 @@ class WeibullModel:
         if not math.isfinite(self.sigma_z):
             return noise
         return x + self.sigma_z * noise
+
+    def lifetime_at(self, w):
+        """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
+        return self.scale_theta1 * (-log_ndtr(-w)) ** (1 / self.shape_nu)
+
+    def score_cdf_at(self, w, z):
+        """Score CDF F_V(x + sigma_z * z) at the lifetime x of score w, with
+        F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000 points of v and
+        read through a cubic spline."""
+        sigma = self.sigma_z
+        if sigma == 0 or not math.isfinite(sigma):
+            return ndtr(w if sigma == 0 else z)
+        u, half = _panel_nodes(_W_EDGES)
+        x = self.lifetime_at(u).ravel()
+        dF = (half[:, None] * _GL_W * norm.pdf(u)).ravel()
+        v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
+        cdf = np.concatenate(
+            [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
+        return CubicSpline(v, cdf)(np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1]))
 
 
 SuperpopulationModel = AftModel | WeibullModel
@@ -207,7 +228,7 @@ def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> Censor
 
 
 # --------------------------------------------------------------------------
-# order statistics and judged-rank mixing
+# order statistics and the simulated judged-rank mixing matrix
 
 
 def order_statistic_survival(s, k: int, r: int, t: float) -> float:
@@ -218,15 +239,7 @@ def order_statistic_survival(s, k: int, r: int, t: float) -> float:
     if not 1 <= r <= k:
         raise ParameterError(f"rank r={r} out of range 1..{k}")
     sv = float(s(t)) if callable(s) else float(s)
-    fv = 1.0 - sv
-    return math.fsum(
-        math.comb(k, i) * fv**i * sv ** (k - i) for i in range(r)
-    )
-
-
-def order_statistic_density_factor(sv: float, fv_density: float, k: int, r: int) -> float:
-    """Density of the r-th order statistic given S(u) and f(u) at u."""
-    return k * math.comb(k - 1, r - 1) * (1 - sv) ** (r - 1) * sv ** (k - r) * fv_density
+    return math.fsum(math.comb(k, i) * (1 - sv) ** i * sv ** (k - i) for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -289,14 +302,9 @@ def mixture_survival(mixing: MixingMatrix, s_pop: float, r: int) -> float:
     """Judged-rank-r survival value: sum_j w[r][j] * S_[j]."""
     k = mixing.k
     return float(
-        sum(mixing.w[r - 1, j - 1] * _os_surv_value(s_pop, k, j)
+        sum(mixing.w[r - 1, j - 1] * order_statistic_survival(s_pop, k, j, 0.0)
             for j in range(1, k + 1))
     )
-
-
-def _os_surv_value(sv: float, k: int, r: int) -> float:
-    fv = 1.0 - sv
-    return math.fsum(math.comb(k, i) * fv**i * sv ** (k - i) for i in range(r))
 
 
 # --------------------------------------------------------------------------
@@ -376,49 +384,80 @@ def _check_window(model, censoring: CensoringLaw, t: float) -> None:
         )
 
 
-def _rank_law(model, k: int | None, rank: int | None, mixing: MixingMatrix | None):
-    """Survival and density callables for the requested rank law."""
-    if rank is None and mixing is None:
-        return model.survival, model.density
+# Judged-rank law (Dell & Clutter 1972).  Both models rank a k-set by the
+# score V = h(X) + sigma * N(0,1) (h = log for AFT, the identity for
+# Weibull), and the unit measured in judged slot r has lifetime density
+# f(x) g_r(F(x)) with
+#
+#     g_r(p) = k E_Z Binom(r-1; k-1, F_V(h(Q(p)) + sigma Z)),
+#
+# Q the lifetime quantile and F_V the score CDF.  sigma = 0 gives the
+# order-statistic law, sigma = inf gives g_r = 1, and sum_r g_r = k
+# (McIntyre).  Everything is computed in the normal-score scale
+# w = Phi^-1(F(x)), where both models are smooth, on 16-point Gauss-Legendre
+# panels over [-8, 8] (mass outside: 1e-15) and 96-point Gauss-Hermite
+# nodes for E_Z.
 
-    if k is None:
-        raise ParameterError("k required for rank-specific laws")
+_GL_X, _GL_W = legendre.leggauss(16)
+# _GL_CUM @ f integrates the interpolant of f over [-1, x_i] for each node x_i
+_GL_CUM = legendre.legval(
+    _GL_X, legendre.legint(np.linalg.inv(legendre.legvander(_GL_X, 15)), lbnd=-1)).T
+_GH_Z, _GH_W = hermite_e.hermegauss(96)
+_GH_W = _GH_W / _GH_W.sum()
+_W_EDGES = np.linspace(-8.0, 8.0, 33)
 
-    if mixing is not None:
-        weights = mixing.w[rank - 1]
 
-        def surv(u):
-            sv = float(model.survival(u))
-            return sum(weights[j] * _os_surv_value(sv, k, j + 1) for j in range(k))
+def _panel_nodes(edges: np.ndarray):
+    """Gauss-Legendre nodes (panels, 16) and half-widths of the panels."""
+    half = np.diff(edges) / 2
+    return (edges[:-1] + half)[:, None] + half[:, None] * _GL_X, half
 
-        def dens(u):
-            sv = float(model.survival(u))
-            fv = float(model.density(u))
-            return sum(
-                weights[j] * order_statistic_density_factor(sv, fv, k, j + 1)
-                for j in range(k)
-            )
 
-        return surv, dens
+def _judged_law(model: SuperpopulationModel, k: int, times):
+    """Law of each judged slot r = 1..k on panels whose edges include the
+    scores w of ``times``: the (panels, 16) nodes, per rank the mass and S_[r]
+    at the nodes, the panel starting at each time, and (k, times) S_[r]."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    w_t = np.clip(norm.isf(model.survival(np.asarray(times, dtype=float))), -8.0, 8.0)
+    edges = np.union1d(_W_EDGES, w_t)
+    w, half = _panel_nodes(edges)
+    if k == 1:  # the one candidate is measured: the population law
+        g = np.ones((1, *w.shape))
+    else:
+        cdf = model.score_cdf_at(w[..., None], _GH_Z)
+        cdf = np.broadcast_to(cdf, (*w.shape, _GH_Z.size))  # noise-free or pure noise
+        g = np.stack([
+            (cdf**r * (1 - cdf) ** (k - 1 - r)) @ _GH_W * (k * math.comb(k - 1, r))
+            for r in range(k)
+        ])
+    mass = g * norm.pdf(w) * half[:, None]
+    tail = np.cumsum((mass @ _GL_W)[:, ::-1], axis=1)[:, ::-1]  # from each panel on
+    survival = tail[..., None] - mass @ _GL_CUM.T
+    panel = np.searchsorted(edges, w_t)
+    return w, mass, survival, panel, np.pad(tail, ((0, 0), (0, 1)))[:, panel]
 
-    def surv(u):
-        return _os_surv_value(float(model.survival(u)), k, rank)
 
-    def dens(u):
-        return order_statistic_density_factor(
-            float(model.survival(u)), float(model.density(u)), k, rank
-        )
+def judged_rank_survival(model: SuperpopulationModel, k: int, times) -> np.ndarray:
+    """S_[r](t) for r = 1..k (rows) at each of ``times`` (columns): the
+    survival of the unit measured in judged slot r of a k-set."""
+    return _judged_law(model, k, np.atleast_1d(times))[-1]
 
-    return surv, dens
+
+def _judged_kernels(model, censoring: CensoringLaw, times, k: int) -> np.ndarray:
+    """(k, times) per-rank kernels
+    V_r(t) = S_[r](t)^2 int_0^t f_[r](u) / (S_[r](u)^2 K(u)) du."""
+    w, mass, survival, panel, survival_at = _judged_law(model, k, times)
+    n = panel.max(initial=0)
+    cens = censoring.survival(model.lifetime_at(w[:n]))
+    terms = (mass[:, :n] / (survival[:, :n] ** 2 * cens)) @ _GL_W
+    integral = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)
+    return survival_at**2 * integral[:, panel]
 
 
 def _is_exponential(model, censoring: CensoringLaw) -> bool:
-    if not (isinstance(model, WeibullModel) and model.shape_nu == 1.0):
-        return False
-    return censoring.kind == "none" or (
-        censoring.kind == "exponential-rate"
-        or (censoring.kind == "weibull-scale" and censoring.shape == 1.0)
-    )
+    return (isinstance(model, WeibullModel) and model.shape_nu == 1.0
+            and (censoring.kind != "weibull-scale" or censoring.shape == 1.0))
 
 
 def _censoring_rate(censoring: CensoringLaw) -> float:
@@ -435,57 +474,50 @@ def asymptotic_km_variance(
     t: float,
     rank: int | None = None,
     k: int | None = None,
-    mixing: MixingMatrix | None = None,
     method: str = "auto",
 ) -> float:
     """Per-observation asymptotic KM variance kernel at s = t:
 
         V(t) = S(t)^2 * int_0^t f(u) / (S(u)^2 K(u)) du,
 
-    with (S, f) the population law, the true rank-r order-statistic law
-    (``rank=r, k=k``), or the judged mixture (``rank=r, mixing=w``).
+    with (S, f) the population law, or with ``rank=r, k=k`` the law of the
+    unit measured in judged slot r of a k-set under the model's ranking
+    noise (the r-th order statistic when the noise is zero).
 
-    ``method``: "closed" (exponential population case and the no-censoring
-    collapse only), "quadrature", or "auto".
+    ``method`` applies to the population law: "closed" (exponential case
+    and the no-censoring collapse only), "quadrature" (the quadrature of the
+    judged-rank kernels at k = 1), or "auto".
     """
     _check_window(model, censoring, t)
-    surv, dens = _rank_law(model, k, rank, mixing)
-
-    if method in ("closed", "auto"):
+    if rank is None:
+        s = float(model.survival(t))
         if censoring.kind == "none" and method == "closed":
-            s = surv(t)
             return s * (1.0 - s)
-        if (
-            _is_exponential(model, censoring)
-            and rank is None
-            and mixing is None
-        ):
+        if method in ("closed", "auto") and _is_exponential(model, censoring):
             lam = 1.0 / model.scale_theta1
             c = _censoring_rate(censoring)
-            s = float(model.survival(t))
-            integral = lam * math.expm1((lam + c) * t) / (lam + c)
-            return s**2 * integral
+            return s**2 * lam * math.expm1((lam + c) * t) / (lam + c)
         if method == "closed":
             raise ParameterError("no closed form for this configuration")
-
-    st = surv(t)
-    integrand = lambda u: dens(u) / (surv(u) ** 2 * float(censoring.survival(u)))
-    integral, _ = integrate.quad(integrand, 0.0, t, epsrel=1e-10, limit=500)
-    return st**2 * integral
+        rank, k = 1, 1
+    elif k is None:
+        raise ParameterError("k required for rank-specific laws")
+    if not 1 <= rank <= k:
+        raise ParameterError(f"rank r={rank} out of range 1..{k}")
+    return float(_judged_kernels(model, censoring, [t], k)[rank - 1, 0])
 
 
 def asymptotic_rss_km_variance(
     model: SuperpopulationModel,
     censoring: CensoringLaw,
-    t: float,
+    t,
     k: int,
-    mixing: MixingMatrix | None = None,
-) -> float:
-    """Per-observation variance of the rank-averaged KM: the simple average
-    of the k within-rank kernels (perfect ranking when ``mixing`` is None,
-    judged mixtures otherwise)."""
-    total = sum(
-        asymptotic_km_variance(model, censoring, t, rank=r, k=k, mixing=mixing)
-        for r in range(1, k + 1)
-    )
-    return total / k
+):
+    """Per-observation variance of the rank-averaged KM at t (a time, or an
+    array of times read from one tabulated law): the simple average of the
+    k judged-rank kernels under the model's ranking noise."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    for u in times:
+        _check_window(model, censoring, u)
+    v = _judged_kernels(model, censoring, times, k).mean(axis=0)
+    return float(v[0]) if np.ndim(t) == 0 else v

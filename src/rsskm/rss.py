@@ -16,6 +16,7 @@ import numpy as np
 
 from .survival import (
     CensoredObservation,
+    InvalidObservationError,
     ParameterError,
     ProductLimit,
     SortedSample,
@@ -37,9 +38,9 @@ class RankedSetSample:
     """Balanced k x m grid of censored observations.
 
     ``times`` and ``events`` are (k, m) arrays; entry [r-1, j-1] holds the
-    observation of judged rank r in cycle j.  ``from_observations`` accepts
-    the flat record layout and checks that every (rank, cycle) pair occurs
-    exactly once.
+    observation of judged rank r in cycle j.  ``from_columns`` (and
+    ``from_observations``, which delegates to it) accepts the flat record
+    layout and checks that every (rank, cycle) pair occurs exactly once.
     """
 
     set_size_k: int
@@ -58,28 +59,48 @@ class RankedSetSample:
 
     @classmethod
     def from_observations(cls, obs) -> "RankedSetSample":
-        obs = list(obs)
-        if not obs:
+        columns = [(o.rank, o.cycle, o.time, o.event) for o in obs]
+        return cls.from_columns(*np.array(columns, dtype=float).reshape(-1, 4).T)
+
+    @classmethod
+    def from_columns(cls, rank, cycle, time, event, lines=None) -> "RankedSetSample":
+        """Place flat records at [rank-1, cycle-1] of a k x m sample, checking
+        finite time >= 0, event 0 or 1, integer rank and cycle >= 1, and each
+        (rank, cycle) pair in 1..k x 1..m exactly once.  Errors name the first
+        bad record by its entry in ``lines`` (default 1, 2, ...)."""
+        rank, cycle, time, event = (
+            np.asarray(c, dtype=float) for c in (rank, cycle, time, event))
+        n = time.size
+        if n == 0:
             raise EmptyDesignError("empty design")
-        k = max(o.rank for o in obs)
-        m = max(o.cycle for o in obs)
-        if len(obs) != k * m:
+        lines = np.arange(1, n + 1) if lines is None else np.asarray(lines)
+        for name, values, ok, expected in (
+            ("time", time, np.isfinite(time) & (time >= 0), "finite and >= 0"),
+            ("event", event, (event == 0) | (event == 1), "0 or 1"),
+            ("rank", rank, (rank >= 1) & (rank % 1 == 0), "an integer >= 1"),
+            ("cycle", cycle, (cycle >= 1) & (cycle % 1 == 0), "an integer >= 1"),
+        ):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise InvalidObservationError(
+                    f"line {lines[i]}: {name} must be {expected}, got {values[i]:g}")
+        k, m = int(rank.max()), int(cycle.max())
+        if n != k * m:
             raise UnbalancedDesignError(
-                f"unbalanced design: {len(obs)} records for {k} ranks x {m} cycles"
+                f"unbalanced design: {n} records for {k} ranks x {m} cycles"
             )
-        slot = np.array([(o.rank - 1) * m + o.cycle - 1 for o in obs])
-        counts = np.bincount(slot, minlength=k * m)
-        if np.any(counts != 1):
-            bad = int(np.argmax(counts != 1))
+        slot = (rank.astype(np.int64) - 1) * m + cycle.astype(np.int64) - 1
+        # n == k*m slots, so the pairs cover the grid iff none repeats
+        first = np.zeros(n, dtype=bool)
+        first[np.unique(slot, return_index=True)[1]] = True
+        if not first.all():
+            i = int(np.argmin(first))
             raise UnbalancedDesignError(
-                f"unbalanced design: (rank {bad // m + 1}, cycle {bad % m + 1}) occurs "
-                f"{counts[bad]} times; each pair in 1..{k} x 1..{m} must occur once"
+                f"line {lines[i]}: (rank {rank[i]:g}, cycle {cycle[i]:g}) occurs again; "
+                f"each pair in 1..{k} x 1..{m} must occur once"
             )
-        times = np.empty(k * m)
-        events = np.empty(k * m, dtype=bool)
-        times[slot] = [o.time for o in obs]
-        events[slot] = [o.event for o in obs]
-        return cls(k, m, times.reshape(k, m), events.reshape(k, m))
+        order = np.argsort(slot)  # the record placed in each slot
+        return cls(k, m, time[order].reshape(k, m), event[order].reshape(k, m) == 1)
 
     @cached_property
     def observations(self) -> list[CensoredObservation]:

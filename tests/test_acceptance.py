@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run scale is controlled by the RSSKM_FULL_ACCEPTANCE environment variable:
-unset (CI default) uses b_mc=2000 / b_true=1000 with table tolerances
-widened to +-12%; set to 1 it uses the full b_mc=10000 / b_true=4000 with
-+-8% table tolerances.
+unset (CI default) uses b_mc=2000 with table tolerances widened to +-12%;
+set to 1 it uses the full b_mc=10000 with +-8% table tolerances.  re_true
+is analytic (the asymptotic RE under the sampler's judged-rank law), so it
+does not depend on the scale or the seed.
 """
 
 import math
@@ -22,7 +23,6 @@ from rsskm import (
     asymptotic_km_variance,
     asymptotic_rss_km_variance,
     censoring_for_fraction,
-    dell_clutter_sigma,
     draw_balanced_rss,
     draw_srs,
     estimate_mixing_matrix,
@@ -39,7 +39,6 @@ from rsskm.survival import SortedSample, fit_curve_arrays
 
 FULL = os.environ.get("RSSKM_FULL_ACCEPTANCE") == "1"
 B_MC = 10_000 if FULL else 2_000
-B_TRUE = 4_000 if FULL else 1_000
 TABLE_RTOL = 0.08 if FULL else 0.12
 SEED = 20260824
 
@@ -58,7 +57,7 @@ def table_cell_no_censoring():
     """AFT k=10, m=50, rho=0.9, no censoring; records at levels 0.75/0.50."""
     model = prepare_model(AFT, 0.9)
     design = DesignPoint(model, 10, 50, 0.9, 0.0, LEVELS)
-    return run_cell(design, B_MC, RngStream(SEED, 0), b_true=B_TRUE, seed=SEED)
+    return run_cell(design, B_MC, RngStream(SEED, 0), seed=SEED)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def table_cell_30pct_censoring():
     """AFT k=6, m=50, rho=0.5, 30% censoring; records at levels 0.75/0.50."""
     model = prepare_model(AFT, 0.5)
     design = DesignPoint(model, 6, 50, 0.5, 0.3, LEVELS)
-    return run_cell(design, B_MC, RngStream(SEED, 1), b_true=2, seed=SEED)
+    return run_cell(design, B_MC, RngStream(SEED, 1), seed=SEED)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +77,7 @@ def null_cells():
         for j, p in enumerate((0.0, 0.3)):
             design = DesignPoint(model, k, 20, 0.1, p, LEVELS)
             cells.append(
-                run_cell(design, B_MC, RngStream(SEED, 10 + 2 * i + j), b_true=2)
+                run_cell(design, B_MC, RngStream(SEED, 10 + 2 * i + j))
             )
     return cells
 
@@ -131,9 +130,7 @@ def test_criterion_4_mean_estimate_agreement(
 
 def test_criterion_5_analytic_kernel_cross_check():
     k = 4
-    sigma_z = math.sqrt(dell_clutter_sigma(EXP.lifetime_variance, 0.5))
-    mixing = estimate_mixing_matrix(
-        WeibullModel(sigma_z=sigma_z), k, 400_000, RngStream(SEED, 20))
+    judged = prepare_model(EXP, 0.5)
     worst_rel = 0.0
     ordering_ok = True
     for p_cens in (0.0, 0.1, 0.3, 0.5):
@@ -144,7 +141,7 @@ def test_criterion_5_analytic_kernel_cross_check():
             quad = asymptotic_km_variance(EXP, law, t, method="quadrature")
             worst_rel = max(worst_rel, abs(quad / closed - 1.0))
             v_perf = asymptotic_rss_km_variance(EXP, law, t, k)
-            v_judg = asymptotic_rss_km_variance(EXP, law, t, k, mixing=mixing)
+            v_judg = asymptotic_rss_km_variance(judged, law, t, k)
             ordering_ok &= v_perf <= v_judg * (1 + 1e-6)
             ordering_ok &= v_judg <= closed * (1 + 1e-6)
     ok = worst_rel <= 1e-8 and ordering_ok

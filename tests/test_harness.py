@@ -81,8 +81,13 @@ class TestConfig:
             parse_config(write_config(tmp_path, "rho = 0, 0.5\n"))
         with pytest.raises(ConfigError, match="p_cens"):
             parse_config(write_config(tmp_path, "p_cens = 1.0\n"))
-        with pytest.raises(ConfigError, match="n_sets"):
-            parse_config(write_config(tmp_path, "n_sets = 0\n"))
+
+    def test_obsolete_keys_are_ignored(self, tmp_path):
+        # b_true and n_sets fed the secondary MC run and the mixing matrix
+        cfg = parse_config(write_config(tmp_path, "b_true = 0\nn_sets = 0\n"))
+        assert cfg == HarnessConfig()
+        with pytest.raises(ConfigError, match="field 'n_sets'"):
+            parse_config(write_config(tmp_path, "n_sets = many\n"))
 
 
 # --------------------------------------------------------------------------
@@ -120,7 +125,7 @@ class TestPrepareModel:
 class TestRunCell:
     def test_record_fields_and_ratios(self):
         design = DesignPoint(EXP, 2, 15, 1.0, 0.0, (0.5, 0.25))
-        records = run_cell(design, 200, RngStream(5, 0), b_true=2, seed=5)
+        records = run_cell(design, 200, RngStream(5, 0), seed=5)
         assert len(records) == 2
         for rec in records:
             assert rec.re_mc == pytest.approx(rec.v_srs_mc / rec.v_rss_mc)
@@ -130,19 +135,26 @@ class TestRunCell:
 
     def test_deterministic(self):
         design = DesignPoint(EXP, 2, 10, 1.0, 0.1, (0.5,))
-        a = run_cell(design, 100, RngStream(8, 3), b_true=2)
-        b = run_cell(design, 100, RngStream(8, 3), b_true=2)
+        a = run_cell(design, 100, RngStream(8, 3))
+        b = run_cell(design, 100, RngStream(8, 3))
         assert a == b
 
     def test_k1_collapse_re_true_is_one(self):
         design = DesignPoint(EXP, 1, 30, 1.0, 0.0, (0.5,))
-        rec = run_cell(design, 300, RngStream(1, 0), b_true=2)[0]
+        rec = run_cell(design, 300, RngStream(1, 0))[0]
         assert rec.re_true == 1.0
         assert rec.re_mc == pytest.approx(1.0, abs=0.35)
 
+    def test_re_true_does_not_depend_on_the_seed(self):
+        design = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3, (0.75, 0.5))
+        a = run_cell(design, 20, RngStream(1, 0))
+        b = run_cell(design, 20, RngStream(2, 0))
+        assert [r.re_true for r in a] == [r.re_true for r in b]
+        assert a[0].re_mc != b[0].re_mc
+
     def test_weibull_re_true_uses_analytic_kernels(self):
         design = DesignPoint(EXP, 4, 10, 1.0, 0.0, (0.5,))
-        rec = run_cell(design, 50, RngStream(2, 0), b_true=2)[0]
+        rec = run_cell(design, 50, RngStream(2, 0))[0]
         # perfect-ranking k=4 exponential at the median: known kernel ratio
         from rsskm import order_statistic_survival
         vals = [order_statistic_survival(0.5, 4, r, 0.0) for r in (1, 2, 3, 4)]
@@ -154,7 +166,7 @@ class TestRunCell:
         # every replicate (primary branch 0, replicate i, RSS 0 / SRS 1)
         design = DesignPoint(EXP, 2, 3, 1.0, 0.0, (0.75, 0.5, 0.25, 0.1))
         b_mc = 200
-        records = run_cell(design, b_mc, RngStream(4, 0), b_true=2)
+        records = run_cell(design, b_mc, RngStream(4, 0))
         counts = [rec.n_degenerate for rec in records]
         assert all(0 <= c <= b_mc for c in counts)
         by_time = np.asarray(counts)[np.argsort([rec.t for rec in records])]
@@ -196,7 +208,7 @@ seed = 11
 
 def read_rows(path):
     with open(path) as fh:
-        assert fh.readline().strip() == "# schema_version=1"
+        assert fh.readline().strip() == "# schema_version=2"
         return list(csv.DictReader(fh))
 
 
@@ -207,6 +219,8 @@ class TestRunGrid:
         run_grid(cfg, str(out))
         rows = read_rows(out)
         assert len(rows) == 2 * 2 * 2 * 1  # k x rho x p_cens x levels
+        assert "b_true" not in rows[0] and "s_true" not in rows[0]
+        assert {r["re_true"] for r in rows if r["k"] == "1"} == {"1"}
         assert rows[0]["model"] == "weibull"
         assert {r["k"] for r in rows} == {"1", "2"}
         for row in rows:
@@ -243,15 +257,30 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: simulate:")
 
-    def test_zero_n_sets_is_reported(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TINY_CONFIG.replace("n_sets = 5000", "n_sets = 0"))
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "2",
-                     "--rho", "0.5", "--n-sets", "0"]) == 2
+    def test_kernels_zero_k_is_reported(self, tmp_path, capsys):
+        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "0",
+                     "--rho", "0.5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
+
+    def test_non_numeric_lists_are_reported(self, tmp_path, capsys, obs_csv):
+        assert main(["bootstrap", "--input", obs_csv, "--out", str(tmp_path / "b.csv"),
+                     "--grid", "0.5,abc"]) == 2
+        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "two"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
-        assert err[0].startswith("error: simulate:") and "n_sets" in err[0]
-        assert err[1].startswith("error: kernels:") and "n_sets" in err[1]
+        assert err[0].startswith("error: bootstrap:") and "'0.5,abc'" in err[0]
+        assert err[1].startswith("error: kernels:") and "'two'" in err[1]
+
+    @pytest.mark.parametrize("grid", ["nan,-1,1", "0.5,-1", "1,inf"])
+    def test_bootstrap_bad_grid_is_reported(self, tmp_path, capsys, obs_csv, grid):
+        out = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--input", obs_csv, "--out", str(out),
+                     "--reps", "5", f"--grid={grid}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bootstrap:")
+        assert "grid times" in err[0] and not out.exists()
 
     @pytest.fixture()
     def obs_csv(self, tmp_path):
@@ -285,19 +314,29 @@ class TestCli:
         assert code == 2
         assert "error: estimate:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", [
-        "1,1,1.0,7\n1,2,2.0,1\n",
-        "1,1,1.0,1\n1,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n",
-        "1,1,1.0,1\n3,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n",
-        "1,1,1.0,1\n1000000000000,2,2.0,1\n",
-    ], ids=["event-not-0-or-1", "pair-repeated", "pair-missing", "cycle-beyond-rows"])
-    def test_bad_observations_are_reported(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("rows, line", [
+        ("1,1,1.0,7\n1,2,2.0,1\n", 2),
+        ("1,1,1.0,1\n1,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n", 3),
+        ("1,1,1.0,1\n3,1,2.0,0\n1,2,2.0,1\n2,2,3.0,0\n", None),
+        ("1,1,1.0,1\n1000000000000,2,2.0,1\n", None),
+        ("1,1,1.0,1\n1,2,-2.0,1\n", 3),
+        ("1,1,1.0,1\n1,2,nan,1\n", 3),
+        ("1,1,1.0,1\n1,0,2.0,1\n", 3),
+        ("1,1,1.0,1\n1,1.5,2.0,1\n", 3),
+        ("1,1,1.0,1\n\n1,2,two,1\n", 4),
+        ("1,1,1.0,1\n1,2\n", 3),
+    ], ids=["event-not-0-or-1", "pair-repeated", "pair-missing", "cycle-beyond-rows",
+            "negative-time", "nan-time", "rank-0", "rank-1.5", "time-not-a-number",
+            "too-few-fields"])
+    def test_bad_observations_are_reported(self, tmp_path, capsys, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text("cycle,rank,time,event\n" + rows)
         code = main(["estimate", "--input", str(path), "--out", str(tmp_path / "c.csv")])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: estimate:")
+        if line is not None:
+            assert f"line {line}:" in err[0]
 
     def test_row_order_does_not_matter(self, tmp_path, obs_csv):
         header, *rows = open(obs_csv).read().splitlines(keepends=True)
@@ -326,7 +365,7 @@ class TestCli:
         out = tmp_path / "kern.csv"
         assert main(["kernels", "--out", str(out), "--k", "2",
                      "--rho", "0.5,1.0", "--p-cens", "0,0.3",
-                     "--levels", "0.5", "--n-sets", "20000"]) == 0
+                     "--levels", "0.5"]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4

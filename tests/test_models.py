@@ -1,5 +1,5 @@
-"""Population laws, order-statistic mixtures, ranking calibration, censoring
-construction, and asymptotic variance kernels.
+"""Population laws, order statistics, the judged-rank law, ranking
+calibration, censoring construction, and asymptotic variance kernels.
 
 Reference values: order-statistic and censoring numbers are hand-derived
 from the stated closed forms; kernel values are cross-checked between the
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from rsskm import (
     AftModel,
@@ -29,11 +30,14 @@ from rsskm import (
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
+    draw_balanced_rss,
     estimate_mixing_matrix,
     mixture_survival,
     order_statistic_survival,
     population_survival,
+    prepare_model,
 )
+from rsskm.models import judged_rank_survival
 
 AFT = AftModel()  # lognormal, log-sd = hypot(1.5, 0.4)
 EXP = WeibullModel()  # unit exponential
@@ -261,6 +265,98 @@ class TestMixingMatrix:
         s = 0.37
         avg = sum(mixture_survival(mix, s, r) for r in range(1, k + 1)) / k
         assert avg == pytest.approx(s, abs=1e-9)
+
+
+def order_statistic_kernel(model, censoring, t, k, r):
+    """Kernel of the r-th order statistic of k lifetimes, by adaptive
+    quadrature over p = F(u):
+    S_(r)(t)^2 int_0^F(t) g(p) / (S_(r)(p)^2 K(Q(p))) dp with g the
+    Beta(r, k-r+1) density."""
+    def integrand(p):
+        g = k * math.comb(k - 1, r - 1) * p ** (r - 1) * (1 - p) ** (k - r)
+        s = order_statistic_survival(1 - p, k, r, 0.0)
+        return g / (s**2 * float(censoring.survival(model.quantile(1 - p))))
+
+    integral, _ = integrate.quad(integrand, 0.0, 1 - float(model.survival(t)),
+                                 epsrel=1e-12, limit=500)
+    return order_statistic_survival(model.survival, k, r, t) ** 2 * integral
+
+
+class TestJudgedRankLaw:
+    LEVELS = (0.9, 0.75, 0.5, 0.25, 0.1)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("base", [AFT, EXP], ids=["aft", "weibull"])
+    def test_matches_sampler_rank_wise(self, base, rho):
+        # uncensored draws: row r holds m lifetimes measured in judged slot r
+        model = prepare_model(base, rho)
+        k, m = 5, 20_000
+        rng = RngStream(7, int(10 * rho))
+        sample = draw_balanced_rss(model, k, m, CensoringLaw("none"), rng)
+        times = [model.quantile(level) for level in self.LEVELS]
+        want = judged_rank_survival(model, k, times)
+        got = np.array([[np.mean(row > t) for t in times] for row in sample.times])
+        se = np.sqrt(want * (1 - want) / m)
+        assert np.all(np.abs(got - want) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("model", [
+        prepare_model(AFT, 0.3), prepare_model(AFT, 0.9), prepare_model(EXP, 0.3),
+        prepare_model(EXP, 0.9), prepare_model(WeibullModel(2.0, 1.5), 0.7),
+        AftModel(sigma_u=0.0), AftModel(sigma_u=math.inf), WeibullModel(sigma_z=math.inf),
+    ])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_mcintyre_identity(self, model, k):
+        times = [model.quantile(level) for level in (0.99, *self.LEVELS, 0.01)]
+        avg = judged_rank_survival(model, k, times).mean(axis=0)
+        np.testing.assert_allclose(avg, model.survival(times), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("p_cens", [0.0, 0.3])
+    @pytest.mark.parametrize("model", [EXP, WeibullModel(2.0, 1.5), AftModel(sigma_u=0.0)],
+                             ids=["exp", "weibull2", "aft"])
+    def test_zero_noise_is_the_order_statistic_law(self, model, p_cens):
+        law = censoring_for_fraction(model, p_cens)
+        k = 5
+        for level in (0.75, 0.5, 0.1):
+            t = model.quantile(level)
+            for r in range(1, k + 1):
+                got = asymptotic_km_variance(model, law, t, rank=r, k=k)
+                want = order_statistic_kernel(model, law, t, k, r)
+                assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("p_cens", [0.0, 0.3])
+    @pytest.mark.parametrize("model", [WeibullModel(sigma_z=math.inf),
+                                       AftModel(sigma_u=math.inf)], ids=["weibull", "aft"])
+    def test_pure_noise_is_the_population_law(self, model, p_cens):
+        law = censoring_for_fraction(model, p_cens)
+        for level in (0.75, 0.5, 0.1):
+            t = model.quantile(level)
+            want = asymptotic_km_variance(model, law, t)
+            for r in range(1, 7):
+                got = asymptotic_km_variance(model, law, t, rank=r, k=6)
+                assert got == pytest.approx(want, rel=1e-8)
+
+    def test_noise_orders_the_kernels(self):
+        # V_perfect <= V_judged <= V_SRS, and the judged kernel at a whole
+        # grid of times equals the kernel at each time alone
+        law = censoring_for_fraction(EXP, 0.3)
+        times = [EXP.quantile(level) for level in (0.75, 0.5, 0.25)]
+        v_srs = [asymptotic_km_variance(EXP, law, t) for t in times]
+        v_perf = asymptotic_rss_km_variance(EXP, law, times, 4)
+        judged = prepare_model(EXP, 0.7)
+        v_judg = asymptotic_rss_km_variance(judged, law, times, 4)
+        assert np.all(v_perf < v_judg) and np.all(v_judg < v_srs)
+        alone = [asymptotic_rss_km_variance(judged, law, t, 4) for t in times]
+        np.testing.assert_allclose(v_judg, alone, rtol=1e-12)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            asymptotic_rss_km_variance(EXP, CensoringLaw("none"), 1.0, 0)
+        with pytest.raises(ParameterError, match="out of range"):
+            asymptotic_km_variance(EXP, CensoringLaw("none"), 1.0, rank=3, k=2)
+
+    def test_uncalibrated_aft_rejected(self):
+        with pytest.raises(ParameterError, match="uncalibrated"):
+            judged_rank_survival(AFT, 2, [1.0])
 
 
 class TestAsymptoticKernels:
