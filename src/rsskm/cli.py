@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 
 import numpy as np
@@ -59,12 +60,18 @@ _KNOWN_ERRORS = (
     OSError,
 )
 
+# observation CSV rows converted per block
+_BLOCK_ROWS = 4096
+
 
 def _read_observations(path: str) -> RankedSetSample:
     """Load a (cycle, rank, time, event) CSV into a balanced sample; rows may
     come in any order, and each (rank, cycle) pair must occur exactly once.
-    Blank lines are skipped; errors name the line of the first bad row."""
+    Blank lines are skipped; errors name the line of the first bad row.
+    Rows are converted in blocks, so only one block's strings are held."""
     names = ("rank", "cycle", "time", "event")
+    columns = [[np.empty(0)] for _ in names]
+    lines = [np.empty(0, dtype=int)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -72,13 +79,23 @@ def _read_observations(path: str) -> RankedSetSample:
             raise InvalidObservationError(
                 f"{path}: header must contain columns {sorted(names)}"
             )
-        records = [(reader.line_num, row) for row in reader if row]
-    index = [header.index(name) for name in names]
-    columns = list(zip(*(row for _, row in records))) or [()] * len(header)
+        index = [header.index(name) for name in names]
+        records = ((reader.line_num, row) for row in reader if row)
+        while block := list(itertools.islice(records, _BLOCK_ROWS)):
+            for column, values in zip(columns, _block_columns(path, block, index, names)):
+                column.append(values)
+            lines.append(np.array([lineno for lineno, _ in block]))
+    return RankedSetSample.from_columns(*map(np.concatenate, columns),
+                                        lines=np.concatenate(lines))
+
+
+def _block_columns(path, block, index, names) -> list[np.ndarray]:
+    """The named columns of a block of (line, row) records as float arrays."""
     try:
-        values = [np.array(columns[i], dtype=float) for i in index]
+        fields = list(zip(*(row for _, row in block)))
+        return [np.array(fields[i], dtype=float) for i in index]
     except (IndexError, ValueError):
-        for lineno, row in records:  # name the first short or non-numeric row
+        for lineno, row in block:  # name the first short or non-numeric row
             try:
                 [float(row[i]) for i in index]
             except (IndexError, ValueError):
@@ -86,7 +103,6 @@ def _read_observations(path: str) -> RankedSetSample:
                     f"{path}: line {lineno}: columns {', '.join(names)} must hold "
                     f"numbers, got {row}") from None
         raise
-    return RankedSetSample.from_columns(*values, lines=[n for n, _ in records])
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -94,6 +110,14 @@ def _parse_floats(text: str) -> list[float]:
         return [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParameterError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _parse_set_sizes(text: str) -> list[int]:
+    sizes = _parse_floats(text)
+    for k in sizes:
+        if not (k >= 1 and k % 1 == 0):
+            raise ParameterError(f"set size k must be >= 1 and a whole number, got {k:g}")
+    return [int(k) for k in sizes]
 
 
 def _cmd_simulate(args) -> int:
@@ -153,6 +177,7 @@ def _cmd_bootstrap(args) -> int:
 
 def _cmd_kernels(args) -> int:
     model = WeibullModel(args.nu, args.theta1)
+    sizes = _parse_set_sizes(args.k)
     levels = _parse_floats(args.levels)
     times = [model.quantile(level) for level in levels]
     with open(args.out, "w", newline="") as fh:
@@ -161,7 +186,7 @@ def _cmd_kernels(args) -> int:
             ["k", "rho", "p_cens", "level", "t",
              "v_srs", "v_rss_perfect", "v_rss_judged", "re_perfect", "re_judged"]
         )
-        for k in [int(v) for v in _parse_floats(args.k)]:
+        for k in sizes:
             for rho in _parse_floats(args.rho):
                 judged = prepare_model(model, rho)
                 for p in _parse_floats(args.p_cens):

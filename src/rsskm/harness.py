@@ -7,9 +7,11 @@ Greenwood plug-ins are evaluated at the level-matched times, and the cell
 aggregates means, MC variances, and three relative-efficiency ratios (MC,
 Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 
-Determinism contract: per-cell stream = (master seed, cell index), per
-replicate a child stream, reduction in replicate order; output is
-byte-identical for a fixed (config, seed) regardless of worker count.
+Determinism contract: per-cell stream = (master seed, cell index); the
+replicates run in chunks whose size depends only on (k, m), and chunk c
+draws all its RSS samples from one child stream and all its SRS samples
+from another; reduction in replicate order.  Output is byte-identical for a
+fixed (config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from .models import (
     dell_clutter_sigma,
 )
 from .rss import rank_sum
-from .sampling import RngStream, draw_balanced_rss, draw_srs
+from .sampling import RngStream, draw_samples
 from .survival import SortedSample
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
+# candidate lifetimes (m * k * k per replicate) drawn per chunk of replicates
+_BUDGET = 2**15
 
 CSV_COLUMNS = [
     "model", "k", "m", "n", "rho", "p_cens", "level", "t",
@@ -106,28 +110,34 @@ def prepare_model(
 def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     """Paired RSS/SRS replicates; returns per-replicate estimate arrays and,
     per evaluation time, the number of replicates in which some curve was
-    degenerate (its whole risk set died at or before that time)."""
+    degenerate (its whole risk set died at or before that time).
+
+    Replicates run in chunks of about ``_BUDGET`` candidate lifetimes: chunk
+    c draws all its RSS samples from ``rng.child(c, 0)`` and its SRS samples
+    from ``rng.child(c, 1)``, and fits each block with one kernel call."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
+    chunk = max(1, _BUDGET // (m * k * k))
 
     s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
     n_degenerate = np.zeros(times.size, dtype=int)
 
-    for i in range(n_reps):
-        rep = rng.child(i)
-        rss = draw_balanced_rss(model, k, m, censoring, rep.child(0))
-        srs = draw_srs(model, n, censoring, rep.child(1))
-        rss_fit = SortedSample(rss.times, rss.events).product_limit()
-        srs_fit = SortedSample(srs.times, srs.events).product_limit()
+    for c, start in enumerate(range(0, n_reps, chunk)):
+        size = min(chunk, n_reps - start)
+        reps = slice(start, start + size)
+        rss = SortedSample(*draw_samples(model, k, m, censoring, rng.child(c, 0), size))
+        srs = SortedSample(*draw_samples(model, 1, n, censoring, rng.child(c, 1), size))
+        rss_fit, srs_fit = rss.product_limit(), srs.product_limit()
 
-        s_rss[i] = rank_sum(rss_fit.survival_at(times)) / k
-        gw_rss[i] = rank_sum(rss_fit.greenwood_at(times)) / k**2
-        s_srs[i] = srs_fit.survival_at(times)[0]
-        gw_srs[i] = srs_fit.greenwood_at(times)[0]
-        exhausted = min(rss_fit.exhausted_at.min(), srs_fit.exhausted_at.min())
-        n_degenerate += exhausted <= times
+        # (reps, k, times) lookups, summed over the rank axis in rank order
+        s_rss[reps] = rank_sum(rss_fit.survival_at(times).swapaxes(0, 1)) / k
+        gw_rss[reps] = rank_sum(rss_fit.greenwood_at(times).swapaxes(0, 1)) / k**2
+        s_srs[reps] = srs_fit.survival_at(times)[:, 0]
+        gw_srs[reps] = srs_fit.greenwood_at(times)[:, 0]
+        exhausted = np.minimum(rss_fit.exhausted_at.min(axis=-1), srs_fit.exhausted_at[:, 0])
+        n_degenerate += np.sum(exhausted[:, None] <= times, axis=0)
 
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
 

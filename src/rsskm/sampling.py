@@ -4,7 +4,9 @@ Streams are addressed, not stateful: an ``RngStream`` is a (seed, stream_id,
 path) address into numpy's SeedSequence tree, so identical addresses always
 yield identical draws and distinct addresses are statistically independent.
 Lifetimes, ranking proxies, and censoring each consume their own substream,
-so e.g. adding censoring never perturbs the lifetime draws.
+so e.g. adding censoring never perturbs the lifetime draws.  One stream can
+yield a block of replicate samples (``draw_samples``); the single-sample
+draws are its first replicate.
 """
 
 from __future__ import annotations
@@ -34,54 +36,56 @@ class RngStream:
 _LIFETIMES, _PROXIES, _CENSORING = 0, 1, 2
 
 
-def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
-    """Draw a balanced k x m ranked set sample.
+def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1):
+    """Draw ``reps`` balanced k x m ranked set samples from one stream.
 
-    Per cycle and slot r, k independent (lifetime, proxy) candidates are
-    drawn; the unit whose proxy is judged r-th smallest is measured and
-    independently censored.  Proxy ties break by candidate index (stable
-    sort).  Only mk units are fully measured out of the m*k^2 candidates.
+    Per replicate, cycle and slot r, k independent (lifetime, proxy)
+    candidates are drawn; the unit whose proxy is judged r-th smallest is
+    measured and independently censored.  Proxy ties break by candidate
+    index (stable sort); a set of one needs no ranking and draws no
+    proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
+
+    The candidates fill a ``(reps, m, k, k)`` block in C order, so
+    replicate 0 of a draw consumes each substream exactly as a one-replicate
+    draw from the same stream does.
     """
-    from .rss import EmptyDesignError, RankedSetSample
+    from .rss import EmptyDesignError
 
     if k < 1 or m < 1:
         raise EmptyDesignError(f"empty design: k={k}, m={m}")
 
-    gen_x = rng.child(_LIFETIMES).generator()
-    gen_p = rng.child(_PROXIES).generator()
-    gen_c = rng.child(_CENSORING).generator()
+    x = model.draw_lifetimes(rng.child(_LIFETIMES).generator(), (reps, m, k, k))
+    if k > 1:
+        scores = model.ranking_scores(x, rng.child(_PROXIES).generator())
+        order = np.argsort(scores, axis=-1, kind="stable")
+        # slot r measures the unit judged r-th smallest in its own candidate set
+        chosen = np.take_along_axis(order, np.arange(k).reshape(1, 1, k, 1), axis=-1)
+        x = np.take_along_axis(x, chosen, axis=-1)
+    x_sel = x[..., 0]  # (reps, m, k)
 
-    x = model.draw_lifetimes(gen_x, (m, k, k))
-    scores = model.ranking_scores(x, gen_p)
-    order = np.argsort(scores, axis=-1, kind="stable")
-    # slot r measures the unit judged r-th smallest in its own candidate set
-    slots = np.broadcast_to(np.arange(k)[None, :, None], (m, k, 1))
-    chosen = np.take_along_axis(order, slots, axis=-1)
-    x_sel = np.take_along_axis(x, chosen, axis=-1)[..., 0]  # (m, k)
+    c = censoring.draw(rng.child(_CENSORING).generator(), (reps, m, k))
+    times = np.ascontiguousarray(np.minimum(x_sel, c).swapaxes(1, 2))
+    events = np.ascontiguousarray((x_sel <= c).swapaxes(1, 2))
+    return times, events
 
-    c = censoring.draw(gen_c, (m, k))
-    times = np.minimum(x_sel, c).T.copy()  # (k, m)
-    events = (x_sel <= c).T.copy()
-    return RankedSetSample(k, m, times, events)
+
+def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
+    """Draw one balanced k x m ranked set sample (see ``draw_samples``).
+    Only mk units are fully measured out of the m*k^2 candidates."""
+    from .rss import RankedSetSample
+
+    times, events = draw_samples(model, k, m, censoring, rng)
+    return RankedSetSample(k, m, times[0], events[0])
 
 
 def draw_srs(model, n: int, censoring, rng: RngStream):
     """Draw n iid censored observations as a k=1, m=n ranked set sample.
 
-    Uses the same lifetime/censoring substream layout as
-    ``draw_balanced_rss``, so a k=1 RSS draw with the same stream is
-    bit-identical.
+    It is the k=1 case of ``draw_samples``, so a k=1 RSS draw with the same
+    stream is bit-identical.
     """
-    from .rss import EmptyDesignError, RankedSetSample
+    from .rss import EmptyDesignError
 
     if n < 1:
         raise EmptyDesignError(f"empty design: n={n}")
-
-    gen_x = rng.child(_LIFETIMES).generator()
-    gen_c = rng.child(_CENSORING).generator()
-
-    x = model.draw_lifetimes(gen_x, n)
-    c = censoring.draw(gen_c, n)
-    times = np.minimum(x, c).reshape(1, n)
-    events = (x <= c).reshape(1, n)
-    return RankedSetSample(1, n, times, events)
+    return draw_balanced_rss(model, 1, n, censoring, rng)

@@ -60,14 +60,11 @@ class EvalResult(NamedTuple):
     degenerate: bool
 
 
-def _step(times: np.ndarray, values: np.ndarray, t, before: float):
-    """Right-continuous step lookup in sorted ``times`` with value ``before``
-    ahead of the first time (and everywhere, when there is none)."""
-    return np.r_[before, values][np.searchsorted(times, t, side="right")]
-
-
 class _StepLookups:
-    """Right-continuous lookups at t of a step curve or a kernel fit."""
+    """Right-continuous lookups at t of a step curve or a kernel fit: per
+    row of the sorted ``(..., m)`` step times, the value at the row's last
+    time <= t, and ``before`` ahead of its first time (and everywhere, when
+    it has none)."""
 
     def survival_at(self, t):
         """S-hat at t; 1.0 before the first time."""
@@ -81,6 +78,27 @@ class _StepLookups:
 
     def hazard_var_at(self, t):
         return self._at(self.hazard_var, t, 0.0)
+
+    def _positions(self, t) -> np.ndarray:
+        """Per row, the number of step times <= t, as ``(rows, t.size)``.
+        The last query's positions are kept, so lookups of several values at
+        the same times search once."""
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        last = self.__dict__.get("_last_positions")
+        if last is None or last[0] != key:
+            times = self._step_times
+            rows = times.reshape(np.prod(times.shape[:-1], dtype=int), -1)
+            pos = [np.searchsorted(row, t.ravel(), side="right") for row in rows]
+            last = self.__dict__["_last_positions"] = (key, np.array(pos))
+        return last[1]
+
+    def _at(self, values: np.ndarray, t, before: float):
+        pos = self._positions(t)
+        rows = pos.shape[0]
+        padded = np.concatenate([np.full((rows, 1), before), values.reshape(rows, -1)], axis=1)
+        got = np.take_along_axis(padded, pos, axis=1)
+        return got.reshape(self._step_times.shape[:-1] + np.shape(t))[()]
 
 
 @dataclass(frozen=True)
@@ -104,8 +122,9 @@ class StepSurvivalCurve(_StepLookups):
     last_observed: float
     degenerate_from: int | None = None
 
-    def _at(self, values: np.ndarray, t, before: float):
-        return _step(self.jump_times, values, t, before)
+    @property
+    def _step_times(self) -> np.ndarray:
+        return self.jump_times
 
 
 class SortedSample:
@@ -193,11 +212,9 @@ class ProductLimit(_StepLookups):
     exhausted_at: np.ndarray
     vanished_at: np.ndarray
 
-    def _at(self, values: np.ndarray, t, before: float) -> np.ndarray:
-        m = self.times.shape[-1]
-        rows = zip(self.times.reshape(-1, m), values.reshape(-1, m))
-        got = [_step(row_times, row, t, before) for row_times, row in rows]
-        return np.reshape(got, self.times.shape[:-1] + np.shape(t))
+    @property
+    def _step_times(self) -> np.ndarray:
+        return self.times
 
     def curve(self, row: int = 0) -> StepSurvivalCurve:
         """One row of a 2-D fit as a step curve at its event times."""

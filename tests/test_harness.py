@@ -24,8 +24,11 @@ from rsskm import (
     run_cell,
     run_grid,
 )
+from rsskm import cli, harness
 from rsskm.cli import main
-from rsskm.survival import fit_curve_arrays
+from rsskm.rss import rank_sum
+from rsskm.sampling import draw_samples
+from rsskm.survival import SortedSample, fit_curve_arrays
 
 EXP = WeibullModel()
 
@@ -119,7 +122,82 @@ class TestPrepareModel:
 
 
 # --------------------------------------------------------------------------
-# run_cell
+# _simulate_batch and run_cell
+
+
+def chunk_draws(design, n_reps, rng):
+    """(replicate index, RSS slice, SRS slice) of the block draws that
+    ``_simulate_batch`` makes, each slice as a (times, events) pair."""
+    k, m = design.k, design.m
+    censoring = censoring_for_fraction(design.model, design.p_cens)
+    chunk = max(1, harness._BUDGET // (m * k * k))
+    for c, start in enumerate(range(0, n_reps, chunk)):
+        size = min(chunk, n_reps - start)
+        rss = draw_samples(design.model, k, m, censoring, rng.child(c, 0), size)
+        srs = draw_samples(design.model, 1, k * m, censoring, rng.child(c, 1), size)
+        for i in range(size):
+            yield start + i, (rss[0][i], rss[1][i]), (srs[0][i], srs[1][i])
+
+
+def reference_batch(design, n_reps, times, samples):
+    """``_simulate_batch`` outputs from one kernel call per sample, for
+    ``samples`` yielding (replicate, RSS, SRS) with each sample a
+    (times, events) pair."""
+    k = design.k
+    out = np.zeros((4, n_reps, len(times)))
+    n_degenerate = np.zeros(len(times), dtype=int)
+    for i, rss, srs in samples:
+        rss_fit = SortedSample(*rss).product_limit()
+        srs_fit = SortedSample(*srs).product_limit()
+        out[:, i] = (rank_sum(rss_fit.survival_at(times)) / k,
+                     rank_sum(rss_fit.greenwood_at(times)) / k**2,
+                     srs_fit.survival_at(times)[0], srs_fit.greenwood_at(times)[0])
+        exhausted = min(rss_fit.exhausted_at.min(), srs_fit.exhausted_at.min())
+        n_degenerate += exhausted <= np.asarray(times)
+    return (*out, n_degenerate)
+
+
+def assert_batches_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+class TestSimulateBatch:
+    JUDGED_AFT = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3)
+    # k >= 8: a pairwise rank sum would differ from the rank-order one
+    JUDGED_WEIBULL = DesignPoint(prepare_model(EXP, 0.9), 9, 7, 0.9, 0.3)
+
+    def test_one_replicate_chunks_reproduce_per_replicate_draws(self, monkeypatch):
+        # replicate i drawn on its own from rng.child(i, 0) and rng.child(i, 1)
+        monkeypatch.setattr(harness, "_BUDGET", 1)
+        design, n_reps, rng = self.JUDGED_AFT, 25, RngStream(3, 1)
+        times = eval_times_from_levels(design.model, design.eval_levels)
+        censoring = censoring_for_fraction(design.model, design.p_cens)
+
+        def per_replicate():
+            for i in range(n_reps):
+                rss = draw_balanced_rss(design.model, 3, 5, censoring, rng.child(i, 0))
+                srs = draw_srs(design.model, 15, censoring, rng.child(i, 1))
+                yield i, (rss.times, rss.events), (srs.times, srs.events)
+
+        got = harness._simulate_batch(design, n_reps, rng, times)
+        assert_batches_equal(got, reference_batch(design, n_reps, times, per_replicate()))
+
+    @pytest.mark.parametrize("b_mc", [lambda chunk: 2, lambda chunk: chunk + 1,
+                                      lambda chunk: 2 * chunk + 43],
+                             ids=["two", "chunk-plus-one", "non-multiple"])
+    @pytest.mark.parametrize("times", [None, [0.5]], ids=["four-times", "one-time"])
+    def test_chunks_match_one_kernel_call_per_slice(self, b_mc, times):
+        design, rng = self.JUDGED_WEIBULL, RngStream(6, 2)
+        chunk = harness._BUDGET // (7 * 9 * 9)
+        assert chunk > 2
+        n_reps = b_mc(chunk)
+        if times is None:
+            times = eval_times_from_levels(design.model, design.eval_levels)
+        got = harness._simulate_batch(design, n_reps, rng, times)
+        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng))
+        assert_batches_equal(got, want)
+        assert got[0].shape == (n_reps, len(times))
 
 
 class TestRunCell:
@@ -163,7 +241,8 @@ class TestRunCell:
 
     def test_n_degenerate_counts_replicates_per_time(self):
         # m=3 exhausts risk sets often; the reference refits every curve of
-        # every replicate (primary branch 0, replicate i, RSS 0 / SRS 1)
+        # every replicate slice of the same block draws (primary branch 0,
+        # chunk c, RSS 0 / SRS 1)
         design = DesignPoint(EXP, 2, 3, 1.0, 0.0, (0.75, 0.5, 0.25, 0.1))
         b_mc = 200
         records = run_cell(design, b_mc, RngStream(4, 0))
@@ -172,14 +251,10 @@ class TestRunCell:
         by_time = np.asarray(counts)[np.argsort([rec.t for rec in records])]
         assert np.all(np.diff(by_time) >= 0)
 
-        censoring = censoring_for_fraction(EXP, 0.0)
         total = 0
-        for i in range(b_mc):
-            rep = RngStream(4, 0).child(0, i)
-            rss = draw_balanced_rss(EXP, 2, 3, censoring, rep.child(0))
-            srs = draw_srs(EXP, 6, censoring, rep.child(1))
-            curves = [fit_curve_arrays(t, e) for t, e in zip(rss.times, rss.events)]
-            curves.append(fit_curve_arrays(srs.times[0], srs.events[0]))
+        for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0)):
+            curves = [fit_curve_arrays(t, e) for t, e in zip(*rss)]
+            curves.append(fit_curve_arrays(srs[0][0], srs[1][0]))
             total += sum(any(evaluate(c, rec.t).degenerate for c in curves)
                          for rec in records)
         assert total > 0 and sum(counts) == total
@@ -264,6 +339,15 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
 
+    @pytest.mark.parametrize("k", ["2.5", "2,-3", "nan"])
+    def test_kernels_non_integer_k_is_reported(self, tmp_path, capsys, k):
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--out", str(out), f"--k={k}", "--rho", "0.5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
+        assert not out.exists()
+
     def test_non_numeric_lists_are_reported(self, tmp_path, capsys, obs_csv):
         assert main(["bootstrap", "--input", obs_csv, "--out", str(tmp_path / "b.csv"),
                      "--grid", "0.5,abc"]) == 2
@@ -337,6 +421,39 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: estimate:")
         if line is not None:
             assert f"line {line}:" in err[0]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2,two,1", "must hold numbers"),
+        ("1,2,-2.0,1", "time must be finite"),
+    ], ids=["time-not-a-number", "negative-time"])
+    def test_bad_observation_beyond_the_first_block(self, tmp_path, capsys, bad, message):
+        # one rank, cycles 1..n; the first of two bad rows sits in the
+        # second conversion block
+        n = cli._BLOCK_ROWS + 50
+        rows = [f"{c},1,1.0,1" for c in range(1, n + 1)]
+        for i in (cli._BLOCK_ROWS + 10, cli._BLOCK_ROWS + 20):
+            rows[i] = bad.replace("1,2", f"{i + 1},1", 1)
+        path = tmp_path / "bad.csv"
+        path.write_text("cycle,rank,time,event\n" + "\n".join(rows) + "\n")
+        assert main(["estimate", "--input", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: estimate:")
+        assert f"line {cli._BLOCK_ROWS + 12}:" in err[0] and message in err[0]
+
+    def test_blocks_join_into_one_sample(self, tmp_path):
+        n = 2 * cli._BLOCK_ROWS + 7
+        times = np.round(np.random.default_rng(3).exponential(size=(2, n)), 3)
+        path = tmp_path / "obs.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cycle", "rank", "time", "event"])
+            for c in range(n):
+                writer.writerows([[c + 1, r + 1, times[r, c], 1] for r in (1, 0)])
+                if c % 1000 == 0:
+                    writer.writerow([])
+        sample = cli._read_observations(str(path))
+        np.testing.assert_array_equal(sample.times, times)
+        assert sample.events.all()
 
     def test_row_order_does_not_matter(self, tmp_path, obs_csv):
         header, *rows = open(obs_csv).read().splitlines(keepends=True)

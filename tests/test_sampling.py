@@ -12,7 +12,9 @@ from rsskm import (
     censoring_for_fraction,
     draw_balanced_rss,
     draw_srs,
+    prepare_model,
 )
+from rsskm.sampling import draw_samples
 
 EXP = WeibullModel()
 NONE = CensoringLaw("none")
@@ -111,3 +113,38 @@ class TestDrawSrs:
         law = censoring_for_fraction(EXP, 0.3)
         s = draw_srs(EXP, 200_000, law, RngStream(6))
         assert np.mean(~s.events) == pytest.approx(0.3, abs=0.005)
+
+
+class TestDrawSamples:
+    # draws recorded from the per-replicate sampler; the block sampler must
+    # consume every substream the same way
+    def test_pinned_draws(self):
+        model = prepare_model(WeibullModel(), 0.9)
+        law = censoring_for_fraction(model, 0.3)
+        s = draw_balanced_rss(model, 3, 2, law, RngStream(7, 1))
+        assert s.times.tolist() == [[1.1923461757254046, 0.1972761339037313],
+                                    [0.596425012305403, 0.8630374471149055],
+                                    [1.699150832914767, 0.2705645936375134]]
+        assert s.events.tolist() == [[True, True], [True, False], [True, True]]
+        s = draw_srs(model, 4, law, RngStream(7, 1))
+        assert s.times.tolist() == [[1.1923461757254046, 0.8256160869492497,
+                                     0.8515744550312803, 0.199166502532115]]
+        assert s.events.tolist() == [[True, False, True, True]]
+        aft = prepare_model(AftModel(), 0.5)
+        law = censoring_for_fraction(aft, 0.3)
+        s = draw_balanced_rss(aft, 2, 3, law, RngStream(3).child(0, 5))
+        assert s.times.tolist() == [[0.19790552125355912, 0.3711387157710613,
+                                     1.1614550438041065],
+                                    [1.2276247061338494, 4.509316450756523,
+                                     0.2699778349004086]]
+        assert s.events.tolist() == [[True, True, True], [True, True, False]]
+
+    def test_first_replicate_of_a_block_is_the_single_draw(self):
+        model = prepare_model(AftModel(), 0.5)
+        law = censoring_for_fraction(model, 0.3)
+        times, events = draw_samples(model, 3, 4, law, RngStream(2, 1), reps=5)
+        assert times.shape == events.shape == (5, 3, 4)
+        one = draw_balanced_rss(model, 3, 4, law, RngStream(2, 1))
+        np.testing.assert_array_equal(times[0], one.times)
+        np.testing.assert_array_equal(events[0], one.events)
+        assert not np.array_equal(times[1], times[0])
