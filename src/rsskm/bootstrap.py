@@ -52,6 +52,7 @@ class MultiplierLaw:
 class BootstrapResult:
     t_grid: np.ndarray
     point_estimate: np.ndarray
+    greenwood_var: np.ndarray
     variance: np.ndarray
     replicates: np.ndarray
     n_excluded: int
@@ -64,7 +65,8 @@ def multiplier_bootstrap(
     law: MultiplierLaw | None = None,
     rng: RngStream | None = None,
 ) -> BootstrapResult:
-    """Bootstrap variance of the rank-averaged KM on a time grid.
+    """Bootstrap variance of the rank-averaged KM on a time grid, beside
+    the rank-averaged KM and its Greenwood plug-in from the unweighted fit.
 
     Replicates where any rank's weighted risk set vanished before the
     largest grid point are flagged and excluded from the variance (their
@@ -82,7 +84,9 @@ def multiplier_bootstrap(
 
     k, m = sample.set_size_k, sample.cycles_m
     sorted_sample = SortedSample(sample.times, sample.events)
-    point = rank_sum(sorted_sample.product_limit().survival_at(t_grid)) / k
+    fit = sorted_sample.product_limit()
+    point = rank_sum(fit.survival_at(t_grid)) / k
+    greenwood = rank_sum(fit.greenwood_at(t_grid)) / k**2
 
     reps = np.empty((n_reps, t_grid.size))
     ok = np.ones(n_reps, dtype=bool)
@@ -98,4 +102,4 @@ def multiplier_bootstrap(
     # shift by the first replicate so constant columns (e.g. under the
     # degenerate-one law) yield exactly zero variance
     variance = np.var(kept - kept[:1], axis=0, ddof=1)
-    return BootstrapResult(t_grid, point, variance, reps, int(np.sum(~ok)))
+    return BootstrapResult(t_grid, point, greenwood, variance, reps, int(np.sum(~ok)))

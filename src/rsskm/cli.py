@@ -162,14 +162,13 @@ def _cmd_bootstrap(args) -> int:
     result = multiplier_bootstrap(
         sample, t_grid, args.reps, law=law, rng=RngStream(args.seed)
     )
-    est = rss_kaplan_meier(sample)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t", "point_estimate", "greenwood_var", "bootstrap_var", "n_excluded_reps"]
         )
         columns = (result.t_grid, result.point_estimate,
-                   est.greenwood_at(result.t_grid), result.variance)
+                   result.greenwood_var, result.variance)
         for values in zip(*columns):
             writer.writerow([*(f"{v:.6g}" for v in values), result.n_excluded])
     return 0

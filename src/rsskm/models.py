@@ -74,16 +74,23 @@ class AftModel:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
         return math.exp(self.mu + self.log_sd * norm.isf(level))
 
-    def draw_lifetimes(self, gen: np.random.Generator, size):
-        return np.exp(self.mu + self.log_sd * gen.standard_normal(size))
+    def draw_ranking_scale(self, gen: np.random.Generator, size):
+        """log X of lifetimes X drawn from the law: the scale the proxy
+        ranks on (``from_ranking_scale`` gives X)."""
+        return self.mu + self.log_sd * gen.standard_normal(size)
 
-    def ranking_scores(self, x, gen: np.random.Generator):
+    @staticmethod
+    def from_ranking_scale(v):
+        return np.exp(v)
+
+    def ranking_scores(self, v, gen: np.random.Generator):
+        """Proxy scores v + sigma_u * N(0,1) of log lifetimes v."""
         if self.sigma_u is None:
             raise ParameterError("uncalibrated model: sigma_u is not set")
-        noise = gen.standard_normal(np.shape(x))
+        noise = gen.standard_normal(np.shape(v))
         if not math.isfinite(self.sigma_u):
             return noise
-        return np.log(x) + self.sigma_u * noise
+        return v + self.sigma_u * noise
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
@@ -136,8 +143,13 @@ class WeibullModel:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
         return self.scale_theta1 * (-math.log(level)) ** (1 / self.shape_nu)
 
-    def draw_lifetimes(self, gen: np.random.Generator, size):
+    def draw_ranking_scale(self, gen: np.random.Generator, size):
+        """Lifetimes X drawn from the law: the proxy ranks on X itself."""
         return self.scale_theta1 * gen.weibull(self.shape_nu, size)
+
+    @staticmethod
+    def from_ranking_scale(x):
+        return x
 
     def ranking_scores(self, x, gen: np.random.Generator):
         noise = gen.standard_normal(np.shape(x))
@@ -288,10 +300,10 @@ def estimate_mixing_matrix(
     done = 0
     while done < n_sets:
         b = min(chunk, n_sets - done)
-        x = model.draw_lifetimes(gen_x, (b, k))
-        scores = model.ranking_scores(x, gen_p)
+        v = model.draw_ranking_scale(gen_x, (b, k))  # increasing in the lifetime
+        scores = model.ranking_scores(v, gen_p)
         judged = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1)
-        true = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1)
+        true = np.argsort(np.argsort(v, axis=1, kind="stable"), axis=1)
         # each set contributes its full judged->true rank permutation
         np.add.at(w, (judged.ravel(), true.ravel()), 1.0)
         done += b

@@ -54,14 +54,16 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
     if k < 1 or m < 1:
         raise EmptyDesignError(f"empty design: k={k}, m={m}")
 
-    x = model.draw_lifetimes(rng.child(_LIFETIMES).generator(), (reps, m, k, k))
+    # candidates stay on the model's ranking scale; only the measured units
+    # are turned into lifetimes
+    v = model.draw_ranking_scale(rng.child(_LIFETIMES).generator(), (reps, m, k, k))
     if k > 1:
-        scores = model.ranking_scores(x, rng.child(_PROXIES).generator())
+        scores = model.ranking_scores(v, rng.child(_PROXIES).generator())
         order = np.argsort(scores, axis=-1, kind="stable")
         # slot r measures the unit judged r-th smallest in its own candidate set
         chosen = np.take_along_axis(order, np.arange(k).reshape(1, 1, k, 1), axis=-1)
-        x = np.take_along_axis(x, chosen, axis=-1)
-    x_sel = x[..., 0]  # (reps, m, k)
+        v = np.take_along_axis(v, chosen, axis=-1)
+    x_sel = model.from_ranking_scale(v[..., 0])  # (reps, m, k)
 
     c = censoring.draw(rng.child(_CENSORING).generator(), (reps, m, k))
     times = np.ascontiguousarray(np.minimum(x_sel, c).swapaxes(1, 2))

@@ -5,15 +5,21 @@ tied times (R(u) = #{Y >= u}).
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` arrays, so one call fits all k ranks of a ranked set sample,
 and it takes optional multiplier weights for the bootstrap.
-``SortedSample`` sorts each row and finds its tie groups once;
-``SortedSample.product_limit`` then turns one weight vector into S-hat,
-Greenwood, the cumulative hazard and its variance at every sorted position.
+``SortedSample`` sorts each row and finds its tie groups that hold a death
+once, and lays them out as ``(..., width)`` arrays, ``width`` being the
+largest such count of any row; shorter rows are padded with neutral entries
+(time inf, R = 1, dN = 0: a factor 1.0 in the product, 0.0 in the sums).
+``SortedSample.product_limit`` then turns one weight vector into a
+``ProductLimit`` holding R, dN and S-hat per death group; Greenwood, the
+cumulative hazard, its variance and the first exhausted and vanished risk
+sets are computed the first time they are read.
 ``StepSurvivalCurve`` is the single-sample view of one row at its jumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,9 +68,9 @@ class EvalResult(NamedTuple):
 
 class _StepLookups:
     """Right-continuous lookups at t of a step curve or a kernel fit: per
-    row of the sorted ``(..., m)`` step times, the value at the row's last
-    time <= t, and ``before`` ahead of its first time (and everywhere, when
-    it has none)."""
+    row of the ``(..., n)`` step times (sorted, padded with inf), the value
+    at the row's last time <= t, and ``before`` ahead of its first time (and
+    everywhere, when it has none)."""
 
     def survival_at(self, t):
         """S-hat at t; 1.0 before the first time."""
@@ -131,6 +137,9 @@ class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each stably sorted
     by time, with the tie groups that hold a death.  Built once per sample;
     ``product_limit`` reruns the arithmetic for any weights without sorting.
+
+    The death groups of each row fill a ``(..., width)`` layout, ``width``
+    being the largest count of any row; the rest of a row is padding.
     """
 
     def __init__(self, times, events):
@@ -139,82 +148,128 @@ class SortedSample:
             raise EmptySampleError("empty sample")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise InvalidObservationError("invalid observation: negative or non-finite time")
-        self.order = np.argsort(times, axis=-1, kind="stable")
-        self.times = np.take_along_axis(times, self.order, axis=-1)
+        m = times.shape[-1]
+        order = np.argsort(times, axis=-1, kind="stable")
+        self.times = np.take_along_axis(times, order, axis=-1)
+        # flat index of the unit at each sorted position
+        self.units = (order + np.arange(0, times.size, m).reshape(order.shape[:-1] + (1,))).ravel()
         flat = self.times.ravel()
         # a tie group starts at every row start and wherever the time changes
         starts = np.r_[True, flat[1:] != flat[:-1]]
-        starts[:: times.shape[-1]] = True
+        starts[::m] = True
         first = np.flatnonzero(starts)
-        last = np.append(first[1:], flat.size) - 1
         # sorted flat positions of the deaths; each tie group's deaths are a
         # run among them, starting at ``death_starts``
-        died = np.take_along_axis(np.asarray(events, dtype=bool), self.order, axis=-1)
-        self.deaths = np.flatnonzero(died)
-        group = np.cumsum(starts)[self.deaths] - 1
+        deaths = np.flatnonzero(np.asarray(events, dtype=bool).ravel()[self.units])
+        group = np.cumsum(starts)[deaths] - 1
         self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
+        self.death_units = self.units[deaths]
         self.first = first[group[self.death_starts]]
-        self.last = last[group[self.death_starts]]
+        # each death group's flat slot in the (..., width) layout: its index
+        # among all death groups plus the padding of the rows before its own
+        row = self.first // m
+        counts = np.bincount(row, minlength=times.size // m)
+        width = int(counts.max())
+        pad = width - counts
+        self.slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
+        self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
+        self.group_times.flat[self.slots] = flat[self.first]
+
+    @cached_property
+    def _units_reversed(self) -> np.ndarray:
+        """Each row's units in reversed sorted order: weighted R is a running
+        sum from the row's end."""
+        return self.units.reshape(self.times.shape)[..., ::-1].ravel()
+
+    @cached_property
+    def _first_reversed(self) -> np.ndarray:
+        """Each death group's first position in the reversed rows."""
+        m = self.times.shape[-1]
+        return self.first + m - 1 - 2 * (self.first % m)
 
     def product_limit(self, weights=None) -> "ProductLimit":
         """Run the arithmetic under multiplier ``weights`` of the sample's
         shape (unit weights when None).
 
         Per tie group with a death, R is the weight from the group's first
-        position on and dN the weight of its deaths; both sit at the group's
-        last position, with a neutral 1.0 / 0.0 at every other position.  A
-        group with R <= 0 (a vanished weighted risk set) stops the curve at 0.
+        position on and dN the weight of its deaths; padding holds a neutral
+        R = 1, dN = 0.  A group with R <= 0 (a vanished weighted risk set)
+        stops the curve at 0.
         """
         m = self.times.shape[-1]
         if weights is None:
             at_risk = m - self.first % m
-            died = np.diff(self.death_starts, append=self.deaths.size)
+            died = np.diff(self.death_starts, append=self.death_units.size)
         else:
-            w = np.take_along_axis(np.asarray(weights, dtype=float), self.order, axis=-1)
-            at_risk = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1].ravel()[self.first]
-            died = np.add.reduceat(w.ravel()[self.deaths], self.death_starts)
-        r, dn = np.ones(self.times.shape), np.zeros(self.times.shape)
-        r.flat[self.last] = at_risk
-        dn.flat[self.last] = died
+            w = np.asarray(weights, dtype=float).ravel()
+            tail_sums = np.cumsum(w[self._units_reversed].reshape(self.times.shape), axis=-1)
+            at_risk = tail_sums.ravel()[self._first_reversed]
+            died = np.add.reduceat(w[self.death_units], self.death_starts)
+        shape = self.group_times.shape
+        r, dn = np.ones(shape), np.zeros(shape)
+        r.flat[self.slots] = at_risk
+        dn.flat[self.slots] = died
 
-        gone, dead = r <= 0, dn >= r
+        gone = r <= 0
         r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
         factor = np.where(gone, 0.0, 1.0 - np.clip(dn / r_safe, 0.0, 1.0))
-        survival = np.cumprod(factor, axis=-1)
-        greenwood_terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
-        return ProductLimit(
-            times=self.times,
-            deaths=dn,
-            survival=survival,
-            greenwood_var=survival**2 * np.cumsum(greenwood_terms, axis=-1),
-            cum_hazard=np.cumsum(dn / r_safe, axis=-1),
-            hazard_var=np.cumsum(dn / r_safe**2, axis=-1),
-            exhausted_at=np.where(dead, self.times, np.inf).min(axis=-1),
-            vanished_at=np.where(gone, self.times, np.inf).min(axis=-1),
-        )
+        return ProductLimit(times=self.group_times, at_risk=r, deaths=dn,
+                            survival=np.cumprod(factor, axis=-1),
+                            last_observed=self.times[..., -1])
 
 
 @dataclass(frozen=True)
 class ProductLimit(_StepLookups):
-    """Estimates of every row of a ``SortedSample`` at each of its sorted
-    ``times``, for one weight vector: S-hat, the with-ties Greenwood
+    """Estimates of every row of a ``SortedSample`` at each of its death
+    groups, for one weight vector.  ``times``, ``at_risk`` (R) and
+    ``deaths`` (dN) are in the sample's ``(..., width)`` death-group layout
+    (padding: time inf, R = 1, dN = 0); ``last_observed`` is each row's
+    largest time.  S-hat is computed with the fit; the with-ties Greenwood
     variance (0 once the whole risk set died), the Nelson-Aalen hazard sum
-    dN/R and its variance sum dN/R^2.  ``exhausted_at`` is each row's first
-    time its whole risk set died (dN >= R), ``vanished_at`` its first time
-    with a weighted risk set <= 0; both are inf when it never happens."""
+    dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's first time
+    its whole risk set died, dN >= R) and ``vanished_at`` (its first time
+    with a weighted risk set <= 0) on first read; both times are inf when it
+    never happens."""
 
     times: np.ndarray
+    at_risk: np.ndarray
     deaths: np.ndarray
     survival: np.ndarray
-    greenwood_var: np.ndarray
-    cum_hazard: np.ndarray
-    hazard_var: np.ndarray
-    exhausted_at: np.ndarray
-    vanished_at: np.ndarray
+    last_observed: np.ndarray
 
     @property
     def _step_times(self) -> np.ndarray:
         return self.times
+
+    @cached_property
+    def _dead(self) -> np.ndarray:
+        return self.deaths >= self.at_risk
+
+    @cached_property
+    def _safe_at_risk(self) -> np.ndarray:
+        return np.where(self.at_risk <= 0, 1.0, self.at_risk)
+
+    @cached_property
+    def greenwood_var(self) -> np.ndarray:
+        r, dn, dead = self.at_risk, self.deaths, self._dead
+        terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
+        return self.survival**2 * np.cumsum(terms, axis=-1)
+
+    @cached_property
+    def cum_hazard(self) -> np.ndarray:
+        return np.cumsum(self.deaths / self._safe_at_risk, axis=-1)
+
+    @cached_property
+    def hazard_var(self) -> np.ndarray:
+        return np.cumsum(self.deaths / self._safe_at_risk**2, axis=-1)
+
+    @cached_property
+    def exhausted_at(self) -> np.ndarray:
+        return np.where(self._dead, self.times, np.inf).min(axis=-1, initial=np.inf)
+
+    @cached_property
+    def vanished_at(self) -> np.ndarray:
+        return np.where(self.at_risk <= 0, self.times, np.inf).min(axis=-1, initial=np.inf)
 
     def curve(self, row: int = 0) -> StepSurvivalCurve:
         """One row of a 2-D fit as a step curve at its event times."""
@@ -226,7 +281,7 @@ class ProductLimit(_StepLookups):
             cum_hazard=self.cum_hazard[row][jumps],
             hazard_var=self.hazard_var[row][jumps],
             greenwood_var=self.greenwood_var[row][jumps],
-            last_observed=float(self.times[row, -1]),
+            last_observed=float(self.last_observed[row]),
             degenerate_from=int(np.argmax(zero)) if zero.any() else None,
         )
 

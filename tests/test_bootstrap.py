@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rsskm import (
     MultiplierLaw,
     ParameterError,
+    RankedSetSample,
     RngStream,
     WeibullModel,
     censoring_for_fraction,
@@ -26,6 +27,44 @@ def weighted_km_at(times, events, weights, t_grid):
     kernel, and whether its weighted risk set vanished by max(t_grid)."""
     fit = SortedSample(times[None], events[None]).product_limit(weights[None])
     return fit.survival_at(t_grid)[0], bool(fit.vanished_at[0] <= np.max(t_grid))
+
+
+def dense_bootstrap(sample, t_grid, n_reps, law, rng):
+    """``multiplier_bootstrap`` written out replicate by replicate and rank
+    by rank over every sorted position: R* is the running sum of the weights
+    from the row's end, dN* the death weights of a tie group summed with
+    ``np.add.reduceat`` (the order of a floating-point sum sets its last
+    bits), both at the group's last position with a neutral 1.0 / 0.0
+    elsewhere; S* is the running product read at the last position <= t.
+    Returns the replicates, the variance of the kept ones and the number
+    excluded for a risk set vanished by max(t_grid)."""
+    k, m = sample.times.shape
+    reps, excluded = np.empty((n_reps, t_grid.size)), np.zeros(n_reps, dtype=bool)
+    for b in range(n_reps):
+        w = law.draw(rng.child(b).generator(), (k, m))
+        total = np.zeros(t_grid.size)
+        for r in range(k):
+            order = np.argsort(sample.times[r], kind="stable")
+            t, e, wr = sample.times[r][order], sample.events[r][order], w[r][order]
+            tail, at_risk = 0.0, np.empty(m)
+            for i in range(m - 1, -1, -1):
+                tail += wr[i]
+                at_risk[i] = tail
+            surv, s = np.empty(m), 1.0
+            for i in range(m):
+                group = np.flatnonzero(t == t[i])
+                deaths = group[e[group]]
+                if i == group[-1] and deaths.size:
+                    r_star = at_risk[group[0]]
+                    dn_star = np.add.reduceat(wr[deaths], [0])[0]
+                    excluded[b] |= r_star <= 0 and t[i] <= t_grid.max()
+                    s *= 0.0 if r_star <= 0 else 1.0 - min(max(dn_star / r_star, 0.0), 1.0)
+                surv[i] = s
+            pos = np.searchsorted(t, t_grid, side="right")
+            total += np.r_[1.0, surv][pos]  # ranks added in rank order
+        reps[b] = total / k
+    kept = reps[~excluded]
+    return reps, np.var(kept - kept[:1], axis=0, ddof=1), int(excluded.sum())
 
 
 class TestMultiplierLaw:
@@ -101,6 +140,7 @@ class TestMultiplierBootstrap:
         est = rss_kaplan_meier(sample)
         np.testing.assert_allclose(
             result.point_estimate, est.survival_at(grid), atol=1e-12)
+        np.testing.assert_array_equal(result.greenwood_var, est.greenwood_at(grid))
 
     def test_deterministic_given_stream(self, sample):
         grid = np.array([0.7])
@@ -130,3 +170,19 @@ class TestMultiplierBootstrap:
             multiplier_bootstrap(sample, np.array([]), 10)
         with pytest.raises(ParameterError):
             multiplier_bootstrap(sample, np.array([1.0]), 1)
+
+    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.003),
+                                     MultiplierLaw("degenerate-one")],
+                             ids=["unit-exponential", "gamma", "degenerate-one"])
+    def test_matches_dense_reference_bitwise(self, sample, law):
+        # times on a 0.1 grid so that ranks hold tie groups; at gamma shape
+        # 0.003 about a fifth of the weights underflow to 0, so some
+        # replicates lose a whole risk set and are excluded
+        tied = RankedSetSample(3, 30, np.round(sample.times, 1), sample.events)
+        grid = np.unique(tied.times[tied.events])
+        result = multiplier_bootstrap(tied, grid, 40, law=law, rng=RngStream(3))
+        reps, variance, n_excluded = dense_bootstrap(tied, grid, 40, law, RngStream(3))
+        np.testing.assert_array_equal(result.replicates, reps)
+        np.testing.assert_array_equal(result.variance, variance)
+        assert result.n_excluded == n_excluded
+        assert (n_excluded > 0) == (law.kind == "gamma")

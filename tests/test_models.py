@@ -85,7 +85,7 @@ class TestLifetimeLaws:
 
     def test_draw_matches_law(self):
         gen = np.random.default_rng(7)
-        x = EXP.draw_lifetimes(gen, 200_000)
+        x = EXP.from_ranking_scale(EXP.draw_ranking_scale(gen, 200_000))
         assert np.mean(x > 1.0) == pytest.approx(math.exp(-1), abs=0.005)
 
 
@@ -131,7 +131,7 @@ class TestCensoring:
         model = WeibullModel(2.0, 1.5)
         law = censoring_for_fraction(model, 0.3)
         gen = np.random.default_rng(5)
-        x = model.draw_lifetimes(gen, 400_000)
+        x = model.from_ranking_scale(model.draw_ranking_scale(gen, 400_000))
         c = law.draw(gen, 400_000)
         assert np.mean(c < x) == pytest.approx(0.3, abs=0.005)
 
@@ -177,7 +177,7 @@ class TestRankingCalibration:
         rho = 0.6
         sigma = math.sqrt(dell_clutter_sigma(EXP.lifetime_variance, rho))
         gen = np.random.default_rng(2)
-        x = EXP.draw_lifetimes(gen, 500_000)
+        x = EXP.from_ranking_scale(EXP.draw_ranking_scale(gen, 500_000))
         score = x + sigma * gen.standard_normal(x.size)
         assert np.corrcoef(score, x)[0, 1] == pytest.approx(rho, abs=0.01)
 
@@ -214,10 +214,10 @@ class TestRankingCalibration:
         sigma = calibrate_aft_concomitant(AFT, 0.3)
         model = AftModel(sigma_u=sigma)
         gen_x, gen_p = np.random.default_rng(3), np.random.default_rng(4)
-        x = model.draw_lifetimes(gen_x, 200_000)
-        score = model.ranking_scores(x, gen_p)
+        log_x = model.draw_ranking_scale(gen_x, 200_000)
+        score = model.ranking_scores(log_x, gen_p)
         # corr on the log scale is the noiseless-analysis analogue
-        got = np.corrcoef(score, np.log(x))[0, 1]
+        got = np.corrcoef(score, log_x)[0, 1]
         want = AFT.log_sd / math.hypot(AFT.log_sd, sigma)
         assert got == pytest.approx(want, abs=0.01)
 

@@ -195,6 +195,68 @@ def direct_product_limit(times, events):
     return out
 
 
+# each curve of a fit, its lookup and the lookup's value before the first time
+CURVES = {"survival": ("survival_at", 1.0), "greenwood_var": ("greenwood_at", 0.0),
+          "cum_hazard": ("cum_hazard_at", 0.0), "hazard_var": ("hazard_var_at", 0.0)}
+LAZY = ("greenwood_var", "cum_hazard", "hazard_var", "exhausted_at", "vanished_at")
+
+
+@st.composite
+def weighted_samples(draw):
+    """Tied (k, m) samples whose rows differ widely in their number of death
+    groups (from one tie group to all-distinct times, some rows all
+    censored), with weights that are multiples of 1/4 and include zeros."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=12))
+    times, events = [], []
+    for _ in range(k):
+        n_times = draw(st.integers(min_value=1, max_value=m))
+        times.append(draw(st.lists(st.integers(min_value=0, max_value=n_times - 1),
+                                   min_size=m, max_size=m)))
+        censored = draw(st.booleans())
+        events.append([not censored and e for e in
+                       draw(st.lists(st.booleans(), min_size=m, max_size=m))])
+    weights = draw(st.lists(st.integers(min_value=0, max_value=8),
+                            min_size=k * m, max_size=k * m))
+    return (np.asarray(times, dtype=float) / 2, np.asarray(events),
+            np.asarray(weights, dtype=float).reshape(k, m) / 4)
+
+
+def dense_product_limit(times, events, weights):
+    """One row in the dense layout: at every sorted position, R and dN at
+    each death group's last position and a neutral 1.0 / 0.0 elsewhere,
+    then S-hat, Greenwood, the hazard sum and its variance sum as a running
+    product and running sums over all positions.  The weights are multiples
+    of 1/4, so R and dN are exact whatever the order of their sums.
+    Returns the sorted times, the death groups' last positions, the dense
+    outputs and the first times with dN >= R and with R <= 0."""
+    order = np.argsort(times, kind="stable")
+    t, e, w = times[order], events[order], weights[order]
+    r, dn, ends = np.ones(t.size), np.zeros(t.size), np.zeros(t.size, dtype=bool)
+    for u in np.unique(t[e]):
+        at = np.flatnonzero(t == u)
+        ends[at[-1]] = True
+        r[at[-1]] = sum(w[at[0]:].tolist())
+        dn[at[-1]] = sum(w[at][e[at]].tolist())
+    s, gw_sum, ch, hv = 1.0, 0.0, 0.0, 0.0
+    exhausted = vanished = np.inf
+    out = {name: np.empty(t.size) for name in CURVES}
+    for i in range(t.size):
+        gone, dead = r[i] <= 0, dn[i] >= r[i]
+        r_safe = 1.0 if gone else r[i]
+        s *= 0.0 if gone else 1.0 - min(max(dn[i] / r_safe, 0.0), 1.0)
+        gw_sum += 0.0 if dead else dn[i] / (r[i] * (r[i] - dn[i]))
+        ch += dn[i] / r_safe
+        hv += dn[i] / (r_safe * r_safe)
+        for name, value in zip(CURVES, (s, s * s * gw_sum, ch, hv)):
+            out[name][i] = value
+        if dead:
+            exhausted = min(exhausted, t[i])
+        if gone:
+            vanished = min(vanished, t[i])
+    return t, ends, out, exhausted, vanished
+
+
 class TestKernel:
     @given(ranked_samples())
     @settings(max_examples=200, deadline=None)
@@ -219,6 +281,36 @@ class TestKernel:
         unit = sorted_sample.product_limit(np.ones_like(times))
         np.testing.assert_array_equal(unit.survival, plain.survival)
         assert np.all(unit.vanished_at == np.inf)
+
+    @given(weighted_samples(), st.permutations(LAZY), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_death_group_layout_matches_dense_reference_bitwise(
+            self, sample, read_order, weighted):
+        times, events, weights = sample
+        if not weighted:
+            weights = np.ones_like(times)
+        fit = SortedSample(times, events).product_limit(weights if weighted else None)
+        for name in read_order:  # each lazy output is computed on this first read
+            getattr(fit, name)
+        grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.25]
+        for r in range(times.shape[0]):
+            t, ends, dense, exhausted, vanished = dense_product_limit(
+                times[r], events[r], weights[r])
+            n = int(ends.sum())
+            np.testing.assert_array_equal(fit.times[r, :n], t[ends])
+            assert np.all(fit.times[r, n:] == np.inf)
+            assert np.all(fit.at_risk[r, n:] == 1.0) and np.all(fit.deaths[r, n:] == 0.0)
+            assert fit.last_observed[r] == t[-1]
+            for name, (lookup, before) in CURVES.items():
+                values = getattr(fit, name)[r]
+                np.testing.assert_array_equal(values[:n], dense[name][ends])
+                # padding repeats the row's last value
+                np.testing.assert_array_equal(values[n:], dense[name][-1])
+                # lookups: the dense value at the last position <= t
+                want = np.r_[before, dense[name]][np.searchsorted(t, grid, side="right")]
+                np.testing.assert_array_equal(getattr(fit, lookup)(grid)[r], want)
+            assert fit.exhausted_at[r] == exhausted
+            assert fit.vanished_at[r] == vanished
 
 
 def test_curve_to_rows_round_trip():
