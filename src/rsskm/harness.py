@@ -40,7 +40,9 @@ from .survival import SortedSample
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
-# candidate lifetimes (m * k * k per replicate) drawn per chunk of replicates
+# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * k)) replicates.
+# It fixes which replicates share a stream, so changing it changes every
+# simulate value at a fixed seed, SRS columns included.
 _BUDGET = 2**15
 
 CSV_COLUMNS = [
@@ -112,7 +114,7 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     per evaluation time, the number of replicates in which some curve was
     degenerate (its whole risk set died at or before that time).
 
-    Replicates run in chunks of about ``_BUDGET`` candidate lifetimes: chunk
+    Replicates run in chunks of ``max(1, _BUDGET // (m * k * k))``: chunk
     c draws all its RSS samples from ``rng.child(c, 0)`` and its SRS samples
     from ``rng.child(c, 1)``, and fits each block with one kernel call."""
     model, k, m = design.model, design.k, design.m

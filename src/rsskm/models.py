@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import hermite_e, legendre
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import norm
 
 from .sampling import RngStream
@@ -92,6 +92,34 @@ class AftModel:
             return noise
         return v + self.sigma_u * noise
 
+    def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
+        """Lifetimes, shape ``(*size, k)``, of the units measured in judged
+        slots 1..k of k-sets ranked by the score V, each drawn directly from
+        its exact law (Dell & Clutter 1972).
+
+        log X and V are jointly normal, so with s = ``log_sd``, sigma =
+        ``sigma_u`` and s_V = hypot(s, sigma), slot r measures
+        log X = mu + (s^2/s_V) w + (s sigma/s_V) Z, where w = Phi^-1(U),
+        U ~ Beta(r, k-r+1) is the score's probability level and Z ~ N(0,1).
+        U = G/(G+G') with G ~ Gamma(r), G' ~ Gamma(k-r+1) drawn interleaved
+        from ``proxies`` as a ``(*size, k, 2)`` block, and w is taken from
+        the smaller of U and 1-U, so both tails keep full precision; Z comes
+        from ``lifetimes``.  At k = 1 or sigma = inf the slots carry the
+        population law and no proxies are drawn.
+        """
+        if k > 1 and self.sigma_u is None:
+            raise ParameterError("uncalibrated model: sigma_u is not set")
+        s = self.log_sd
+        z = lifetimes.generator().standard_normal((*size, k))
+        if k == 1 or not math.isfinite(self.sigma_u):
+            return np.exp(self.mu + s * z)
+        r = np.arange(1, k + 1)
+        g = proxies.generator().standard_gamma(np.stack([r, k + 1 - r], axis=-1), (*size, k, 2))
+        low, high = g[..., 0], g[..., 1]
+        w = np.where(low <= high, 1.0, -1.0) * ndtri(np.minimum(low, high) / (low + high))
+        s_v = math.hypot(s, self.sigma_u)
+        return np.exp(self.mu + (s * s / s_v) * w + (s * self.sigma_u / s_v) * z)
+
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
         return np.exp(self.mu + self.log_sd * w)
@@ -156,6 +184,20 @@ class WeibullModel:
         if not math.isfinite(self.sigma_z):
             return noise
         return x + self.sigma_z * noise
+
+    def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
+        """Lifetimes, shape ``(*size, k)``, of the units measured in judged
+        slots 1..k: slot r draws its own k candidates from ``lifetimes``
+        (a ``(*size, k, k)`` block in C order) and measures the one whose
+        score is the r-th smallest, with scores drawn from ``proxies`` and
+        ties broken by candidate index.  A set of one draws no proxies."""
+        x = self.draw_ranking_scale(lifetimes.generator(), (*size, k, k))
+        if k > 1:
+            scores = self.ranking_scores(x, proxies.generator())
+            order = np.argsort(scores, axis=-1, kind="stable")
+            slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
+            x = np.take_along_axis(x, np.take_along_axis(order, slot, axis=-1), axis=-1)
+        return x[..., 0]
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""

@@ -4,9 +4,11 @@ Streams are addressed, not stateful: an ``RngStream`` is a (seed, stream_id,
 path) address into numpy's SeedSequence tree, so identical addresses always
 yield identical draws and distinct addresses are statistically independent.
 Lifetimes, ranking proxies, and censoring each consume their own substream,
-so e.g. adding censoring never perturbs the lifetime draws.  One stream can
-yield a block of replicate samples (``draw_samples``); the single-sample
-draws are its first replicate.
+so e.g. adding censoring never perturbs the lifetime draws.  Each model
+draws its own judged slots (``draw_slots``): Weibull from candidate sets,
+AFT from the exact law of each slot.  One stream can yield a block of
+replicate samples (``draw_samples``); the single-sample draws are its first
+replicate.
 """
 
 from __future__ import annotations
@@ -39,32 +41,23 @@ _LIFETIMES, _PROXIES, _CENSORING = 0, 1, 2
 def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1):
     """Draw ``reps`` balanced k x m ranked set samples from one stream.
 
-    Per replicate, cycle and slot r, k independent (lifetime, proxy)
-    candidates are drawn; the unit whose proxy is judged r-th smallest is
-    measured and independently censored.  Proxy ties break by candidate
-    index (stable sort); a set of one needs no ranking and draws no
-    proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
-
-    The candidates fill a ``(reps, m, k, k)`` block in C order, so
-    replicate 0 of a draw consumes each substream exactly as a one-replicate
-    draw from the same stream does.
+    Per replicate and cycle, the model's ``draw_slots`` gives the lifetimes
+    of the units measured in judged slots 1..k from the lifetime and proxy
+    substreams, laid out ``(reps, m, k)`` in C order; each unit is then
+    independently censored by a ``(reps, m, k)`` block from the censoring
+    substream.  Every block drawn from a substream has the replicate axis
+    first and is filled in C order (AFT: ``(reps, m, k)`` normals and a
+    ``(reps, m, k, 2)`` gamma block; Weibull: a ``(reps, m, k, k)`` candidate
+    block and its scores), so replicate 0 of a draw consumes each substream
+    exactly as a one-replicate draw from the same stream does.  A set of one
+    draws no proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
     """
     from .rss import EmptyDesignError
 
     if k < 1 or m < 1:
         raise EmptyDesignError(f"empty design: k={k}, m={m}")
 
-    # candidates stay on the model's ranking scale; only the measured units
-    # are turned into lifetimes
-    v = model.draw_ranking_scale(rng.child(_LIFETIMES).generator(), (reps, m, k, k))
-    if k > 1:
-        scores = model.ranking_scores(v, rng.child(_PROXIES).generator())
-        order = np.argsort(scores, axis=-1, kind="stable")
-        # slot r measures the unit judged r-th smallest in its own candidate set
-        chosen = np.take_along_axis(order, np.arange(k).reshape(1, 1, k, 1), axis=-1)
-        v = np.take_along_axis(v, chosen, axis=-1)
-    x_sel = model.from_ranking_scale(v[..., 0])  # (reps, m, k)
-
+    x_sel = model.draw_slots(k, (reps, m), rng.child(_LIFETIMES), rng.child(_PROXIES))
     c = censoring.draw(rng.child(_CENSORING).generator(), (reps, m, k))
     times = np.ascontiguousarray(np.minimum(x_sel, c).swapaxes(1, 2))
     events = np.ascontiguousarray((x_sel <= c).swapaxes(1, 2))
@@ -72,8 +65,7 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
 
 
 def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
-    """Draw one balanced k x m ranked set sample (see ``draw_samples``).
-    Only mk units are fully measured out of the m*k^2 candidates."""
+    """Draw one balanced k x m ranked set sample (see ``draw_samples``)."""
     from .rss import RankedSetSample
 
     times, events = draw_samples(model, k, m, censoring, rng)

@@ -85,19 +85,23 @@ class _StepLookups:
     def hazard_var_at(self, t):
         return self._at(self.hazard_var, t, 0.0)
 
+    @cached_property
+    def _position_cache(self) -> dict:
+        return {}
+
     def _positions(self, t) -> np.ndarray:
         """Per row, the number of step times <= t, as ``(rows, t.size)``.
         The last query's positions are kept, so lookups of several values at
         the same times search once."""
         t = np.asarray(t, dtype=float)
         key = (t.shape, t.tobytes())
-        last = self.__dict__.get("_last_positions")
-        if last is None or last[0] != key:
+        cache = self._position_cache
+        if key not in cache:
             times = self._step_times
             rows = times.reshape(np.prod(times.shape[:-1], dtype=int), -1)
-            pos = [np.searchsorted(row, t.ravel(), side="right") for row in rows]
-            last = self.__dict__["_last_positions"] = (key, np.array(pos))
-        return last[1]
+            cache.clear()
+            cache[key] = np.array([np.searchsorted(row, t.ravel(), side="right") for row in rows])
+        return cache[key]
 
     def _at(self, values: np.ndarray, t, before: float):
         pos = self._positions(t)
@@ -174,6 +178,9 @@ class SortedSample:
         self.slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
         self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
         self.group_times.flat[self.slots] = flat[self.first]
+        # lookup positions among ``group_times``, shared by every fit: they
+        # do not depend on the weights
+        self._position_cache = {}
 
     @cached_property
     def _units_reversed(self) -> np.ndarray:
@@ -213,33 +220,42 @@ class SortedSample:
         gone = r <= 0
         r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
         factor = np.where(gone, 0.0, 1.0 - np.clip(dn / r_safe, 0.0, 1.0))
-        return ProductLimit(times=self.group_times, at_risk=r, deaths=dn,
-                            survival=np.cumprod(factor, axis=-1),
-                            last_observed=self.times[..., -1])
+        return ProductLimit(sample=self, at_risk=r, deaths=dn,
+                            survival=np.cumprod(factor, axis=-1))
 
 
 @dataclass(frozen=True)
 class ProductLimit(_StepLookups):
-    """Estimates of every row of a ``SortedSample`` at each of its death
-    groups, for one weight vector.  ``times``, ``at_risk`` (R) and
-    ``deaths`` (dN) are in the sample's ``(..., width)`` death-group layout
-    (padding: time inf, R = 1, dN = 0); ``last_observed`` is each row's
-    largest time.  S-hat is computed with the fit; the with-ties Greenwood
+    """Estimates of every row of ``sample`` at each of its death groups,
+    for one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN)
+    are in the sample's ``(..., width)`` death-group layout (padding: time
+    inf, R = 1, dN = 0); ``last_observed`` is each row's largest time.
+    Lookups share the sample's positions of the lookup times.
+    S-hat is computed with the fit; the with-ties Greenwood
     variance (0 once the whole risk set died), the Nelson-Aalen hazard sum
     dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's first time
     its whole risk set died, dN >= R) and ``vanished_at`` (its first time
     with a weighted risk set <= 0) on first read; both times are inf when it
     never happens."""
 
-    times: np.ndarray
+    sample: SortedSample
     at_risk: np.ndarray
     deaths: np.ndarray
     survival: np.ndarray
-    last_observed: np.ndarray
 
     @property
-    def _step_times(self) -> np.ndarray:
-        return self.times
+    def times(self) -> np.ndarray:
+        return self.sample.group_times
+
+    @property
+    def last_observed(self) -> np.ndarray:
+        return self.sample.times[..., -1]
+
+    _step_times = times
+
+    @property
+    def _position_cache(self) -> dict:
+        return self.sample._position_cache
 
     @cached_property
     def _dead(self) -> np.ndarray:

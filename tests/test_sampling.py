@@ -1,5 +1,7 @@
 """Deterministic stream addressing and RSS/SRS sample generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,45 @@ from rsskm import (
     AftModel,
     CensoringLaw,
     EmptyDesignError,
+    ParameterError,
     RngStream,
     WeibullModel,
     censoring_for_fraction,
     draw_balanced_rss,
     draw_srs,
+    order_statistic_survival,
     prepare_model,
 )
+from rsskm.models import judged_rank_survival
 from rsskm.sampling import draw_samples
 
 EXP = WeibullModel()
 NONE = CensoringLaw("none")
+LEVELS = (0.9, 0.75, 0.5, 0.25, 0.1)
+
+
+class CandidateSetAft(AftModel):
+    """Oracle for the AFT slot draw: per slot, k candidates with their
+    proxy scores are drawn and the one judged r-th smallest is measured.
+    This was the AFT sampler before each slot was drawn from its exact law,
+    so it reproduces those draws bit for bit."""
+
+    def __init__(self, model: AftModel):
+        super().__init__(model.mu, model.beta, model.sigma_eps, model.sigma_u)
+
+    def draw_slots(self, k, size, lifetimes, proxies):
+        v = self.draw_ranking_scale(lifetimes.generator(), (*size, k, k))
+        if k > 1:
+            scores = self.ranking_scores(v, proxies.generator())
+            order = np.argsort(scores, axis=-1, kind="stable")
+            slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
+            v = np.take_along_axis(v, np.take_along_axis(order, slot, axis=-1), axis=-1)
+        return self.from_ranking_scale(v[..., 0])
+
+
+def rank_wise_survival(times, at):
+    """(k, times) fraction of each rank's m times beyond each of ``at``."""
+    return (times[..., None] > np.asarray(at)).mean(axis=1)
 
 
 class TestRngStream:
@@ -132,10 +162,26 @@ class TestDrawSamples:
         assert s.events.tolist() == [[True, False, True, True]]
         aft = prepare_model(AftModel(), 0.5)
         law = censoring_for_fraction(aft, 0.3)
-        s = draw_balanced_rss(aft, 2, 3, law, RngStream(3).child(0, 5))
+        s = draw_srs(aft, 4, law, RngStream(3).child(0, 5))
+        assert s.times.tolist() == [[0.19790552125355912, 27.599903177951767,
+                                     1.2276247061338494, 0.026673988437905964]]
+        assert s.events.tolist() == [[True, False, True, True]]
+        s = draw_balanced_rss(CandidateSetAft(aft), 2, 3, law, RngStream(3).child(0, 5))
         assert s.times.tolist() == [[0.19790552125355912, 0.3711387157710613,
                                      1.1614550438041065],
                                     [1.2276247061338494, 4.509316450756523,
+                                     0.2699778349004086]]
+        assert s.events.tolist() == [[True, True, True], [True, True, False]]
+
+    def test_pinned_aft_slot_draws(self):
+        # each AFT slot drawn from its exact law: censoring and the
+        # substreams as before, so censoring decisions match the oracle's
+        aft = prepare_model(AftModel(), 0.5)
+        law = censoring_for_fraction(aft, 0.3)
+        s = draw_balanced_rss(aft, 2, 3, law, RngStream(3).child(0, 5))
+        assert s.times.tolist() == [[0.1563590820746473, 0.6297459531997343,
+                                     4.391907379625502],
+                                    [6.0390081105912925, 0.8014146182136941,
                                      0.2699778349004086]]
         assert s.events.tolist() == [[True, True, True], [True, True, False]]
 
@@ -148,3 +194,62 @@ class TestDrawSamples:
         np.testing.assert_array_equal(times[0], one.times)
         np.testing.assert_array_equal(events[0], one.events)
         assert not np.array_equal(times[1], times[0])
+
+
+class TestAftSlotLaw:
+    """Each AFT judged slot drawn directly from its exact law."""
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5])  # 0.5 is at the ceiling
+    def test_rank_wise_survival_matches_the_exact_law(self, rho):
+        model = prepare_model(AftModel(), rho)
+        k, m = 6, 20_000
+        s = draw_balanced_rss(model, k, m, NONE, RngStream(8, int(10 * rho)))
+        times = [model.quantile(level) for level in LEVELS]
+        want = judged_rank_survival(model, k, times)
+        se = np.sqrt(want * (1 - want) / m)
+        assert np.all(np.abs(rank_wise_survival(s.times, times) - want) <= 4 * se)
+
+    def test_zero_noise_is_the_order_statistic_law(self):
+        model = AftModel(sigma_u=0.0)
+        k, m = 5, 20_000
+        s = draw_balanced_rss(model, k, m, NONE, RngStream(9))
+        times = [model.quantile(level) for level in LEVELS]
+        want = np.array([[order_statistic_survival(model.survival, k, r, t) for t in times]
+                         for r in range(1, k + 1)])
+        se = np.sqrt(want * (1 - want) / m)
+        assert np.all(np.abs(rank_wise_survival(s.times, times) - want) <= 4 * se)
+        assert np.all(np.diff(np.median(s.times, axis=1)) > 0)
+
+    def test_pure_noise_is_the_population_law(self):
+        model = AftModel(sigma_u=math.inf)
+        k, m = 5, 20_000
+        s = draw_balanced_rss(model, k, m, NONE, RngStream(10))
+        # no proxies drawn: every slot is a plain population draw
+        np.testing.assert_array_equal(
+            s.times.T, draw_srs(model, k * m, NONE, RngStream(10)).times.reshape(m, k))
+        want = np.array(LEVELS)
+        se = np.sqrt(want * (1 - want) / m)
+        got = rank_wise_survival(s.times, [model.quantile(level) for level in LEVELS])
+        assert np.all(np.abs(got - want) <= 4 * se)
+
+    @pytest.mark.parametrize("rho, p_cens", [(0.3, 0.0), (0.5, 0.3), (0.9, 0.3)])
+    def test_agrees_with_candidate_sets(self, rho, p_cens):
+        # the two samplers measure the same law: rank-wise survival of the
+        # observed times and rank-wise event fractions within 4 SE
+        model = prepare_model(AftModel(), rho)
+        law = censoring_for_fraction(model, p_cens)
+        k, m = 4, 20_000
+        ours = draw_balanced_rss(model, k, m, law, RngStream(11, int(10 * rho)))
+        oracle = draw_balanced_rss(CandidateSetAft(model), k, m, law, RngStream(12))
+        times = [model.quantile(level) for level in LEVELS]
+        for a, b in ((rank_wise_survival(ours.times, times),
+                      rank_wise_survival(oracle.times, times)),
+                     (ours.events.mean(axis=1), oracle.events.mean(axis=1))):
+            p = (a + b) / 2
+            se = np.sqrt(p * (1 - p) * 2 / m)
+            assert np.all(np.abs(a - b) <= 4 * se + 1e-12)
+
+    def test_uncalibrated_model_rejected_for_k_above_one(self):
+        with pytest.raises(ParameterError, match="uncalibrated"):
+            draw_balanced_rss(AftModel(), 2, 3, NONE, RngStream(0))
+        assert draw_balanced_rss(AftModel(), 1, 3, NONE, RngStream(0)).times.shape == (1, 3)
