@@ -34,10 +34,8 @@ from .rss import (
     EmptyDesignError,
     RankedSetSample,
     UnbalancedDesignError,
-    pooled_greenwood,
     rss_greenwood,
     rss_kaplan_meier,
-    shrunk_variance,
 )
 from .sampling import RngStream, draw_balanced_rss, draw_srs
 from .survival import (
@@ -88,12 +86,10 @@ __all__ = [
     "multiplier_bootstrap",
     "order_statistic_survival",
     "parse_config",
-    "pooled_greenwood",
     "population_survival",
     "prepare_model",
     "rss_greenwood",
     "rss_kaplan_meier",
     "run_cell",
     "run_grid",
-    "shrunk_variance",
 ]

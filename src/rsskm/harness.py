@@ -8,10 +8,11 @@ aggregates means, MC variances, and three relative-efficiency ratios (MC,
 Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 
 Determinism contract: per-cell stream = (master seed, cell index); the
-replicates run in chunks whose size depends only on (k, m), and chunk c
-draws all its RSS samples from one child stream and all its SRS samples
-from another; reduction in replicate order.  Output is byte-identical for a
-fixed (config, seed) regardless of worker count.
+replicates run in chunks whose size depends only on (k, m) and the sampler
+the model uses for that k, and chunk c draws all its RSS samples from one
+child stream and all its SRS samples from another; reduction in replicate
+order.  Output is byte-identical for a fixed (config, seed) regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -40,10 +41,14 @@ from .survival import SortedSample
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
-# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * k)) replicates.
-# It fixes which replicates share a stream, so changing it changes every
-# simulate value at a fixed seed, SRS columns included.
+# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * width))
+# replicates, with width = k for a sampler that draws k candidates per slot
+# (a (chunk, m, k, k) block) and width = min(k, _SLOT_WIDTH) for one that
+# draws each slot from its law (about three values per slot); at k <= 4 both
+# rules agree.  The rule fixes which replicates share a stream, so changing
+# it changes every simulate value at a fixed seed, SRS columns included.
 _BUDGET = 2**15
+_SLOT_WIDTH = 4
 
 CSV_COLUMNS = [
     "model", "k", "m", "n", "rho", "p_cens", "level", "t",
@@ -114,14 +119,17 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     per evaluation time, the number of replicates in which some curve was
     degenerate (its whole risk set died at or before that time).
 
-    Replicates run in chunks of ``max(1, _BUDGET // (m * k * k))``: chunk
-    c draws all its RSS samples from ``rng.child(c, 0)`` and its SRS samples
-    from ``rng.child(c, 1)``, and fits each block with one kernel call."""
+    Replicates run in chunks of ``max(1, _BUDGET // (m * k * width))``,
+    with width = k when ``model.draws_candidate_sets(k)`` and
+    min(k, _SLOT_WIDTH) when each slot is drawn from its law: chunk c draws
+    all its RSS samples from ``rng.child(c, 0)`` and its SRS samples from
+    ``rng.child(c, 1)``, and fits each block with one kernel call."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
-    chunk = max(1, _BUDGET // (m * k * k))
+    width = k if model.draws_candidate_sets(k) else min(k, _SLOT_WIDTH)
+    chunk = max(1, _BUDGET // (m * k * width))
 
     s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
     n_degenerate = np.zeros(times.size, dtype=int)

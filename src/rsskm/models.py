@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import hermite_e, legendre
@@ -101,10 +102,9 @@ class AftModel:
         ``sigma_u`` and s_V = hypot(s, sigma), slot r measures
         log X = mu + (s^2/s_V) w + (s sigma/s_V) Z, where w = Phi^-1(U),
         U ~ Beta(r, k-r+1) is the score's probability level and Z ~ N(0,1).
-        U = G/(G+G') with G ~ Gamma(r), G' ~ Gamma(k-r+1) drawn interleaved
-        from ``proxies`` as a ``(*size, k, 2)`` block, and w is taken from
-        the smaller of U and 1-U, so both tails keep full precision; Z comes
-        from ``lifetimes``.  At k = 1 or sigma = inf the slots carry the
+        U = G/(G+G') with (G, G') from ``_slot_gamma_pairs``, and w is taken
+        from the smaller of U and 1-U, so both tails keep full precision; Z
+        comes from ``lifetimes``.  At k = 1 or sigma = inf the slots carry the
         population law and no proxies are drawn.
         """
         if k > 1 and self.sigma_u is None:
@@ -113,12 +113,15 @@ class AftModel:
         z = lifetimes.generator().standard_normal((*size, k))
         if k == 1 or not math.isfinite(self.sigma_u):
             return np.exp(self.mu + s * z)
-        r = np.arange(1, k + 1)
-        g = proxies.generator().standard_gamma(np.stack([r, k + 1 - r], axis=-1), (*size, k, 2))
-        low, high = g[..., 0], g[..., 1]
+        low, high = _slot_gamma_pairs(k, size, proxies)
         w = np.where(low <= high, 1.0, -1.0) * ndtri(np.minimum(low, high) / (low + high))
         s_v = math.hypot(s, self.sigma_u)
         return np.exp(self.mu + (s * s / s_v) * w + (s * self.sigma_u / s_v) * z)
+
+    @staticmethod
+    def draws_candidate_sets(k: int) -> bool:
+        """Whether ``draw_slots`` draws k candidates per slot: never."""
+        return False
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
@@ -172,8 +175,10 @@ class WeibullModel:
         return self.scale_theta1 * (-math.log(level)) ** (1 / self.shape_nu)
 
     def draw_ranking_scale(self, gen: np.random.Generator, size):
-        """Lifetimes X drawn from the law: the proxy ranks on X itself."""
-        return self.scale_theta1 * gen.weibull(self.shape_nu, size)
+        """Lifetimes X = theta * E^(1/nu), E ~ Exp(1), drawn from the law:
+        the proxy ranks on X itself.  ``Generator.weibull`` draws the same E
+        but takes the power by scalar ``pow`` even at nu = 1."""
+        return self.scale_theta1 * gen.standard_exponential(size) ** (1 / self.shape_nu)
 
     @staticmethod
     def from_ranking_scale(x):
@@ -187,10 +192,20 @@ class WeibullModel:
 
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
-        slots 1..k: slot r draws its own k candidates from ``lifetimes``
-        (a ``(*size, k, k)`` block in C order) and measures the one whose
-        score is the r-th smallest, with scores drawn from ``proxies`` and
-        ties broken by candidate index.  A set of one draws no proxies."""
+        slots 1..k.
+
+        Under perfect ranking (sigma_z = 0, k > 1) slot r measures the r-th
+        order statistic X_[r], drawn from its exact law: F(X_[r]) ~
+        Beta(r, k-r+1) is G/(G+G') with (G, G') from ``_slot_gamma_pairs``,
+        so -log S(X_[r]) = log1p(G/G') and X_[r] = theta * log1p(G/G')^(1/nu);
+        nothing is drawn from ``lifetimes``.  Otherwise slot r draws its own
+        k candidates from ``lifetimes`` (a ``(*size, k, k)`` block in C
+        order) and measures the one whose score is the r-th smallest, with
+        scores drawn from ``proxies`` and ties broken by candidate index.  A
+        set of one draws no proxies."""
+        if k > 1 and self.sigma_z == 0:
+            g, g_rest = _slot_gamma_pairs(k, size, proxies)
+            return self.scale_theta1 * np.log1p(g / g_rest) ** (1 / self.shape_nu)
         x = self.draw_ranking_scale(lifetimes.generator(), (*size, k, k))
         if k > 1:
             scores = self.ranking_scores(x, proxies.generator())
@@ -199,27 +214,49 @@ class WeibullModel:
             x = np.take_along_axis(x, np.take_along_axis(order, slot, axis=-1), axis=-1)
         return x[..., 0]
 
+    def draws_candidate_sets(self, k: int) -> bool:
+        """Whether ``draw_slots`` draws k candidates per slot: under judged
+        ranking with k > 1."""
+        return k > 1 and self.sigma_z > 0
+
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
         return self.scale_theta1 * (-log_ndtr(-w)) ** (1 / self.shape_nu)
 
-    def score_cdf_at(self, w, z):
-        """Score CDF F_V(x + sigma_z * z) at the lifetime x of score w, with
-        F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000 points of v and
-        read through a cubic spline."""
+    @cached_property
+    def _score_cdf(self) -> tuple[np.ndarray, CubicSpline]:
+        """The score CDF F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000
+        points of v, and its cubic spline; built once per model."""
         sigma = self.sigma_z
-        if sigma == 0 or not math.isfinite(sigma):
-            return ndtr(w if sigma == 0 else z)
         u, half = _panel_nodes(_W_EDGES)
         x = self.lifetime_at(u).ravel()
         dF = (half[:, None] * _GL_W * norm.pdf(u)).ravel()
         v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
         cdf = np.concatenate(
             [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
-        return CubicSpline(v, cdf)(np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1]))
+        return v, CubicSpline(v, cdf)
+
+    def score_cdf_at(self, w, z):
+        """Score CDF F_V(x + sigma_z * z) at the lifetime x of score w, read
+        from the model's tabulated F_V."""
+        sigma = self.sigma_z
+        if sigma == 0 or not math.isfinite(sigma):
+            return ndtr(w if sigma == 0 else z)
+        v, spline = self._score_cdf
+        return spline(np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1]))
 
 
 SuperpopulationModel = AftModel | WeibullModel
+
+
+def _slot_gamma_pairs(k: int, size, proxies: RngStream):
+    """(G, G'), each of shape ``(*size, k)``, with G ~ Gamma(r) and
+    G' ~ Gamma(k-r+1) for judged slots r = 1..k, so that G/(G+G') ~
+    Beta(r, k-r+1): one ``standard_gamma`` block ``(*size, k, 2)`` from
+    ``proxies`` with the shapes [r, k-r+1] interleaved on the last axis."""
+    r = np.arange(1, k + 1)
+    g = proxies.generator().standard_gamma(np.stack([r, k + 1 - r], axis=-1), (*size, k, 2))
+    return g[..., 0], g[..., 1]
 
 
 def population_survival(model: SuperpopulationModel, t: float) -> float:
@@ -252,7 +289,7 @@ class CensoringLaw:
             return np.full(size, np.inf)
         if self.kind == "exponential-rate":
             return gen.exponential(1.0 / self.parameter, size)
-        return self.parameter * gen.weibull(self.shape, size)
+        return self.parameter * gen.standard_exponential(size) ** (1 / self.shape)
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)

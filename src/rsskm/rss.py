@@ -3,8 +3,7 @@
 The RSS Kaplan-Meier is the equal-weight average of the k within-rank
 product-limit curves; its plug-in variance is the sum of the k rank
 Greenwood variances divided by k^2.  All k curves come from one call of the
-product-limit kernel on the (k, m) sample.  A pooled-risk-set Greenwood
-(ranks discarded) and a simple shrinkage blend are provided for thin tails.
+product-limit kernel on the (k, m) sample.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .survival import (
     ProductLimit,
     SortedSample,
     StepSurvivalCurve,
-    fit_curve_arrays,
 )
 
 
@@ -175,36 +173,3 @@ def rss_greenwood(estimate: RssSurvivalEstimate, t: float) -> float:
     if t < 0:
         raise ParameterError(f"invalid time: {t}")
     return float(estimate.greenwood_at(t))
-
-
-def pooled_greenwood(sample: RankedSetSample, t: float) -> float:
-    """Greenwood variance at t of the KM fit on all n observations with the
-    rank labels discarded."""
-    if t < 0:
-        raise ParameterError(f"invalid time: {t}")
-    pooled = fit_curve_arrays(sample.times.ravel(), sample.events.ravel())
-    return float(pooled.greenwood_at(t))
-
-
-def shrunk_variance(
-    rank_avg_var: float,
-    pooled_var: float,
-    min_at_risk: int,
-    threshold: int = 5,
-    weight: float = 0.5,
-) -> float:
-    """Blend the rank-average Greenwood toward the pooled one when per-rank
-    information thins out.
-
-    Returns ``rank_avg_var`` untouched while every rank still has at least
-    ``threshold`` subjects at risk; below that, a fixed-weight convex
-    combination.  The step trigger is a placeholder schedule: the weight and
-    threshold are configuration knobs, not derived quantities.
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ParameterError(f"weight must be in [0, 1], got {weight}")
-    if rank_avg_var < 0 or pooled_var < 0:
-        raise ParameterError("variances must be nonnegative")
-    if min_at_risk >= threshold:
-        return rank_avg_var
-    return (1.0 - weight) * rank_avg_var + weight * pooled_var

@@ -5,10 +5,10 @@ path) address into numpy's SeedSequence tree, so identical addresses always
 yield identical draws and distinct addresses are statistically independent.
 Lifetimes, ranking proxies, and censoring each consume their own substream,
 so e.g. adding censoring never perturbs the lifetime draws.  Each model
-draws its own judged slots (``draw_slots``): Weibull from candidate sets,
-AFT from the exact law of each slot.  One stream can yield a block of
-replicate samples (``draw_samples``); the single-sample draws are its first
-replicate.
+draws its own judged slots (``draw_slots``): judged Weibull ranking from
+candidate sets, AFT and perfect-ranking Weibull from the exact law of each
+slot.  One stream can yield a block of replicate samples
+(``draw_samples``); the single-sample draws are its first replicate.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
     independently censored by a ``(reps, m, k)`` block from the censoring
     substream.  Every block drawn from a substream has the replicate axis
     first and is filled in C order (AFT: ``(reps, m, k)`` normals and a
-    ``(reps, m, k, 2)`` gamma block; Weibull: a ``(reps, m, k, k)`` candidate
-    block and its scores), so replicate 0 of a draw consumes each substream
-    exactly as a one-replicate draw from the same stream does.  A set of one
-    draws no proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
+    ``(reps, m, k, 2)`` gamma block; perfect-ranking Weibull: the gamma
+    block alone; judged Weibull: a ``(reps, m, k, k)`` candidate block and
+    its scores), so replicate 0 of a draw consumes each substream exactly as
+    a one-replicate draw from the same stream does.  A set of one draws no
+    proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
     """
     from .rss import EmptyDesignError
 

@@ -92,15 +92,26 @@ class _StepLookups:
     def _positions(self, t) -> np.ndarray:
         """Per row, the number of step times <= t, as ``(rows, t.size)``.
         The last query's positions are kept, so lookups of several values at
-        the same times search once."""
+        the same times search once.
+
+        One search serves all rows: each step time is bucketed by the number
+        of (sorted) query times below it, and a row's position at the j-th
+        smallest query is the count of its step times in buckets 0..j."""
         t = np.asarray(t, dtype=float)
         key = (t.shape, t.tobytes())
         cache = self._position_cache
         if key not in cache:
             times = self._step_times
-            rows = times.reshape(np.prod(times.shape[:-1], dtype=int), -1)
+            rows = int(np.prod(times.shape[:-1], dtype=int))
+            order = np.argsort(t.ravel())
+            q = order.size
+            bucket = np.searchsorted(t.ravel()[order], times.reshape(rows, -1), side="left")
+            bucket += (np.arange(rows) * (q + 1))[:, None]
+            counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
+            positions = np.empty((rows, q), dtype=np.intp)
+            positions[:, order] = np.cumsum(counts[:, :q], axis=1)
             cache.clear()
-            cache[key] = np.array([np.searchsorted(row, t.ravel(), side="right") for row in rows])
+            cache[key] = positions
         return cache[key]
 
     def _at(self, values: np.ndarray, t, before: float):

@@ -125,12 +125,12 @@ class TestPrepareModel:
 # _simulate_batch and run_cell
 
 
-def chunk_draws(design, n_reps, rng):
+def chunk_draws(design, n_reps, rng, chunk):
     """(replicate index, RSS slice, SRS slice) of the block draws that
-    ``_simulate_batch`` makes, each slice as a (times, events) pair."""
+    ``_simulate_batch`` makes in chunks of ``chunk`` replicates, each slice
+    as a (times, events) pair."""
     k, m = design.k, design.m
     censoring = censoring_for_fraction(design.model, design.p_cens)
-    chunk = max(1, harness._BUDGET // (m * k * k))
     for c, start in enumerate(range(0, n_reps, chunk)):
         size = min(chunk, n_reps - start)
         rss = draw_samples(design.model, k, m, censoring, rng.child(c, 0), size)
@@ -195,9 +195,26 @@ class TestSimulateBatch:
         if times is None:
             times = eval_times_from_levels(design.model, design.eval_levels)
         got = harness._simulate_batch(design, n_reps, rng, times)
-        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng))
+        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
         assert_batches_equal(got, want)
         assert got[0].shape == (n_reps, len(times))
+
+    @pytest.mark.parametrize("b_mc", [lambda chunk: chunk + 1, lambda chunk: 2 * chunk + 43],
+                             ids=["chunk-plus-one", "non-multiple"])
+    @pytest.mark.parametrize("design", [
+        DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3),
+        DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3),
+    ], ids=["aft", "perfect-weibull"])
+    def test_slot_law_chunks_hold_budget_over_m_k_4(self, design, b_mc):
+        # samplers that draw each slot from its law size chunks by
+        # m * k * min(k, 4), not by the m * k * k of a candidate set
+        rng = RngStream(6, 3)
+        chunk = harness._BUDGET // (7 * 9 * 4)
+        n_reps = b_mc(chunk)
+        times = eval_times_from_levels(design.model, design.eval_levels)
+        got = harness._simulate_batch(design, n_reps, rng, times)
+        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
+        assert_batches_equal(got, want)
 
 
 class TestRunCell:
@@ -252,7 +269,8 @@ class TestRunCell:
         assert np.all(np.diff(by_time) >= 0)
 
         total = 0
-        for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0)):
+        chunk = harness._BUDGET // (3 * 2 * 2)
+        for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0), chunk):
             curves = [fit_curve_arrays(t, e) for t, e in zip(*rss)]
             curves.append(fit_curve_arrays(srs[0][0], srs[1][0]))
             total += sum(any(evaluate(c, rec.t).degenerate for c in curves)

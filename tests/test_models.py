@@ -135,6 +135,21 @@ class TestCensoring:
         c = law.draw(gen, 400_000)
         assert np.mean(c < x) == pytest.approx(0.3, abs=0.005)
 
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    def test_weibull_draws_match_generator_weibull(self, nu):
+        # lifetimes and censoring times are theta * E^(1/nu) of the
+        # exponential variates Generator.weibull draws: bitwise at nu = 1,
+        # within the last bit of the power otherwise
+        model = WeibullModel(nu, 1.5)
+        law = censoring_for_fraction(model, 0.3)
+        for draw, scale in ((model.draw_ranking_scale, 1.5), (law.draw, law.parameter)):
+            got = draw(np.random.default_rng(11), 100_000)
+            want = scale * np.random.default_rng(11).weibull(nu, 100_000)
+            if nu == 1.0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0)
+
     def test_aft_exponential_rate(self):
         law = censoring_for_fraction(AFT, 0.3)
         assert law.kind == "exponential-rate"
@@ -347,6 +362,23 @@ class TestJudgedRankLaw:
         assert np.all(v_perf < v_judg) and np.all(v_judg < v_srs)
         alone = [asymptotic_rss_km_variance(judged, law, t, 4) for t in times]
         np.testing.assert_allclose(v_judg, alone, rtol=1e-12)
+
+    def test_score_cdf_is_tabulated_once_per_model(self):
+        # later cells of a model read its first table: their kernels are
+        # bitwise those of a fresh model
+        def model():
+            return prepare_model(WeibullModel(2.0, 1.5), 0.7)
+
+        shared = model()
+        law = censoring_for_fraction(shared, 0.3)
+        times = [shared.quantile(level) for level in self.LEVELS]
+        first = asymptotic_rss_km_variance(shared, law, times, 4)
+        table = shared._score_cdf
+        for k in (4, 6):
+            np.testing.assert_array_equal(asymptotic_rss_km_variance(shared, law, times, k),
+                                          asymptotic_rss_km_variance(model(), law, times, k))
+        np.testing.assert_array_equal(asymptotic_rss_km_variance(shared, law, times, 4), first)
+        assert shared._score_cdf is table
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError, match="k must be >= 1"):

@@ -12,10 +12,8 @@ from rsskm import (
     RankedSetSample,
     UnbalancedDesignError,
     kaplan_meier,
-    pooled_greenwood,
     rss_greenwood,
     rss_kaplan_meier,
-    shrunk_variance,
 )
 
 
@@ -88,54 +86,6 @@ class TestRssGreenwood:
         est = rss_kaplan_meier(sample_from([(1.0, True, 1)]))
         with pytest.raises(ParameterError):
             rss_greenwood(est, -1.0)
-
-
-class TestPooledGreenwood:
-    def test_single_rank_equals_srs_greenwood(self):
-        rows = [(1.0, True, 1), (2.0, False, 1), (3.0, True, 1)]
-        km = kaplan_meier([CensoredObservation(t, e) for t, e, _ in rows])
-        assert pooled_greenwood(sample_from(rows), 1.0) == pytest.approx(
-            float(km.greenwood_at(1.0)), abs=1e-15)
-
-    def test_two_simultaneous_deaths_degenerate(self):
-        sample = sample_from([(1.0, True, 1), (1.0, True, 2)])
-        assert pooled_greenwood(sample, 1.0) == 0.0
-
-    def test_identical_ranks_pooled_equals_rank_average(self):
-        # when every rank holds the same data, dN and R scale together and
-        # the pooled plug-in coincides with the (1/k^2)-scaled rank average
-        rows = [(1.0, True), (2.0, False), (3.0, True), (4.0, False)]
-        sample = sample_from([(t, e, r) for r in (1, 2) for t, e in rows])
-        est = rss_kaplan_meier(sample)
-        for t in (1.0, 2.5, 3.0):
-            assert pooled_greenwood(sample, t) == pytest.approx(
-                rss_greenwood(est, t), abs=1e-15)
-
-
-class TestShrunkVariance:
-    def test_untriggered_returns_rank_average(self):
-        assert shrunk_variance(0.04, 0.02, min_at_risk=5) == 0.04
-
-    def test_full_weight_returns_pooled(self):
-        assert shrunk_variance(0.04, 0.02, min_at_risk=1, weight=1.0) == 0.02
-
-    def test_midpoint(self):
-        assert shrunk_variance(0.04, 0.02, min_at_risk=1) == pytest.approx(0.03)
-
-    def test_weight_out_of_range(self):
-        with pytest.raises(ParameterError):
-            shrunk_variance(0.04, 0.02, 1, weight=1.5)
-
-    @given(
-        st.floats(min_value=0, max_value=1),
-        st.floats(min_value=0, max_value=1),
-        st.floats(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=10),
-    )
-    @settings(max_examples=200)
-    def test_result_between_inputs(self, a, b, w, at_risk):
-        out = shrunk_variance(a, b, at_risk, threshold=5, weight=w)
-        assert min(a, b) - 1e-12 <= out <= max(a, b) + 1e-12
 
 
 class TestDesignValidation:

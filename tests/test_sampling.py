@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rsskm import (
     AftModel,
@@ -43,6 +44,23 @@ class CandidateSetAft(AftModel):
             slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
             v = np.take_along_axis(v, np.take_along_axis(order, slot, axis=-1), axis=-1)
         return self.from_ranking_scale(v[..., 0])
+
+
+class CandidateSetWeibull(WeibullModel):
+    """Oracle for the perfect-ranking Weibull slot draw: per slot, k
+    candidates are drawn with ``Generator.weibull`` and the one whose score
+    is the r-th smallest is measured.  This was the Weibull sampler at
+    sigma_z = 0 before each slot was drawn from its exact law, so it
+    reproduces those draws bit for bit."""
+
+    def draw_slots(self, k, size, lifetimes, proxies):
+        x = self.scale_theta1 * lifetimes.generator().weibull(self.shape_nu, (*size, k, k))
+        if k > 1:
+            scores = self.ranking_scores(x, proxies.generator())
+            order = np.argsort(scores, axis=-1, kind="stable")
+            slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
+            x = np.take_along_axis(x, np.take_along_axis(order, slot, axis=-1), axis=-1)
+        return x[..., 0]
 
 
 def rank_wise_survival(times, at):
@@ -253,3 +271,57 @@ class TestAftSlotLaw:
         with pytest.raises(ParameterError, match="uncalibrated"):
             draw_balanced_rss(AftModel(), 2, 3, NONE, RngStream(0))
         assert draw_balanced_rss(AftModel(), 1, 3, NONE, RngStream(0)).times.shape == (1, 3)
+
+
+class TestWeibullSlotLaw:
+    """Perfect-ranking Weibull slots drawn from the order-statistic law."""
+
+    def test_pinned_draws(self):
+        law = censoring_for_fraction(EXP, 0.3)
+        s = draw_balanced_rss(EXP, 3, 2, law, RngStream(7, 1))
+        assert s.times.tolist() == [[0.4699253728861549, 0.3527145987367305],
+                                    [0.8256160869492497, 0.8630374471149055],
+                                    [0.720137351667219, 0.7976059936869252]]
+        assert s.events.tolist() == [[True, True], [False, False], [True, False]]
+        # replicate 0 of a block is the single draw
+        times, events = draw_samples(EXP, 3, 2, law, RngStream(7, 1), reps=4)
+        np.testing.assert_array_equal(times[0], s.times)
+        np.testing.assert_array_equal(events[0], s.events)
+
+    def test_draws_nothing_from_the_lifetime_substream(self):
+        class Unused:
+            def generator(self):
+                raise AssertionError("the lifetime substream was drawn from")
+
+        slots = EXP.draw_slots(4, (3, 2), Unused(), RngStream(1))
+        assert slots.shape == (3, 2, 4) and np.all(slots > 0)
+        # a set of one is a population draw from the lifetime substream
+        np.testing.assert_array_equal(EXP.draw_slots(1, (3,), RngStream(2), Unused()),
+                                      EXP.draw_ranking_scale(RngStream(2).generator(), (3, 1)))
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_agrees_with_candidate_sets(self, nu):
+        # rank-wise survival of the observed times and rank-wise event
+        # fractions within 4 SE of the candidate-set sampler's
+        model = WeibullModel(nu, 1.5)
+        law = censoring_for_fraction(model, 0.3)
+        k, m = 5, 20_000
+        ours = draw_balanced_rss(model, k, m, law, RngStream(13, int(nu)))
+        oracle = draw_balanced_rss(CandidateSetWeibull(nu, 1.5), k, m, law, RngStream(14))
+        times = [model.quantile(level) for level in LEVELS]
+        for a, b in ((rank_wise_survival(ours.times, times),
+                      rank_wise_survival(oracle.times, times)),
+                     (ours.events.mean(axis=1), oracle.events.mean(axis=1))):
+            p = (a + b) / 2
+            se = np.sqrt(p * (1 - p) * 2 / m)
+            assert np.all(np.abs(a - b) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_slot_levels_are_beta(self, nu):
+        # F(X_[r]) ~ Beta(r, k-r+1) for the r-th order statistic of k
+        model = WeibullModel(nu, 1.5)
+        k, m = 6, 5000
+        s = draw_balanced_rss(model, k, m, NONE, RngStream(15, int(nu)))
+        levels = -np.expm1(-((s.times / model.scale_theta1) ** nu))
+        for r in range(1, k + 1):
+            assert stats.kstest(levels[r - 1], stats.beta(r, k - r + 1).cdf).pvalue > 1e-3

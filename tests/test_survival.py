@@ -312,6 +312,25 @@ class TestKernel:
             assert fit.exhausted_at[r] == exhausted
             assert fit.vanished_at[r] == vanished
 
+    @given(weighted_samples(),
+           st.lists(st.integers(min_value=-1, max_value=14).map(lambda i: i / 4)
+                    | st.just(np.inf), max_size=8),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_positions_match_per_row_search(self, sample, queries, as_column):
+        # unsorted, repeated and infinite queries, at and between the step
+        # times and beyond the last, against rows padded with inf
+        times, events, _ = sample
+        fit = SortedSample(times, events).product_limit()
+        t = np.reshape(queries, (-1, 1) if as_column else -1)
+        rows = fit.times.reshape(times.shape[0], -1)
+        want = np.array([np.searchsorted(row, t.ravel(), side="right") for row in rows])
+        np.testing.assert_array_equal(fit._positions(t), want, strict=True)
+        curve = fit.curve(0)
+        np.testing.assert_array_equal(
+            curve._positions(t), [np.searchsorted(curve.jump_times, t.ravel(), side="right")],
+            strict=True)
+
 
 def test_curve_to_rows_round_trip():
     curve = kaplan_meier(THREE)
