@@ -12,10 +12,8 @@ from .harness import (
 )
 from .models import (
     AftModel,
-    CalibrationError,
     CensoringLaw,
     InferenceWindowError,
-    MixingMatrix,
     ParameterError,
     WeibullModel,
     aft_rho_ceiling,
@@ -25,34 +23,25 @@ from .models import (
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
-    estimate_mixing_matrix,
-    mixture_survival,
     order_statistic_survival,
-    population_survival,
 )
 from .rss import (
     EmptyDesignError,
     RankedSetSample,
     UnbalancedDesignError,
-    rss_greenwood,
     rss_kaplan_meier,
 )
 from .sampling import RngStream, draw_balanced_rss, draw_srs
 from .survival import (
-    CensoredObservation,
     EmptySampleError,
     InvalidObservationError,
     StepSurvivalCurve,
-    evaluate,
-    kaplan_meier,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AftModel",
-    "CalibrationError",
-    "CensoredObservation",
     "CensoringLaw",
     "ConfigError",
     "DesignPoint",
@@ -61,7 +50,6 @@ __all__ = [
     "HarnessConfig",
     "InferenceWindowError",
     "InvalidObservationError",
-    "MixingMatrix",
     "MultiplierLaw",
     "ParameterError",
     "RankedSetSample",
@@ -78,17 +66,11 @@ __all__ = [
     "dell_clutter_sigma",
     "draw_balanced_rss",
     "draw_srs",
-    "estimate_mixing_matrix",
     "eval_times_from_levels",
-    "evaluate",
-    "kaplan_meier",
-    "mixture_survival",
     "multiplier_bootstrap",
     "order_statistic_survival",
     "parse_config",
-    "population_survival",
     "prepare_model",
-    "rss_greenwood",
     "rss_kaplan_meier",
     "run_cell",
     "run_grid",

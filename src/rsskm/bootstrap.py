@@ -13,13 +13,14 @@ group, S*(t) = prod_{u <= t} (1 - dN*/R*).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rss import ParameterError, RankedSetSample, rank_sum
+from .rss import RankedSetSample, rank_sum
 from .sampling import RngStream
-from .survival import SortedSample
+from .survival import ParameterError, SortedSample
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class MultiplierLaw:
     def __post_init__(self):
         if self.kind not in ("unit-exponential", "gamma", "degenerate-one"):
             raise ParameterError(f"unknown multiplier law: {self.kind}")
-        if self.kind == "gamma" and self.gamma_shape <= 0:
-            raise ParameterError("gamma shape must be positive")
+        if self.kind == "gamma" and not 0 < self.gamma_shape < math.inf:
+            raise ParameterError(
+                f"gamma shape must be positive and finite, got {self.gamma_shape}")
 
     def draw(self, gen: np.random.Generator, size):
         if self.kind == "unit-exponential":

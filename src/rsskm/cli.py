@@ -26,7 +26,6 @@ from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, parse_config
 from .harness import prepare_model, run_grid
 from .models import (
-    CalibrationError,
     InferenceWindowError,
     ParameterError,
     WeibullModel,
@@ -51,7 +50,6 @@ from .survival import (
 _KNOWN_ERRORS = (
     ConfigError,
     ParameterError,
-    CalibrationError,
     InferenceWindowError,
     EmptySampleError,
     InvalidObservationError,

@@ -14,7 +14,9 @@ Recognized keys (defaults in parentheses):
     p_cens        array of censoring fractions     (0,0.1,0.3,0.5)
     levels        survival levels for eval times   (0.75,0.5,0.25,0.1)
     b_mc          MC replicates per cell (2000; 10000 with --full)
-    seed          master seed            (0)
+    seed          master seed, >= 0      (0)
+
+Float keys must be finite.
 
 Obsolete integer keys, accepted and ignored now that ``re_true`` is
 analytic: ``b_true`` (secondary MC replicates), ``n_sets`` (mixing draws).
@@ -22,6 +24,7 @@ analytic: ``b_true`` (secondary MC replicates), ``n_sets`` (mixing draws).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -95,6 +98,9 @@ def parse_config(path: str) -> HarnessConfig:
 
 
 def _validate(cfg: HarnessConfig, path: str) -> None:
+    for key in sorted(_FLOAT_KEYS):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{path}: field {key!r}: must be finite")
     if any(x < 1 for x in cfg.k) or any(x < 1 for x in cfg.m):
         raise ConfigError(f"{path}: field 'k'/'m': must be >= 1")
     if any(not 0.0 < r <= 1.0 for r in cfg.rho):

@@ -74,7 +74,7 @@ class DesignPoint:
 class EfficiencyRecord:
     design: DesignPoint
     t: float
-    s_true: float
+    level: float
     mean_s_rss: float
     mean_s_srs: float
     v_rss_mc: float
@@ -185,7 +185,7 @@ def run_cell(
             EfficiencyRecord(
                 design=design,
                 t=float(t),
-                s_true=float(level),
+                level=float(level),
                 mean_s_rss=float(np.mean(s_rss[:, j])),
                 mean_s_srs=float(np.mean(s_srs[:, j])),
                 v_rss_mc=v_rss,
@@ -213,9 +213,20 @@ def _base_model(cfg: HarnessConfig) -> SuperpopulationModel:
     return WeibullModel(cfg.nu, cfg.theta1)
 
 
-def _cell_task(args):
-    idx, design, b_mc, seed = args
-    return run_cell(design, b_mc, RngStream(seed, idx), seed=seed)
+# a grid run's calibrated models by rho, set once in each pool worker
+_models_by_rho: dict = {}
+
+
+def _share_models(models) -> None:
+    _models_by_rho.update(models)
+
+
+def _cell_task(task, models=_models_by_rho):
+    """Run one cell; the task names its rho, whose model comes from
+    ``models``."""
+    rng, k, m, rho, p_cens, levels, b_mc = task
+    design = DesignPoint(models[rho], k, m, rho, p_cens, levels)
+    return run_cell(design, b_mc, rng, seed=rng.seed)
 
 
 def _fmt(x) -> str:
@@ -230,7 +241,7 @@ def record_to_row(rec: EfficiencyRecord) -> list[str]:
     noise = d.model.sigma_u if isinstance(d.model, AftModel) else d.model.sigma_z
     values = [
         model_name, d.k, d.m, d.k * d.m, d.rho_target, d.p_cens,
-        rec.s_true, rec.t,
+        rec.level, rec.t,
         rec.mean_s_rss, rec.mean_s_srs, rec.v_rss_mc, rec.v_srs_mc,
         rec.mean_gw_rss, rec.mean_gw_srs, rec.re_true, rec.re_mc, rec.re_gw,
         rec.b_mc, rec.n_degenerate, rec.seed, noise,
@@ -248,7 +259,8 @@ def run_grid(
 
     Output is byte-identical for the same (config, seed) regardless of
     ``parallelism``: cells are computed from per-cell streams and written in
-    grid order.
+    grid order.  Each worker receives the calibrated models once, so a model
+    builds its cached tables at most once per worker.
     """
     seed = config.seed if master_seed is None else master_seed
 
@@ -256,16 +268,15 @@ def run_grid(
     calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
     cells = itertools.product(config.k, config.m, config.rho, config.p_cens)
     tasks = [
-        (idx, DesignPoint(calibrated[rho], k, m, rho, p, tuple(config.levels)),
-         config.b_mc, seed)
+        (RngStream(seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)
         for idx, (k, m, rho, p) in enumerate(cells)
     ]
 
     if parallelism > 1:
-        with multiprocessing.Pool(parallelism) as pool:
+        with multiprocessing.Pool(parallelism, _share_models, (calibrated,)) as pool:
             results = pool.map(_cell_task, tasks, chunksize=1)
     else:
-        results = [_cell_task(t) for t in tasks]
+        results = [_cell_task(t, calibrated) for t in tasks]
 
     try:
         with open(output_path, "w") as fh:

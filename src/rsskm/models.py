@@ -5,10 +5,16 @@ variance kernels.
 Two generative families are supported:
 
 * lognormal accelerated-lifetime model with a noisy log-scale ranking
-  concomitant, and
+  concomitant, calibrated by ``calibrate_aft_concomitant``, and
 * Weibull (exponential at shape 1) lifetimes with an additive-noise
   ranking concomitant whose noise variance follows the closed-form
-  relation sigma^2 = Var(X) * (rho^-2 - 1).
+  relation sigma^2 = Var(X) * (rho^-2 - 1) (``dell_clutter_sigma``).
+
+Each model gives its survival function and quantiles, and draws the units
+measured in the judged slots of a ranked set sample (``draw_slots``).  The
+exact law of those units (``judged_rank_survival``) feeds the asymptotic
+KM variance kernels ``asymptotic_km_variance`` and
+``asymptotic_rss_km_variance``.
 """
 
 from __future__ import annotations
@@ -26,10 +32,6 @@ from scipy.stats import norm
 
 from .sampling import RngStream
 from .survival import ParameterError
-
-
-class CalibrationError(ValueError):
-    pass
 
 
 class InferenceWindowError(ValueError):
@@ -74,24 +76,6 @@ class AftModel:
         if not 0.0 < level < 1.0:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
         return math.exp(self.mu + self.log_sd * norm.isf(level))
-
-    def draw_ranking_scale(self, gen: np.random.Generator, size):
-        """log X of lifetimes X drawn from the law: the scale the proxy
-        ranks on (``from_ranking_scale`` gives X)."""
-        return self.mu + self.log_sd * gen.standard_normal(size)
-
-    @staticmethod
-    def from_ranking_scale(v):
-        return np.exp(v)
-
-    def ranking_scores(self, v, gen: np.random.Generator):
-        """Proxy scores v + sigma_u * N(0,1) of log lifetimes v."""
-        if self.sigma_u is None:
-            raise ParameterError("uncalibrated model: sigma_u is not set")
-        noise = gen.standard_normal(np.shape(v))
-        if not math.isfinite(self.sigma_u):
-            return noise
-        return v + self.sigma_u * noise
 
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
@@ -150,9 +134,11 @@ class WeibullModel:
     sigma_z: float = 0.0
 
     def __post_init__(self):
-        if self.shape_nu <= 0 or self.scale_theta1 <= 0:
-            raise ParameterError("shape and scale must be positive")
-        if self.sigma_z < 0:
+        if not (0 < self.shape_nu < math.inf and 0 < self.scale_theta1 < math.inf):
+            raise ParameterError(
+                f"shape and scale must be positive and finite, got "
+                f"nu={self.shape_nu}, theta1={self.scale_theta1}")
+        if not self.sigma_z >= 0:
             raise ParameterError("sigma_z must be nonnegative")
 
     @property
@@ -179,10 +165,6 @@ class WeibullModel:
         the proxy ranks on X itself.  ``Generator.weibull`` draws the same E
         but takes the power by scalar ``pow`` even at nu = 1."""
         return self.scale_theta1 * gen.standard_exponential(size) ** (1 / self.shape_nu)
-
-    @staticmethod
-    def from_ranking_scale(x):
-        return x
 
     def ranking_scores(self, x, gen: np.random.Generator):
         noise = gen.standard_normal(np.shape(x))
@@ -259,13 +241,6 @@ def _slot_gamma_pairs(k: int, size, proxies: RngStream):
     return g[..., 0], g[..., 1]
 
 
-def population_survival(model: SuperpopulationModel, t: float) -> float:
-    """S(t) = P(X > t) from the analytic law."""
-    if t < 0:
-        raise ParameterError(f"negative time: {t}")
-    return float(model.survival(t))
-
-
 # --------------------------------------------------------------------------
 # censoring
 
@@ -319,7 +294,7 @@ def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> Censor
 
 
 # --------------------------------------------------------------------------
-# order statistics and the simulated judged-rank mixing matrix
+# order statistics
 
 
 def order_statistic_survival(s, k: int, r: int, t: float) -> float:
@@ -331,71 +306,6 @@ def order_statistic_survival(s, k: int, r: int, t: float) -> float:
         raise ParameterError(f"rank r={r} out of range 1..{k}")
     sv = float(s(t)) if callable(s) else float(s)
     return math.fsum(math.comb(k, i) * (1 - sv) ** i * sv ** (k - i) for i in range(r))
-
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    """w[r-1][j-1] = P(true rank j | judged rank r), estimated by simulation.
-
-    Rows sum to 1 exactly by construction; column sums are 1 up to MC error
-    under the balanced design.  ``n_sets`` is the number of simulated
-    candidate sets behind each row.
-    """
-
-    k: int
-    w: np.ndarray
-    n_sets: int
-
-    def __post_init__(self):
-        if self.w.shape != (self.k, self.k):
-            raise ParameterError(f"mixing matrix must be {self.k}x{self.k}")
-        if not np.all(np.isfinite(self.w)):
-            raise ParameterError("mixing matrix entries must be finite")
-        if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=1) - 1) > 1e-9):
-            raise ParameterError("mixing matrix rows must be stochastic")
-
-    def entry_se(self) -> np.ndarray:
-        """Per-entry binomial MC standard error."""
-        return np.sqrt(self.w * (1 - self.w) / self.n_sets)
-
-    @classmethod
-    def identity(cls, k: int) -> "MixingMatrix":
-        return cls(k, np.eye(k), n_sets=0)
-
-
-def estimate_mixing_matrix(
-    model: SuperpopulationModel, k: int, n_sets: int, rng: RngStream
-) -> MixingMatrix:
-    """Simulate candidate sets of size k, rank them by proxy and by true
-    lifetime, and tally P(true rank | judged rank)."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    if n_sets < 1:
-        raise ParameterError(f"n_sets must be >= 1, got {n_sets}")
-    gen_x = rng.child(0).generator()
-    gen_p = rng.child(1).generator()
-    w = np.zeros((k, k))
-    chunk = 200_000
-    done = 0
-    while done < n_sets:
-        b = min(chunk, n_sets - done)
-        v = model.draw_ranking_scale(gen_x, (b, k))  # increasing in the lifetime
-        scores = model.ranking_scores(v, gen_p)
-        judged = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1)
-        true = np.argsort(np.argsort(v, axis=1, kind="stable"), axis=1)
-        # each set contributes its full judged->true rank permutation
-        np.add.at(w, (judged.ravel(), true.ravel()), 1.0)
-        done += b
-    return MixingMatrix(k, w / n_sets, n_sets)
-
-
-def mixture_survival(mixing: MixingMatrix, s_pop: float, r: int) -> float:
-    """Judged-rank-r survival value: sum_j w[r][j] * S_[j]."""
-    k = mixing.k
-    return float(
-        sum(mixing.w[r - 1, j - 1] * order_statistic_survival(s_pop, k, j, 0.0)
-            for j in range(1, k + 1))
-    )
 
 
 # --------------------------------------------------------------------------
@@ -419,36 +329,26 @@ def aft_score_correlation(model: AftModel, sigma_u: float) -> float:
     return s**2 / (math.hypot(s, sigma_u) * math.sqrt(math.expm1(s**2)))
 
 
-def calibrate_aft_concomitant(
-    model: AftModel,
-    rho_target: float,
-    saturate: bool = True,
-    saturation_margin: float = 0.032,
-) -> float:
+# tuned against the reference efficiency tables
+_SATURATION_MARGIN = 0.032
+
+
+def calibrate_aft_concomitant(model: AftModel, rho_target: float) -> float:
     """Noise level sigma_u with |corr(score, X)| = rho_target, by exact
     inversion of ``aft_score_correlation`` (no simulation; the lognormal
     family admits a closed form, and MC correlation estimates are far too
     heavy-tailed to calibrate against).
 
     The correlation with the lifetime has a ceiling well below 1; targets
-    above it cannot be met.  With ``saturate=True`` (default) such targets
-    fall back to the best-effort level solving
-    corr = ceiling * (1 - saturation_margin); all past-ceiling targets
-    therefore share one noise level, which is how the reference efficiency
-    tables behave (the margin is tuned against them).  With
-    ``saturate=False`` a CalibrationError reports the ceiling instead.
+    above it cannot be met.  Targets above ceiling * (1 - _SATURATION_MARGIN)
+    fall back to the best-effort level solving that correlation, so all of
+    them share one noise level, which is how the reference efficiency tables
+    behave.
     """
     if not 0.0 < rho_target <= 1.0:
         raise ParameterError(f"rho_target must be in (0,1], got {rho_target}")
     ceiling = aft_rho_ceiling(model)
-    cap = ceiling * (1.0 - saturation_margin)
-    target = rho_target
-    if rho_target > cap:
-        if not saturate and rho_target > ceiling:
-            raise CalibrationError(
-                f"rho_target={rho_target} unreachable: ceiling |corr| = {ceiling:.4f}"
-            )
-        target = cap
+    target = min(rho_target, ceiling * (1.0 - _SATURATION_MARGIN))
     s = model.log_sd
     return s * math.sqrt((ceiling / target) ** 2 - 1.0)
 

@@ -1,9 +1,12 @@
 """Rank-wise estimation on balanced ranked set samples.
 
-The RSS Kaplan-Meier is the equal-weight average of the k within-rank
-product-limit curves; its plug-in variance is the sum of the k rank
-Greenwood variances divided by k^2.  All k curves come from one call of the
-product-limit kernel on the (k, m) sample.
+A ``RankedSetSample`` holds (k, m) time and event arrays, built directly or
+from flat (rank, cycle, time, event) records by ``from_columns``.
+``rss_kaplan_meier`` fits it: the RSS Kaplan-Meier is the equal-weight
+average of the k within-rank product-limit curves, and its plug-in variance
+is the sum of the k rank Greenwood variances divided by k^2.  All k curves
+come from one call of the product-limit kernel on the (k, m) sample; the
+returned ``RssSurvivalEstimate`` reads both at any times.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .survival import (
-    CensoredObservation,
     InvalidObservationError,
-    ParameterError,
     ProductLimit,
     SortedSample,
     StepSurvivalCurve,
@@ -36,9 +37,9 @@ class RankedSetSample:
     """Balanced k x m grid of censored observations.
 
     ``times`` and ``events`` are (k, m) arrays; entry [r-1, j-1] holds the
-    observation of judged rank r in cycle j.  ``from_columns`` (and
-    ``from_observations``, which delegates to it) accepts the flat record
-    layout and checks that every (rank, cycle) pair occurs exactly once.
+    observation of judged rank r in cycle j.  ``from_columns`` accepts the
+    flat record layout and checks that every (rank, cycle) pair occurs
+    exactly once.
     """
 
     set_size_k: int
@@ -54,11 +55,6 @@ class RankedSetSample:
                 f"unbalanced design: expected {(self.set_size_k, self.cycles_m)} "
                 f"times, got {self.times.shape}"
             )
-
-    @classmethod
-    def from_observations(cls, obs) -> "RankedSetSample":
-        columns = [(o.rank, o.cycle, o.time, o.event) for o in obs]
-        return cls.from_columns(*np.array(columns, dtype=float).reshape(-1, 4).T)
 
     @classmethod
     def from_columns(cls, rank, cycle, time, event, lines=None) -> "RankedSetSample":
@@ -99,23 +95,6 @@ class RankedSetSample:
             )
         order = np.argsort(slot)  # the record placed in each slot
         return cls(k, m, time[order].reshape(k, m), event[order].reshape(k, m) == 1)
-
-    @cached_property
-    def observations(self) -> list[CensoredObservation]:
-        return [
-            CensoredObservation(float(self.times[r, j]), bool(self.events[r, j]),
-                                rank=r + 1, cycle=j + 1)
-            for r in range(self.set_size_k)
-            for j in range(self.cycles_m)
-        ]
-
-    @property
-    def n_total(self) -> int:
-        return self.set_size_k * self.cycles_m
-
-    def min_at_risk(self, t: float) -> int:
-        """Smallest per-rank at-risk count just before t."""
-        return int(np.min(np.sum(self.times >= t, axis=1)))
 
 
 def rank_sum(values) -> np.ndarray:
@@ -166,10 +145,3 @@ def rss_kaplan_meier(sample: RankedSetSample) -> RssSurvivalEstimate:
     """
     fit = SortedSample(sample.times, sample.events).product_limit()
     return RssSurvivalEstimate(fit, np.unique(fit.times[fit.deaths > 0]))
-
-
-def rss_greenwood(estimate: RssSurvivalEstimate, t: float) -> float:
-    """(1/k^2) * sum of the rank Greenwood variances at t."""
-    if t < 0:
-        raise ParameterError(f"invalid time: {t}")
-    return float(estimate.greenwood_at(t))

@@ -17,14 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .survival import ParameterError
+
 
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable deterministic random stream."""
+    """Addressable deterministic random stream; the seed must be >= 0."""
 
     seed: int
     stream_id: int = 0
     path: tuple[int, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def child(self, *ids: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self.path + ids)

@@ -3,8 +3,8 @@ Nelson-Aalen on right-censored samples, deaths counted before censorings at
 tied times (R(u) = #{Y >= u}).
 
 One kernel serves every estimator.  It works over the last axis of
-``(..., m)`` arrays, so one call fits all k ranks of a ranked set sample,
-and it takes optional multiplier weights for the bootstrap.
+``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
+set sample, and it takes optional multiplier weights for the bootstrap.
 ``SortedSample`` sorts each row and finds its tie groups that hold a death
 once, and lays them out as ``(..., width)`` arrays, ``width`` being the
 largest such count of any row; shorter rows are padded with neutral entries
@@ -13,14 +13,14 @@ largest such count of any row; shorter rows are padded with neutral entries
 ``ProductLimit`` holding R, dN and S-hat per death group; Greenwood, the
 cumulative hazard, its variance and the first exhausted and vanished risk
 sets are computed the first time they are read.
-``StepSurvivalCurve`` is the single-sample view of one row at its jumps.
+``StepSurvivalCurve`` is the single-sample view of one row at its jumps, and
+``fit_curve_arrays`` fits one sample's raw arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,35 +35,6 @@ class ParameterError(ValueError):
 
 class InvalidObservationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CensoredObservation:
-    """One follow-up record: observed time, event flag, judged rank, cycle.
-
-    ``event`` is True when the death was observed, False when censored.
-    ``rank`` and ``cycle`` are both 1 for plain SRS data.
-    """
-
-    time: float
-    event: bool
-    rank: int = 1
-    cycle: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.time) or self.time < 0:
-            raise InvalidObservationError(f"invalid observation: time={self.time}")
-        if self.rank < 1 or self.cycle < 1:
-            raise InvalidObservationError(
-                f"invalid observation: rank={self.rank}, cycle={self.cycle}"
-            )
-
-
-class EvalResult(NamedTuple):
-    survival: float
-    greenwood_var: float
-    extrapolated: bool
-    degenerate: bool
 
 
 class _StepLookups:
@@ -128,11 +99,9 @@ class StepSurvivalCurve(_StepLookups):
 
     Values are stored at the distinct event times only (censoring times
     enter through the risk sets, not the grid).  Before the first event the
-    curve is identically 1 with zero variance.
-
-    ``degenerate_from`` is the index of the first jump where the whole risk
-    set died (R == dN); survival is exactly 0 and the Greenwood variance is
-    reported as 0 from there on.
+    curve is identically 1 with zero variance.  Once the whole risk set has
+    died (R == dN) survival is exactly 0 and the Greenwood variance is
+    reported as 0.
     """
 
     jump_times: np.ndarray
@@ -140,8 +109,6 @@ class StepSurvivalCurve(_StepLookups):
     cum_hazard: np.ndarray
     hazard_var: np.ndarray
     greenwood_var: np.ndarray
-    last_observed: float
-    degenerate_from: int | None = None
 
     @property
     def _step_times(self) -> np.ndarray:
@@ -240,9 +207,8 @@ class ProductLimit(_StepLookups):
     """Estimates of every row of ``sample`` at each of its death groups,
     for one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN)
     are in the sample's ``(..., width)`` death-group layout (padding: time
-    inf, R = 1, dN = 0); ``last_observed`` is each row's largest time.
-    Lookups share the sample's positions of the lookup times.
-    S-hat is computed with the fit; the with-ties Greenwood
+    inf, R = 1, dN = 0).  Lookups share the sample's positions of the lookup
+    times.  S-hat is computed with the fit; the with-ties Greenwood
     variance (0 once the whole risk set died), the Nelson-Aalen hazard sum
     dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's first time
     its whole risk set died, dN >= R) and ``vanished_at`` (its first time
@@ -257,10 +223,6 @@ class ProductLimit(_StepLookups):
     @property
     def times(self) -> np.ndarray:
         return self.sample.group_times
-
-    @property
-    def last_observed(self) -> np.ndarray:
-        return self.sample.times[..., -1]
 
     _step_times = times
 
@@ -301,48 +263,25 @@ class ProductLimit(_StepLookups):
     def curve(self, row: int = 0) -> StepSurvivalCurve:
         """One row of a 2-D fit as a step curve at its event times."""
         jumps = self.deaths[row] > 0
-        zero = self.survival[row][jumps] == 0
         return StepSurvivalCurve(
             jump_times=self.times[row][jumps],
             survival=self.survival[row][jumps],
             cum_hazard=self.cum_hazard[row][jumps],
             hazard_var=self.hazard_var[row][jumps],
             greenwood_var=self.greenwood_var[row][jumps],
-            last_observed=float(self.last_observed[row]),
-            degenerate_from=int(np.argmax(zero)) if zero.any() else None,
         )
 
 
 def fit_curve_arrays(times, events) -> StepSurvivalCurve:
-    """Fit KM/NA from one sample's raw arrays."""
-    sample = SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1)))
-    return sample.product_limit().curve()
-
-
-def kaplan_meier(obs: Sequence[CensoredObservation]) -> StepSurvivalCurve:
-    """Product-limit estimate with the with-ties Greenwood variance.
+    """Product-limit estimate of one sample's raw arrays, with the with-ties
+    Greenwood variance.
 
     S-hat(t) = prod_{u <= t} (1 - dN(u)/R(u)) over distinct event times u,
     Greenwood(t) = S-hat(t)^2 * sum_{u <= t} dN / (R (R - dN)).  The curve
     also carries the Nelson-Aalen hazard sum dN/R and its variance sum dN/R^2.
     """
-    obs = list(obs)
-    return fit_curve_arrays([o.time for o in obs], [o.event for o in obs])
-
-
-def evaluate(curve: StepSurvivalCurve, t: float) -> EvalResult:
-    """Right-continuous lookup of (S-hat, Greenwood) at time t.
-
-    Never raises: values beyond the last observed time are returned with an
-    ``extrapolated`` flag, and values on a fully-died tail carry a
-    ``degenerate`` flag (variance reported as 0 there).
-    """
-    if t < 0:
-        raise InvalidObservationError(f"invalid time: {t}")
-    degenerate = (curve.degenerate_from is not None
-                  and t >= curve.jump_times[curve.degenerate_from])
-    return EvalResult(float(curve.survival_at(t)), float(curve.greenwood_at(t)),
-                      t > curve.last_observed, degenerate)
+    sample = SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1)))
+    return sample.product_limit().curve()
 
 
 def curve_to_rows(curve: StepSurvivalCurve):

@@ -18,7 +18,6 @@ from rsskm import (
     draw_balanced_rss,
     draw_srs,
     eval_times_from_levels,
-    evaluate,
     parse_config,
     prepare_model,
     run_cell,
@@ -84,6 +83,10 @@ class TestConfig:
             parse_config(write_config(tmp_path, "rho = 0, 0.5\n"))
         with pytest.raises(ConfigError, match="p_cens"):
             parse_config(write_config(tmp_path, "p_cens = 1.0\n"))
+        for line in ("nu = nan", "beta = inf", "theta1 = -inf"):
+            key = line.split()[0]
+            with pytest.raises(ConfigError, match=f"field '{key}': must be finite"):
+                parse_config(write_config(tmp_path, line + "\n"))
 
     def test_obsolete_keys_are_ignored(self, tmp_path):
         # b_true and n_sets fed the secondary MC run and the mixing matrix
@@ -273,7 +276,8 @@ class TestRunCell:
         for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0), chunk):
             curves = [fit_curve_arrays(t, e) for t, e in zip(*rss)]
             curves.append(fit_curve_arrays(srs[0][0], srs[1][0]))
-            total += sum(any(evaluate(c, rec.t).degenerate for c in curves)
+            # unweighted S-hat is 0 exactly where the whole risk set died
+            total += sum(any(c.survival_at(rec.t) == 0 for c in curves)
                          for rec in records)
         assert total > 0 and sum(counts) == total
 
@@ -374,6 +378,49 @@ class TestCli:
         assert len(err) == 2
         assert err[0].startswith("error: bootstrap:") and "'0.5,abc'" in err[0]
         assert err[1].startswith("error: kernels:") and "'two'" in err[1]
+
+    @pytest.mark.parametrize("flag", ["--theta1=nan", "--nu=inf"])
+    def test_kernels_non_finite_model_is_reported(self, tmp_path, capsys, flag):
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--out", str(out), flag]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: kernels:") and "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", ["nan", "inf"])
+    def test_bootstrap_non_finite_gamma_shape_is_reported(self, tmp_path, capsys, obs_csv,
+                                                          shape):
+        out = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--input", obs_csv, "--out", str(out), "--reps", "5",
+                     "--law", "gamma", "--gamma-shape", shape]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bootstrap:")
+        assert "gamma shape" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-5", "--jobs", "1"],
+        ["simulate", "--seed", "-5", "--jobs", "2"],
+        ["simulate", "--jobs", "2"],  # with seed = -1 in the config
+        ["bootstrap", "--seed", "-1"],
+    ], ids=["simulate-jobs-1", "simulate-jobs-2", "config-seed", "bootstrap"])
+    def test_negative_seed_is_reported_before_any_work(
+            self, tmp_path, capsys, monkeypatch, obs_csv, argv):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a cell or a replicate ran")
+
+        monkeypatch.setattr(harness, "run_cell", must_not_run)
+        monkeypatch.setattr(cli, "multiplier_bootstrap", must_not_run)
+        out = tmp_path / "out.csv"
+        if argv[0] == "simulate":
+            seed_line = "seed = -1\n" if "--seed" not in argv else ""
+            argv = argv + ["--config", write_config(tmp_path, TINY_CONFIG + seed_line)]
+        else:
+            argv = argv + ["--input", obs_csv]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {argv[0]}:")
+        assert "seed must be >= 0" in err[0] and not out.exists()
 
     @pytest.mark.parametrize("grid", ["nan,-1,1", "0.5,-1", "1,inf"])
     def test_bootstrap_bad_grid_is_reported(self, tmp_path, capsys, obs_csv, grid):

@@ -6,35 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsskm import (
-    CensoredObservation,
     EmptyDesignError,
-    ParameterError,
     RankedSetSample,
     UnbalancedDesignError,
-    kaplan_meier,
-    rss_greenwood,
     rss_kaplan_meier,
 )
+from rsskm.survival import fit_curve_arrays
 
 
 def sample_from(rows):
     """rows: list of (time, event, rank) triples; cycles assigned per rank."""
     counts = {}
-    obs = []
+    records = []
     for t, e, r in rows:
         counts[r] = counts.get(r, 0) + 1
-        obs.append(CensoredObservation(t, e, rank=r, cycle=counts[r]))
-    return RankedSetSample.from_observations(obs)
+        records.append((r, counts[r], t, e))
+    return RankedSetSample.from_columns(*zip(*records))
+
+
+def km(rows):
+    """KM curve of the (time, event) heads of ``rows``."""
+    return fit_curve_arrays([row[0] for row in rows], [row[1] for row in rows])
 
 
 class TestRssKaplanMeier:
     def test_single_rank_collapses_to_km(self):
         rows = [(1.0, True, 1), (2.0, False, 1), (3.0, True, 1)]
         est = rss_kaplan_meier(sample_from(rows))
-        km = kaplan_meier([CensoredObservation(t, e) for t, e, _ in rows])
-        assert est.grid.tolist() == km.jump_times.tolist()
-        np.testing.assert_array_equal(est.rss_survival, km.survival)
-        np.testing.assert_array_equal(est.rss_greenwood, km.greenwood_var)
+        curve = km(rows)
+        assert est.grid.tolist() == curve.jump_times.tolist()
+        np.testing.assert_array_equal(est.rss_survival, curve.survival)
+        np.testing.assert_array_equal(est.rss_greenwood, curve.greenwood_var)
 
     def test_two_one_point_ranks_average(self):
         # rank curves are 1->0 steps at t=1 and t=2; average: 1, 0.5, 0
@@ -47,8 +49,7 @@ class TestRssKaplanMeier:
         rows = [(1.0, True), (2.0, False), (3.0, True)]
         rss = sample_from([(t, e, r) for r in (1, 2, 3) for t, e in rows])
         est = rss_kaplan_meier(rss)
-        km = kaplan_meier([CensoredObservation(t, e) for t, e in rows])
-        np.testing.assert_allclose(est.rss_survival, km.survival, atol=1e-15)
+        np.testing.assert_allclose(est.rss_survival, km(rows).survival, atol=1e-15)
 
     def test_zero_event_rank_contributes_constant_one(self):
         est = rss_kaplan_meier(
@@ -76,16 +77,11 @@ class TestRssGreenwood:
             (1.0, True, 1), (2.0, False, 1), (3.0, True, 1),
             (1.0, False, 2), (2.0, False, 2), (3.0, False, 2),
         ]))
-        assert rss_greenwood(est, 1.0) == pytest.approx(1 / 54, abs=1e-15)
+        assert float(est.greenwood_at(1.0)) == pytest.approx(1 / 54, abs=1e-15)
 
     def test_degenerate_tails_give_zero(self):
         est = rss_kaplan_meier(sample_from([(1.0, True, 1), (2.0, True, 2)]))
-        assert rss_greenwood(est, 3.0) == 0.0
-
-    def test_negative_time_rejected(self):
-        est = rss_kaplan_meier(sample_from([(1.0, True, 1)]))
-        with pytest.raises(ParameterError):
-            rss_greenwood(est, -1.0)
+        assert float(est.greenwood_at(3.0)) == 0.0
 
 
 class TestDesignValidation:
@@ -95,19 +91,16 @@ class TestDesignValidation:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDesignError):
-            RankedSetSample.from_observations([])
+            RankedSetSample.from_columns([], [], [], [])
         with pytest.raises(UnbalancedDesignError):
             RankedSetSample(2, 2, np.ones((2, 3)), np.ones((2, 3), dtype=bool))
 
-    def test_min_at_risk(self):
-        sample = sample_from([(1.0, True, 1), (3.0, False, 1),
-                              (2.0, True, 2), (4.0, False, 2)])
-        assert sample.min_at_risk(0.5) == 2
-        assert sample.min_at_risk(2.5) == 1
-
     def test_observations_round_trip(self):
+        # the sample's flat (rank, cycle, time, event) records, in reverse
         sample = sample_from([(1.0, True, 1), (2.0, False, 2)])
-        rebuilt = RankedSetSample.from_observations(sample.observations)
+        rank, cycle = np.indices(sample.times.shape) + 1
+        records = (rank, cycle, sample.times, sample.events)
+        rebuilt = RankedSetSample.from_columns(*(c.ravel()[::-1] for c in records))
         np.testing.assert_array_equal(rebuilt.times, sample.times)
         np.testing.assert_array_equal(rebuilt.events, sample.events)
 

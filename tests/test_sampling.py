@@ -36,14 +36,24 @@ class CandidateSetAft(AftModel):
     def __init__(self, model: AftModel):
         super().__init__(model.mu, model.beta, model.sigma_eps, model.sigma_u)
 
+    def draw_log_lifetimes(self, gen, size):
+        return self.mu + self.log_sd * gen.standard_normal(size)
+
+    def ranking_scores(self, v, gen):
+        """Proxy scores v + sigma_u * N(0,1) of log lifetimes v."""
+        noise = gen.standard_normal(np.shape(v))
+        if not math.isfinite(self.sigma_u):
+            return noise
+        return v + self.sigma_u * noise
+
     def draw_slots(self, k, size, lifetimes, proxies):
-        v = self.draw_ranking_scale(lifetimes.generator(), (*size, k, k))
+        v = self.draw_log_lifetimes(lifetimes.generator(), (*size, k, k))
         if k > 1:
             scores = self.ranking_scores(v, proxies.generator())
             order = np.argsort(scores, axis=-1, kind="stable")
             slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
             v = np.take_along_axis(v, np.take_along_axis(order, slot, axis=-1), axis=-1)
-        return self.from_ranking_scale(v[..., 0])
+        return np.exp(v[..., 0])
 
 
 class CandidateSetWeibull(WeibullModel):
@@ -94,7 +104,7 @@ class TestDrawBalancedRss:
         s = draw_balanced_rss(EXP, 4, 7, NONE, RngStream(0))
         assert (s.set_size_k, s.cycles_m) == (4, 7)
         assert s.times.shape == (4, 7) and s.events.shape == (4, 7)
-        assert s.n_total == 28
+        assert s.times.size == 28
 
     def test_deterministic(self):
         a = draw_balanced_rss(EXP, 3, 5, NONE, RngStream(9))

@@ -9,72 +9,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsskm import (
-    CensoredObservation,
-    EmptySampleError,
-    InvalidObservationError,
-    evaluate,
-    kaplan_meier,
-)
+from rsskm import EmptySampleError, InvalidObservationError
 from rsskm.survival import SortedSample, curve_to_rows, fit_curve_arrays
 
 
-def obs(pairs):
-    return [CensoredObservation(t, e) for t, e in pairs]
+def km(pairs):
+    """KM curve of (time, event) pairs."""
+    times, events = zip(*pairs)
+    return fit_curve_arrays(np.array(times), np.array(events))
 
 
 # sample of 3: death at 1, censored at 2, death at 3
-THREE = obs([(1.0, True), (2.0, False), (3.0, True)])
+THREE = [(1.0, True), (2.0, False), (3.0, True)]
 
 
 class TestKaplanMeier:
     def test_hand_computed_survival(self):
         # S(1) = 1 - 1/3 = 2/3; S(3) = (2/3)(1 - 1/1) = 0
-        curve = kaplan_meier(THREE)
+        curve = km(THREE)
         assert curve.jump_times.tolist() == [1.0, 3.0]
         assert curve.survival[0] == pytest.approx(2 / 3, abs=1e-15)
         assert curve.survival[1] == 0.0
 
     def test_hand_computed_greenwood(self):
         # Greenwood(1) = (2/3)^2 * 1/(3*2) = 2/27
-        curve = kaplan_meier(THREE)
+        curve = km(THREE)
         assert curve.greenwood_var[0] == pytest.approx(2 / 27, abs=1e-15)
 
     def test_degenerate_tail_flagged_with_zero_variance(self):
         # at t=3 the whole risk set dies: S-hat = 0 exactly, variance 0
-        curve = kaplan_meier(THREE)
-        assert curve.degenerate_from == 1
+        times, events = zip(*THREE)
+        fit = SortedSample(np.array([times]), np.array([events])).product_limit()
+        assert fit.exhausted_at[0] == 3.0
+        curve = fit.curve()
         assert curve.greenwood_var[1] == 0.0
-        res = evaluate(curve, 3.0)
-        assert res.degenerate and res.survival == 0.0
+        assert curve.survival_at(3.0) == 0.0
 
     def test_ties_deaths_processed_before_censorings(self):
         # death and censoring tied at 2: both still at risk at u=2
-        curve = kaplan_meier(obs([(1.0, True), (2.0, True), (2.0, False)]))
+        curve = km([(1.0, True), (2.0, True), (2.0, False)])
         assert curve.survival_at(2.0) == pytest.approx((2 / 3) * (1 / 2), abs=1e-15)
 
     def test_tied_deaths_single_jump(self):
-        curve = kaplan_meier(obs([(1.0, True), (1.0, True), (2.0, False)]))
+        curve = km([(1.0, True), (1.0, True), (2.0, False)])
         assert curve.jump_times.tolist() == [1.0]
         assert curve.survival[0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_all_censored_is_constant_one(self):
-        curve = kaplan_meier(obs([(1.0, False), (2.0, False)]))
+        curve = km([(1.0, False), (2.0, False)])
         assert curve.jump_times.size == 0
         assert curve.survival_at(5.0) == 1.0
         assert curve.greenwood_at(5.0) == 0.0
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySampleError):
-            kaplan_meier([])
-        with pytest.raises(EmptySampleError):
             fit_curve_arrays(np.empty(0), np.empty(0, dtype=bool))
 
     def test_invalid_times_raise(self):
         with pytest.raises(InvalidObservationError):
-            CensoredObservation(-1.0, True)
+            km([(-1.0, True)])
         with pytest.raises(InvalidObservationError):
-            CensoredObservation(np.inf, False)
+            km([(np.inf, False)])
         with pytest.raises(InvalidObservationError):
             fit_curve_arrays(np.array([1.0, -2.0]), np.array([True, True]))
 
@@ -82,35 +77,30 @@ class TestKaplanMeier:
 class TestNelsonAalen:
     def test_hand_computed_hazard(self):
         # Lambda(3) = 1/3 + 1/1 = 4/3; var = 1/9 + 1/1 = 10/9
-        curve = kaplan_meier(THREE)
+        curve = km(THREE)
         assert curve.cum_hazard_at(3.0) == pytest.approx(4 / 3, abs=1e-15)
         assert curve.hazard_var_at(3.0) == pytest.approx(10 / 9, abs=1e-15)
 
     def test_hazard_zero_before_first_event(self):
-        curve = kaplan_meier(THREE)
+        curve = km(THREE)
         assert curve.cum_hazard_at(0.5) == 0.0
         assert curve.hazard_var_at(0.5) == 0.0
 
 
 class TestEvaluate:
+    """Right-continuous lookups of a curve at one time and at many."""
+
     def test_before_first_event(self):
-        res = evaluate(kaplan_meier(THREE), 0.5)
-        assert res == (1.0, 0.0, False, False)
-
-    def test_extrapolation_flag(self):
-        res = evaluate(kaplan_meier(THREE), 10.0)
-        assert res.extrapolated
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(InvalidObservationError):
-            evaluate(kaplan_meier(THREE), -0.1)
+        curve = km(THREE)
+        assert (curve.survival_at(0.5), curve.greenwood_at(0.5)) == (1.0, 0.0)
 
     def test_matches_vectorized_lookup(self):
-        curve = kaplan_meier(THREE)
-        for t in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]:
-            res = evaluate(curve, t)
-            assert res.survival == curve.survival_at(t)
-            assert res.greenwood_var == curve.greenwood_at(t)
+        curve = km(THREE)
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+        survival, greenwood = curve.survival_at(grid), curve.greenwood_at(grid)
+        for i, t in enumerate(grid):
+            assert curve.survival_at(t) == survival[i]
+            assert curve.greenwood_at(t) == greenwood[i]
 
 
 @st.composite
@@ -300,7 +290,7 @@ class TestKernel:
             np.testing.assert_array_equal(fit.times[r, :n], t[ends])
             assert np.all(fit.times[r, n:] == np.inf)
             assert np.all(fit.at_risk[r, n:] == 1.0) and np.all(fit.deaths[r, n:] == 0.0)
-            assert fit.last_observed[r] == t[-1]
+            np.testing.assert_array_equal(fit.sample.times[r], t)
             for name, (lookup, before) in CURVES.items():
                 values = getattr(fit, name)[r]
                 np.testing.assert_array_equal(values[:n], dense[name][ends])
@@ -333,7 +323,7 @@ class TestKernel:
 
 
 def test_curve_to_rows_round_trip():
-    curve = kaplan_meier(THREE)
+    curve = km(THREE)
     rows = list(curve_to_rows(curve))
     assert len(rows) == 2
     t, s, gw, ch, hv = rows[0]
