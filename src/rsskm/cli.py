@@ -177,26 +177,28 @@ def _cmd_kernels(args) -> int:
     sizes = _parse_set_sizes(args.k)
     levels = _parse_floats(args.levels)
     times = [model.quantile(level) for level in levels]
+    rows = []  # all computed before --out is opened: an error leaves no file
+    for k in sizes:
+        for rho in _parse_floats(args.rho):
+            judged = prepare_model(model, rho)
+            for p in _parse_floats(args.p_cens):
+                cens = censoring_for_fraction(model, p)
+                v_perf = asymptotic_rss_km_variance(model, cens, times, k)
+                v_judg = asymptotic_rss_km_variance(judged, cens, times, k)
+                for i, (level, t) in enumerate(zip(levels, times)):
+                    v_srs = asymptotic_km_variance(model, cens, t)
+                    rows.append([
+                        k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",
+                        f"{v_srs:.6g}", f"{v_perf[i]:.6g}", f"{v_judg[i]:.6g}",
+                        f"{v_srs / v_perf[i]:.6g}", f"{v_srs / v_judg[i]:.6g}",
+                    ])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["k", "rho", "p_cens", "level", "t",
              "v_srs", "v_rss_perfect", "v_rss_judged", "re_perfect", "re_judged"]
         )
-        for k in sizes:
-            for rho in _parse_floats(args.rho):
-                judged = prepare_model(model, rho)
-                for p in _parse_floats(args.p_cens):
-                    cens = censoring_for_fraction(model, p)
-                    v_perf = asymptotic_rss_km_variance(model, cens, times, k)
-                    v_judg = asymptotic_rss_km_variance(judged, cens, times, k)
-                    for i, (level, t) in enumerate(zip(levels, times)):
-                        v_srs = asymptotic_km_variance(model, cens, t)
-                        writer.writerow([
-                            k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",
-                            f"{v_srs:.6g}", f"{v_perf[i]:.6g}", f"{v_judg[i]:.6g}",
-                            f"{v_srs / v_perf[i]:.6g}", f"{v_srs / v_judg[i]:.6g}",
-                        ])
+        writer.writerows(rows)
     return 0
 
 

@@ -259,9 +259,12 @@ def run_grid(
 
     Output is byte-identical for the same (config, seed) regardless of
     ``parallelism``: cells are computed from per-cell streams and written in
-    grid order.  Each worker receives the calibrated models once, so a model
-    builds its cached tables at most once per worker.
+    grid order.  At most one worker per cell is started; each receives the
+    calibrated models once, so a model builds its cached tables at most once
+    per worker.
     """
+    if parallelism < 1:
+        raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     seed = config.seed if master_seed is None else master_seed
 
     base = _base_model(config)
@@ -272,8 +275,9 @@ def run_grid(
         for idx, (k, m, rho, p) in enumerate(cells)
     ]
 
-    if parallelism > 1:
-        with multiprocessing.Pool(parallelism, _share_models, (calibrated,)) as pool:
+    workers = min(parallelism, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers, _share_models, (calibrated,)) as pool:
             results = pool.map(_cell_task, tasks, chunksize=1)
     else:
         results = [_cell_task(t, calibrated) for t in tasks]

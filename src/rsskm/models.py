@@ -15,6 +15,11 @@ measured in the judged slots of a ranked set sample (``draw_slots``).  The
 exact law of those units (``judged_rank_survival``) feeds the asymptotic
 KM variance kernels ``asymptotic_km_variance`` and
 ``asymptotic_rss_km_variance``.
+
+The standard normal comes from ``scipy.special`` (``ndtr``, ``ndtri``), in
+the forms ``scipy.stats.norm`` evaluates, so importing this module loads
+neither ``scipy.stats`` nor ``scipy.interpolate``; the latter is imported
+when a judged-ranking Weibull model first tabulates its score CDF.
 """
 
 from __future__ import annotations
@@ -25,10 +30,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import hermite_e, legendre
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import log_ndtr, ndtr, ndtri
-from scipy.stats import norm
 
 from .sampling import RngStream
 from .survival import ParameterError
@@ -36,6 +39,19 @@ from .survival import ParameterError
 
 class InferenceWindowError(ValueError):
     pass
+
+
+# standard normal: the scipy.special expressions behind scipy.stats.norm's
+# sf (ndtr(-z)), isf and pdf, bit for bit, without importing scipy.stats
+
+
+def _normal_isf(q):
+    """Phi^-1(1 - q); the + 0.0 (norm.isf's loc) makes q = 0.5 give +0.0."""
+    return -ndtri(q) + 0.0
+
+
+def _normal_pdf(x):
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 # --------------------------------------------------------------------------
@@ -69,13 +85,13 @@ class AftModel:
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             z = (np.log(t) - self.mu) / self.log_sd
-        return np.where(t <= 0, 1.0, norm.sf(z))
+        return np.where(t <= 0, 1.0, ndtr(-z))
 
     def quantile(self, level: float) -> float:
         """Time t with S(t) = level (closed-form lognormal inversion)."""
         if not 0.0 < level < 1.0:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
-        return math.exp(self.mu + self.log_sd * norm.isf(level))
+        return math.exp(self.mu + self.log_sd * _normal_isf(level))
 
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
@@ -206,13 +222,15 @@ class WeibullModel:
         return self.scale_theta1 * (-log_ndtr(-w)) ** (1 / self.shape_nu)
 
     @cached_property
-    def _score_cdf(self) -> tuple[np.ndarray, CubicSpline]:
+    def _score_cdf(self):
         """The score CDF F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000
         points of v, and its cubic spline; built once per model."""
+        from scipy.interpolate import CubicSpline  # only judged cells need it
+
         sigma = self.sigma_z
         u, half = _panel_nodes(_W_EDGES)
         x = self.lifetime_at(u).ravel()
-        dF = (half[:, None] * _GL_W * norm.pdf(u)).ravel()
+        dF = (half[:, None] * _GL_W * _normal_pdf(u)).ravel()
         v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
         cdf = np.concatenate(
             [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
@@ -410,7 +428,7 @@ def _judged_law(model: SuperpopulationModel, k: int, times):
     at the nodes, the panel starting at each time, and (k, times) S_[r]."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    w_t = np.clip(norm.isf(model.survival(np.asarray(times, dtype=float))), -8.0, 8.0)
+    w_t = np.clip(_normal_isf(model.survival(np.asarray(times, dtype=float))), -8.0, 8.0)
     edges = np.union1d(_W_EDGES, w_t)
     w, half = _panel_nodes(edges)
     if k == 1:  # the one candidate is measured: the population law
@@ -422,7 +440,7 @@ def _judged_law(model: SuperpopulationModel, k: int, times):
             (cdf**r * (1 - cdf) ** (k - 1 - r)) @ _GH_W * (k * math.comb(k - 1, r))
             for r in range(k)
         ])
-    mass = g * norm.pdf(w) * half[:, None]
+    mass = g * _normal_pdf(w) * half[:, None]
     tail = np.cumsum((mass @ _GL_W)[:, ::-1], axis=1)[:, ::-1]  # from each panel on
     survival = tail[..., None] - mass @ _GL_CUM.T
     panel = np.searchsorted(edges, w_t)

@@ -1,7 +1,11 @@
 """Config parsing, the Monte-Carlo cell/grid runner, and the CLI."""
 
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,6 +337,42 @@ class TestRunGrid:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("grid, jobs, processes", [
+        ("k = 1, 2\nrho = 0.5, 1.0\np_cens = 0, 0.3\n", 3, 3),  # 8 cells
+        ("k = 1, 2\nrho = 1.0\np_cens = 0.3\n", 5, 2),  # 2 cells
+        ("k = 2\nrho = 1.0\np_cens = 0.3\n", 4, None),  # 1 cell: no pool
+    ], ids=["jobs-below-cells", "jobs-above-cells", "one-cell"])
+    def test_pool_starts_at_most_one_process_per_cell(
+            self, tmp_path, monkeypatch, grid, jobs, processes):
+        asked = []
+
+        class RecordingPool:
+            """Records the process count and runs each task in this process
+            with the models the workers would receive."""
+
+            def __init__(self, n, initializer, initargs):
+                asked.append(n)
+                self.initargs = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(task, *self.initargs) for task in tasks]
+
+        text = f"model = weibull\nm = 5\nlevels = 0.5\nb_mc = 20\nseed = 3\n{grid}"
+        cfg = parse_config(write_config(tmp_path, text))
+        serial = tmp_path / "serial.csv"
+        run_grid(cfg, str(serial))
+        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        out = tmp_path / "pooled.csv"
+        run_grid(cfg, str(out), parallelism=jobs)
+        assert asked == ([] if processes is None else [processes])
+        assert out.read_bytes() == serial.read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -360,6 +400,32 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "2", "--rho", "1.0", "--p-cens", "0,0.5", "--levels", "1e-7"],
+        ["--p-cens", "0.999999"],
+    ], ids=["window-error-after-first-row", "censoring-error-before-first-row"])
+    def test_kernels_error_leaves_no_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: kernels:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_simulate_jobs_below_one_is_reported_before_any_work(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a model was calibrated or a cell ran")
+
+        monkeypatch.setattr(harness, "prepare_model", must_not_run)
+        monkeypatch.setattr(harness, "run_cell", must_not_run)
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, TINY_CONFIG),
+                     "--out", str(out), f"--jobs={jobs}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: simulate:")
+        assert "jobs must be >= 1" in err[0] and not out.exists()
 
     @pytest.mark.parametrize("k", ["2.5", "2,-3", "nan"])
     def test_kernels_non_integer_k_is_reported(self, tmp_path, capsys, k):
@@ -554,3 +620,47 @@ class TestCli:
         for row in rows:
             assert float(row["re_perfect"]) >= float(row["re_judged"]) - 1e-9
             assert float(row["re_judged"]) >= 1.0 - 1e-9
+
+
+# --------------------------------------------------------------------------
+# start-up footprint
+
+FOOTPRINT_SCRIPT = r"""
+import json, sys
+from rsskm.cli import main
+
+def loaded():
+    return [name for name in ("scipy.stats", "scipy.interpolate") if name in sys.modules]
+
+cfg = "m = 3\nlevels = 0.5\nb_mc = 5\np_cens = 0.3\n"
+open("aft.txt", "w").write(cfg + "model = aft\nk = 2\nrho = 0.5\n")
+open("perfect.txt", "w").write(cfg + "model = weibull\nk = 2\nrho = 1.0\n")
+open("judged.txt", "w").write(cfg + "model = weibull\nk = 2\nrho = 0.5\n")
+open("obs.csv", "w").write(
+    "cycle,rank,time,event\n1,1,1.0,1\n2,1,2.0,0\n1,2,1.5,1\n2,2,3.0,1\n")
+stages = {"import": loaded()}
+for argv in (["estimate", "--input", "obs.csv", "--out", "est.csv"],
+             ["bootstrap", "--input", "obs.csv", "--out", "boot.csv", "--reps", "5"],
+             ["simulate", "--config", "aft.txt", "--out", "aft.csv"],
+             ["simulate", "--config", "perfect.txt", "--out", "perfect.csv"]):
+    assert main(argv) == 0, argv
+stages["untabulated"] = loaded()
+assert main(["simulate", "--config", "judged.txt", "--out", "judged.csv"]) == 0
+stages["judged"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_startup_loads_neither_scipy_stats_nor_interpolate(tmp_path):
+    # a fresh interpreter: this test process has loaded scipy.stats already
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    stages = json.loads(done.stdout)
+    assert stages == {
+        "import": [],
+        "untabulated": [],  # estimate, bootstrap, AFT and perfect-ranking simulate
+        "judged": ["scipy.interpolate"],  # the score-CDF spline of a judged cell
+    }

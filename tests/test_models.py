@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.stats import norm
 
 from rsskm import (
     AftModel,
@@ -32,7 +33,13 @@ from rsskm import (
     order_statistic_survival,
     prepare_model,
 )
-from rsskm.models import judged_rank_survival
+from rsskm.models import (
+    _W_EDGES,
+    _normal_isf,
+    _normal_pdf,
+    _panel_nodes,
+    judged_rank_survival,
+)
 
 AFT = AftModel()  # lognormal, log-sd = hypot(1.5, 0.4)
 EXP = WeibullModel()  # unit exponential
@@ -80,6 +87,35 @@ class TestLifetimeLaws:
         gen = np.random.default_rng(7)
         x = EXP.draw_ranking_scale(gen, 200_000)
         assert np.mean(x > 1.0) == pytest.approx(math.exp(-1), abs=0.005)
+
+
+class TestStandardNormalMatchesScipyStats:
+    """The scipy.special forms are bitwise scipy.stats.norm, sign of zero
+    included (compared through ``tobytes``)."""
+
+    def test_aft_survival(self):
+        t = np.array([0.0, 1e-300, math.exp(AFT.mu), *np.geomspace(1e-6, 1e6, 401),
+                      1e300, math.inf])
+        z = (np.log(t[1:]) - AFT.mu) / AFT.log_sd
+        want = np.concatenate([[1.0], norm.sf(z)])
+        assert AFT.survival(t).tobytes() == want.tobytes()
+        assert AFT.survival(math.exp(AFT.mu)) == 0.5
+
+    def test_aft_quantile(self):
+        levels = np.append(np.linspace(1e-9, 1 - 1e-9, 2001), 0.5)
+        got = np.array([AFT.quantile(level) for level in levels])
+        want = np.array([math.exp(AFT.mu + AFT.log_sd * norm.isf(level)) for level in levels])
+        assert got.tobytes() == want.tobytes()
+
+    def test_inverse_survival_keeps_the_sign_of_zero(self):
+        # the judged-rank law inverts S(t) into scores; at S = 0.5 both give +0.0
+        q = np.append(np.linspace(0.0, 1.0, 1001), [0.5, 1e-300, 1 - 1e-16])
+        assert _normal_isf(q).tobytes() == norm.isf(q).tobytes()
+        assert _normal_isf(0.5).tobytes() == np.float64(0.0).tobytes()
+
+    def test_density_on_quadrature_nodes(self):
+        u, _ = _panel_nodes(_W_EDGES)
+        assert _normal_pdf(u).tobytes() == norm.pdf(u).tobytes()
 
 
 class TestOrderStatistics:
