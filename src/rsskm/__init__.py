@@ -1,5 +1,9 @@
 """Rank-aware Kaplan-Meier / Nelson-Aalen estimation under balanced ranked
-set sampling with right censoring, plus a Monte-Carlo efficiency harness."""
+set sampling with right censoring, plus a Monte-Carlo efficiency harness.
+
+``rss_kaplan_meier`` fits the k ranks of a sample with one call of the
+product-limit kernel; ``rss_mean`` averages any of the fit's lookups over
+the ranks (power 1 for curves, 2 for the 1/k^2-scaled variances)."""
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
@@ -30,13 +34,10 @@ from .rss import (
     RankedSetSample,
     UnbalancedDesignError,
     rss_kaplan_meier,
+    rss_mean,
 )
-from .sampling import RngStream, draw_balanced_rss, draw_srs
-from .survival import (
-    EmptySampleError,
-    InvalidObservationError,
-    StepSurvivalCurve,
-)
+from .sampling import RngStream, draw_balanced_rss
+from .survival import EmptySampleError, InvalidObservationError
 
 __version__ = "0.1.0"
 
@@ -54,7 +55,6 @@ __all__ = [
     "ParameterError",
     "RankedSetSample",
     "RngStream",
-    "StepSurvivalCurve",
     "UnbalancedDesignError",
     "WeibullModel",
     "aft_rho_ceiling",
@@ -65,13 +65,13 @@ __all__ = [
     "censoring_for_fraction",
     "dell_clutter_sigma",
     "draw_balanced_rss",
-    "draw_srs",
     "eval_times_from_levels",
     "multiplier_bootstrap",
     "order_statistic_survival",
     "parse_config",
     "prepare_model",
     "rss_kaplan_meier",
+    "rss_mean",
     "run_cell",
     "run_grid",
 ]

@@ -5,10 +5,10 @@ rank by iid nonnegative mean-1 weights, recomputes the weighted KM of all
 ranks, and averages across ranks; the variance across replicates estimates
 the sampling variance of the rank-averaged KM without redrawing subjects.
 
-The sample is sorted once per call (``SortedSample``); each replicate only
-gathers its (k, m) weights into that order and reruns the product-limit
-arithmetic: dN* = sum W I(Y = u, event) and R* = sum W I(Y >= u) per tie
-group, S*(t) = prod_{u <= t} (1 - dN*/R*).
+The sample is sorted once per call, by the unweighted fit; each replicate
+only gathers its (k, m) weights into that order (``fit.sample``) and reruns
+the product-limit arithmetic: dN* = sum W I(Y = u, event) and
+R* = sum W I(Y >= u) per tie group, S*(t) = prod_{u <= t} (1 - dN*/R*).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rss import RankedSetSample, rank_sum
+from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
 from .sampling import RngStream
-from .survival import ParameterError, SortedSample
+from .survival import ParameterError
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,17 @@ def multiplier_bootstrap(
     law = law or MultiplierLaw()
     rng = rng or RngStream(0)
 
-    k, m = sample.set_size_k, sample.cycles_m
-    sorted_sample = SortedSample(sample.times, sample.events)
-    fit = sorted_sample.product_limit()
-    point = rank_sum(fit.survival_at(t_grid)) / k
-    greenwood = rank_sum(fit.greenwood_at(t_grid)) / k**2
+    fit = rss_kaplan_meier(sample)
+    point = rss_mean(fit.survival_at(t_grid))
+    greenwood = rss_mean(fit.greenwood_at(t_grid), 2)
 
     reps = np.empty((n_reps, t_grid.size))
     ok = np.ones(n_reps, dtype=bool)
     for b in range(n_reps):
-        w = law.draw(rng.child(b).generator(), (k, m))
-        fit = sorted_sample.product_limit(w)
-        reps[b] = rank_sum(fit.survival_at(t_grid)) / k
-        ok[b] = not np.any(fit.vanished_at <= t_grid.max())
+        w = law.draw(rng.child(b).generator(), sample.times.shape)
+        replicate = fit.sample.product_limit(w)
+        reps[b] = rss_mean(replicate.survival_at(t_grid))
+        ok[b] = not np.any(replicate.vanished_at <= t_grid.max())
 
     kept = reps[ok]
     if kept.shape[0] < 2:

@@ -37,15 +37,11 @@ from .rss import (
     EmptyDesignError,
     RankedSetSample,
     UnbalancedDesignError,
-    rank_sum,
     rss_kaplan_meier,
+    rss_mean,
 )
 from .sampling import RngStream
-from .survival import (
-    EmptySampleError,
-    InvalidObservationError,
-    curve_to_rows,
-)
+from .survival import EmptySampleError, InvalidObservationError
 
 _KNOWN_ERRORS = (
     ConfigError,
@@ -127,22 +123,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sample = _read_observations(args.input)
-    est = rss_kaplan_meier(sample)
+    fit = rss_kaplan_meier(_read_observations(args.input))
+    jumps = fit.deaths > 0  # each rank's event times, rank by rank
+    grid = np.unique(fit.times[jumps])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["rank", "time", "survival", "greenwood_var", "cum_hazard", "hazard_var"]
         )
-        for r, curve in enumerate(est.rank_curves, 1):
-            for row in curve_to_rows(curve):
-                writer.writerow([r, *(f"{v:.6g}" for v in row)])
+        ranks = np.nonzero(jumps)[0] + 1
+        columns = (fit.times, fit.survival, fit.greenwood_var, fit.cum_hazard, fit.hazard_var)
+        for r, *values in zip(ranks, *(c[jumps] for c in columns)):
+            writer.writerow([r, *(f"{v:.6g}" for v in values)])
         # rank-averaged estimate on the union grid; NA columns are the
         # rank-averaged cumulative hazard and its (1/k^2)-scaled variance
-        k, grid = est.set_size_k, est.grid
-        columns = (grid, est.rss_survival, est.rss_greenwood,
-                   rank_sum(est.fit.cum_hazard_at(grid)) / k,
-                   rank_sum(est.fit.hazard_var_at(grid)) / k**2)
+        columns = (grid, rss_mean(fit.survival_at(grid)), rss_mean(fit.greenwood_at(grid), 2),
+                   rss_mean(fit.cum_hazard_at(grid)), rss_mean(fit.hazard_var_at(grid), 2))
         for values in zip(*columns):
             writer.writerow(["rss", *(f"{v:.6g}" for v in values)])
     return 0
@@ -175,13 +171,17 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_kernels(args) -> int:
     model = WeibullModel(args.nu, args.theta1)
     sizes = _parse_set_sizes(args.k)
-    levels = _parse_floats(args.levels)
+    rhos, fractions, levels = map(_parse_floats, (args.rho, args.p_cens, args.levels))
+    for flag, values in (("--k", sizes), ("--rho", rhos), ("--p-cens", fractions),
+                         ("--levels", levels)):
+        if not values:
+            raise ParameterError(f"{flag} lists no values")
     times = [model.quantile(level) for level in levels]
     rows = []  # all computed before --out is opened: an error leaves no file
     for k in sizes:
-        for rho in _parse_floats(args.rho):
+        for rho in rhos:
             judged = prepare_model(model, rho)
-            for p in _parse_floats(args.p_cens):
+            for p in fractions:
                 cens = censoring_for_fraction(model, p)
                 v_perf = asymptotic_rss_km_variance(model, cens, times, k)
                 v_judg = asymptotic_rss_km_variance(judged, cens, times, k)

@@ -35,7 +35,7 @@ from .models import (
     censoring_for_fraction,
     dell_clutter_sigma,
 )
-from .rss import rank_sum
+from .rss import rss_mean
 from .sampling import RngStream, draw_samples
 from .survival import SortedSample
 
@@ -141,9 +141,9 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
         srs = SortedSample(*draw_samples(model, 1, n, censoring, rng.child(c, 1), size))
         rss_fit, srs_fit = rss.product_limit(), srs.product_limit()
 
-        # (reps, k, times) lookups, summed over the rank axis in rank order
-        s_rss[reps] = rank_sum(rss_fit.survival_at(times).swapaxes(0, 1)) / k
-        gw_rss[reps] = rank_sum(rss_fit.greenwood_at(times).swapaxes(0, 1)) / k**2
+        # (reps, k, times) lookups, averaged over the rank axis
+        s_rss[reps] = rss_mean(rss_fit.survival_at(times))
+        gw_rss[reps] = rss_mean(rss_fit.greenwood_at(times), 2)
         s_srs[reps] = srs_fit.survival_at(times)[:, 0]
         gw_srs[reps] = srs_fit.greenwood_at(times)[:, 0]
         exhausted = np.minimum(rss_fit.exhausted_at.min(axis=-1), srs_fit.exhausted_at[:, 0])

@@ -79,7 +79,7 @@ class AftModel:
 
     @property
     def mean_lifetime(self) -> float:
-        return math.exp(self.mu + self.log_sd**2 / 2)
+        return _finite("AFT mean lifetime", lambda: math.exp(self.mu + self.log_sd**2 / 2))
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -91,7 +91,8 @@ class AftModel:
         """Time t with S(t) = level (closed-form lognormal inversion)."""
         if not 0.0 < level < 1.0:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
-        return math.exp(self.mu + self.log_sd * _normal_isf(level))
+        return _finite(f"quantile at survival level {level:g}",
+                       lambda: math.exp(self.mu + self.log_sd * _normal_isf(level)))
 
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
@@ -165,16 +166,21 @@ class WeibullModel:
     def lifetime_variance(self) -> float:
         g1 = gamma_fn(1 + 1 / self.shape_nu)
         g2 = gamma_fn(1 + 2 / self.shape_nu)
-        return self.scale_theta1**2 * (g2 - g1**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at tiny nu
+            return _finite("Weibull lifetime variance",
+                           lambda: self.scale_theta1**2 * (g2 - g1**2))
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        return np.where(t <= 0, 1.0, np.exp(-((np.maximum(t, 0) / self.scale_theta1) ** self.shape_nu)))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 far in the tail
+            return np.where(t <= 0, 1.0,
+                            np.exp(-((np.maximum(t, 0) / self.scale_theta1) ** self.shape_nu)))
 
     def quantile(self, level: float) -> float:
         if not 0.0 < level < 1.0:
             raise ParameterError(f"survival level must be in (0,1), got {level}")
-        return self.scale_theta1 * (-math.log(level)) ** (1 / self.shape_nu)
+        return _finite(f"quantile at survival level {level:g}",
+                       lambda: self.scale_theta1 * (-math.log(level)) ** (1 / self.shape_nu))
 
     def draw_ranking_scale(self, gen: np.random.Generator, size):
         """Lifetimes X = theta * E^(1/nu), E ~ Exp(1), drawn from the law:
@@ -249,6 +255,17 @@ class WeibullModel:
 SuperpopulationModel = AftModel | WeibullModel
 
 
+def _finite(quantity: str, compute) -> float:
+    """compute(), or a ParameterError naming ``quantity`` when it overflows."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{quantity} overflows at these model parameters")
+    return value
+
+
 def _slot_gamma_pairs(k: int, size, proxies: RngStream):
     """(G, G'), each of shape ``(*size, k)``, with G ~ Gamma(r) and
     G' ~ Gamma(k-r+1) for judged slots r = 1..k, so that G/(G+G') ~
@@ -290,7 +307,8 @@ class CensoringLaw:
             return np.ones_like(t)
         if self.kind == "exponential-rate":
             return np.exp(-self.parameter * np.maximum(t, 0))
-        return np.exp(-((np.maximum(t, 0) / self.parameter) ** self.shape))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 far in the tail
+            return np.exp(-((np.maximum(t, 0) / self.parameter) ** self.shape))
 
 
 def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> CensoringLaw:
@@ -334,7 +352,9 @@ def aft_rho_ceiling(model: AftModel) -> float:
     """Largest attainable |corr(score, X)| (noiseless log-scale score):
     s / sqrt(e^{s^2} - 1) with s the log-lifetime standard deviation."""
     s = model.log_sd
-    return s / math.sqrt(math.expm1(s**2))
+    spread = _finite(f"exp(s^2) in the AFT ranking-correlation ceiling (log-lifetime sd "
+                     f"s = {s:g})", lambda: math.expm1(s**2))
+    return s / math.sqrt(spread)
 
 
 def aft_score_correlation(model: AftModel, sigma_u: float) -> float:
@@ -481,39 +501,23 @@ def asymptotic_km_variance(
     model: SuperpopulationModel,
     censoring: CensoringLaw,
     t: float,
-    rank: int | None = None,
-    k: int | None = None,
-    method: str = "auto",
 ) -> float:
-    """Per-observation asymptotic KM variance kernel at s = t:
+    """Per-observation asymptotic KM variance kernel of the population law
+    at s = t:
 
         V(t) = S(t)^2 * int_0^t f(u) / (S(u)^2 K(u)) du,
 
-    with (S, f) the population law, or with ``rank=r, k=k`` the law of the
-    unit measured in judged slot r of a k-set under the model's ranking
-    noise (the r-th order statistic when the noise is zero).
-
-    ``method`` applies to the population law: "closed" (exponential case
-    and the no-censoring collapse only), "quadrature" (the quadrature of the
-    judged-rank kernels at k = 1), or "auto".
+    in closed form for exponential lifetimes under exponential or no
+    censoring, otherwise by the quadrature of the judged-rank kernel at
+    k = 1.
     """
     _check_window(model, censoring, t)
-    if rank is None:
+    if _is_exponential(model, censoring):
         s = float(model.survival(t))
-        if censoring.kind == "none" and method == "closed":
-            return s * (1.0 - s)
-        if method in ("closed", "auto") and _is_exponential(model, censoring):
-            lam = 1.0 / model.scale_theta1
-            c = _censoring_rate(censoring)
-            return s**2 * lam * math.expm1((lam + c) * t) / (lam + c)
-        if method == "closed":
-            raise ParameterError("no closed form for this configuration")
-        rank, k = 1, 1
-    elif k is None:
-        raise ParameterError("k required for rank-specific laws")
-    if not 1 <= rank <= k:
-        raise ParameterError(f"rank r={rank} out of range 1..{k}")
-    return float(_judged_kernels(model, censoring, [t], k)[rank - 1, 0])
+        lam = 1.0 / model.scale_theta1
+        c = _censoring_rate(censoring)
+        return s**2 * lam * math.expm1((lam + c) * t) / (lam + c)
+    return float(_judged_kernels(model, censoring, [t], 1)[0, 0])
 
 
 def asymptotic_rss_km_variance(

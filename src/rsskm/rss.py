@@ -2,26 +2,20 @@
 
 A ``RankedSetSample`` holds (k, m) time and event arrays, built directly or
 from flat (rank, cycle, time, event) records by ``from_columns``.
-``rss_kaplan_meier`` fits it: the RSS Kaplan-Meier is the equal-weight
-average of the k within-rank product-limit curves, and its plug-in variance
-is the sum of the k rank Greenwood variances divided by k^2.  All k curves
-come from one call of the product-limit kernel on the (k, m) sample; the
-returned ``RssSurvivalEstimate`` reads both at any times.
+``rss_kaplan_meier`` fits all k within-rank product-limit curves with one
+call of the kernel on the (k, m) sample.  The RSS Kaplan-Meier is their
+equal-weight average, and its plug-in variance the sum of the k rank
+Greenwood variances divided by k^2: ``rss_mean`` is that rank average, for
+every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .survival import (
-    InvalidObservationError,
-    ProductLimit,
-    SortedSample,
-    StepSurvivalCurve,
-)
+from .survival import InvalidObservationError, ProductLimit, SortedSample
 
 
 class UnbalancedDesignError(ValueError):
@@ -97,51 +91,22 @@ class RankedSetSample:
         return cls(k, m, time[order].reshape(k, m), event[order].reshape(k, m) == 1)
 
 
-def rank_sum(values) -> np.ndarray:
-    """Sum over the leading rank axis as a running total in rank order;
+def rss_mean(values, power: int = 1) -> np.ndarray:
+    """Rank average of per-rank values with the rank axis at -2, as the
+    lookups of a (..., k, m) fit at 1-D times return them: their sum over
+    the k ranks divided by k**power, so power 1 averages curves and power 2
+    scales variances by 1/k^2.  The sum is a running total in rank order;
     ``np.sum`` would switch to pairwise summation for a single evaluation
     time and so make the last bits depend on the grid's shape."""
-    return np.cumsum(values, axis=0)[-1]
+    k = np.shape(values)[-2]
+    return np.cumsum(values, axis=-2)[..., -1, :] / k**power
 
 
-@dataclass(frozen=True)
-class RssSurvivalEstimate:
-    """Equal-weight RSS KM from the (k, m) product-limit fit of the ranks,
-    with its rank-average Greenwood plug-in, evaluated on the union of rank
-    event times."""
-
-    fit: ProductLimit
-    grid: np.ndarray
-
-    @property
-    def set_size_k(self) -> int:
-        return self.fit.times.shape[0]
-
-    @cached_property
-    def rank_curves(self) -> tuple[StepSurvivalCurve, ...]:
-        return tuple(self.fit.curve(r) for r in range(self.set_size_k))
-
-    @cached_property
-    def rss_survival(self) -> np.ndarray:
-        return self.survival_at(self.grid)
-
-    @cached_property
-    def rss_greenwood(self) -> np.ndarray:
-        return self.greenwood_at(self.grid)
-
-    def survival_at(self, t):
-        return rank_sum(self.fit.survival_at(t)) / self.set_size_k
-
-    def greenwood_at(self, t):
-        return rank_sum(self.fit.greenwood_at(t)) / self.set_size_k**2
-
-
-def rss_kaplan_meier(sample: RankedSetSample) -> RssSurvivalEstimate:
-    """Fit every rank's KM on its m observations in one kernel call and
-    average across ranks.
+def rss_kaplan_meier(sample: RankedSetSample) -> ProductLimit:
+    """Fit every rank's KM on its m observations in one kernel call; one
+    row per rank, averaged by ``rss_mean``.
 
     A rank without events contributes the constant-1 curve (which is what
     the product-limit formula yields with no jumps).
     """
-    fit = SortedSample(sample.times, sample.events).product_limit()
-    return RssSurvivalEstimate(fit, np.unique(fit.times[fit.deaths > 0]))
+    return SortedSample(sample.times, sample.events).product_limit()

@@ -1,4 +1,4 @@
-"""Seed-deterministic balanced RSS and SRS generation.
+"""Seed-deterministic balanced ranked set sample generation.
 
 Streams are addressed, not stateful: an ``RngStream`` is a (seed, stream_id,
 path) address into numpy's SeedSequence tree, so identical addresses always
@@ -8,7 +8,8 @@ so e.g. adding censoring never perturbs the lifetime draws.  Each model
 draws its own judged slots (``draw_slots``): judged Weibull ranking from
 candidate sets, AFT and perfect-ranking Weibull from the exact law of each
 slot.  One stream can yield a block of replicate samples
-(``draw_samples``); the single-sample draws are its first replicate.
+(``draw_samples``); a single-sample draw is its first replicate, and a
+simple random sample of n is the k = 1, m = n draw.
 """
 
 from __future__ import annotations
@@ -77,16 +78,3 @@ def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
 
     times, events = draw_samples(model, k, m, censoring, rng)
     return RankedSetSample(k, m, times[0], events[0])
-
-
-def draw_srs(model, n: int, censoring, rng: RngStream):
-    """Draw n iid censored observations as a k=1, m=n ranked set sample.
-
-    It is the k=1 case of ``draw_samples``, so a k=1 RSS draw with the same
-    stream is bit-identical.
-    """
-    from .rss import EmptyDesignError
-
-    if n < 1:
-        raise EmptyDesignError(f"empty design: n={n}")
-    return draw_balanced_rss(model, 1, n, censoring, rng)

@@ -12,9 +12,8 @@ largest such count of any row; shorter rows are padded with neutral entries
 ``SortedSample.product_limit`` then turns one weight vector into a
 ``ProductLimit`` holding R, dN and S-hat per death group; Greenwood, the
 cumulative hazard, its variance and the first exhausted and vanished risk
-sets are computed the first time they are read.
-``StepSurvivalCurve`` is the single-sample view of one row at its jumps, and
-``fit_curve_arrays`` fits one sample's raw arrays.
+sets are computed the first time they are read, and right-continuous
+lookups read any of them at given times.
 """
 
 from __future__ import annotations
@@ -35,84 +34,6 @@ class ParameterError(ValueError):
 
 class InvalidObservationError(ValueError):
     pass
-
-
-class _StepLookups:
-    """Right-continuous lookups at t of a step curve or a kernel fit: per
-    row of the ``(..., n)`` step times (sorted, padded with inf), the value
-    at the row's last time <= t, and ``before`` ahead of its first time (and
-    everywhere, when it has none)."""
-
-    def survival_at(self, t):
-        """S-hat at t; 1.0 before the first time."""
-        return self._at(self.survival, t, 1.0)
-
-    def greenwood_at(self, t):
-        return self._at(self.greenwood_var, t, 0.0)
-
-    def cum_hazard_at(self, t):
-        return self._at(self.cum_hazard, t, 0.0)
-
-    def hazard_var_at(self, t):
-        return self._at(self.hazard_var, t, 0.0)
-
-    @cached_property
-    def _position_cache(self) -> dict:
-        return {}
-
-    def _positions(self, t) -> np.ndarray:
-        """Per row, the number of step times <= t, as ``(rows, t.size)``.
-        The last query's positions are kept, so lookups of several values at
-        the same times search once.
-
-        One search serves all rows: each step time is bucketed by the number
-        of (sorted) query times below it, and a row's position at the j-th
-        smallest query is the count of its step times in buckets 0..j."""
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
-        cache = self._position_cache
-        if key not in cache:
-            times = self._step_times
-            rows = int(np.prod(times.shape[:-1], dtype=int))
-            order = np.argsort(t.ravel())
-            q = order.size
-            bucket = np.searchsorted(t.ravel()[order], times.reshape(rows, -1), side="left")
-            bucket += (np.arange(rows) * (q + 1))[:, None]
-            counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
-            positions = np.empty((rows, q), dtype=np.intp)
-            positions[:, order] = np.cumsum(counts[:, :q], axis=1)
-            cache.clear()
-            cache[key] = positions
-        return cache[key]
-
-    def _at(self, values: np.ndarray, t, before: float):
-        pos = self._positions(t)
-        rows = pos.shape[0]
-        padded = np.concatenate([np.full((rows, 1), before), values.reshape(rows, -1)], axis=1)
-        got = np.take_along_axis(padded, pos, axis=1)
-        return got.reshape(self._step_times.shape[:-1] + np.shape(t))[()]
-
-
-@dataclass(frozen=True)
-class StepSurvivalCurve(_StepLookups):
-    """Right-continuous step estimates of S and the cumulative hazard.
-
-    Values are stored at the distinct event times only (censoring times
-    enter through the risk sets, not the grid).  Before the first event the
-    curve is identically 1 with zero variance.  Once the whole risk set has
-    died (R == dN) survival is exactly 0 and the Greenwood variance is
-    reported as 0.
-    """
-
-    jump_times: np.ndarray
-    survival: np.ndarray
-    cum_hazard: np.ndarray
-    hazard_var: np.ndarray
-    greenwood_var: np.ndarray
-
-    @property
-    def _step_times(self) -> np.ndarray:
-        return self.jump_times
 
 
 class SortedSample:
@@ -203,17 +124,22 @@ class SortedSample:
 
 
 @dataclass(frozen=True)
-class ProductLimit(_StepLookups):
+class ProductLimit:
     """Estimates of every row of ``sample`` at each of its death groups,
     for one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN)
     are in the sample's ``(..., width)`` death-group layout (padding: time
-    inf, R = 1, dN = 0).  Lookups share the sample's positions of the lookup
-    times.  S-hat is computed with the fit; the with-ties Greenwood
-    variance (0 once the whole risk set died), the Nelson-Aalen hazard sum
-    dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's first time
-    its whole risk set died, dN >= R) and ``vanished_at`` (its first time
-    with a weighted risk set <= 0) on first read; both times are inf when it
-    never happens."""
+    inf, R = 1, dN = 0).  S-hat is computed with the fit; the with-ties
+    Greenwood variance (0 once the whole risk set died), the Nelson-Aalen
+    hazard sum dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's
+    first time its whole risk set died, dN >= R) and ``vanished_at`` (its
+    first time with a weighted risk set <= 0) on first read; both times are
+    inf when it never happens.
+
+    The ``*_at`` lookups are right-continuous: per row, the value at the
+    row's last death-group time <= t, and 1.0 (survival) or 0.0 (the
+    variances and the hazard) ahead of its first, and everywhere when it has
+    none.  Every fit of one sample shares the sample's positions of the
+    lookup times."""
 
     sample: SortedSample
     at_risk: np.ndarray
@@ -224,11 +150,50 @@ class ProductLimit(_StepLookups):
     def times(self) -> np.ndarray:
         return self.sample.group_times
 
-    _step_times = times
+    def survival_at(self, t):
+        """S-hat at t; 1.0 before the first time."""
+        return self._at(self.survival, t, 1.0)
 
-    @property
-    def _position_cache(self) -> dict:
-        return self.sample._position_cache
+    def greenwood_at(self, t):
+        return self._at(self.greenwood_var, t, 0.0)
+
+    def cum_hazard_at(self, t):
+        return self._at(self.cum_hazard, t, 0.0)
+
+    def hazard_var_at(self, t):
+        return self._at(self.hazard_var, t, 0.0)
+
+    def _positions(self, t) -> np.ndarray:
+        """Per row, the number of death-group times <= t, as
+        ``(rows, t.size)``.  The last query's positions are kept, so lookups
+        of several values at the same times search once.
+
+        One search serves all rows: each group time is bucketed by the number
+        of (sorted) query times below it, and a row's position at the j-th
+        smallest query is the count of its group times in buckets 0..j."""
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        cache = self.sample._position_cache
+        if key not in cache:
+            times = self.times
+            rows = int(np.prod(times.shape[:-1], dtype=int))
+            order = np.argsort(t.ravel())
+            q = order.size
+            bucket = np.searchsorted(t.ravel()[order], times.reshape(rows, -1), side="left")
+            bucket += (np.arange(rows) * (q + 1))[:, None]
+            counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
+            positions = np.empty((rows, q), dtype=np.intp)
+            positions[:, order] = np.cumsum(counts[:, :q], axis=1)
+            cache.clear()
+            cache[key] = positions
+        return cache[key]
+
+    def _at(self, values: np.ndarray, t, before: float):
+        pos = self._positions(t)
+        rows = pos.shape[0]
+        padded = np.concatenate([np.full((rows, 1), before), values.reshape(rows, -1)], axis=1)
+        got = np.take_along_axis(padded, pos, axis=1)
+        return got.reshape(self.times.shape[:-1] + np.shape(t))[()]
 
     @cached_property
     def _dead(self) -> np.ndarray:
@@ -259,39 +224,3 @@ class ProductLimit(_StepLookups):
     @cached_property
     def vanished_at(self) -> np.ndarray:
         return np.where(self.at_risk <= 0, self.times, np.inf).min(axis=-1, initial=np.inf)
-
-    def curve(self, row: int = 0) -> StepSurvivalCurve:
-        """One row of a 2-D fit as a step curve at its event times."""
-        jumps = self.deaths[row] > 0
-        return StepSurvivalCurve(
-            jump_times=self.times[row][jumps],
-            survival=self.survival[row][jumps],
-            cum_hazard=self.cum_hazard[row][jumps],
-            hazard_var=self.hazard_var[row][jumps],
-            greenwood_var=self.greenwood_var[row][jumps],
-        )
-
-
-def fit_curve_arrays(times, events) -> StepSurvivalCurve:
-    """Product-limit estimate of one sample's raw arrays, with the with-ties
-    Greenwood variance.
-
-    S-hat(t) = prod_{u <= t} (1 - dN(u)/R(u)) over distinct event times u,
-    Greenwood(t) = S-hat(t)^2 * sum_{u <= t} dN / (R (R - dN)).  The curve
-    also carries the Nelson-Aalen hazard sum dN/R and its variance sum dN/R^2.
-    """
-    sample = SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1)))
-    return sample.product_limit().curve()
-
-
-def curve_to_rows(curve: StepSurvivalCurve):
-    """Rows in the CSV curve schema (time, survival, greenwood_var,
-    cum_hazard, hazard_var)."""
-    for i, t in enumerate(curve.jump_times):
-        yield (
-            float(t),
-            float(curve.survival[i]),
-            float(curve.greenwood_var[i]),
-            float(curve.cum_hazard[i]),
-            float(curve.hazard_var[i]),
-        )

@@ -22,16 +22,16 @@ from rsskm import (
     asymptotic_rss_km_variance,
     censoring_for_fraction,
     draw_balanced_rss,
-    draw_srs,
     multiplier_bootstrap,
     order_statistic_survival,
     parse_config,
     prepare_model,
     rss_kaplan_meier,
+    rss_mean,
     run_cell,
     run_grid,
 )
-from rsskm.survival import SortedSample, fit_curve_arrays
+from rsskm.survival import SortedSample
 from test_models import mixing_matrix
 
 B_MC = 10_000
@@ -133,8 +133,8 @@ def test_criterion_5_analytic_kernel_cross_check():
         law = censoring_for_fraction(EXP, p_cens)
         for level in (0.75, 0.5, 0.25):
             t = EXP.quantile(level)
-            closed = asymptotic_km_variance(EXP, law, t, method="closed")
-            quad = asymptotic_km_variance(EXP, law, t, method="quadrature")
+            closed = asymptotic_km_variance(EXP, law, t)
+            quad = asymptotic_rss_km_variance(EXP, law, t, 1)
             worst_rel = max(worst_rel, abs(quad / closed - 1.0))
             v_perf = asymptotic_rss_km_variance(EXP, law, t, k)
             v_judg = asymptotic_rss_km_variance(judged, law, t, k)
@@ -165,28 +165,30 @@ def test_criterion_6_exact_identities():
     # (b,c) no censoring: KM = empirical survival, Greenwood = S(1-S)/n
     gen = np.random.default_rng(SEED)
     times = gen.exponential(1.0, 64)
-    curve = fit_curve_arrays(times, np.ones(64, dtype=bool))
+    fit = SortedSample(times[None], np.ones((1, 64), dtype=bool)).product_limit()
     b_err = max(
-        abs(float(curve.survival_at(t)) - float(np.mean(times > t)))
+        abs(float(fit.survival_at(t)[0]) - float(np.mean(times > t)))
         for t in times
     )
     c_err = max(
-        abs(curve.greenwood_var[i] - s * (1 - s) / 64)
-        for i, s in enumerate(curve.survival)
+        abs(fit.greenwood_var[0, i] - s * (1 - s) / 64)
+        for i, s in enumerate(fit.survival[0])
     )
     b_ok, c_ok = b_err <= 1e-12, c_err <= 1e-14
     details.append(f"(b) KM=empirical err {b_err:.1e}, (c) Greenwood err {c_err:.1e}")
 
-    # (d) k=1 RSS equals SRS bitwise
+    # (d) k=1 RSS equals SRS bitwise: the rank average of one rank is the
+    # SRS KM and its Greenwood, as the harness reads them
     law = censoring_for_fraction(EXP, 0.2)
     rng = RngStream(SEED, 30)
     rss = draw_balanced_rss(EXP, 1, 40, law, rng)
-    srs = draw_srs(EXP, 40, law, rng)
-    e1, e2 = rss_kaplan_meier(rss), rss_kaplan_meier(srs)
+    srs = draw_balanced_rss(EXP, 1, 40, law, rng)
+    e1, e2 = rss_kaplan_meier(rss), SortedSample(srs.times, srs.events).product_limit()
+    grid = np.unique(e1.times)
     d_ok = (
         np.array_equal(rss.times, srs.times)
-        and np.array_equal(e1.rss_survival, e2.rss_survival)
-        and np.array_equal(e1.rss_greenwood, e2.rss_greenwood)
+        and np.array_equal(rss_mean(e1.survival_at(grid)), e2.survival_at(grid)[0])
+        and np.array_equal(rss_mean(e1.greenwood_at(grid), 2), e2.greenwood_at(grid)[0])
     )
     details.append(f"(d) k=1 collapse {'bitwise' if d_ok else 'MISMATCH'}")
 
@@ -237,11 +239,11 @@ def test_criterion_8_bootstrap_sanity():
     boot_vars, gw_vars = [], []
     for seed_idx in range(20):
         sample = draw_balanced_rss(EXP, 4, 50, law, RngStream(SEED, 50, (seed_idx,)))
-        est = rss_kaplan_meier(sample)
+        fit = rss_kaplan_meier(sample)
         boot = multiplier_bootstrap(
             sample, t, 600, rng=RngStream(SEED, 51, (seed_idx,)))
         boot_vars.append(float(boot.variance[0]))
-        gw_vars.append(float(est.greenwood_at(float(t[0]))))
+        gw_vars.append(float(rss_mean(fit.greenwood_at(t), 2)[0]))
     ratio = np.mean(boot_vars) / np.mean(gw_vars)
 
     sample = draw_balanced_rss(EXP, 4, 50, law, RngStream(SEED, 52))

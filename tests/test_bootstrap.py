@@ -13,11 +13,11 @@ from rsskm import (
     WeibullModel,
     censoring_for_fraction,
     draw_balanced_rss,
-    draw_srs,
     multiplier_bootstrap,
     rss_kaplan_meier,
+    rss_mean,
 )
-from rsskm.survival import SortedSample, fit_curve_arrays
+from rsskm.survival import SortedSample
 
 EXP = WeibullModel()
 
@@ -93,9 +93,9 @@ class TestWeightedKm:
         times = rng.exponential(1.0, 40)
         events = rng.random(40) < 0.7
         grid = np.sort(times)
-        curve = fit_curve_arrays(times, events)
+        fit = SortedSample(times[None], events[None]).product_limit()
         values, degenerate = weighted_km_at(times, events, np.ones(40), grid)
-        np.testing.assert_allclose(values, curve.survival_at(grid), atol=1e-12)
+        np.testing.assert_allclose(values, fit.survival_at(grid)[0], atol=1e-12)
         assert not degenerate
 
     def test_handles_ties(self):
@@ -137,10 +137,10 @@ class TestMultiplierBootstrap:
     def test_point_estimate_matches_rss_km(self, sample):
         grid = np.array([0.3, 0.8, 1.5])
         result = multiplier_bootstrap(sample, grid, 10, rng=RngStream(1))
-        est = rss_kaplan_meier(sample)
+        fit = rss_kaplan_meier(sample)
         np.testing.assert_allclose(
-            result.point_estimate, est.survival_at(grid), atol=1e-12)
-        np.testing.assert_array_equal(result.greenwood_var, est.greenwood_at(grid))
+            result.point_estimate, rss_mean(fit.survival_at(grid)), atol=1e-12)
+        np.testing.assert_array_equal(result.greenwood_var, rss_mean(fit.greenwood_at(grid), 2))
 
     def test_deterministic_given_stream(self, sample):
         grid = np.array([0.7])
@@ -159,10 +159,10 @@ class TestMultiplierBootstrap:
         t = np.array([EXP.quantile(0.5)])
         ratios = []
         for seed in range(5):
-            sample = draw_srs(EXP, 200, law, RngStream(seed, 1))
-            est = rss_kaplan_meier(sample)
+            sample = draw_balanced_rss(EXP, 1, 200, law, RngStream(seed, 1))
+            fit = rss_kaplan_meier(sample)
             boot = multiplier_bootstrap(sample, t, 800, rng=RngStream(seed, 2))
-            ratios.append(float(boot.variance[0] / est.greenwood_at(t[0])))
+            ratios.append(float(boot.variance[0] / rss_mean(fit.greenwood_at(t), 2)[0]))
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.15)
 
     def test_parameter_validation(self, sample):

@@ -20,7 +20,6 @@ from rsskm import (
     censoring_for_fraction,
     dell_clutter_sigma,
     draw_balanced_rss,
-    draw_srs,
     eval_times_from_levels,
     parse_config,
     prepare_model,
@@ -29,9 +28,9 @@ from rsskm import (
 )
 from rsskm import cli, harness
 from rsskm.cli import main
-from rsskm.rss import rank_sum
+from rsskm.rss import rss_mean
 from rsskm.sampling import draw_samples
-from rsskm.survival import SortedSample, fit_curve_arrays
+from rsskm.survival import SortedSample
 
 EXP = WeibullModel()
 
@@ -150,14 +149,13 @@ def reference_batch(design, n_reps, times, samples):
     """``_simulate_batch`` outputs from one kernel call per sample, for
     ``samples`` yielding (replicate, RSS, SRS) with each sample a
     (times, events) pair."""
-    k = design.k
     out = np.zeros((4, n_reps, len(times)))
     n_degenerate = np.zeros(len(times), dtype=int)
     for i, rss, srs in samples:
         rss_fit = SortedSample(*rss).product_limit()
         srs_fit = SortedSample(*srs).product_limit()
-        out[:, i] = (rank_sum(rss_fit.survival_at(times)) / k,
-                     rank_sum(rss_fit.greenwood_at(times)) / k**2,
+        out[:, i] = (rss_mean(rss_fit.survival_at(times)),
+                     rss_mean(rss_fit.greenwood_at(times), 2),
                      srs_fit.survival_at(times)[0], srs_fit.greenwood_at(times)[0])
         exhausted = min(rss_fit.exhausted_at.min(), srs_fit.exhausted_at.min())
         n_degenerate += exhausted <= np.asarray(times)
@@ -184,7 +182,7 @@ class TestSimulateBatch:
         def per_replicate():
             for i in range(n_reps):
                 rss = draw_balanced_rss(design.model, 3, 5, censoring, rng.child(i, 0))
-                srs = draw_srs(design.model, 15, censoring, rng.child(i, 1))
+                srs = draw_balanced_rss(design.model, 1, 15, censoring, rng.child(i, 1))
                 yield i, (rss.times, rss.events), (srs.times, srs.events)
 
         got = harness._simulate_batch(design, n_reps, rng, times)
@@ -278,10 +276,10 @@ class TestRunCell:
         total = 0
         chunk = harness._BUDGET // (3 * 2 * 2)
         for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0), chunk):
-            curves = [fit_curve_arrays(t, e) for t, e in zip(*rss)]
-            curves.append(fit_curve_arrays(srs[0][0], srs[1][0]))
+            curves = [SortedSample(t[None], e[None]).product_limit() for t, e in zip(*rss)]
+            curves.append(SortedSample(*srs).product_limit())
             # unweighted S-hat is 0 exactly where the whole risk set died
-            total += sum(any(c.survival_at(rec.t) == 0 for c in curves)
+            total += sum(any(c.survival_at(rec.t)[0] == 0 for c in curves)
                          for rec in records)
         assert total > 0 and sum(counts) == total
 
@@ -412,6 +410,36 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: kernels:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--k", "--rho", "--p-cens", "--levels"])
+    def test_kernels_empty_list_is_reported(self, tmp_path, capsys, flag):
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--out", str(out), flag, ""]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: kernels: {flag} lists no values"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, quantity", [
+        ("kernels", "--nu 0.001 --levels 0.1", "quantile at survival level 0.1"),
+        ("kernels", "--nu 0.01 --rho 0.5 --levels 0.5", "Weibull lifetime variance"),
+        ("simulate", "beta = 600\nlevels = 0.01\n", "exp(s^2) in the AFT ranking-correlation"),
+        ("simulate", "beta = 40\np_cens = 0.3\n", "exp(s^2) in the AFT ranking-correlation"),
+        ("simulate", "mu = 800\nlevels = 0.75\n", "quantile at survival level 0.75"),
+        ("simulate", "mu = 700\nbeta = 10\nsigma_eps = 0\np_cens = 0.3\nlevels = 0.75\n",
+         "AFT mean lifetime"),
+    ], ids=["weibull-quantile", "weibull-variance", "aft-ceiling-600", "aft-ceiling-40",
+            "aft-quantile", "aft-mean-lifetime"])
+    def test_overflowing_model_is_reported(self, tmp_path, capsys, command, text, quantity):
+        out = tmp_path / "out.csv"
+        if command == "kernels":
+            argv = ["kernels", *text.split()]
+        else:
+            base = "model = aft\nk = 2\nm = 5\nrho = 0.5\np_cens = 0\nb_mc = 5\n"
+            argv = ["simulate", "--config", write_config(tmp_path, base + text)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {command}: {quantity}")
+        assert "overflows" in err[0] and not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_simulate_jobs_below_one_is_reported_before_any_work(
             self, tmp_path, capsys, monkeypatch, jobs):
@@ -520,6 +548,33 @@ class TestCli:
         rss_rows = [r for r in rows if r["rank"] == "rss"]
         surv = [float(r["survival"]) for r in rss_rows]
         assert all(a >= b - 1e-12 for a, b in zip(surv, surv[1:]))
+
+    def test_estimate_output_bytes(self, tmp_path):
+        # 3 ranks x 4 cycles: a death tied with a censoring (rank 1 at 2),
+        # two tied deaths (rank 2 at 1.5), a rank ending in a death (S = 0,
+        # Greenwood 0) and times shared across ranks
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "cycle,rank,time,event\n1,1,1.0,1\n1,2,0.5,0\n1,3,1.0,1\n2,1,2.0,1\n"
+            "2,2,1.5,1\n2,3,2.0,0\n3,1,2.0,0\n3,2,1.5,1\n3,3,2.5,1\n4,1,3.5,1\n"
+            "4,2,4.0,0\n4,3,2.5,0\n")
+        out = tmp_path / "curve.csv"
+        assert main(["estimate", "--input", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes().decode().split("\r\n") == [
+            "rank,time,survival,greenwood_var,cum_hazard,hazard_var",
+            "1,1,0.75,0.046875,0.25,0.0625",
+            "1,2,0.5,0.0625,0.583333,0.173611",
+            "1,3.5,0,0,1.58333,1.17361",
+            "2,1.5,0.333333,0.0740741,0.666667,0.222222",
+            "3,1,0.75,0.046875,0.25,0.0625",
+            "3,2.5,0.375,0.0820312,0.75,0.3125",
+            "rss,1,0.833333,0.0104167,0.166667,0.0138889",
+            "rss,1.5,0.611111,0.0186471,0.388889,0.0385802",
+            "rss,2,0.527778,0.0203832,0.5,0.0509259",
+            "rss,2.5,0.402778,0.0242895,0.666667,0.0787037",
+            "rss,3.5,0.236111,0.017345,1,0.189815",
+            "",
+        ]
 
     def test_estimate_unbalanced_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ exponential closed form and independent quadrature.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from rsskm import (
 )
 from rsskm.models import (
     _W_EDGES,
+    _judged_kernels,
     _normal_isf,
     _normal_pdf,
     _panel_nodes,
@@ -67,6 +69,24 @@ class TestLifetimeLaws:
         assert EXP.survival(1.0) == pytest.approx(math.exp(-1))
         assert EXP.mean_lifetime == pytest.approx(1.0)
         assert EXP.lifetime_variance == pytest.approx(1.0)
+
+    def test_far_tail_survival_is_zero_without_warnings(self):
+        # (t/theta)^nu overflows to inf at t = 1e300, nu = 1.5; exp(-inf) = 0
+        law = CensoringLaw("weibull-scale", 2.0, shape=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert WeibullModel(1.5).survival(1e300) == 0.0
+            assert law.survival(1e300) == 0.0
+            np.testing.assert_array_equal(WeibullModel(1.5).survival([1.0, 1e300])[1:], 0.0)
+
+    @pytest.mark.parametrize("model, level, quantity", [
+        (WeibullModel(0.001), 0.1, "quantile"),
+        (AftModel(mu=800.0), 0.75, "quantile"),
+        (AftModel(beta=600.0), 0.5, "ceiling"),
+    ], ids=["weibull-quantile", "aft-quantile", "aft-ceiling"])
+    def test_overflow_is_a_parameter_error(self, model, level, quantity):
+        with pytest.raises(ParameterError, match=f"{quantity}.* overflows"):
+            model.quantile(level) if quantity == "quantile" else aft_rho_ceiling(model)
 
     def test_level_bounds_rejected(self):
         with pytest.raises(ParameterError):
@@ -358,7 +378,7 @@ class TestJudgedRankLaw:
         for level in (0.75, 0.5, 0.1):
             t = model.quantile(level)
             for r in range(1, k + 1):
-                got = asymptotic_km_variance(model, law, t, rank=r, k=k)
+                got = _judged_kernels(model, law, [t], k)[r - 1, 0]
                 want = order_statistic_kernel(model, law, t, k, r)
                 assert got == pytest.approx(want, rel=1e-8)
 
@@ -371,7 +391,7 @@ class TestJudgedRankLaw:
             t = model.quantile(level)
             want = asymptotic_km_variance(model, law, t)
             for r in range(1, 7):
-                got = asymptotic_km_variance(model, law, t, rank=r, k=6)
+                got = _judged_kernels(model, law, [t], 6)[r - 1, 0]
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_noise_orders_the_kernels(self):
@@ -407,8 +427,6 @@ class TestJudgedRankLaw:
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError, match="k must be >= 1"):
             asymptotic_rss_km_variance(EXP, CensoringLaw("none"), 1.0, 0)
-        with pytest.raises(ParameterError, match="out of range"):
-            asymptotic_km_variance(EXP, CensoringLaw("none"), 1.0, rank=3, k=2)
 
     def test_uncalibrated_aft_rejected(self):
         with pytest.raises(ParameterError, match="uncalibrated"):
@@ -420,9 +438,9 @@ class TestAsymptoticKernels:
         # V(t) = S(1-S) when K == 1
         t = EXP.quantile(0.5)
         none = CensoringLaw("none")
-        closed = asymptotic_km_variance(EXP, none, t, method="closed")
+        closed = asymptotic_km_variance(EXP, none, t)
         assert closed == pytest.approx(0.25, abs=1e-12)
-        quad = asymptotic_km_variance(EXP, none, t, method="quadrature")
+        quad = asymptotic_rss_km_variance(EXP, none, t, 1)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("p_cens", [0.1, 0.3, 0.5])
@@ -430,8 +448,8 @@ class TestAsymptoticKernels:
     def test_exponential_closed_form_matches_quadrature(self, p_cens, level):
         law = censoring_for_fraction(EXP, p_cens)
         t = EXP.quantile(level)
-        closed = asymptotic_km_variance(EXP, law, t, method="closed")
-        quad = asymptotic_km_variance(EXP, law, t, method="quadrature")
+        closed = asymptotic_km_variance(EXP, law, t)
+        quad = asymptotic_rss_km_variance(EXP, law, t, 1)
         # closed form: S^2 * lam*(e^{(lam+c)t} - 1)/(lam+c)
         lam, c = 1.0, 1.0 / law.parameter
         want = level**2 * lam * math.expm1((lam + c) * t) / (lam + c)
@@ -442,14 +460,14 @@ class TestAsymptoticKernels:
         # per-rank, no censoring: V_r(t) = S_r(t)(1 - S_r(t))
         none = CensoringLaw("none")
         s2 = order_statistic_survival(EXP.survival, 2, 2, 1.0)
-        got = asymptotic_km_variance(EXP, none, 1.0, rank=2, k=2)
+        got = _judged_kernels(EXP, none, [1.0], 2)[1, 0]
         assert got == pytest.approx(s2 * (1 - s2), rel=1e-8)
 
     def test_rss_kernel_averages_ranks(self):
         law = censoring_for_fraction(EXP, 0.1)
         t = EXP.quantile(0.5)
         per_rank = [
-            asymptotic_km_variance(EXP, law, t, rank=r, k=3) for r in (1, 2, 3)
+            _judged_kernels(EXP, law, [t], 3)[r - 1, 0] for r in (1, 2, 3)
         ]
         got = asymptotic_rss_km_variance(EXP, law, t, 3)
         assert got == pytest.approx(np.mean(per_rank), rel=1e-12)
@@ -465,10 +483,6 @@ class TestAsymptoticKernels:
         heavy = censoring_for_fraction(EXP, 0.5)
         with pytest.raises(InferenceWindowError):
             asymptotic_km_variance(EXP, heavy, 1e6)
-
-    def test_rank_without_k_rejected(self):
-        with pytest.raises(ParameterError):
-            asymptotic_km_variance(EXP, CensoringLaw("none"), 1.0, rank=2)
 
 
 @given(st.floats(min_value=0.05, max_value=0.95),

@@ -10,8 +10,9 @@ from rsskm import (
     RankedSetSample,
     UnbalancedDesignError,
     rss_kaplan_meier,
+    rss_mean,
 )
-from rsskm.survival import fit_curve_arrays
+from rsskm.survival import SortedSample
 
 
 def sample_from(rows):
@@ -25,63 +26,84 @@ def sample_from(rows):
 
 
 def km(rows):
-    """KM curve of the (time, event) heads of ``rows``."""
-    return fit_curve_arrays([row[0] for row in rows], [row[1] for row in rows])
+    """One-row KM fit of the (time, event) heads of ``rows``."""
+    return SortedSample([[row[0] for row in rows]], [[row[1] for row in rows]]).product_limit()
+
+
+def grid_of(fit):
+    """The union of the ranks' event times."""
+    return np.unique(fit.times[fit.deaths > 0])
+
+
+def survival_at(fit, t):
+    """The RSS KM at times t: the rank average of the rank curves."""
+    return rss_mean(fit.survival_at(t))
+
+
+def greenwood_at(fit, t):
+    """The RSS Greenwood plug-in at times t: the rank Greenwood sum over k^2."""
+    return rss_mean(fit.greenwood_at(t), 2)
 
 
 class TestRssKaplanMeier:
     def test_single_rank_collapses_to_km(self):
         rows = [(1.0, True, 1), (2.0, False, 1), (3.0, True, 1)]
-        est = rss_kaplan_meier(sample_from(rows))
+        fit = rss_kaplan_meier(sample_from(rows))
         curve = km(rows)
-        assert est.grid.tolist() == curve.jump_times.tolist()
-        np.testing.assert_array_equal(est.rss_survival, curve.survival)
-        np.testing.assert_array_equal(est.rss_greenwood, curve.greenwood_var)
+        grid = grid_of(fit)
+        assert grid.tolist() == curve.times[0].tolist()
+        np.testing.assert_array_equal(survival_at(fit, grid), curve.survival[0])
+        np.testing.assert_array_equal(greenwood_at(fit, grid), curve.greenwood_var[0])
 
     def test_two_one_point_ranks_average(self):
         # rank curves are 1->0 steps at t=1 and t=2; average: 1, 0.5, 0
-        est = rss_kaplan_meier(sample_from([(1.0, True, 1), (2.0, True, 2)]))
-        assert float(est.survival_at(0.5)) == 1.0
-        assert float(est.survival_at(1.0)) == 0.5
-        assert float(est.survival_at(2.0)) == 0.0
+        fit = rss_kaplan_meier(sample_from([(1.0, True, 1), (2.0, True, 2)]))
+        assert float(survival_at(fit, [0.5])[0]) == 1.0
+        assert float(survival_at(fit, [1.0])[0]) == 0.5
+        assert float(survival_at(fit, [2.0])[0]) == 0.0
 
     def test_identical_ranks_equal_single_rank_curve(self):
         rows = [(1.0, True), (2.0, False), (3.0, True)]
         rss = sample_from([(t, e, r) for r in (1, 2, 3) for t, e in rows])
-        est = rss_kaplan_meier(rss)
-        np.testing.assert_allclose(est.rss_survival, km(rows).survival, atol=1e-15)
+        fit = rss_kaplan_meier(rss)
+        np.testing.assert_allclose(survival_at(fit, grid_of(fit)), km(rows).survival[0],
+                                   atol=1e-15)
 
     def test_zero_event_rank_contributes_constant_one(self):
-        est = rss_kaplan_meier(
+        fit = rss_kaplan_meier(
             sample_from([(1.0, True, 1), (5.0, False, 2)]))
         # rank 2 stays at 1; average after t=1 is (0 + 1)/2
-        assert float(est.survival_at(1.0)) == 0.5
+        assert float(survival_at(fit, [1.0])[0]) == 0.5
 
     def test_average_decomposition_on_grid(self):
         rng = np.random.default_rng(3)
         rows = [(float(t), bool(e), r)
                 for r in (1, 2)
                 for t, e in zip(rng.exponential(1, 8), rng.random(8) < 0.7)]
-        est = rss_kaplan_meier(sample_from(rows))
-        k = est.set_size_k
-        for i, t in enumerate(est.grid):
-            avg = sum(float(c.survival_at(t)) for c in est.rank_curves) / k
-            assert est.rss_survival[i] == pytest.approx(avg, abs=1e-15)
+        fit = rss_kaplan_meier(sample_from(rows))
+        k = fit.times.shape[0]
+        grid = grid_of(fit)
+        rss_survival = survival_at(fit, grid)
+        for i, t in enumerate(grid):
+            # each rank's own one-row fit
+            avg = sum(float(km([row[:2] for row in rows if row[2] == r]).survival_at(t)[0])
+                      for r in (1, 2)) / k
+            assert rss_survival[i] == pytest.approx(avg, abs=1e-15)
 
 
 class TestRssGreenwood:
     def test_hand_computed_quarter_scaling(self):
         # rank 1 Greenwood at t=1 is 2/27 (3-obs example); rank 2 has no
         # events; (1/k^2) * (2/27 + 0) = 1/54
-        est = rss_kaplan_meier(sample_from([
+        fit = rss_kaplan_meier(sample_from([
             (1.0, True, 1), (2.0, False, 1), (3.0, True, 1),
             (1.0, False, 2), (2.0, False, 2), (3.0, False, 2),
         ]))
-        assert float(est.greenwood_at(1.0)) == pytest.approx(1 / 54, abs=1e-15)
+        assert float(greenwood_at(fit, [1.0])[0]) == pytest.approx(1 / 54, abs=1e-15)
 
     def test_degenerate_tails_give_zero(self):
-        est = rss_kaplan_meier(sample_from([(1.0, True, 1), (2.0, True, 2)]))
-        assert float(est.greenwood_at(3.0)) == 0.0
+        fit = rss_kaplan_meier(sample_from([(1.0, True, 1), (2.0, True, 2)]))
+        assert float(greenwood_at(fit, [3.0])[0]) == 0.0
 
 
 class TestDesignValidation:
@@ -114,6 +136,7 @@ def test_cycle_permutation_invariance(perm):
     base = rss_kaplan_meier(RankedSetSample(2, 5, times, events))
     shuffled = rss_kaplan_meier(
         RankedSetSample(2, 5, times[:, perm], events[:, perm]))
-    np.testing.assert_array_equal(shuffled.grid, base.grid)
-    np.testing.assert_allclose(shuffled.rss_survival, base.rss_survival,
+    grid = grid_of(base)
+    np.testing.assert_array_equal(grid_of(shuffled), grid)
+    np.testing.assert_allclose(survival_at(shuffled, grid), survival_at(base, grid),
                                atol=1e-15)

@@ -15,7 +15,6 @@ from rsskm import (
     WeibullModel,
     censoring_for_fraction,
     draw_balanced_rss,
-    draw_srs,
     order_statistic_survival,
     prepare_model,
 )
@@ -151,25 +150,28 @@ class TestDrawBalancedRss:
         with pytest.raises(EmptyDesignError):
             draw_balanced_rss(EXP, 0, 5, NONE, RngStream(0))
         with pytest.raises(EmptyDesignError):
-            draw_srs(EXP, 0, NONE, RngStream(0))
+            draw_balanced_rss(EXP, 1, 0, NONE, RngStream(0))
 
 
 class TestDrawSrs:
+    """A simple random sample of n is the k = 1, m = n draw."""
+
     def test_k1_rss_is_bit_identical_to_srs(self):
+        # the harness draws its SRS blocks with draw_samples at k = 1
         rng = RngStream(123)
         law = censoring_for_fraction(EXP, 0.2)
         rss = draw_balanced_rss(EXP, 1, 50, law, rng)
-        srs = draw_srs(EXP, 50, law, rng)
-        np.testing.assert_array_equal(rss.times, srs.times)
-        np.testing.assert_array_equal(rss.events, srs.events)
+        times, events = draw_samples(EXP, 1, 50, law, rng, reps=3)
+        np.testing.assert_array_equal(rss.times, times[0])
+        np.testing.assert_array_equal(rss.events, events[0])
 
     def test_srs_shape(self):
-        s = draw_srs(EXP, 30, NONE, RngStream(5))
+        s = draw_balanced_rss(EXP, 1, 30, NONE, RngStream(5))
         assert (s.set_size_k, s.cycles_m) == (1, 30)
 
     def test_censored_fraction_close_to_target(self):
         law = censoring_for_fraction(EXP, 0.3)
-        s = draw_srs(EXP, 200_000, law, RngStream(6))
+        s = draw_balanced_rss(EXP, 1, 200_000, law, RngStream(6))
         assert np.mean(~s.events) == pytest.approx(0.3, abs=0.005)
 
 
@@ -184,13 +186,13 @@ class TestDrawSamples:
                                     [0.596425012305403, 0.8630374471149055],
                                     [1.699150832914767, 0.2705645936375134]]
         assert s.events.tolist() == [[True, True], [True, False], [True, True]]
-        s = draw_srs(model, 4, law, RngStream(7, 1))
+        s = draw_balanced_rss(model, 1, 4, law, RngStream(7, 1))
         assert s.times.tolist() == [[1.1923461757254046, 0.8256160869492497,
                                      0.8515744550312803, 0.199166502532115]]
         assert s.events.tolist() == [[True, False, True, True]]
         aft = prepare_model(AftModel(), 0.5)
         law = censoring_for_fraction(aft, 0.3)
-        s = draw_srs(aft, 4, law, RngStream(3).child(0, 5))
+        s = draw_balanced_rss(aft, 1, 4, law, RngStream(3).child(0, 5))
         assert s.times.tolist() == [[0.19790552125355912, 27.599903177951767,
                                      1.2276247061338494, 0.026673988437905964]]
         assert s.events.tolist() == [[True, False, True, True]]
@@ -254,7 +256,7 @@ class TestAftSlotLaw:
         s = draw_balanced_rss(model, k, m, NONE, RngStream(10))
         # no proxies drawn: every slot is a plain population draw
         np.testing.assert_array_equal(
-            s.times.T, draw_srs(model, k * m, NONE, RngStream(10)).times.reshape(m, k))
+            s.times.T, draw_balanced_rss(model, 1, k * m, NONE, RngStream(10)).times.reshape(m, k))
         want = np.array(LEVELS)
         se = np.sqrt(want * (1 - want) / m)
         got = rank_wise_survival(s.times, [model.quantile(level) for level in LEVELS])

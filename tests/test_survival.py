@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsskm import EmptySampleError, InvalidObservationError
-from rsskm.survival import SortedSample, curve_to_rows, fit_curve_arrays
+from rsskm.survival import SortedSample
+
+
+def fit_row(times, events):
+    """One-row product-limit fit of a sample's raw arrays; its ``times`` are
+    exactly the sample's event times (one row has no padding)."""
+    return SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1))).product_limit()
 
 
 def km(pairs):
-    """KM curve of (time, event) pairs."""
+    """One-row fit of (time, event) pairs."""
     times, events = zip(*pairs)
-    return fit_curve_arrays(np.array(times), np.array(events))
+    return fit_row(times, events)
 
 
 # sample of 3: death at 1, censored at 2, death at 3
@@ -26,44 +32,42 @@ THREE = [(1.0, True), (2.0, False), (3.0, True)]
 class TestKaplanMeier:
     def test_hand_computed_survival(self):
         # S(1) = 1 - 1/3 = 2/3; S(3) = (2/3)(1 - 1/1) = 0
-        curve = km(THREE)
-        assert curve.jump_times.tolist() == [1.0, 3.0]
-        assert curve.survival[0] == pytest.approx(2 / 3, abs=1e-15)
-        assert curve.survival[1] == 0.0
+        fit = km(THREE)
+        assert fit.times[0].tolist() == [1.0, 3.0]
+        assert fit.survival[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+        assert fit.survival[0, 1] == 0.0
 
     def test_hand_computed_greenwood(self):
         # Greenwood(1) = (2/3)^2 * 1/(3*2) = 2/27
-        curve = km(THREE)
-        assert curve.greenwood_var[0] == pytest.approx(2 / 27, abs=1e-15)
+        fit = km(THREE)
+        assert fit.greenwood_var[0, 0] == pytest.approx(2 / 27, abs=1e-15)
 
     def test_degenerate_tail_flagged_with_zero_variance(self):
         # at t=3 the whole risk set dies: S-hat = 0 exactly, variance 0
-        times, events = zip(*THREE)
-        fit = SortedSample(np.array([times]), np.array([events])).product_limit()
+        fit = km(THREE)
         assert fit.exhausted_at[0] == 3.0
-        curve = fit.curve()
-        assert curve.greenwood_var[1] == 0.0
-        assert curve.survival_at(3.0) == 0.0
+        assert fit.greenwood_var[0, 1] == 0.0
+        assert fit.survival_at(3.0)[0] == 0.0
 
     def test_ties_deaths_processed_before_censorings(self):
         # death and censoring tied at 2: both still at risk at u=2
-        curve = km([(1.0, True), (2.0, True), (2.0, False)])
-        assert curve.survival_at(2.0) == pytest.approx((2 / 3) * (1 / 2), abs=1e-15)
+        fit = km([(1.0, True), (2.0, True), (2.0, False)])
+        assert fit.survival_at(2.0)[0] == pytest.approx((2 / 3) * (1 / 2), abs=1e-15)
 
     def test_tied_deaths_single_jump(self):
-        curve = km([(1.0, True), (1.0, True), (2.0, False)])
-        assert curve.jump_times.tolist() == [1.0]
-        assert curve.survival[0] == pytest.approx(1 / 3, abs=1e-15)
+        fit = km([(1.0, True), (1.0, True), (2.0, False)])
+        assert fit.times[0].tolist() == [1.0]
+        assert fit.survival[0, 0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_all_censored_is_constant_one(self):
-        curve = km([(1.0, False), (2.0, False)])
-        assert curve.jump_times.size == 0
-        assert curve.survival_at(5.0) == 1.0
-        assert curve.greenwood_at(5.0) == 0.0
+        fit = km([(1.0, False), (2.0, False)])
+        assert fit.times[0].size == 0
+        assert fit.survival_at(5.0)[0] == 1.0
+        assert fit.greenwood_at(5.0)[0] == 0.0
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySampleError):
-            fit_curve_arrays(np.empty(0), np.empty(0, dtype=bool))
+            fit_row(np.empty(0), np.empty(0, dtype=bool))
 
     def test_invalid_times_raise(self):
         with pytest.raises(InvalidObservationError):
@@ -71,36 +75,36 @@ class TestKaplanMeier:
         with pytest.raises(InvalidObservationError):
             km([(np.inf, False)])
         with pytest.raises(InvalidObservationError):
-            fit_curve_arrays(np.array([1.0, -2.0]), np.array([True, True]))
+            fit_row(np.array([1.0, -2.0]), np.array([True, True]))
 
 
 class TestNelsonAalen:
     def test_hand_computed_hazard(self):
         # Lambda(3) = 1/3 + 1/1 = 4/3; var = 1/9 + 1/1 = 10/9
-        curve = km(THREE)
-        assert curve.cum_hazard_at(3.0) == pytest.approx(4 / 3, abs=1e-15)
-        assert curve.hazard_var_at(3.0) == pytest.approx(10 / 9, abs=1e-15)
+        fit = km(THREE)
+        assert fit.cum_hazard_at(3.0)[0] == pytest.approx(4 / 3, abs=1e-15)
+        assert fit.hazard_var_at(3.0)[0] == pytest.approx(10 / 9, abs=1e-15)
 
     def test_hazard_zero_before_first_event(self):
-        curve = km(THREE)
-        assert curve.cum_hazard_at(0.5) == 0.0
-        assert curve.hazard_var_at(0.5) == 0.0
+        fit = km(THREE)
+        assert fit.cum_hazard_at(0.5)[0] == 0.0
+        assert fit.hazard_var_at(0.5)[0] == 0.0
 
 
 class TestEvaluate:
-    """Right-continuous lookups of a curve at one time and at many."""
+    """Right-continuous lookups of a fit at one time and at many."""
 
     def test_before_first_event(self):
-        curve = km(THREE)
-        assert (curve.survival_at(0.5), curve.greenwood_at(0.5)) == (1.0, 0.0)
+        fit = km(THREE)
+        assert (fit.survival_at(0.5)[0], fit.greenwood_at(0.5)[0]) == (1.0, 0.0)
 
     def test_matches_vectorized_lookup(self):
-        curve = km(THREE)
+        fit = km(THREE)
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-        survival, greenwood = curve.survival_at(grid), curve.greenwood_at(grid)
+        survival, greenwood = fit.survival_at(grid)[0], fit.greenwood_at(grid)[0]
         for i, t in enumerate(grid):
-            assert curve.survival_at(t) == survival[i]
-            assert curve.greenwood_at(t) == greenwood[i]
+            assert fit.survival_at(t)[0] == survival[i]
+            assert fit.greenwood_at(t)[0] == greenwood[i]
 
 
 @st.composite
@@ -117,8 +121,7 @@ class TestProperties:
     @given(censored_samples())
     @settings(max_examples=150, deadline=None)
     def test_survival_is_nonincreasing_in_unit_interval(self, sample):
-        curve = fit_curve_arrays(*sample)
-        s = curve.survival
+        s = fit_row(*sample).survival[0]
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         assert np.all(np.diff(s) <= 1e-15)
 
@@ -126,11 +129,11 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_no_censoring_km_equals_empirical_survival(self, sample):
         times, _ = sample
-        curve = fit_curve_arrays(times, np.ones_like(times, dtype=bool))
+        fit = fit_row(times, np.ones_like(times, dtype=bool))
         for t in np.unique(times):
             # equal in real arithmetic; the cumulative product rounds at
             # the last few ulps
-            assert float(curve.survival_at(t)) == pytest.approx(
+            assert float(fit.survival_at(t)[0]) == pytest.approx(
                 np.mean(times > t), abs=1e-12)
 
     @given(censored_samples())
@@ -139,18 +142,18 @@ class TestProperties:
         # with all events, Greenwood telescopes to S(1-S)/n exactly
         times, _ = sample
         n = times.size
-        curve = fit_curve_arrays(times, np.ones_like(times, dtype=bool))
-        for i, _t in enumerate(curve.jump_times):
-            s = curve.survival[i]
-            assert curve.greenwood_var[i] == pytest.approx(
+        fit = fit_row(times, np.ones_like(times, dtype=bool))
+        for i, _t in enumerate(fit.times[0]):
+            s = fit.survival[0, i]
+            assert fit.greenwood_var[0, i] == pytest.approx(
                 s * (1 - s) / n, abs=1e-14)
 
     @given(censored_samples())
     @settings(max_examples=100, deadline=None)
     def test_variance_accumulates(self, sample):
-        curve = fit_curve_arrays(*sample)
-        assert np.all(curve.hazard_var >= 0)
-        assert np.all(np.diff(curve.cum_hazard) > 0)
+        fit = fit_row(*sample)
+        assert np.all(fit.hazard_var[0] >= 0)
+        assert np.all(np.diff(fit.cum_hazard[0]) > 0)
 
 
 @st.composite
@@ -316,16 +319,7 @@ class TestKernel:
         rows = fit.times.reshape(times.shape[0], -1)
         want = np.array([np.searchsorted(row, t.ravel(), side="right") for row in rows])
         np.testing.assert_array_equal(fit._positions(t), want, strict=True)
-        curve = fit.curve(0)
+        row = fit_row(times[0], events[0])  # unpadded: only its own event times
         np.testing.assert_array_equal(
-            curve._positions(t), [np.searchsorted(curve.jump_times, t.ravel(), side="right")],
+            row._positions(t), [np.searchsorted(row.times[0], t.ravel(), side="right")],
             strict=True)
-
-
-def test_curve_to_rows_round_trip():
-    curve = km(THREE)
-    rows = list(curve_to_rows(curve))
-    assert len(rows) == 2
-    t, s, gw, ch, hv = rows[0]
-    assert (t, s, gw) == (1.0, curve.survival[0], curve.greenwood_var[0])
-    assert (ch, hv) == (curve.cum_hazard[0], curve.hazard_var[0])
