@@ -9,7 +9,6 @@ from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
 from .harness import (
     DesignPoint,
-    eval_times_from_levels,
     prepare_model,
     run_cell,
     run_grid,
@@ -65,7 +64,6 @@ __all__ = [
     "censoring_for_fraction",
     "dell_clutter_sigma",
     "draw_balanced_rss",
-    "eval_times_from_levels",
     "multiplier_bootstrap",
     "order_statistic_survival",
     "parse_config",

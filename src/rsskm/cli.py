@@ -177,20 +177,23 @@ def _cmd_kernels(args) -> int:
         if not values:
             raise ParameterError(f"{flag} lists no values")
     times = [model.quantile(level) for level in levels]
+    # every --rho is checked before any --p-cens or time: a bad --rho is the
+    # error reported even when another input is bad too
+    judged_models = [prepare_model(model, rho) for rho in rhos]
+    laws = [censoring_for_fraction(model, p) for p in fractions]
+    # the SRS kernel depends on (p, t) only, the perfect-ranking one on (k, p)
+    v_srs = [[asymptotic_km_variance(model, cens, t) for t in times] for cens in laws]
     rows = []  # all computed before --out is opened: an error leaves no file
     for k in sizes:
-        for rho in rhos:
-            judged = prepare_model(model, rho)
-            for p in fractions:
-                cens = censoring_for_fraction(model, p)
-                v_perf = asymptotic_rss_km_variance(model, cens, times, k)
+        v_perf = [asymptotic_rss_km_variance(model, cens, times, k) for cens in laws]
+        for rho, judged in zip(rhos, judged_models):
+            for p, cens, v_srs_p, v_perf_p in zip(fractions, laws, v_srs, v_perf):
                 v_judg = asymptotic_rss_km_variance(judged, cens, times, k)
-                for i, (level, t) in enumerate(zip(levels, times)):
-                    v_srs = asymptotic_km_variance(model, cens, t)
+                for level, t, v, perf, judg in zip(levels, times, v_srs_p, v_perf_p, v_judg):
                     rows.append([
                         k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",
-                        f"{v_srs:.6g}", f"{v_perf[i]:.6g}", f"{v_judg[i]:.6g}",
-                        f"{v_srs / v_perf[i]:.6g}", f"{v_srs / v_judg[i]:.6g}",
+                        f"{v:.6g}", f"{perf:.6g}", f"{judg:.6g}",
+                        f"{v / perf:.6g}", f"{v / judg:.6g}",
                     ])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

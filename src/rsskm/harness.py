@@ -8,11 +8,10 @@ aggregates means, MC variances, and three relative-efficiency ratios (MC,
 Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 
 Determinism contract: per-cell stream = (master seed, cell index); the
-replicates run in chunks whose size depends only on (k, m) and the sampler
-the model uses for that k, and chunk c draws all its RSS samples from one
-child stream and all its SRS samples from another; reduction in replicate
-order.  Output is byte-identical for a fixed (config, seed) regardless of
-worker count.
+replicates run in chunks whose size depends only on (k, m), and chunk c
+draws all its RSS samples from one child stream and all its SRS samples
+from another; reduction in replicate order.  Output is byte-identical for
+a fixed (config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -41,12 +40,11 @@ from .survival import SortedSample
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
-# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * width))
-# replicates, with width = k for a sampler that draws k candidates per slot
-# (a (chunk, m, k, k) block) and width = min(k, _SLOT_WIDTH) for one that
-# draws each slot from its law (about three values per slot); at k <= 4 both
-# rules agree.  The rule fixes which replicates share a stream, so changing
-# it changes every simulate value at a fixed seed, SRS columns included.
+# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * min(k,
+# _SLOT_WIDTH))) replicates; every sampler draws each judged slot from its
+# law, at most three values per slot.  The rule fixes which replicates
+# share a stream, so changing it changes every simulate value at a fixed
+# seed, SRS columns included.
 _BUDGET = 2**15
 _SLOT_WIDTH = 4
 
@@ -89,11 +87,6 @@ class EfficiencyRecord:
     seed: int
 
 
-def eval_times_from_levels(model: SuperpopulationModel, levels) -> list[float]:
-    """Times with S(t) = level, by analytic inversion of the model law."""
-    return [model.quantile(level) for level in levels]
-
-
 def prepare_model(
     base: SuperpopulationModel,
     rho_target: float,
@@ -119,17 +112,15 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     per evaluation time, the number of replicates in which some curve was
     degenerate (its whole risk set died at or before that time).
 
-    Replicates run in chunks of ``max(1, _BUDGET // (m * k * width))``,
-    with width = k when ``model.draws_candidate_sets(k)`` and
-    min(k, _SLOT_WIDTH) when each slot is drawn from its law: chunk c draws
-    all its RSS samples from ``rng.child(c, 0)`` and its SRS samples from
-    ``rng.child(c, 1)``, and fits each block with one kernel call."""
+    Replicates run in chunks of ``max(1, _BUDGET // (m * k * min(k,
+    _SLOT_WIDTH)))``: chunk c draws all its RSS samples from
+    ``rng.child(c, 0)`` and its SRS samples from ``rng.child(c, 1)``, and
+    fits each block with one kernel call."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
-    width = k if model.draws_candidate_sets(k) else min(k, _SLOT_WIDTH)
-    chunk = max(1, _BUDGET // (m * k * width))
+    chunk = max(1, _BUDGET // (m * k * min(k, _SLOT_WIDTH)))
 
     s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
     n_degenerate = np.zeros(times.size, dtype=int)
@@ -168,7 +159,7 @@ def run_cell(
     """Run one grid cell; one record per evaluation time."""
     if b_mc < 2:
         raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
-    times = eval_times_from_levels(design.model, design.eval_levels)
+    times = [design.model.quantile(level) for level in design.eval_levels]
 
     s_rss, gw_rss, s_srs, gw_srs, n_deg = _simulate_batch(
         design, b_mc, rng.child(_PRIMARY), times

@@ -14,19 +14,22 @@ Each model gives its survival function and quantiles, and draws the units
 measured in the judged slots of a ranked set sample (``draw_slots``).  The
 exact law of those units (``judged_rank_survival``) feeds the asymptotic
 KM variance kernels ``asymptotic_km_variance`` and
-``asymptotic_rss_km_variance``.
+``asymptotic_rss_km_variance``.  That law is tabulated once per (model, set
+size, eval times) (``_judged_law``); the kernels read the table at their
+times, and the judged Weibull sampler inverts each slot's CDF in the table
+at no times.
 
 The standard normal comes from ``scipy.special`` (``ndtr``, ``ndtri``), in
-the forms ``scipy.stats.norm`` evaluates, so importing this module loads
-neither ``scipy.stats`` nor ``scipy.interpolate``; the latter is imported
-when a judged-ranking Weibull model first tabulates its score CDF.
+the forms ``scipy.stats.norm`` evaluates, and the Weibull score-CDF spline
+is computed here as ``scipy.interpolate.CubicSpline`` computes it, so this
+module never loads ``scipy.stats`` or ``scipy.interpolate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import hermite_e, legendre
@@ -119,11 +122,6 @@ class AftModel:
         s_v = math.hypot(s, self.sigma_u)
         return np.exp(self.mu + (s * s / s_v) * w + (s * self.sigma_u / s_v) * z)
 
-    @staticmethod
-    def draws_candidate_sets(k: int) -> bool:
-        """Whether ``draw_slots`` draws k candidates per slot: never."""
-        return False
-
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
         return np.exp(self.mu + self.log_sd * w)
@@ -159,10 +157,6 @@ class WeibullModel:
             raise ParameterError("sigma_z must be nonnegative")
 
     @property
-    def mean_lifetime(self) -> float:
-        return self.scale_theta1 * gamma_fn(1 + 1 / self.shape_nu)
-
-    @property
     def lifetime_variance(self) -> float:
         g1 = gamma_fn(1 + 1 / self.shape_nu)
         g2 = gamma_fn(1 + 2 / self.shape_nu)
@@ -188,40 +182,28 @@ class WeibullModel:
         but takes the power by scalar ``pow`` even at nu = 1."""
         return self.scale_theta1 * gen.standard_exponential(size) ** (1 / self.shape_nu)
 
-    def ranking_scores(self, x, gen: np.random.Generator):
-        noise = gen.standard_normal(np.shape(x))
-        if not math.isfinite(self.sigma_z):
-            return noise
-        return x + self.sigma_z * noise
-
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
-        slots 1..k.
+        slots 1..k, each drawn from its exact law (Dell & Clutter 1972).
 
-        Under perfect ranking (sigma_z = 0, k > 1) slot r measures the r-th
-        order statistic X_[r], drawn from its exact law: F(X_[r]) ~
-        Beta(r, k-r+1) is G/(G+G') with (G, G') from ``_slot_gamma_pairs``,
-        so -log S(X_[r]) = log1p(G/G') and X_[r] = theta * log1p(G/G')^(1/nu);
-        nothing is drawn from ``lifetimes``.  Otherwise slot r draws its own
-        k candidates from ``lifetimes`` (a ``(*size, k, k)`` block in C
-        order) and measures the one whose score is the r-th smallest, with
-        scores drawn from ``proxies`` and ties broken by candidate index.  A
-        set of one draws no proxies."""
-        if k > 1 and self.sigma_z == 0:
+        A set of one measures a population draw from ``lifetimes``.
+        Otherwise nothing is drawn from ``lifetimes``.  Under perfect ranking
+        (sigma_z = 0) slot r measures the r-th order statistic X_[r]:
+        F(X_[r]) ~ Beta(r, k-r+1) is G/(G+G') with (G, G') from
+        ``_slot_gamma_pairs``, so -log S(X_[r]) = log1p(G/G') and X_[r] =
+        theta * log1p(G/G')^(1/nu).  Under judged ranking slot r measures
+        ``lifetime_at(w)`` with F_r(w) = U for one uniform U per slot, a
+        ``(*size, k)`` block from ``proxies``, and F_r the slot's CDF from the
+        judged-rank law tabulated for (model, k) on the fixed panels (see
+        ``_JudgedLaw.scores``), so the draws do not depend on a cell's eval
+        times."""
+        if k == 1:
+            return self.draw_ranking_scale(lifetimes.generator(), (*size, 1))
+        if self.sigma_z == 0:
             g, g_rest = _slot_gamma_pairs(k, size, proxies)
             return self.scale_theta1 * np.log1p(g / g_rest) ** (1 / self.shape_nu)
-        x = self.draw_ranking_scale(lifetimes.generator(), (*size, k, k))
-        if k > 1:
-            scores = self.ranking_scores(x, proxies.generator())
-            order = np.argsort(scores, axis=-1, kind="stable")
-            slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
-            x = np.take_along_axis(x, np.take_along_axis(order, slot, axis=-1), axis=-1)
-        return x[..., 0]
-
-    def draws_candidate_sets(self, k: int) -> bool:
-        """Whether ``draw_slots`` draws k candidates per slot: under judged
-        ranking with k > 1."""
-        return k > 1 and self.sigma_z > 0
+        u = proxies.generator().random((*size, k))
+        return self.lifetime_at(_judged_law(self, k, ()).scores(u))
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
@@ -230,9 +212,8 @@ class WeibullModel:
     @cached_property
     def _score_cdf(self):
         """The score CDF F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000
-        points of v, and its cubic spline; built once per model."""
-        from scipy.interpolate import CubicSpline  # only judged cells need it
-
+        equally spaced points of v, and the coefficients of its cubic spline
+        (``_cubic_spline``); built once per model."""
         sigma = self.sigma_z
         u, half = _panel_nodes(_W_EDGES)
         x = self.lifetime_at(u).ravel()
@@ -240,7 +221,7 @@ class WeibullModel:
         v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
         cdf = np.concatenate(
             [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
-        return v, CubicSpline(v, cdf)
+        return v, _cubic_spline(v, cdf)
 
     def score_cdf_at(self, w, z):
         """Score CDF F_V(x + sigma_z * z) at the lifetime x of score w, read
@@ -248,8 +229,14 @@ class WeibullModel:
         sigma = self.sigma_z
         if sigma == 0 or not math.isfinite(sigma):
             return ndtr(w if sigma == 0 else z)
-        v, spline = self._score_cdf
-        return spline(np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1]))
+        v, coef = self._score_cdf
+        x = np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1])
+        # scipy's PPoly evaluation: the knot at or left of x (the last
+        # interval at v[-1]), then the terms in its order
+        i = np.minimum(np.searchsorted(v, x, side="right"), v.size - 1) - 1
+        h = x - v[i]
+        h2 = h * h
+        return coef[3, i] + coef[2, i] * h + coef[1, i] * h2 + coef[0, i] * (h2 * h)
 
 
 SuperpopulationModel = AftModel | WeibullModel
@@ -264,6 +251,40 @@ def _finite(quantity: str, compute) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{quantity} overflows at these model parameters")
     return value
+
+
+def _cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n - 1), highest power first, of the not-a-knot cubic
+    spline through (x, y) on n equally spaced knots x: the operations of
+    ``scipy.interpolate.CubicSpline``, in its order, so its values are that
+    spline's bit for bit without importing scipy.interpolate.  Its banded
+    solve for the knot slopes is LAPACK ``gtsv``, which on these knots never
+    swaps rows; the loops below are its elimination and back solve.  The
+    equality is checked against scipy 1.17.1 by a test in ``test_models``."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # the tridiagonal system for the knot slopes: sub-, main and
+    # super-diagonal and right-hand side
+    sub = np.append(dx[1:], x[-1] - x[-3])
+    main = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    sup = np.append(x[2] - x[0], dx[:-1])
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    sub, main, sup, s = sub.tolist(), main.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(len(s) - 1):
+        fact = sub[i] / main[i]
+        main[i + 1] -= fact * sup[i]
+        s[i + 1] -= fact * s[i]
+    s[-1] /= main[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / main[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def _slot_gamma_pairs(k: int, size, proxies: RngStream):
@@ -442,10 +463,72 @@ def _panel_nodes(edges: np.ndarray):
     return (edges[:-1] + half)[:, None] + half[:, None] * _GL_X, half
 
 
-def _judged_law(model: SuperpopulationModel, k: int, times):
+@dataclass(frozen=True, eq=False)
+class _JudgedLaw:
     """Law of each judged slot r = 1..k on panels whose edges include the
-    scores w of ``times``: the (panels, 16) nodes, per rank the mass and S_[r]
-    at the nodes, the panel starting at each time, and (k, times) S_[r]."""
+    scores w of the eval times: the (panels, 16) nodes and the half-widths
+    of their panels, per rank the mass and S_[r] at the nodes, the panel
+    starting at each time, and (k, times) S_[r] at the times."""
+
+    w: np.ndarray
+    half: np.ndarray
+    mass: np.ndarray
+    survival: np.ndarray
+    panel: np.ndarray
+    survival_at: np.ndarray
+
+    @cached_property
+    def _inverse(self):
+        """Tables for ``scores``, one row per slot over the n points w_0 = -8,
+        the nodes, w_{n-1} = 8: F_r = 1 - S_[r] made nondecreasing from 0 to
+        1, shifted by r - 1 into one sorted array over all rows; and per
+        point j of each row the cubic Hermite interpolant of F_r on
+        [w_j, w_j + h] whose end slopes are the tabulated density (taken as
+        0 at |w| = 8, where it is below k * 1e-14): w_j, h, F_r(w_j) and the
+        coefficients c1..c3 of F_r(w_j + h t) - F_r(w_j) = c1 t + c2 t^2 +
+        c3 t^3 (all 0 at the last point, which starts no interval)."""
+        k = len(self.mass)
+        points = np.concatenate([[-8.0], self.w.ravel(), [8.0]])
+        cdf = np.zeros((k, points.size))
+        cdf[:, 1:-1] = 1.0 - self.survival.reshape(k, -1)
+        cdf[:, -1] = 1.0
+        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0), axis=1)
+        slope = np.zeros_like(cdf)
+        slope[:, 1:-1] = (self.mass / self.half[:, None]).reshape(k, -1)
+        h = np.diff(points)
+        a, b, rise = h * slope[:, :-1], h * slope[:, 1:], np.diff(cdf)
+        cubic = np.zeros((6, k, points.size))
+        cubic[0], cubic[1, :, :-1], cubic[2] = points, h, cdf
+        cubic[3:, :, :-1] = a, 3 * rise - 2 * a - b, a + b - 2 * rise
+        return (cdf + np.arange(k)[:, None]).ravel(), cubic.reshape(6, -1)
+
+    def scores(self, u):
+        """Normal scores w with F_r(w) = u[..., r - 1] for slots r = 1..k,
+        ``u`` in [0, 1) with the slots on its last axis.
+
+        One ``searchsorted`` over all rows, row r shifted by r - 1, finds
+        each draw's interval; three Newton steps from the secant then solve
+        the interval's cubic (its error against the exact F_r is below
+        1e-6)."""
+        shifted, cubic = self._inverse
+        k = len(self.mass)
+        n = shifted.size // k
+        point = np.searchsorted(shifted, u + np.arange(k), side="right") - 1
+        first = np.arange(k) * n
+        # u + r - 1 rounds to r, the start of the next row, at u just below 1
+        point = np.clip(point, first, first + n - 2)
+        w, h, f, c1, c2, c3 = cubic.take(point, axis=1)
+        y = u - f
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero slope at w = -8
+            t = y / (c1 + c2 + c3)
+            for _ in range(3):
+                t -= (((c3 * t + c2) * t + c1) * t - y) / ((3 * c3 * t + 2 * c2) * t + c1)
+        return w + h * np.fmax(np.fmin(t, 1.0), 0.0)
+
+
+def _tabulate_judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedLaw:
+    """The judged-rank law of ``model`` for k-sets on the panels of the
+    scores of ``times``."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     w_t = np.clip(_normal_isf(model.survival(np.asarray(times, dtype=float))), -8.0, 8.0)
@@ -464,24 +547,36 @@ def _judged_law(model: SuperpopulationModel, k: int, times):
     tail = np.cumsum((mass @ _GL_W)[:, ::-1], axis=1)[:, ::-1]  # from each panel on
     survival = tail[..., None] - mass @ _GL_CUM.T
     panel = np.searchsorted(edges, w_t)
-    return w, mass, survival, panel, np.pad(tail, ((0, 0), (0, 1)))[:, panel]
+    return _JudgedLaw(w, half, mass, survival, panel,
+                      np.pad(tail, ((0, 0), (0, 1)))[:, panel])
+
+
+def _judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedLaw:
+    """``_tabulate_judged_law`` for 1-D ``times``, computed once per (model,
+    k, times) while among the 32 most recently read."""
+    return _cached_judged_law(model, k, np.asarray(times, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _cached_judged_law(model: SuperpopulationModel, k: int, times: bytes) -> _JudgedLaw:
+    return _tabulate_judged_law(model, k, np.frombuffer(times))
 
 
 def judged_rank_survival(model: SuperpopulationModel, k: int, times) -> np.ndarray:
     """S_[r](t) for r = 1..k (rows) at each of ``times`` (columns): the
     survival of the unit measured in judged slot r of a k-set."""
-    return _judged_law(model, k, np.atleast_1d(times))[-1]
+    return _tabulate_judged_law(model, k, np.atleast_1d(times)).survival_at
 
 
 def _judged_kernels(model, censoring: CensoringLaw, times, k: int) -> np.ndarray:
     """(k, times) per-rank kernels
     V_r(t) = S_[r](t)^2 int_0^t f_[r](u) / (S_[r](u)^2 K(u)) du."""
-    w, mass, survival, panel, survival_at = _judged_law(model, k, times)
-    n = panel.max(initial=0)
-    cens = censoring.survival(model.lifetime_at(w[:n]))
-    terms = (mass[:, :n] / (survival[:, :n] ** 2 * cens)) @ _GL_W
+    law = _judged_law(model, k, times)
+    n = law.panel.max(initial=0)
+    cens = censoring.survival(model.lifetime_at(law.w[:n]))
+    terms = (law.mass[:, :n] / (law.survival[:, :n] ** 2 * cens)) @ _GL_W
     integral = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)
-    return survival_at**2 * integral[:, panel]
+    return law.survival_at**2 * integral[:, law.panel]
 
 
 def _is_exponential(model, censoring: CensoringLaw) -> bool:

@@ -5,11 +5,11 @@ path) address into numpy's SeedSequence tree, so identical addresses always
 yield identical draws and distinct addresses are statistically independent.
 Lifetimes, ranking proxies, and censoring each consume their own substream,
 so e.g. adding censoring never perturbs the lifetime draws.  Each model
-draws its own judged slots (``draw_slots``): judged Weibull ranking from
-candidate sets, AFT and perfect-ranking Weibull from the exact law of each
-slot.  One stream can yield a block of replicate samples
-(``draw_samples``); a single-sample draw is its first replicate, and a
-simple random sample of n is the k = 1, m = n draw.
+draws its own judged slots (``draw_slots``), each slot from its exact law:
+AFT and perfect-ranking Weibull in closed form, judged Weibull ranking by
+inverting the slot's tabulated CDF.  One stream can yield a block of
+replicate samples (``draw_samples``); a single-sample draw is its first
+replicate, and a simple random sample of n is the k = 1, m = n draw.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
     substream.  Every block drawn from a substream has the replicate axis
     first and is filled in C order (AFT: ``(reps, m, k)`` normals and a
     ``(reps, m, k, 2)`` gamma block; perfect-ranking Weibull: the gamma
-    block alone; judged Weibull: a ``(reps, m, k, k)`` candidate block and
-    its scores), so replicate 0 of a draw consumes each substream exactly as
-    a one-replicate draw from the same stream does.  A set of one draws no
-    proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
+    block alone; judged Weibull: a ``(reps, m, k)`` block of uniforms from
+    the proxy substream), so replicate 0 of a draw consumes each substream
+    exactly as a one-replicate draw from the same stream does.  A set of one
+    draws no proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
     """
     from .rss import EmptyDesignError
 

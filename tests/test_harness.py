@@ -20,13 +20,12 @@ from rsskm import (
     censoring_for_fraction,
     dell_clutter_sigma,
     draw_balanced_rss,
-    eval_times_from_levels,
     parse_config,
     prepare_model,
     run_cell,
     run_grid,
 )
-from rsskm import cli, harness
+from rsskm import cli, harness, models
 from rsskm.cli import main
 from rsskm.rss import rss_mean
 from rsskm.sampling import draw_samples
@@ -103,12 +102,17 @@ class TestConfig:
 # eval times and model preparation
 
 
+def eval_times(design):
+    """The times a cell evaluates at: S(t) = level for each of its levels."""
+    return [design.model.quantile(level) for level in design.eval_levels]
+
+
 class TestEvalTimes:
     def test_exponential_median(self):
-        assert eval_times_from_levels(EXP, [0.5]) == [pytest.approx(math.log(2))]
+        assert EXP.quantile(0.5) == pytest.approx(math.log(2))
 
     def test_aft_reference_times(self):
-        times = eval_times_from_levels(AftModel(), [0.5, 0.1])
+        times = [AftModel().quantile(level) for level in (0.5, 0.1)]
         assert times[0] == pytest.approx(1.0, abs=1e-12)
         assert times[1] == pytest.approx(7.30, abs=0.05)
 
@@ -176,7 +180,7 @@ class TestSimulateBatch:
         # replicate i drawn on its own from rng.child(i, 0) and rng.child(i, 1)
         monkeypatch.setattr(harness, "_BUDGET", 1)
         design, n_reps, rng = self.JUDGED_AFT, 25, RngStream(3, 1)
-        times = eval_times_from_levels(design.model, design.eval_levels)
+        times = eval_times(design)
         censoring = censoring_for_fraction(design.model, design.p_cens)
 
         def per_replicate():
@@ -194,11 +198,11 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("times", [None, [0.5]], ids=["four-times", "one-time"])
     def test_chunks_match_one_kernel_call_per_slice(self, b_mc, times):
         design, rng = self.JUDGED_WEIBULL, RngStream(6, 2)
-        chunk = harness._BUDGET // (7 * 9 * 9)
+        chunk = harness._BUDGET // (7 * 9 * 4)
         assert chunk > 2
         n_reps = b_mc(chunk)
         if times is None:
-            times = eval_times_from_levels(design.model, design.eval_levels)
+            times = eval_times(design)
         got = harness._simulate_batch(design, n_reps, rng, times)
         want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
         assert_batches_equal(got, want)
@@ -216,7 +220,7 @@ class TestSimulateBatch:
         rng = RngStream(6, 3)
         chunk = harness._BUDGET // (7 * 9 * 4)
         n_reps = b_mc(chunk)
-        times = eval_times_from_levels(design.model, design.eval_levels)
+        times = eval_times(design)
         got = harness._simulate_batch(design, n_reps, rng, times)
         want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
         assert_batches_equal(got, want)
@@ -251,6 +255,23 @@ class TestRunCell:
         b = run_cell(design, 20, RngStream(2, 0))
         assert [r.re_true for r in a] == [r.re_true for r in b]
         assert a[0].re_mc != b[0].re_mc
+
+    def test_judged_law_is_tabulated_once_per_cell(self, monkeypatch):
+        # every chunk of the sampler reads one judged-rank table at no times,
+        # re_true one at the cell's times; the SRS kernels at nu != 1
+        # tabulate the k = 1 law per time
+        models._cached_judged_law.cache_clear()
+        calls = []
+        tabulate = models._tabulate_judged_law
+
+        def counting(model, k, times):
+            calls.append((k, len(times)))
+            return tabulate(model, k, times)
+
+        monkeypatch.setattr(models, "_tabulate_judged_law", counting)
+        design = DesignPoint(prepare_model(WeibullModel(1.5), 0.7), 10, 5, 0.7, 0.3, (0.75, 0.5))
+        run_cell(design, 3 * harness._BUDGET // (5 * 10 * 4), RngStream(1))
+        assert calls == [(10, 0), (1, 1), (1, 1), (10, 2)]
 
     def test_weibull_re_true_uses_analytic_kernels(self):
         design = DesignPoint(EXP, 4, 10, 1.0, 0.0, (0.5,))
@@ -408,6 +429,20 @@ class TestCli:
         assert main(["kernels", "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: kernels:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "1.5", "--levels", "1e-13"],
+        ["--rho", "1.5", "--p-cens", "1.0"],
+        ["--rho", "0.5,1.5", "--p-cens", "0.3,1.0"],
+    ], ids=["bad-rho-and-out-of-window-level", "bad-rho-and-bad-p-cens",
+            "bad-second-rho-and-bad-second-p-cens"])
+    def test_kernels_bad_rho_is_reported_first(self, tmp_path, capsys, argv):
+        # every --rho is checked before any censoring fraction or time window
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: kernels: rho must be in (0,1], got 1.5"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--rho", "--p-cens", "--levels"])
@@ -717,5 +752,5 @@ def test_startup_loads_neither_scipy_stats_nor_interpolate(tmp_path):
     assert stages == {
         "import": [],
         "untabulated": [],  # estimate, bootstrap, AFT and perfect-ranking simulate
-        "judged": ["scipy.interpolate"],  # the score-CDF spline of a judged cell
+        "judged": [],  # the score-CDF spline of a judged cell is computed in models
     }

@@ -34,6 +34,7 @@ from rsskm import (
     order_statistic_survival,
     prepare_model,
 )
+from rsskm import models
 from rsskm.models import (
     _W_EDGES,
     _judged_kernels,
@@ -42,6 +43,7 @@ from rsskm.models import (
     _panel_nodes,
     judged_rank_survival,
 )
+from test_sampling import weibull_scores
 
 AFT = AftModel()  # lognormal, log-sd = hypot(1.5, 0.4)
 EXP = WeibullModel()  # unit exponential
@@ -66,8 +68,11 @@ class TestLifetimeLaws:
                 assert model.survival(t) == pytest.approx(level, abs=1e-12)
 
     def test_exponential_survival(self):
+        def mean_lifetime(model):
+            return model.scale_theta1 * math.gamma(1 + 1 / model.shape_nu)
+
         assert EXP.survival(1.0) == pytest.approx(math.exp(-1))
-        assert EXP.mean_lifetime == pytest.approx(1.0)
+        assert mean_lifetime(EXP) == pytest.approx(1.0)
         assert EXP.lifetime_variance == pytest.approx(1.0)
 
     def test_far_tail_survival_is_zero_without_warnings(self):
@@ -283,13 +288,13 @@ class TestRankingCalibration:
 
 def mixing_matrix(model: WeibullModel, k: int, n_sets: int, rng: RngStream) -> np.ndarray:
     """w[r-1, j-1] = P(true rank j | judged rank r) over ``n_sets`` simulated
-    k-sets, ranked by the Weibull scores the candidate-set sampler uses;
-    each set adds its full judged -> true rank permutation."""
+    k-sets, ranked by ``weibull_scores``; each set adds its full judged ->
+    true rank permutation."""
     gen_x, gen_p = rng.child(0).generator(), rng.child(1).generator()
     w = np.zeros((k, k))
     for done in range(0, n_sets, 200_000):
         x = model.draw_ranking_scale(gen_x, (min(200_000, n_sets - done), k))
-        scores = model.ranking_scores(x, gen_p)
+        scores = weibull_scores(model, x, gen_p)
         judged = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1)
         true = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1)
         np.add.at(w, (judged.ravel(), true.ravel()), 1.0)
@@ -423,6 +428,29 @@ class TestJudgedRankLaw:
                                           asymptotic_rss_km_variance(model(), law, times, k))
         np.testing.assert_array_equal(asymptotic_rss_km_variance(shared, law, times, 4), first)
         assert shared._score_cdf is table
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
+    def test_score_cdf_spline_is_scipy_cubic_spline(self, monkeypatch, nu, rho):
+        # coefficients and values bit for bit those of scipy's CubicSpline
+        # through the same table, so re_true does not move with the spline
+        from scipy.interpolate import CubicSpline
+
+        tables = []
+
+        def capture(x, y):
+            tables.append((x, y))
+            return spline(x, y)
+
+        spline = models._cubic_spline
+        monkeypatch.setattr(models, "_cubic_spline", capture)
+        model = prepare_model(WeibullModel(nu, 1.5), rho)
+        w = np.concatenate([np.linspace(-9, 9, 2001), np.random.default_rng(1).normal(size=5000)])
+        got = model.score_cdf_at(w, 0.0)
+        ((x, y),) = tables
+        want = CubicSpline(x, y)
+        np.testing.assert_array_equal(model._score_cdf[1], want.c)
+        np.testing.assert_array_equal(got, want(np.clip(model.lifetime_at(w), x[0], x[-1])))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError, match="k must be >= 1"):

@@ -18,6 +18,7 @@ from rsskm import (
     order_statistic_survival,
     prepare_model,
 )
+from rsskm import models
 from rsskm.models import judged_rank_survival
 from rsskm.sampling import draw_samples
 
@@ -55,17 +56,27 @@ class CandidateSetAft(AftModel):
         return np.exp(v[..., 0])
 
 
+def weibull_scores(model: WeibullModel, x, gen):
+    """Proxy scores x + sigma_z * N(0,1) of Weibull lifetimes x, pure noise
+    at sigma_z = inf: the scores the Weibull judged-rank law ranks by."""
+    noise = gen.standard_normal(np.shape(x))
+    if not math.isfinite(model.sigma_z):
+        return noise
+    return x + model.sigma_z * noise
+
+
 class CandidateSetWeibull(WeibullModel):
-    """Oracle for the perfect-ranking Weibull slot draw: per slot, k
-    candidates are drawn with ``Generator.weibull`` and the one whose score
-    is the r-th smallest is measured.  This was the Weibull sampler at
-    sigma_z = 0 before each slot was drawn from its exact law, so it
-    reproduces those draws bit for bit."""
+    """Oracle for the Weibull slot draw: per slot, k candidates are drawn
+    with ``Generator.weibull`` and the one whose ``weibull_scores`` score is
+    the r-th smallest is measured.  This was the Weibull sampler before each
+    slot was drawn from its law: bit for bit at sigma_z = 0, and under
+    judged ranking up to the last bit of the power at nu != 1 (it drew
+    theta * E^(1/nu))."""
 
     def draw_slots(self, k, size, lifetimes, proxies):
         x = self.scale_theta1 * lifetimes.generator().weibull(self.shape_nu, (*size, k, k))
         if k > 1:
-            scores = self.ranking_scores(x, proxies.generator())
+            scores = weibull_scores(self, x, proxies.generator())
             order = np.argsort(scores, axis=-1, kind="stable")
             slot = np.arange(k).reshape((1,) * len(size) + (k, 1))
             x = np.take_along_axis(x, np.take_along_axis(order, slot, axis=-1), axis=-1)
@@ -176,16 +187,20 @@ class TestDrawSrs:
 
 
 class TestDrawSamples:
-    # draws recorded from the per-replicate sampler; the block sampler must
-    # consume every substream the same way
+    # draws recorded from the per-replicate sampler (judged Weibull k = 3:
+    # from the tabulated-law sampler); the block sampler must consume every
+    # substream the same way
     def test_pinned_draws(self):
         model = prepare_model(WeibullModel(), 0.9)
         law = censoring_for_fraction(model, 0.3)
         s = draw_balanced_rss(model, 3, 2, law, RngStream(7, 1))
-        assert s.times.tolist() == [[1.1923461757254046, 0.1972761339037313],
-                                    [0.596425012305403, 0.8630374471149055],
-                                    [1.699150832914767, 0.2705645936375134]]
-        assert s.events.tolist() == [[True, True], [True, False], [True, True]]
+        assert s.times.tolist() == [[0.3030839921817966, 0.30820836317094097],
+                                    [0.8256160869492497, 0.6647845957857899],
+                                    [2.323920884376832, 0.5775884821884192]]
+        assert s.events.tolist() == [[True, True], [False, True], [False, True]]
+        times, events = draw_samples(model, 3, 2, law, RngStream(7, 1), reps=4)
+        np.testing.assert_array_equal(times[0], s.times)
+        np.testing.assert_array_equal(events[0], s.events)
         s = draw_balanced_rss(model, 1, 4, law, RngStream(7, 1))
         assert s.times.tolist() == [[1.1923461757254046, 0.8256160869492497,
                                      0.8515744550312803, 0.199166502532115]]
@@ -337,3 +352,47 @@ class TestWeibullSlotLaw:
         levels = -np.expm1(-((s.times / model.scale_theta1) ** nu))
         for r in range(1, k + 1):
             assert stats.kstest(levels[r - 1], stats.beta(r, k - r + 1).cdf).pvalue > 1e-3
+
+
+class TestJudgedWeibullSlotLaw:
+    """Judged Weibull slots drawn by inverting the tabulated judged-rank law;
+    the candidate-set oracle checks the law that the sampler and re_true
+    both tabulate."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    def test_agrees_with_candidate_sets(self, nu, rho):
+        # per rank: two-sample KS of the lifetimes, and means within 4 SE
+        model = prepare_model(WeibullModel(nu, 1.5), rho)
+        k, m = 10, 20_000
+        ours = draw_balanced_rss(model, k, m, NONE, RngStream(16, int(10 * rho)))
+        oracle = draw_balanced_rss(CandidateSetWeibull(nu, 1.5, model.sigma_z), k, m, NONE,
+                                   RngStream(17, int(10 * rho)))
+        for a, b in zip(ours.times, oracle.times):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
+            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / m)
+            assert abs(a.mean() - b.mean()) <= 4 * se
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_inverts_each_slot_cdf(self, rho):
+        # F_r(X) = U for the uniform U each slot draws from the proxy
+        # substream, with F_r recomputed at the drawn lifetimes
+        class Unused:
+            def generator(self):
+                raise AssertionError("the lifetime substream was drawn from")
+
+        model = prepare_model(WeibullModel(1.5, 1.5), rho)
+        k, m = 10, 200
+        x = model.draw_slots(k, (1, m), Unused(), RngStream(18))
+        u = RngStream(18).generator().random((1, m, k))
+        for r in range(k):
+            cdf = 1 - judged_rank_survival(model, k, x[0, :, r])[r]
+            assert np.max(np.abs(cdf - u[0, :, r])) <= 1e-6
+
+    def test_largest_uniform_stays_in_its_slot(self):
+        # u + r - 1 rounds to r at the largest uniform below 1 for r > 1,
+        # which the next row of the shifted table starts with
+        model = prepare_model(WeibullModel(1.5, 1.5), 0.5)
+        law = models._judged_law(model, 10, ())
+        top = law.scores(np.full(10, np.nextafter(1.0, 0.0)))
+        assert np.all(top >= law.scores(np.full(10, 0.999999))) and np.all(top <= 8.0)
