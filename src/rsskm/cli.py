@@ -11,6 +11,10 @@ Subcommands:
 
 All failures exit nonzero after printing a single machine-readable
 ``error: <context>: <message>`` line on stderr.
+
+``estimate`` and ``bootstrap`` need numpy only.  ``simulate`` and
+``kernels`` import ``harness`` and ``models`` (and with them
+``scipy.special``) when they run, so this module loads neither.
 """
 
 from __future__ import annotations
@@ -24,15 +28,6 @@ import numpy as np
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, parse_config
-from .harness import prepare_model, run_grid
-from .models import (
-    InferenceWindowError,
-    ParameterError,
-    WeibullModel,
-    asymptotic_km_variance,
-    asymptotic_rss_km_variance,
-    censoring_for_fraction,
-)
 from .rss import (
     EmptyDesignError,
     RankedSetSample,
@@ -41,7 +36,12 @@ from .rss import (
     rss_mean,
 )
 from .sampling import RngStream
-from .survival import EmptySampleError, InvalidObservationError
+from .survival import (
+    EmptySampleError,
+    InferenceWindowError,
+    InvalidObservationError,
+    ParameterError,
+)
 
 _KNOWN_ERRORS = (
     ConfigError,
@@ -115,6 +115,8 @@ def _parse_set_sizes(text: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import run_grid
+
     cfg = parse_config(args.config)
     if args.full:
         cfg.b_mc = 10_000
@@ -169,6 +171,14 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from .harness import prepare_model
+    from .models import (
+        WeibullModel,
+        asymptotic_km_variance,
+        asymptotic_rss_km_variance,
+        censoring_for_fraction,
+    )
+
     model = WeibullModel(args.nu, args.theta1)
     sizes = _parse_set_sizes(args.k)
     rhos, fractions, levels = map(_parse_floats, (args.rho, args.p_cens, args.levels))

@@ -37,11 +37,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .sampling import RngStream
-from .survival import ParameterError
-
-
-class InferenceWindowError(ValueError):
-    pass
+from .survival import InferenceWindowError, ParameterError
 
 
 # standard normal: the scipy.special expressions behind scipy.stats.norm's
@@ -348,21 +344,6 @@ def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> Censor
         return CensoringLaw("weibull-scale", theta2, shape=model.shape_nu)
     rate = -math.log(1 - p_cens) / model.mean_lifetime
     return CensoringLaw("exponential-rate", rate)
-
-
-# --------------------------------------------------------------------------
-# order statistics
-
-
-def order_statistic_survival(s, k: int, r: int, t: float) -> float:
-    """P(X_(r) > t) for the r-th smallest of k iid draws from survival s.
-
-    ``s`` is either a survival value in [0,1] or a callable S(t).
-    """
-    if not 1 <= r <= k:
-        raise ParameterError(f"rank r={r} out of range 1..{k}")
-    sv = float(s(t)) if callable(s) else float(s)
-    return math.fsum(math.comb(k, i) * (1 - sv) ** i * sv ** (k - i) for i in range(r))
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,10 @@ class InvalidObservationError(ValueError):
     pass
 
 
+class InferenceWindowError(ValueError):
+    pass
+
+
 class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each stably sorted
     by time, with the tie groups that hold a death.  Built once per sample;

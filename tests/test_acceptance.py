@@ -23,7 +23,6 @@ from rsskm import (
     censoring_for_fraction,
     draw_balanced_rss,
     multiplier_bootstrap,
-    order_statistic_survival,
     parse_config,
     prepare_model,
     rss_kaplan_meier,
@@ -32,6 +31,7 @@ from rsskm import (
     run_grid,
 )
 from rsskm.survival import SortedSample
+from oracles import order_statistic_survival
 from test_models import mixing_matrix
 
 B_MC = 10_000

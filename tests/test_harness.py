@@ -30,6 +30,7 @@ from rsskm.cli import main
 from rsskm.rss import rss_mean
 from rsskm.sampling import draw_samples
 from rsskm.survival import SortedSample
+from oracles import order_statistic_survival
 
 EXP = WeibullModel()
 
@@ -277,7 +278,6 @@ class TestRunCell:
         design = DesignPoint(EXP, 4, 10, 1.0, 0.0, (0.5,))
         rec = run_cell(design, 50, RngStream(2, 0))[0]
         # perfect-ranking k=4 exponential at the median: known kernel ratio
-        from rsskm import order_statistic_survival
         vals = [order_statistic_survival(0.5, 4, r, 0.0) for r in (1, 2, 3, 4)]
         want = 0.25 / np.mean([s * (1 - s) for s in vals])
         assert rec.re_true == pytest.approx(want, rel=1e-6)
@@ -429,6 +429,7 @@ class TestCli:
         assert main(["kernels", "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: kernels:")
+        assert "outside inference window" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -719,7 +720,11 @@ FOOTPRINT_SCRIPT = r"""
 import json, sys
 from rsskm.cli import main
 
-def loaded():
+def estimation_extras():  # estimate and bootstrap need no scipy, harness or models
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name in ("rsskm.harness", "rsskm.models"))
+
+def simulation_extras():
     return [name for name in ("scipy.stats", "scipy.interpolate") if name in sys.modules]
 
 cfg = "m = 3\nlevels = 0.5\nb_mc = 5\np_cens = 0.3\n"
@@ -728,20 +733,22 @@ open("perfect.txt", "w").write(cfg + "model = weibull\nk = 2\nrho = 1.0\n")
 open("judged.txt", "w").write(cfg + "model = weibull\nk = 2\nrho = 0.5\n")
 open("obs.csv", "w").write(
     "cycle,rank,time,event\n1,1,1.0,1\n2,1,2.0,0\n1,2,1.5,1\n2,2,3.0,1\n")
-stages = {"import": loaded()}
-for argv in (["estimate", "--input", "obs.csv", "--out", "est.csv"],
-             ["bootstrap", "--input", "obs.csv", "--out", "boot.csv", "--reps", "5"],
-             ["simulate", "--config", "aft.txt", "--out", "aft.csv"],
+stages = {"import": estimation_extras()}
+assert main(["estimate", "--input", "obs.csv", "--out", "est.csv"]) == 0
+stages["estimate"] = estimation_extras()
+assert main(["bootstrap", "--input", "obs.csv", "--out", "boot.csv", "--reps", "5"]) == 0
+stages["bootstrap"] = estimation_extras()
+for argv in (["simulate", "--config", "aft.txt", "--out", "aft.csv"],
              ["simulate", "--config", "perfect.txt", "--out", "perfect.csv"]):
     assert main(argv) == 0, argv
-stages["untabulated"] = loaded()
+stages["untabulated"] = simulation_extras()
 assert main(["simulate", "--config", "judged.txt", "--out", "judged.csv"]) == 0
-stages["judged"] = loaded()
+stages["judged"] = simulation_extras()
 print(json.dumps(stages))
 """
 
 
-def test_startup_loads_neither_scipy_stats_nor_interpolate(tmp_path):
+def test_commands_load_only_the_modules_they_run(tmp_path):
     # a fresh interpreter: this test process has loaded scipy.stats already
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -750,7 +757,31 @@ def test_startup_loads_neither_scipy_stats_nor_interpolate(tmp_path):
                           capture_output=True, text=True, check=True)
     stages = json.loads(done.stdout)
     assert stages == {
+        # no scipy module at all, and neither rsskm.harness nor rsskm.models
         "import": [],
-        "untabulated": [],  # estimate, bootstrap, AFT and perfect-ranking simulate
-        "judged": [],  # the score-CDF spline of a judged cell is computed in models
+        "estimate": [],
+        "bootstrap": [],
+        # neither scipy.stats nor scipy.interpolate: AFT and perfect-ranking
+        # simulate, then a judged cell, whose score-CDF spline is computed in models
+        "untabulated": [],
+        "judged": [],
     }
+
+
+# --------------------------------------------------------------------------
+# package root
+
+
+def test_package_root_names_are_their_modules_objects():
+    import rsskm
+
+    for name in rsskm.__all__:
+        obj = getattr(rsskm, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from rsskm import *", namespace)
+    assert set(rsskm.__all__) <= set(namespace)
+    assert rsskm.InferenceWindowError is models.InferenceWindowError
+    for name in ("no_such_name", "order_statistic_survival"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(rsskm, name)

@@ -31,7 +31,6 @@ from rsskm import (
     censoring_for_fraction,
     dell_clutter_sigma,
     draw_balanced_rss,
-    order_statistic_survival,
     prepare_model,
 )
 from rsskm import models
@@ -43,6 +42,7 @@ from rsskm.models import (
     _panel_nodes,
     judged_rank_survival,
 )
+from oracles import order_statistic_survival
 from test_sampling import weibull_scores
 
 AFT = AftModel()  # lognormal, log-sd = hypot(1.5, 0.4)

@@ -15,12 +15,12 @@ from rsskm import (
     WeibullModel,
     censoring_for_fraction,
     draw_balanced_rss,
-    order_statistic_survival,
     prepare_model,
 )
 from rsskm import models
 from rsskm.models import judged_rank_survival
 from rsskm.sampling import draw_samples
+from oracles import order_statistic_survival
 
 EXP = WeibullModel()
 NONE = CensoringLaw("none")
