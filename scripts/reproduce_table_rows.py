@@ -37,10 +37,10 @@ def main() -> None:
         model = prepare_model(AftModel(), cell["rho"])
         design = DesignPoint(model, cell["k"], cell["m"], cell["rho"],
                              cell["p"], (cell["level"],))
-        rec = run_cell(design, args.b_mc, RngStream(args.seed, i), seed=args.seed)[0]
-        print(f"{label} (t={rec.t:.3f}, b_mc={args.b_mc})")
+        columns = run_cell(design, args.b_mc, RngStream(args.seed, i))
+        print(f"{label} (t={columns['t'][0]:.3f}, b_mc={args.b_mc})")
         for name, want in reference.items():
-            got = getattr(rec, name)
+            got = columns[name][0]
             print(f"  {name:8s} {got:7.3f}  reference {want:.3f}  "
                   f"({got / want - 1.0:+.1%})")
 

@@ -7,6 +7,12 @@ Greenwood plug-ins are evaluated at the level-matched times, and the cell
 aggregates means, MC variances, and three relative-efficiency ratios (MC,
 Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 
+``run_cell`` returns a cell's CSV rows as named columns, one entry per
+CSV column in CSV order, each holding one value per evaluation time.  That
+dict is the one definition of the columns: ``run_grid`` writes the header
+from its names and each row from its values, floats to 6 significant
+digits.
+
 Determinism contract: per-cell stream = (master seed, cell index); the
 replicates run in chunks whose size depends only on (k, m), and chunk c
 draws all its RSS samples from one child stream and all its SRS samples
@@ -48,14 +54,6 @@ _PRIMARY = 0
 _BUDGET = 2**15
 _SLOT_WIDTH = 4
 
-CSV_COLUMNS = [
-    "model", "k", "m", "n", "rho", "p_cens", "level", "t",
-    "mean_s_rss", "mean_s_srs", "v_rss_mc", "v_srs_mc",
-    "mean_gw_rss", "mean_gw_srs", "re_true", "re_mc", "re_gw",
-    "b_mc", "n_degenerate", "seed", "rank_noise_sd",
-]
-
-
 @dataclass(frozen=True)
 class DesignPoint:
     """One grid cell; ``model`` already carries its calibrated ranking noise."""
@@ -65,26 +63,7 @@ class DesignPoint:
     m: int
     rho_target: float
     p_cens: float
-    eval_levels: tuple[float, ...] = (0.75, 0.5, 0.25, 0.1)
-
-
-@dataclass(frozen=True)
-class EfficiencyRecord:
-    design: DesignPoint
-    t: float
-    level: float
-    mean_s_rss: float
-    mean_s_srs: float
-    v_rss_mc: float
-    v_srs_mc: float
-    mean_gw_rss: float
-    mean_gw_srs: float
-    re_true: float
-    re_mc: float
-    re_gw: float
-    b_mc: int
-    n_degenerate: int
-    seed: int
+    eval_levels: tuple[float, ...]
 
 
 def prepare_model(
@@ -153,45 +132,53 @@ def _true_re(design: DesignPoint, times) -> list[float]:
     return [a / b for a, b in zip(v_srs, v_rss)]
 
 
-def run_cell(
-    design: DesignPoint, b_mc: int, rng: RngStream, seed: int = 0
-) -> list[EfficiencyRecord]:
-    """Run one grid cell; one record per evaluation time."""
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, NaN where den is not positive."""
+    return np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0)
+
+
+def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list | np.ndarray]:
+    """Run one grid cell; returns its CSV columns by name, in CSV order,
+    one entry per evaluation time.  ``seed`` is ``rng.seed``."""
     if b_mc < 2:
         raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
-    times = [design.model.quantile(level) for level in design.eval_levels]
+    model, k, m = design.model, design.k, design.m
+    times = [model.quantile(level) for level in design.eval_levels]
 
-    s_rss, gw_rss, s_srs, gw_srs, n_deg = _simulate_batch(
-        design, b_mc, rng.child(_PRIMARY), times
-    )
-    re_true = _true_re(design, times)
+    *batch, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times)
+    # one contiguous row of replicates per time, so that each row reduces
+    # in the summation order of a 1-D array
+    s_rss, gw_rss, s_srs, gw_srs = (np.ascontiguousarray(a.T) for a in batch)
+    v_rss, v_srs = np.var(s_rss, axis=1, ddof=1), np.var(s_srs, axis=1, ddof=1)
+    m_gw_rss, m_gw_srs = np.mean(gw_rss, axis=1), np.mean(gw_srs, axis=1)
+    aft = isinstance(model, AftModel)
 
-    records = []
-    for j, (t, level) in enumerate(zip(times, design.eval_levels)):
-        v_rss = float(np.var(s_rss[:, j], ddof=1))
-        v_srs = float(np.var(s_srs[:, j], ddof=1))
-        m_gw_rss = float(np.mean(gw_rss[:, j]))
-        m_gw_srs = float(np.mean(gw_srs[:, j]))
-        records.append(
-            EfficiencyRecord(
-                design=design,
-                t=float(t),
-                level=float(level),
-                mean_s_rss=float(np.mean(s_rss[:, j])),
-                mean_s_srs=float(np.mean(s_srs[:, j])),
-                v_rss_mc=v_rss,
-                v_srs_mc=v_srs,
-                mean_gw_rss=m_gw_rss,
-                mean_gw_srs=m_gw_srs,
-                re_true=float(re_true[j]),
-                re_mc=v_srs / v_rss if v_rss > 0 else float("nan"),
-                re_gw=m_gw_srs / m_gw_rss if m_gw_rss > 0 else float("nan"),
-                b_mc=b_mc,
-                n_degenerate=int(n_deg[j]),
-                seed=seed,
-            )
-        )
-    return records
+    def each(value) -> list:
+        return [value] * len(times)
+
+    return {
+        "model": each("aft" if aft else "weibull"),
+        "k": each(k),
+        "m": each(m),
+        "n": each(k * m),
+        "rho": each(design.rho_target),
+        "p_cens": each(design.p_cens),
+        "level": np.asarray(design.eval_levels, float),
+        "t": np.asarray(times, float),
+        "mean_s_rss": np.mean(s_rss, axis=1),
+        "mean_s_srs": np.mean(s_srs, axis=1),
+        "v_rss_mc": v_rss,
+        "v_srs_mc": v_srs,
+        "mean_gw_rss": m_gw_rss,
+        "mean_gw_srs": m_gw_srs,
+        "re_true": np.asarray(_true_re(design, times), float),
+        "re_mc": _ratio(v_srs, v_rss),
+        "re_gw": _ratio(m_gw_srs, m_gw_rss),
+        "b_mc": each(b_mc),
+        "n_degenerate": n_deg,
+        "seed": each(rng.seed),
+        "rank_noise_sd": each(model.sigma_u if aft else model.sigma_z),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -217,27 +204,13 @@ def _cell_task(task, models=_models_by_rho):
     ``models``."""
     rng, k, m, rho, p_cens, levels, b_mc = task
     design = DesignPoint(models[rho], k, m, rho, p_cens, levels)
-    return run_cell(design, b_mc, rng, seed=rng.seed)
+    return run_cell(design, b_mc, rng)
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
     return str(x)
-
-
-def record_to_row(rec: EfficiencyRecord) -> list[str]:
-    d = rec.design
-    model_name = "aft" if isinstance(d.model, AftModel) else "weibull"
-    noise = d.model.sigma_u if isinstance(d.model, AftModel) else d.model.sigma_z
-    values = [
-        model_name, d.k, d.m, d.k * d.m, d.rho_target, d.p_cens,
-        rec.level, rec.t,
-        rec.mean_s_rss, rec.mean_s_srs, rec.v_rss_mc, rec.v_srs_mc,
-        rec.mean_gw_rss, rec.mean_gw_srs, rec.re_true, rec.re_mc, rec.re_gw,
-        rec.b_mc, rec.n_degenerate, rec.seed, noise,
-    ]
-    return [_fmt(v) for v in values]
 
 
 def run_grid(
@@ -257,6 +230,8 @@ def run_grid(
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     seed = config.seed if master_seed is None else master_seed
+    if not all([config.k, config.m, config.rho, config.p_cens]):
+        raise ParameterError("empty grid: k, m, rho and p_cens each need at least one value")
 
     base = _base_model(config)
     calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
@@ -276,9 +251,9 @@ def run_grid(
     try:
         with open(output_path, "w") as fh:
             fh.write("# schema_version=2\n")
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for cell_records in results:
-                for rec in cell_records:
-                    fh.write(",".join(record_to_row(rec)) + "\n")
+            fh.write(",".join(results[0]) + "\n")
+            for columns in results:
+                for row in zip(*columns.values()):
+                    fh.write(",".join(map(_fmt, row)) + "\n")
     except OSError as exc:
         raise ParameterError(f"unwritable output {output_path}: {exc}") from exc

@@ -50,18 +50,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def table_cell_no_censoring():
-    """AFT k=10, m=50, rho=0.9, no censoring; records at levels 0.75/0.50."""
+    """AFT k=10, m=50, rho=0.9, no censoring; columns at levels 0.75/0.50."""
     model = prepare_model(AFT, 0.9)
     design = DesignPoint(model, 10, 50, 0.9, 0.0, LEVELS)
-    return run_cell(design, B_MC, RngStream(SEED, 0), seed=SEED)
+    return run_cell(design, B_MC, RngStream(SEED, 0))
 
 
 @pytest.fixture(scope="module")
 def table_cell_30pct_censoring():
-    """AFT k=6, m=50, rho=0.5, 30% censoring; records at levels 0.75/0.50."""
+    """AFT k=6, m=50, rho=0.5, 30% censoring; columns at levels 0.75/0.50."""
     model = prepare_model(AFT, 0.5)
     design = DesignPoint(model, 6, 50, 0.5, 0.3, LEVELS)
-    return run_cell(design, B_MC, RngStream(SEED, 1), seed=SEED)
+    return run_cell(design, B_MC, RngStream(SEED, 1))
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +79,9 @@ def null_cells():
 
 
 def test_criterion_1_table_row_no_censoring(table_cell_no_censoring):
-    rec = table_cell_no_censoring[1]  # level 0.50, t = 1.00
     reference = {"re_true": 2.465, "re_mc": 2.444, "re_gw": 2.386}
-    got = {"re_true": rec.re_true, "re_mc": rec.re_mc, "re_gw": rec.re_gw}
+    # row 1: level 0.50, t = 1.00
+    got = {name: table_cell_no_censoring[name][1] for name in reference}
     ok = all(abs(got[k] / reference[k] - 1.0) <= TABLE_RTOL for k in reference)
     detail = ", ".join(
         f"{k} {got[k]:.3f} vs {reference[k]:.3f} ({got[k] / reference[k] - 1:+.1%})"
@@ -91,9 +91,9 @@ def test_criterion_1_table_row_no_censoring(table_cell_no_censoring):
 
 
 def test_criterion_2_table_row_30pct_censoring(table_cell_30pct_censoring):
-    rec = table_cell_30pct_censoring[0]  # level 0.75, t ~= 0.35
     reference = {"re_mc": 1.910, "re_gw": 1.808}
-    got = {"re_mc": rec.re_mc, "re_gw": rec.re_gw}
+    # row 0: level 0.75, t ~= 0.35
+    got = {name: table_cell_30pct_censoring[name][0] for name in reference}
     ok = all(abs(got[k] / reference[k] - 1.0) <= TABLE_RTOL for k in reference)
     detail = ", ".join(
         f"{k} {got[k]:.3f} vs {reference[k]:.3f} ({got[k] / reference[k] - 1:+.1%})"
@@ -103,7 +103,7 @@ def test_criterion_2_table_row_30pct_censoring(table_cell_30pct_censoring):
 
 
 def test_criterion_3_null_cells_near_unity(null_cells):
-    values = [rec.re_mc for cell in null_cells for rec in cell]
+    values = [v for cell in null_cells for v in cell["re_mc"]]
     ok = all(0.90 <= v <= 1.15 for v in values)
     detail = (
         f"12 re_mc values in [{min(values):.3f}, {max(values):.3f}] "
@@ -115,10 +115,9 @@ def test_criterion_3_null_cells_near_unity(null_cells):
 def test_criterion_4_mean_estimate_agreement(
     table_cell_no_censoring, table_cell_30pct_censoring, null_cells
 ):
-    records = list(table_cell_no_censoring) + list(table_cell_30pct_censoring)
-    for cell in null_cells:
-        records.extend(cell)
-    errors = [abs(rec.mean_s_rss - rec.level) for rec in records]
+    cells = [table_cell_no_censoring, table_cell_30pct_censoring, *null_cells]
+    errors = [abs(s - level) for cell in cells
+              for s, level in zip(cell["mean_s_rss"], cell["level"])]
     ok = max(errors) <= 0.01
     report(4, ok, f"max |mean_s_rss - level| = {max(errors):.4f} (<= 0.01) "
                   f"over {len(errors)} cell-level pairs")

@@ -167,15 +167,18 @@ def reference_batch(design, n_reps, times, samples):
     return (*out, n_degenerate)
 
 
+FOUR_LEVELS = (0.75, 0.5, 0.25, 0.1)
+
+
 def assert_batches_equal(got, want):
     for a, b in zip(got, want, strict=True):
         np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestSimulateBatch:
-    JUDGED_AFT = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3)
+    JUDGED_AFT = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3, FOUR_LEVELS)
     # k >= 8: a pairwise rank sum would differ from the rank-order one
-    JUDGED_WEIBULL = DesignPoint(prepare_model(EXP, 0.9), 9, 7, 0.9, 0.3)
+    JUDGED_WEIBULL = DesignPoint(prepare_model(EXP, 0.9), 9, 7, 0.9, 0.3, FOUR_LEVELS)
 
     def test_one_replicate_chunks_reproduce_per_replicate_draws(self, monkeypatch):
         # replicate i drawn on its own from rng.child(i, 0) and rng.child(i, 1)
@@ -212,8 +215,8 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("b_mc", [lambda chunk: chunk + 1, lambda chunk: 2 * chunk + 43],
                              ids=["chunk-plus-one", "non-multiple"])
     @pytest.mark.parametrize("design", [
-        DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3),
-        DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3),
+        DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3, FOUR_LEVELS),
+        DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3, FOUR_LEVELS),
     ], ids=["aft", "perfect-weibull"])
     def test_slot_law_chunks_hold_budget_over_m_k_4(self, design, b_mc):
         # samplers that draw each slot from its law size chunks by
@@ -230,32 +233,52 @@ class TestSimulateBatch:
 class TestRunCell:
     def test_record_fields_and_ratios(self):
         design = DesignPoint(EXP, 2, 15, 1.0, 0.0, (0.5, 0.25))
-        records = run_cell(design, 200, RngStream(5, 0), seed=5)
-        assert len(records) == 2
-        for rec in records:
-            assert rec.re_mc == pytest.approx(rec.v_srs_mc / rec.v_rss_mc)
-            assert rec.re_gw == pytest.approx(rec.mean_gw_srs / rec.mean_gw_rss)
-            assert rec.v_rss_mc >= 0 and rec.v_srs_mc >= 0
-            assert rec.seed == 5
+        columns = run_cell(design, 200, RngStream(5, 0))
+        assert {len(values) for values in columns.values()} == {2}
+        v_rss, v_srs = columns["v_rss_mc"], columns["v_srs_mc"]
+        assert columns["re_mc"] == pytest.approx(v_srs / v_rss)
+        assert columns["re_gw"] == pytest.approx(columns["mean_gw_srs"] / columns["mean_gw_rss"])
+        assert np.all(v_rss >= 0) and np.all(v_srs >= 0)
+        assert list(columns["seed"]) == [5, 5]
 
     def test_deterministic(self):
         design = DesignPoint(EXP, 2, 10, 1.0, 0.1, (0.5,))
         a = run_cell(design, 100, RngStream(8, 3))
         b = run_cell(design, 100, RngStream(8, 3))
-        assert a == b
+        assert list(a) == list(b)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name], strict=True)
+
+    def test_summaries_are_the_per_time_reductions_bitwise(self):
+        # each mean and variance is the 1-D reduction of one time's
+        # replicates, in replicate order; b_mc > 128 reaches numpy's
+        # pairwise-summation blocks
+        design = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3, FOUR_LEVELS)
+        rng = RngStream(7, 2)
+        columns = run_cell(design, 300, rng)
+        s_rss, gw_rss, s_srs, gw_srs, _ = harness._simulate_batch(
+            design, 300, rng.child(harness._PRIMARY), eval_times(design))
+        for name, reps, reduce in [
+            ("mean_s_rss", s_rss, np.mean), ("mean_s_srs", s_srs, np.mean),
+            ("mean_gw_rss", gw_rss, np.mean), ("mean_gw_srs", gw_srs, np.mean),
+            ("v_rss_mc", s_rss, lambda x: np.var(x, ddof=1)),
+            ("v_srs_mc", s_srs, lambda x: np.var(x, ddof=1)),
+        ]:
+            want = [reduce(reps[:, j]) for j in range(len(FOUR_LEVELS))]
+            np.testing.assert_array_equal(columns[name], want)
 
     def test_k1_collapse_re_true_is_one(self):
         design = DesignPoint(EXP, 1, 30, 1.0, 0.0, (0.5,))
-        rec = run_cell(design, 300, RngStream(1, 0))[0]
-        assert rec.re_true == 1.0
-        assert rec.re_mc == pytest.approx(1.0, abs=0.35)
+        columns = run_cell(design, 300, RngStream(1, 0))
+        assert columns["re_true"][0] == 1.0
+        assert columns["re_mc"][0] == pytest.approx(1.0, abs=0.35)
 
     def test_re_true_does_not_depend_on_the_seed(self):
         design = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3, (0.75, 0.5))
         a = run_cell(design, 20, RngStream(1, 0))
         b = run_cell(design, 20, RngStream(2, 0))
-        assert [r.re_true for r in a] == [r.re_true for r in b]
-        assert a[0].re_mc != b[0].re_mc
+        assert list(a["re_true"]) == list(b["re_true"])
+        assert a["re_mc"][0] != b["re_mc"][0]
 
     def test_judged_law_is_tabulated_once_per_cell(self, monkeypatch):
         # every chunk of the sampler reads one judged-rank table at no times,
@@ -276,11 +299,11 @@ class TestRunCell:
 
     def test_weibull_re_true_uses_analytic_kernels(self):
         design = DesignPoint(EXP, 4, 10, 1.0, 0.0, (0.5,))
-        rec = run_cell(design, 50, RngStream(2, 0))[0]
+        re_true = run_cell(design, 50, RngStream(2, 0))["re_true"][0]
         # perfect-ranking k=4 exponential at the median: known kernel ratio
         vals = [order_statistic_survival(0.5, 4, r, 0.0) for r in (1, 2, 3, 4)]
         want = 0.25 / np.mean([s * (1 - s) for s in vals])
-        assert rec.re_true == pytest.approx(want, rel=1e-6)
+        assert re_true == pytest.approx(want, rel=1e-6)
 
     def test_n_degenerate_counts_replicates_per_time(self):
         # m=3 exhausts risk sets often; the reference refits every curve of
@@ -288,10 +311,10 @@ class TestRunCell:
         # chunk c, RSS 0 / SRS 1)
         design = DesignPoint(EXP, 2, 3, 1.0, 0.0, (0.75, 0.5, 0.25, 0.1))
         b_mc = 200
-        records = run_cell(design, b_mc, RngStream(4, 0))
-        counts = [rec.n_degenerate for rec in records]
+        columns = run_cell(design, b_mc, RngStream(4, 0))
+        counts, times = columns["n_degenerate"], columns["t"]
         assert all(0 <= c <= b_mc for c in counts)
-        by_time = np.asarray(counts)[np.argsort([rec.t for rec in records])]
+        by_time = counts[np.argsort(times)]
         assert np.all(np.diff(by_time) >= 0)
 
         total = 0
@@ -300,8 +323,8 @@ class TestRunCell:
             curves = [SortedSample(t[None], e[None]).product_limit() for t, e in zip(*rss)]
             curves.append(SortedSample(*srs).product_limit())
             # unweighted S-hat is 0 exactly where the whole risk set died
-            total += sum(any(c.survival_at(rec.t)[0] == 0 for c in curves)
-                         for rec in records)
+            total += sum(any(c.survival_at(t)[0] == 0 for c in curves)
+                         for t in times)
         assert total > 0 and sum(counts) == total
 
     def test_b_mc_too_small(self):
@@ -399,6 +422,52 @@ class TestRunGrid:
         run_grid(cfg, str(b), master_seed=99)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_empty_grid_is_reported_before_any_work(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        with pytest.raises(models.ParameterError, match="empty grid"):
+            run_grid(HarnessConfig(k=[]), str(out))
+        assert not out.exists()
+
+    # k = 1 and 3, judged and perfect Weibull, an AFT cell, p_cens 0 and
+    # 0.3; at level 0.999 and m = 3 most replicates never leave S = 1, so
+    # zero-variance rows print re_mc = re_gw = nan (and re_mc = 0 where
+    # only the SRS arm has zero variance)
+    @pytest.mark.parametrize("grid, rows", [
+        ("model = weibull\nk = 1, 3\nrho = 0.5, 1.0\np_cens = 0, 0.3\n", [
+            "weibull,1,3,3,0.5,0,0.999,0.0010005,0.983333,1,0.00555556,0,0.0037037,0,1,0,0,20,0,2,1.73205",
+            "weibull,1,3,3,0.5,0,0.5,0.693147,0.566667,0.466667,0.0830409,0.0865497,0.0555556,0.0555556,1,1.04225,1,20,6,2,1.73205",
+            "weibull,1,3,3,0.5,0.3,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,1.73205",
+            "weibull,1,3,3,0.5,0.3,0.5,0.693147,0.508333,0.466667,0.0949561,0.142105,0.0594907,0.0421296,1,1.49654,0.708171,20,7,2,1.73205",
+            "weibull,1,3,3,1,0,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,0",
+            "weibull,1,3,3,1,0,0.5,0.693147,0.466667,0.35,0.0748538,0.0640351,0.0592593,0.0555556,1,0.855469,0.9375,20,7,2,0",
+            "weibull,1,3,3,1,0.3,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,0",
+            "weibull,1,3,3,1,0.3,0.5,0.693147,0.533333,0.491667,0.130409,0.0627924,0.0458333,0.0655093,1,0.481502,1.42929,20,6,2,0",
+            "weibull,3,3,9,0.5,0,0.999,0.0010005,0.994444,1,0.000617284,0,0.000411523,0,1.00012,0,0,20,0,2,1.73205",
+            "weibull,3,3,9,0.5,0,0.5,0.693147,0.516667,0.483333,0.0341455,0.0276478,0.01893,0.0248285,1.06213,0.809705,1.31159,20,5,2,1.73205",
+            "weibull,3,3,9,0.5,0.3,0.999,0.0010005,1,1,0,0,0,0,1.00012,nan,nan,20,0,2,1.73205",
+            "weibull,3,3,9,0.5,0.3,0.5,0.693147,0.480556,0.451195,0.0351771,0.0275337,0.0145833,0.031553,1.05905,0.782718,2.16364,20,11,2,1.73205",
+            "weibull,3,3,9,1,0,0.999,0.0010005,1,1,0,0,0,0,1.002,nan,nan,20,0,2,0",
+            "weibull,3,3,9,1,0,0.5,0.693147,0.494444,0.438889,0.0110136,0.0318064,0.0111111,0.0240055,1.6,2.88791,2.16049,20,14,2,0",
+            "weibull,3,3,9,1,0.3,0.999,0.0010005,1,1,0,0,0,0,1.002,nan,nan,20,0,2,0",
+            "weibull,3,3,9,1,0.3,0.5,0.693147,0.447222,0.544196,0.018348,0.028946,0.00882202,0.0284065,1.54749,1.57762,3.21996,20,18,2,0",
+        ]),
+        ("model = aft\nk = 3\nrho = 0.5\np_cens = 0.3\n", [
+            "aft,3,3,9,0.5,0.3,0.999,0.00825174,1,1,0,0,0,0,1.00199,nan,nan,20,0,2,0.402458",
+            "aft,3,3,9,0.5,0.3,0.5,1,0.475,0.463188,0.0131498,0.0318759,0.0115484,0.0250113,1.51141,2.42406,2.16579,20,16,2,0.402458",
+        ]),
+    ], ids=["weibull-grid", "aft-cell"])
+    def test_output_bytes(self, tmp_path, grid, rows):
+        cfg = write_config(tmp_path, f"{grid}m = 3\nlevels = 0.999, 0.5\nb_mc = 20\nseed = 2\n")
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes().decode().split("\n") == [
+            "# schema_version=2",
+            "model,k,m,n,rho,p_cens,level,t,mean_s_rss,mean_s_srs,v_rss_mc,v_srs_mc,"
+            "mean_gw_rss,mean_gw_srs,re_true,re_mc,re_gw,b_mc,n_degenerate,seed,rank_noise_sd",
+            *rows,
+            "",
+        ]
+
 
 class TestCli:
     def test_simulate(self, tmp_path):
@@ -406,6 +475,15 @@ class TestCli:
         out = tmp_path / "grid.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert len(read_rows(out)) == 8
+
+    def test_simulate_unwritable_out_is_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: simulate: unwritable output {out}: [Errno 2]")
+        assert not (tmp_path / "missing").exists()
 
     def test_simulate_bad_config_is_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bogus = 1\n")
