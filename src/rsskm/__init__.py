@@ -40,7 +40,6 @@ _DEFERRED = {
         "aft_rho_ceiling",
         "aft_score_correlation",
         "asymptotic_km_variance",
-        "asymptotic_rss_km_variance",
         "calibrate_aft_concomitant",
         "censoring_for_fraction",
         "dell_clutter_sigma",
@@ -75,7 +74,6 @@ __all__ = [
     "aft_rho_ceiling",
     "aft_score_correlation",
     "asymptotic_km_variance",
-    "asymptotic_rss_km_variance",
     "calibrate_aft_concomitant",
     "censoring_for_fraction",
     "dell_clutter_sigma",

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, undecodable_line
 from .rss import (
     EmptyDesignError,
     RankedSetSample,
@@ -59,26 +59,33 @@ _BLOCK_ROWS = 4096
 
 
 def _read_observations(path: str) -> RankedSetSample:
-    """Load a (cycle, rank, time, event) CSV into a balanced sample; rows may
-    come in any order, and each (rank, cycle) pair must occur exactly once.
-    Blank lines are skipped; errors name the line of the first bad row.
-    Rows are converted in blocks, so only one block's strings are held."""
+    """Load a UTF-8 (cycle, rank, time, event) CSV into a balanced sample;
+    rows may come in any order, and each (rank, cycle) pair must occur
+    exactly once.  Blank lines are skipped; errors name the line of the
+    first bad row, undecodable byte or oversized field.  Rows are converted
+    in blocks, so only one block's strings are held."""
     names = ("rank", "cycle", "time", "event")
     columns = [[np.empty(0)] for _ in names]
     lines = [np.empty(0, dtype=int)]
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(names) <= set(header):
+        try:
+            header = next(reader, None)
+            if header is None or not set(names) <= set(header):
+                raise InvalidObservationError(
+                    f"{path}: header must contain columns {sorted(names)}"
+                )
+            index = [header.index(name) for name in names]
+            records = ((reader.line_num, row) for row in reader if row)
+            while block := list(itertools.islice(records, _BLOCK_ROWS)):
+                for column, values in zip(columns, _block_columns(path, block, index, names)):
+                    column.append(values)
+                lines.append(np.array([lineno for lineno, _ in block]))
+        except UnicodeDecodeError as exc:
             raise InvalidObservationError(
-                f"{path}: header must contain columns {sorted(names)}"
-            )
-        index = [header.index(name) for name in names]
-        records = ((reader.line_num, row) for row in reader if row)
-        while block := list(itertools.islice(records, _BLOCK_ROWS)):
-            for column, values in zip(columns, _block_columns(path, block, index, names)):
-                column.append(values)
-            lines.append(np.array([lineno for lineno, _ in block]))
+                f"{path}: line {undecodable_line(path)}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise InvalidObservationError(f"{path}: line {reader.line_num}: {exc}") from None
     return RankedSetSample.from_columns(*map(np.concatenate, columns),
                                         lines=np.concatenate(lines))
 
@@ -175,7 +182,6 @@ def _cmd_kernels(args) -> int:
     from .models import (
         WeibullModel,
         asymptotic_km_variance,
-        asymptotic_rss_km_variance,
         censoring_for_fraction,
     )
 
@@ -192,13 +198,13 @@ def _cmd_kernels(args) -> int:
     judged_models = [prepare_model(model, rho) for rho in rhos]
     laws = [censoring_for_fraction(model, p) for p in fractions]
     # the SRS kernel depends on (p, t) only, the perfect-ranking one on (k, p)
-    v_srs = [[asymptotic_km_variance(model, cens, t) for t in times] for cens in laws]
+    v_srs = [asymptotic_km_variance(model, cens, times) for cens in laws]
     rows = []  # all computed before --out is opened: an error leaves no file
     for k in sizes:
-        v_perf = [asymptotic_rss_km_variance(model, cens, times, k) for cens in laws]
+        v_perf = [asymptotic_km_variance(model, cens, times, k) for cens in laws]
         for rho, judged in zip(rhos, judged_models):
             for p, cens, v_srs_p, v_perf_p in zip(fractions, laws, v_srs, v_perf):
-                v_judg = asymptotic_rss_km_variance(judged, cens, times, k)
+                v_judg = asymptotic_km_variance(judged, cens, times, k)
                 for level, t, v, perf, judg in zip(levels, times, v_srs_p, v_perf_p, v_judg):
                     rows.append([
                         k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",

@@ -1,7 +1,7 @@
 """Flat key/value config files for the simulation harness.
 
-Format: one ``key = value`` pair per line, ``#`` comments, arrays as
-comma-separated values.  Diff-friendly and language-neutral.
+Format: UTF-8 text, one ``key = value`` pair per line, ``#`` comments,
+arrays as comma-separated values.  Diff-friendly and language-neutral.
 
 Recognized keys (defaults in parentheses):
 
@@ -58,10 +58,13 @@ class HarnessConfig:
 def parse_config(path: str) -> HarnessConfig:
     cfg = HarnessConfig()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"unreadable config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{undecodable_line(path)}: not UTF-8 text: {exc.reason}") from None
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -95,6 +98,19 @@ def parse_config(path: str) -> HarnessConfig:
 
     _validate(cfg, path)
     return cfg
+
+
+def undecodable_line(path: str) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 (the last line
+    if each decodes alone); a text reader decodes ahead in blocks, so the
+    raw lines are decoded one by one."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return lineno
 
 
 def _validate(cfg: HarnessConfig, path: str) -> None:

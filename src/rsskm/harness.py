@@ -35,7 +35,6 @@ from .models import (
     SuperpopulationModel,
     WeibullModel,
     asymptotic_km_variance,
-    asymptotic_rss_km_variance,
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
@@ -122,14 +121,13 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
 
 
-def _true_re(design: DesignPoint, times) -> list[float]:
+def _true_re(design: DesignPoint, times) -> np.ndarray:
     """Benchmark RE per eval time: the ratio of the SRS kernel to the
     judged-rank RSS kernel, exactly 1.0 at k = 1."""
-    model, k = design.model, design.k
+    model = design.model
     censoring = censoring_for_fraction(model, design.p_cens)
-    v_srs = [asymptotic_km_variance(model, censoring, t) for t in times]
-    v_rss = v_srs if k == 1 else asymptotic_rss_km_variance(model, censoring, times, k)
-    return [a / b for a, b in zip(v_srs, v_rss)]
+    v_srs = asymptotic_km_variance(model, censoring, times)
+    return v_srs / asymptotic_km_variance(model, censoring, times, design.k)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -144,6 +142,9 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list |
         raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
     model, k, m = design.model, design.k, design.m
     times = [model.quantile(level) for level in design.eval_levels]
+    # first, so that an eval time outside the inference window fails before
+    # any replicate is drawn
+    re_true = _true_re(design, times)
 
     *batch, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times)
     # one contiguous row of replicates per time, so that each row reduces
@@ -171,7 +172,7 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list |
         "v_srs_mc": v_srs,
         "mean_gw_rss": m_gw_rss,
         "mean_gw_srs": m_gw_srs,
-        "re_true": np.asarray(_true_re(design, times), float),
+        "re_true": re_true,
         "re_mc": _ratio(v_srs, v_rss),
         "re_gw": _ratio(m_gw_srs, m_gw_rss),
         "b_mc": each(b_mc),

@@ -12,12 +12,12 @@ Two generative families are supported:
 
 Each model gives its survival function and quantiles, and draws the units
 measured in the judged slots of a ranked set sample (``draw_slots``).  The
-exact law of those units (``judged_rank_survival``) feeds the asymptotic
-KM variance kernels ``asymptotic_km_variance`` and
-``asymptotic_rss_km_variance``.  That law is tabulated once per (model, set
-size, eval times) (``_judged_law``); the kernels read the table at their
-times, and the judged Weibull sampler inverts each slot's CDF in the table
-at no times.
+exact law of those units (``judged_rank_survival``) feeds the one asymptotic
+KM variance kernel, ``asymptotic_km_variance``: the population law at set
+size k = 1 (SRS), the rank-averaged judged law at k > 1 (RSS).  That law is
+tabulated once per (model, set size, eval times) (``_judged_law``); the
+kernel reads the table at its times, and the judged Weibull sampler inverts
+each slot's CDF in the table at no times.
 
 The standard normal comes from ``scipy.special`` (``ndtr``, ``ndtri``), in
 the forms ``scipy.stats.norm`` evaluates, and the Weibull score-CDF spline
@@ -299,14 +299,15 @@ def _slot_gamma_pairs(k: int, size, proxies: RngStream):
 
 @dataclass(frozen=True)
 class CensoringLaw:
-    """Independent censoring: none, Exp(rate), or Weibull(shape, scale)."""
+    """Independent censoring: none, or Weibull(shape, scale), which is
+    exponential with mean ``parameter`` at shape 1."""
 
-    kind: str  # "none" | "exponential-rate" | "weibull-scale"
+    kind: str  # "none" | "weibull-scale"
     parameter: float = 0.0
     shape: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "exponential-rate", "weibull-scale"):
+        if self.kind not in ("none", "weibull-scale"):
             raise ParameterError(f"unknown censoring kind: {self.kind}")
         if self.kind != "none" and self.parameter <= 0:
             raise ParameterError("censoring parameter must be positive")
@@ -314,16 +315,12 @@ class CensoringLaw:
     def draw(self, gen: np.random.Generator, size):
         if self.kind == "none":
             return np.full(size, np.inf)
-        if self.kind == "exponential-rate":
-            return gen.exponential(1.0 / self.parameter, size)
         return self.parameter * gen.standard_exponential(size) ** (1 / self.shape)
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "none":
             return np.ones_like(t)
-        if self.kind == "exponential-rate":
-            return np.exp(-self.parameter * np.maximum(t, 0))
         with np.errstate(over="ignore"):  # exp(-inf) = 0 far in the tail
             return np.exp(-((np.maximum(t, 0) / self.parameter) ** self.shape))
 
@@ -331,9 +328,10 @@ class CensoringLaw:
 def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> CensoringLaw:
     """Censoring law targeting fraction ``p_cens``.
 
-    AFT: C ~ Exp(rate = -log(1-p)/E[X]).  Weibull: same-shape Weibull with
-    scale theta2 = theta1 * ((1-p)/p)^(1/nu), which censors exactly fraction
-    p for Weibull lifetimes.  p = 0 means no censoring.
+    AFT: exponential C with rate -log(1-p)/E[X], i.e. scale 1/rate.
+    Weibull: same-shape Weibull with scale theta2 = theta1 * ((1-p)/p)^(1/nu),
+    which censors exactly fraction p for Weibull lifetimes.  p = 0 means no
+    censoring.
     """
     if not 0.0 <= p_cens < 1.0:
         raise ParameterError(f"censoring fraction must be in [0,1), got {p_cens}")
@@ -343,7 +341,7 @@ def censoring_for_fraction(model: SuperpopulationModel, p_cens: float) -> Censor
         theta2 = model.scale_theta1 * ((1 - p_cens) / p_cens) ** (1 / model.shape_nu)
         return CensoringLaw("weibull-scale", theta2, shape=model.shape_nu)
     rate = -math.log(1 - p_cens) / model.mean_lifetime
-    return CensoringLaw("exponential-rate", rate)
+    return CensoringLaw("weibull-scale", 1.0 / rate)
 
 
 # --------------------------------------------------------------------------
@@ -560,51 +558,17 @@ def _judged_kernels(model, censoring: CensoringLaw, times, k: int) -> np.ndarray
     return law.survival_at**2 * integral[:, law.panel]
 
 
-def _is_exponential(model, censoring: CensoringLaw) -> bool:
-    return (isinstance(model, WeibullModel) and model.shape_nu == 1.0
-            and (censoring.kind != "weibull-scale" or censoring.shape == 1.0))
-
-
-def _censoring_rate(censoring: CensoringLaw) -> float:
-    if censoring.kind == "none":
-        return 0.0
-    if censoring.kind == "exponential-rate":
-        return censoring.parameter
-    return 1.0 / censoring.parameter  # exponential written as weibull scale
-
-
 def asymptotic_km_variance(
     model: SuperpopulationModel,
     censoring: CensoringLaw,
-    t: float,
-) -> float:
-    """Per-observation asymptotic KM variance kernel of the population law
-    at s = t:
-
-        V(t) = S(t)^2 * int_0^t f(u) / (S(u)^2 K(u)) du,
-
-    in closed form for exponential lifetimes under exponential or no
-    censoring, otherwise by the quadrature of the judged-rank kernel at
-    k = 1.
-    """
-    _check_window(model, censoring, t)
-    if _is_exponential(model, censoring):
-        s = float(model.survival(t))
-        lam = 1.0 / model.scale_theta1
-        c = _censoring_rate(censoring)
-        return s**2 * lam * math.expm1((lam + c) * t) / (lam + c)
-    return float(_judged_kernels(model, censoring, [t], 1)[0, 0])
-
-
-def asymptotic_rss_km_variance(
-    model: SuperpopulationModel,
-    censoring: CensoringLaw,
     t,
-    k: int,
+    k: int = 1,
 ):
-    """Per-observation variance of the rank-averaged KM at t (a time, or an
-    array of times read from one tabulated law): the simple average of the
-    k judged-rank kernels under the model's ranking noise."""
+    """Per-observation asymptotic variance of the rank-averaged KM of k-sets
+    at t (a time, or an array of times read from one tabulated law): the
+    simple average of the k judged-rank kernels (``_judged_kernels``) under
+    the model's ranking noise.  At k = 1 it is the SRS kernel of the
+    population law, V(t) = S(t)^2 * int_0^t f(u) / (S(u)^2 K(u)) du."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
     for u in times:
         _check_window(model, censoring, u)

@@ -19,7 +19,6 @@ from rsskm import (
     RngStream,
     WeibullModel,
     asymptotic_km_variance,
-    asymptotic_rss_km_variance,
     censoring_for_fraction,
     draw_balanced_rss,
     multiplier_bootstrap,
@@ -31,7 +30,7 @@ from rsskm import (
     run_grid,
 )
 from rsskm.survival import SortedSample
-from oracles import order_statistic_survival
+from oracles import exponential_km_variance, order_statistic_survival
 from test_models import mixing_matrix
 
 B_MC = 10_000
@@ -132,11 +131,12 @@ def test_criterion_5_analytic_kernel_cross_check():
         law = censoring_for_fraction(EXP, p_cens)
         for level in (0.75, 0.5, 0.25):
             t = EXP.quantile(level)
-            closed = asymptotic_km_variance(EXP, law, t)
-            quad = asymptotic_rss_km_variance(EXP, law, t, 1)
+            # unit-rate lifetimes, Exp(c) censoring with p = c / (1 + c)
+            closed = exponential_km_variance(1.0, p_cens / (1 - p_cens), t)
+            quad = asymptotic_km_variance(EXP, law, t)
             worst_rel = max(worst_rel, abs(quad / closed - 1.0))
-            v_perf = asymptotic_rss_km_variance(EXP, law, t, k)
-            v_judg = asymptotic_rss_km_variance(judged, law, t, k)
+            v_perf = asymptotic_km_variance(EXP, law, t, k)
+            v_judg = asymptotic_km_variance(judged, law, t, k)
             ordering_ok &= v_perf <= v_judg * (1 + 1e-6)
             ordering_ok &= v_judg <= closed * (1 + 1e-6)
     ok = worst_rel <= 1e-8 and ordering_ok

@@ -15,6 +15,7 @@ from rsskm import (
     ConfigError,
     DesignPoint,
     HarnessConfig,
+    InferenceWindowError,
     RngStream,
     WeibullModel,
     censoring_for_fraction,
@@ -280,10 +281,20 @@ class TestRunCell:
         assert list(a["re_true"]) == list(b["re_true"])
         assert a["re_mc"][0] != b["re_mc"][0]
 
+    def test_eval_time_outside_window_fails_before_any_replicate(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(harness, "_simulate_batch", must_not_run)
+        # at p_cens = 0.5, K = S, so S(t) K(t) = 1e-14 at level 1e-7
+        design = DesignPoint(EXP, 2, 5, 1.0, 0.5, (0.5, 1e-7))
+        with pytest.raises(InferenceWindowError, match="outside inference window"):
+            run_cell(design, 4000, RngStream(0))
+
     def test_judged_law_is_tabulated_once_per_cell(self, monkeypatch):
-        # every chunk of the sampler reads one judged-rank table at no times,
-        # re_true one at the cell's times; the SRS kernels at nu != 1
-        # tabulate the k = 1 law per time
+        # re_true reads one k = 1 table for the SRS kernel and one judged
+        # table at the cell's times, then every chunk of the sampler reads
+        # one judged-rank table at no times
         models._cached_judged_law.cache_clear()
         calls = []
         tabulate = models._tabulate_judged_law
@@ -295,7 +306,7 @@ class TestRunCell:
         monkeypatch.setattr(models, "_tabulate_judged_law", counting)
         design = DesignPoint(prepare_model(WeibullModel(1.5), 0.7), 10, 5, 0.7, 0.3, (0.75, 0.5))
         run_cell(design, 3 * harness._BUDGET // (5 * 10 * 4), RngStream(1))
-        assert calls == [(10, 0), (1, 1), (1, 1), (10, 2)]
+        assert calls == [(1, 2), (10, 2), (10, 0)]
 
     def test_weibull_re_true_uses_analytic_kernels(self):
         design = DesignPoint(EXP, 4, 10, 1.0, 0.0, (0.5,))
@@ -739,6 +750,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: estimate:")
         assert f"line {cli._BLOCK_ROWS + 12}:" in err[0] and message in err[0]
+
+    @pytest.mark.parametrize("command, data, where, message", [
+        ("estimate", b"cycle,rank,time,event\n1,1,1.0,1\n1,2,\xff2.0,1\n", ": line 3:",
+         "not UTF-8 text"),
+        ("estimate", b"cycle,rank,time,event\n1,1,1.0,1\n1,2," + b"1" * 140_000 + b",1\n",
+         ": line 3:", "field larger than field limit"),
+        ("simulate", b"model = weibull\n# caf\xe9\nk = 2\n", ":2:", "not UTF-8 text"),
+    ], ids=["observations-not-utf8", "observation-field-too-large", "config-not-utf8"])
+    def test_unreadable_input_is_reported(self, tmp_path, capsys, command, data, where,
+                                          message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        out = tmp_path / "out.csv"
+        flag = "--config" if command == "simulate" else "--input"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {command}: {path}{where}")
+        assert message in err[0] and not out.exists()
 
     def test_blocks_join_into_one_sample(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 7

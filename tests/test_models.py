@@ -3,7 +3,8 @@ calibration, censoring construction, and asymptotic variance kernels.
 
 Reference values: order-statistic and censoring numbers are hand-derived
 from the stated closed forms; kernel values are cross-checked between the
-exponential closed form and independent quadrature.
+package's quadrature, the exponential closed form of ``oracles`` and
+independent adaptive quadrature.
 """
 
 import math
@@ -26,7 +27,6 @@ from rsskm import (
     aft_rho_ceiling,
     aft_score_correlation,
     asymptotic_km_variance,
-    asymptotic_rss_km_variance,
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
@@ -42,7 +42,7 @@ from rsskm.models import (
     _panel_nodes,
     judged_rank_survival,
 )
-from oracles import order_statistic_survival
+from oracles import exponential_km_variance, order_statistic_survival
 from test_sampling import weibull_scores
 
 AFT = AftModel()  # lognormal, log-sd = hypot(1.5, 0.4)
@@ -205,10 +205,13 @@ class TestCensoring:
                 np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0)
 
     def test_aft_exponential_rate(self):
+        # exponential censoring, written as a Weibull of shape 1 with scale
+        # 1 / rate
         law = censoring_for_fraction(AFT, 0.3)
-        assert law.kind == "exponential-rate"
+        assert law.kind == "weibull-scale"
+        assert law.shape == 1.0
         assert law.parameter == pytest.approx(
-            -math.log(0.7) / AFT.mean_lifetime)
+            1 / (-math.log(0.7) / AFT.mean_lifetime))
 
     def test_no_censoring(self):
         law = censoring_for_fraction(EXP, 0.0)
@@ -224,7 +227,7 @@ class TestCensoring:
         with pytest.raises(ParameterError):
             CensoringLaw("uniform", 1.0)
         with pytest.raises(ParameterError):
-            CensoringLaw("exponential-rate", -1.0)
+            CensoringLaw("weibull-scale", -1.0)
 
 
 class TestRankingCalibration:
@@ -399,18 +402,21 @@ class TestJudgedRankLaw:
                 got = _judged_kernels(model, law, [t], 6)[r - 1, 0]
                 assert got == pytest.approx(want, rel=1e-8)
 
-    def test_noise_orders_the_kernels(self):
-        # V_perfect <= V_judged <= V_SRS, and the judged kernel at a whole
-        # grid of times equals the kernel at each time alone
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_noise_orders_the_kernels(self, k):
+        # V_perfect <= V_judged <= V_SRS at k = 4, and the kernel at a whole
+        # grid of times equals the kernel at each time alone, for the SRS
+        # (k = 1) and the judged RSS kernel
         law = censoring_for_fraction(EXP, 0.3)
         times = [EXP.quantile(level) for level in (0.75, 0.5, 0.25)]
-        v_srs = [asymptotic_km_variance(EXP, law, t) for t in times]
-        v_perf = asymptotic_rss_km_variance(EXP, law, times, 4)
+        v_srs = asymptotic_km_variance(EXP, law, times)
+        v_perf = asymptotic_km_variance(EXP, law, times, 4)
         judged = prepare_model(EXP, 0.7)
-        v_judg = asymptotic_rss_km_variance(judged, law, times, 4)
+        v_judg = asymptotic_km_variance(judged, law, times, 4)
         assert np.all(v_perf < v_judg) and np.all(v_judg < v_srs)
-        alone = [asymptotic_rss_km_variance(judged, law, t, 4) for t in times]
-        np.testing.assert_allclose(v_judg, alone, rtol=1e-12)
+        grid = asymptotic_km_variance(judged, law, times, k)
+        alone = [asymptotic_km_variance(judged, law, t, k) for t in times]
+        np.testing.assert_allclose(grid, alone, rtol=1e-12)
 
     def test_score_cdf_is_tabulated_once_per_model(self):
         # later cells of a model read its first table: their kernels are
@@ -421,12 +427,12 @@ class TestJudgedRankLaw:
         shared = model()
         law = censoring_for_fraction(shared, 0.3)
         times = [shared.quantile(level) for level in self.LEVELS]
-        first = asymptotic_rss_km_variance(shared, law, times, 4)
+        first = asymptotic_km_variance(shared, law, times, 4)
         table = shared._score_cdf
         for k in (4, 6):
-            np.testing.assert_array_equal(asymptotic_rss_km_variance(shared, law, times, k),
-                                          asymptotic_rss_km_variance(model(), law, times, k))
-        np.testing.assert_array_equal(asymptotic_rss_km_variance(shared, law, times, 4), first)
+            np.testing.assert_array_equal(asymptotic_km_variance(shared, law, times, k),
+                                          asymptotic_km_variance(model(), law, times, k))
+        np.testing.assert_array_equal(asymptotic_km_variance(shared, law, times, 4), first)
         assert shared._score_cdf is table
 
     @pytest.mark.parametrize("rho", [0.3, 0.9])
@@ -454,7 +460,7 @@ class TestJudgedRankLaw:
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError, match="k must be >= 1"):
-            asymptotic_rss_km_variance(EXP, CensoringLaw("none"), 1.0, 0)
+            asymptotic_km_variance(EXP, CensoringLaw("none"), 1.0, 0)
 
     def test_uncalibrated_aft_rejected(self):
         with pytest.raises(ParameterError, match="uncalibrated"):
@@ -465,23 +471,22 @@ class TestAsymptoticKernels:
     def test_no_censoring_collapse(self):
         # V(t) = S(1-S) when K == 1
         t = EXP.quantile(0.5)
-        none = CensoringLaw("none")
-        closed = asymptotic_km_variance(EXP, none, t)
+        closed = exponential_km_variance(1.0, 0.0, t)
         assert closed == pytest.approx(0.25, abs=1e-12)
-        quad = asymptotic_rss_km_variance(EXP, none, t, 1)
+        quad = asymptotic_km_variance(EXP, CensoringLaw("none"), t)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("p_cens", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("level", [0.75, 0.5, 0.25])
     def test_exponential_closed_form_matches_quadrature(self, p_cens, level):
+        # unit-rate lifetimes, Exp(c) censoring with p = c / (1 + c); the
+        # closed form is also checked against the defining integral by
+        # adaptive quadrature
         law = censoring_for_fraction(EXP, p_cens)
         t = EXP.quantile(level)
-        closed = asymptotic_km_variance(EXP, law, t)
-        quad = asymptotic_rss_km_variance(EXP, law, t, 1)
-        # closed form: S^2 * lam*(e^{(lam+c)t} - 1)/(lam+c)
-        lam, c = 1.0, 1.0 / law.parameter
-        want = level**2 * lam * math.expm1((lam + c) * t) / (lam + c)
-        assert closed == pytest.approx(want, rel=1e-12)
+        closed = exponential_km_variance(1.0, p_cens / (1 - p_cens), t)
+        assert closed == pytest.approx(order_statistic_kernel(EXP, law, t, 1, 1), rel=1e-12)
+        quad = asymptotic_km_variance(EXP, law, t)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     def test_rank_kernel_no_censoring_is_binomial(self):
@@ -497,7 +502,7 @@ class TestAsymptoticKernels:
         per_rank = [
             _judged_kernels(EXP, law, [t], 3)[r - 1, 0] for r in (1, 2, 3)
         ]
-        got = asymptotic_rss_km_variance(EXP, law, t, 3)
+        got = asymptotic_km_variance(EXP, law, t, 3)
         assert got == pytest.approx(np.mean(per_rank), rel=1e-12)
 
     def test_perfect_rss_never_hurts(self):
@@ -505,7 +510,7 @@ class TestAsymptoticKernels:
         t = EXP.quantile(0.5)
         v_srs = asymptotic_km_variance(EXP, law, t)
         for k in (2, 4, 6):
-            assert asymptotic_rss_km_variance(EXP, law, t, k) < v_srs
+            assert asymptotic_km_variance(EXP, law, t, k) < v_srs
 
     def test_outside_window_rejected(self):
         heavy = censoring_for_fraction(EXP, 0.5)
