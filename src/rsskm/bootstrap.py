@@ -44,7 +44,7 @@ class MultiplierLaw:
 
     def draw(self, gen: np.random.Generator, size):
         if self.kind == "unit-exponential":
-            return gen.exponential(1.0, size)
+            return gen.standard_exponential(size)
         if self.kind == "gamma":
             return gen.gamma(self.gamma_shape, 1.0 / self.gamma_shape, size)
         return np.ones(size)

@@ -59,15 +59,16 @@ _BLOCK_ROWS = 4096
 
 
 def _read_observations(path: str) -> RankedSetSample:
-    """Load a UTF-8 (cycle, rank, time, event) CSV into a balanced sample;
-    rows may come in any order, and each (rank, cycle) pair must occur
-    exactly once.  Blank lines are skipped; errors name the line of the
-    first bad row, undecodable byte or oversized field.  Rows are converted
-    in blocks, so only one block's strings are held."""
+    """Load a UTF-8 (cycle, rank, time, event) CSV, with or without a
+    byte-order mark, into a balanced sample; rows may come in any order, and
+    each (rank, cycle) pair must occur exactly once.  Blank lines are
+    skipped; errors name the line of the first bad row, undecodable byte or
+    oversized field.  Rows are converted in blocks, so only one block's
+    strings are held."""
     names = ("rank", "cycle", "time", "event")
     columns = [[np.empty(0)] for _ in names]
     lines = [np.empty(0, dtype=int)]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

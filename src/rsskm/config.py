@@ -1,7 +1,8 @@
 """Flat key/value config files for the simulation harness.
 
-Format: UTF-8 text, one ``key = value`` pair per line, ``#`` comments,
-arrays as comma-separated values.  Diff-friendly and language-neutral.
+Format: UTF-8 text (a leading byte-order mark is skipped), one
+``key = value`` pair per line, ``#`` comments, arrays as comma-separated
+values.  Diff-friendly and language-neutral.
 
 Recognized keys (defaults in parentheses):
 
@@ -58,7 +59,7 @@ class HarnessConfig:
 def parse_config(path: str) -> HarnessConfig:
     cfg = HarnessConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"unreadable config {path}: {exc}") from exc

@@ -9,6 +9,9 @@ set sample, and it takes optional multiplier weights for the bootstrap.
 once, and lays them out as ``(..., width)`` arrays, ``width`` being the
 largest such count of any row; shorter rows are padded with neutral entries
 (time inf, R = 1, dN = 0: a factor 1.0 in the product, 0.0 in the sums).
+It sorts with numpy's default sort and sorts again stably only when some row
+holds a tie: a row without ties has one sorting permutation, so either way
+each row ends in its stable order, and every sum runs in that order.
 ``SortedSample.product_limit`` then turns one weight vector into a
 ``ProductLimit`` holding R, dN and S-hat per death group; Greenwood, the
 cumulative hazard, its variance and the first exhausted and vanished risk
@@ -45,6 +48,11 @@ class SortedSample:
     by time, with the tie groups that hold a death.  Built once per sample;
     ``product_limit`` reruns the arithmetic for any weights without sorting.
 
+    The block is sorted with numpy's default (unstable, faster) sort first,
+    and again with the stable sort only if some row holds a tie (``-0.0``
+    and ``0.0`` tie).  Tie-free rows have a single sorting permutation, so
+    both ways yield the stable order, bit for bit.
+
     The death groups of each row fill a ``(..., width)`` layout, ``width``
     being the largest count of any row; the rest of a row is padding.
     """
@@ -56,14 +64,20 @@ class SortedSample:
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise InvalidObservationError("invalid observation: negative or non-finite time")
         m = times.shape[-1]
-        order = np.argsort(times, axis=-1, kind="stable")
-        self.times = np.take_along_axis(times, order, axis=-1)
+        values = times.ravel()
+        offsets = np.arange(0, times.size, m).reshape(times.shape[:-1] + (1,))
         # flat index of the unit at each sorted position
-        self.units = (order + np.arange(0, times.size, m).reshape(order.shape[:-1] + (1,))).ravel()
-        flat = self.times.ravel()
+        self.units = (np.argsort(times, axis=-1) + offsets).ravel()
+        flat = values[self.units]
         # a tie group starts at every row start and wherever the time changes
         starts = np.r_[True, flat[1:] != flat[:-1]]
         starts[::m] = True
+        if not starts.all():
+            # a row holds a tie (-0.0 == 0.0 counts): only the stable sort
+            # keeps tied units in input order; the tie groups stay the same
+            self.units = (np.argsort(times, axis=-1, kind="stable") + offsets).ravel()
+            flat = values[self.units]
+        self.times = flat.reshape(times.shape)
         first = np.flatnonzero(starts)
         # sorted flat positions of the deaths; each tie group's deaths are a
         # run among them, starting at ``death_starts``
@@ -80,7 +94,7 @@ class SortedSample:
         pad = width - counts
         self.slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
         self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
-        self.group_times.flat[self.slots] = flat[self.first]
+        self.group_times.reshape(-1)[self.slots] = flat[self.first]
         # lookup positions among ``group_times``, shared by every fit: they
         # do not depend on the weights
         self._position_cache = {}
@@ -117,8 +131,8 @@ class SortedSample:
             died = np.add.reduceat(w[self.death_units], self.death_starts)
         shape = self.group_times.shape
         r, dn = np.ones(shape), np.zeros(shape)
-        r.flat[self.slots] = at_risk
-        dn.flat[self.slots] = died
+        r.reshape(-1)[self.slots] = at_risk
+        dn.reshape(-1)[self.slots] = died
 
         gone = r <= 0
         r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive

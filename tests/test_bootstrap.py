@@ -75,6 +75,16 @@ class TestMultiplierLaw:
             assert np.all(w >= 0)
             assert np.mean(w) == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("shape", [7, (10, 2000), (3, 4, 5)])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_unit_exponential_is_numpy_exponential_bitwise(self, shape, seed):
+        # the draw and the generator state after it equal exponential(1.0)'s
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = MultiplierLaw("unit-exponential").draw(gen, shape)
+        want = ref.exponential(1.0, shape)
+        np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64), strict=True)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
     def test_gamma_variance_is_inverse_shape(self):
         gen = np.random.default_rng(1)
         w = MultiplierLaw("gamma", gamma_shape=4.0).draw(gen, 200_000)

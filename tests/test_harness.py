@@ -69,6 +69,14 @@ class TestConfig:
         assert cfg.rho == [0.5, 0.9]
         assert (cfg.b_mc, cfg.seed) == (100, 3)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "model = weibull\nk = 2, 4\nseed = 3\n"
+        plain = parse_config(write_config(tmp_path, text))
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(str(marked)) == plain
+        assert plain.model == "weibull"
+
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_config(tmp_path, "model = aft\nbogus = 1\n")
         with pytest.raises(ConfigError, match=r":2: field 'bogus'"):
@@ -480,6 +488,14 @@ class TestRunGrid:
         ]
 
 
+def estimate_and_bootstrap(tmp_path, path):
+    """The bytes ``estimate`` and ``bootstrap --reps 50`` write for ``path``."""
+    est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
+    assert main(["estimate", "--input", path, "--out", str(est)]) == 0
+    assert main(["bootstrap", "--input", path, "--out", str(boot), "--reps", "50"]) == 0
+    return est.read_bytes(), boot.read_bytes()
+
+
 class TestCli:
     def test_simulate(self, tmp_path):
         cfg = write_config(tmp_path, TINY_CONFIG)
@@ -789,14 +805,15 @@ class TestCli:
         np.random.default_rng(1).shuffle(rows)
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text(header + "".join(rows))
-        outputs = []
-        for path in (obs_csv, str(shuffled)):
-            est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
-            assert main(["estimate", "--input", path, "--out", str(est)]) == 0
-            assert main(["bootstrap", "--input", path, "--out", str(boot),
-                         "--reps", "50"]) == 0
-            outputs.append((est.read_bytes(), boot.read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert estimate_and_bootstrap(tmp_path, str(shuffled)) == estimate_and_bootstrap(
+            tmp_path, obs_csv)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, obs_csv):
+        # spreadsheet programs save UTF-8 CSVs with a leading BOM
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(obs_csv, "rb").read())
+        assert estimate_and_bootstrap(tmp_path, str(marked)) == estimate_and_bootstrap(
+            tmp_path, obs_csv)
 
     def test_bootstrap(self, tmp_path, obs_csv):
         out = tmp_path / "boot.csv"

@@ -323,3 +323,41 @@ class TestKernel:
         np.testing.assert_array_equal(
             row._positions(t), [np.searchsorted(row.times[0], t.ravel(), side="right")],
             strict=True)
+
+
+# each block with its argsort kinds; numpy's default sort may put the tied
+# entries of these rows out of input order
+SORT_BLOCKS = {
+    "no-tie": (np.arange(18.0)[::-1].reshape(3, 6) / 4, [None]),
+    "one-row-tie": (np.array([[0.5, 3.0, 1.5, 2.5, 0.25, 1.0],
+                              [2.0, 1.0, 2.0, 2.0, 0.0, 2.0],
+                              [4.0, 3.5, 0.75, 5.0, 4.5, 1.25]]), [None, "stable"]),
+    "signed-zeros": (np.array([[0.0, 1.0, -0.0, 2.0, 0.0, -0.0],
+                               [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), [None, "stable"]),
+}
+
+
+class TestSortRule:
+    """The default sort, and a stable re-sort only when a row holds a tie,
+    give each row its stable order."""
+
+    @pytest.mark.parametrize("block", SORT_BLOCKS, ids=list(SORT_BLOCKS))
+    def test_rows_in_stable_order_with_one_sort_unless_tied(self, block, monkeypatch):
+        times, want_kinds = SORT_BLOCKS[block]
+        events = np.arange(times.size).reshape(times.shape) % 3 != 0
+        stable = np.argsort(times, axis=-1, kind="stable")
+        kinds, argsort = [], np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        sample = SortedSample(times, events)
+        monkeypatch.undo()
+        assert kinds == want_kinds  # one sort unless a row holds a tie
+        offsets = np.arange(0, times.size, times.shape[-1])[:, None]
+        np.testing.assert_array_equal(sample.units, (stable + offsets).ravel(), strict=True)
+        want = np.take_along_axis(times, stable, axis=-1)
+        np.testing.assert_array_equal(sample.times.view(np.uint64), want.view(np.uint64),
+                                      strict=True)
