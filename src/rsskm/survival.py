@@ -5,15 +5,20 @@ tied times (R(u) = #{Y >= u}).
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
 set sample, and it takes optional multiplier weights for the bootstrap.
-``SortedSample`` sorts each row and finds its tie groups that hold a death
-once, and lays them out as ``(..., width)`` arrays, ``width`` being the
-largest such count of any row; shorter rows are padded with neutral entries
-(time inf, R = 1, dN = 0: a factor 1.0 in the product, 0.0 in the sums).
-It sorts with numpy's default sort and sorts again stably only when some row
-holds a tie: a row without ties has one sorting permutation, so either way
-each row ends in its stable order, and every sum runs in that order.
+``SortedSample`` sorts each row once and lays it out with one entry per tie
+group (distinct time).  A block without ties is its own layout, the sorted
+block, so simulated data need no compression and no scatter.  A tied block's
+groups fill a ``(..., width)`` layout, ``width`` being the largest count of
+any row, and shorter rows end in padding (time inf).  Only tie groups that
+hold a death get R and dN; every other entry carries the neutral R = 1,
+dN = 0 in every fit, a factor 1.0 in the product and 0.0 in the sums, so
+each output changes only at death groups, bit for bit as if the other
+entries were not there.  It sorts with numpy's default sort and sorts again
+stably only when some row holds a tie: a row without ties has one sorting
+permutation, so either way each row ends in its stable order, and every sum
+runs in that order.
 ``SortedSample.product_limit`` then turns one weight vector into a
-``ProductLimit`` holding R, dN and S-hat per death group; Greenwood, the
+``ProductLimit`` holding R, dN and S-hat per tie group; Greenwood, the
 cumulative hazard, its variance and the first exhausted and vanished risk
 sets are computed the first time they are read, and right-continuous
 lookups read any of them at given times.
@@ -45,16 +50,21 @@ class InferenceWindowError(ValueError):
 
 class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each stably sorted
-    by time, with the tie groups that hold a death.  Built once per sample;
-    ``product_limit`` reruns the arithmetic for any weights without sorting.
+    by time, laid out with one entry per tie group (distinct time) of each
+    row.  Built once per sample; ``product_limit`` reruns the arithmetic for
+    any weights without sorting.
 
     The block is sorted with numpy's default (unstable, faster) sort first,
     and again with the stable sort only if some row holds a tie (``-0.0``
     and ``0.0`` tie).  Tie-free rows have a single sorting permutation, so
     both ways yield the stable order, bit for bit.
 
-    The death groups of each row fill a ``(..., width)`` layout, ``width``
-    being the largest count of any row; the rest of a row is padding.
+    In a tie-free block every sorted position is its own tie group, so the
+    sorted block is the layout: ``group_times`` is ``times``, and a fit
+    reads R and dN in place, with no compression or scatter.  In a tied
+    block the tie groups of each row fill a ``(..., width)`` layout,
+    ``width`` being the largest count of any row, the rest of a row being
+    padding (time inf); ``slots`` places the groups that hold a death.
     """
 
     def __init__(self, times, events):
@@ -72,32 +82,43 @@ class SortedSample:
         # a tie group starts at every row start and wherever the time changes
         starts = np.r_[True, flat[1:] != flat[:-1]]
         starts[::m] = True
-        if not starts.all():
+        tied = not starts.all()
+        if tied:
             # a row holds a tie (-0.0 == 0.0 counts): only the stable sort
             # keeps tied units in input order; the tie groups stay the same
             self.units = (np.argsort(times, axis=-1, kind="stable") + offsets).ravel()
             flat = values[self.units]
         self.times = flat.reshape(times.shape)
-        first = np.flatnonzero(starts)
-        # sorted flat positions of the deaths; each tie group's deaths are a
-        # run among them, starting at ``death_starts``
-        deaths = np.flatnonzero(np.asarray(events, dtype=bool).ravel()[self.units])
-        group = np.cumsum(starts)[deaths] - 1
-        self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
-        self.death_units = self.units[deaths]
-        self.first = first[group[self.death_starts]]
-        # each death group's flat slot in the (..., width) layout: its index
-        # among all death groups plus the padding of the rows before its own
-        row = self.first // m
-        counts = np.bincount(row, minlength=times.size // m)
-        width = int(counts.max())
-        pad = width - counts
-        self.slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
-        self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
-        self.group_times.reshape(-1)[self.slots] = flat[self.first]
+        # the event (death) flags in the same sorted order
+        died = np.asarray(events, dtype=bool).ravel()[self.units]
+        self.events = died.reshape(times.shape)
         # lookup positions among ``group_times``, shared by every fit: they
         # do not depend on the weights
         self._position_cache = {}
+        self.slots = None
+        if not tied:
+            self.group_times = self.times
+            return
+
+        first = np.flatnonzero(starts)
+        # each tie group's flat slot in the (..., width) layout: its index
+        # among all tie groups plus the padding of the rows before its own
+        row = first // m
+        counts = np.bincount(row, minlength=times.size // m)
+        width = int(counts.max())
+        pad = width - counts
+        slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
+        self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
+        self.group_times.reshape(-1)[slots] = flat[first]
+        # sorted flat positions of the deaths; each tie group's deaths are a
+        # run among them, starting at ``death_starts``
+        deaths = np.flatnonzero(died)
+        group = np.cumsum(starts)[deaths] - 1
+        self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
+        self.death_units = self.units[deaths]
+        # the first sorted position and the slot of each death group
+        self.first = first[group[self.death_starts]]
+        self.slots = slots[group[self.death_starts]]
 
     @cached_property
     def _units_reversed(self) -> np.ndarray:
@@ -116,23 +137,36 @@ class SortedSample:
         shape (unit weights when None).
 
         Per tie group with a death, R is the weight from the group's first
-        position on and dN the weight of its deaths; padding holds a neutral
-        R = 1, dN = 0.  A group with R <= 0 (a vanished weighted risk set)
-        stops the curve at 0.
+        position on and dN the weight of its deaths.  Every other entry (a
+        group of censorings only, or padding) holds a neutral R = 1, dN = 0
+        in every fit: a factor 1.0 in the product and 0.0 in the sums, so
+        the outputs change at death groups only.  A group with R <= 0 (a
+        vanished weighted risk set) stops the curve at 0.
         """
-        m = self.times.shape[-1]
-        if weights is None:
-            at_risk = m - self.first % m
-            died = np.diff(self.death_starts, append=self.death_units.size)
-        else:
+        shape = self.times.shape
+        m = shape[-1]
+        if weights is not None:
             w = np.asarray(weights, dtype=float).ravel()
-            tail_sums = np.cumsum(w[self._units_reversed].reshape(self.times.shape), axis=-1)
-            at_risk = tail_sums.ravel()[self._first_reversed]
-            died = np.add.reduceat(w[self.death_units], self.death_starts)
-        shape = self.group_times.shape
-        r, dn = np.ones(shape), np.zeros(shape)
-        r.reshape(-1)[self.slots] = at_risk
-        dn.reshape(-1)[self.slots] = died
+            # the weight from each position to its row's end, in reversed order
+            tail = np.cumsum(w[self._units_reversed].reshape(shape), axis=-1)
+        if self.slots is None:
+            # tie-free: each entry is one unit, a death or not
+            if weights is None:
+                at_risk, died = m - np.arange(m), 1.0
+            else:
+                at_risk, died = tail[..., ::-1], w[self.units].reshape(shape)
+            r = np.where(self.events, at_risk, 1.0)
+            dn = np.where(self.events, died, 0.0)
+        else:
+            if weights is None:
+                at_risk = m - self.first % m
+                died = np.diff(self.death_starts, append=self.death_units.size)
+            else:
+                at_risk = tail.ravel()[self._first_reversed]
+                died = np.add.reduceat(w[self.death_units], self.death_starts)
+            r, dn = np.ones(self.group_times.shape), np.zeros(self.group_times.shape)
+            r.reshape(-1)[self.slots] = at_risk
+            dn.reshape(-1)[self.slots] = died
 
         gone = r <= 0
         r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
@@ -143,21 +177,22 @@ class SortedSample:
 
 @dataclass(frozen=True)
 class ProductLimit:
-    """Estimates of every row of ``sample`` at each of its death groups,
-    for one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN)
-    are in the sample's ``(..., width)`` death-group layout (padding: time
-    inf, R = 1, dN = 0).  S-hat is computed with the fit; the with-ties
-    Greenwood variance (0 once the whole risk set died), the Nelson-Aalen
-    hazard sum dN/R, its variance sum dN/R^2, ``exhausted_at`` (each row's
-    first time its whole risk set died, dN >= R) and ``vanished_at`` (its
-    first time with a weighted risk set <= 0) on first read; both times are
-    inf when it never happens.
+    """Estimates of every row of ``sample`` at each of its tie groups, for
+    one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN) are in
+    the sample's tie-group layout: the sorted block when it has no tie, else
+    ``(..., width)`` with padding of time inf; entries without a death hold
+    R = 1, dN = 0, so every output there repeats the entry before it (or its
+    value ahead of the first death).  S-hat is computed with the fit; the
+    with-ties Greenwood variance (0 once the whole risk set died), the
+    Nelson-Aalen hazard sum dN/R, its variance sum dN/R^2, ``exhausted_at``
+    (each row's first time its whole risk set died, dN >= R) and
+    ``vanished_at`` (its first time with a weighted risk set <= 0) on first
+    read; both times are inf when it never happens.
 
     The ``*_at`` lookups are right-continuous: per row, the value at the
-    row's last death-group time <= t, and 1.0 (survival) or 0.0 (the
-    variances and the hazard) ahead of its first, and everywhere when it has
-    none.  Every fit of one sample shares the sample's positions of the
-    lookup times."""
+    row's last tie-group time <= t, and 1.0 (survival) or 0.0 (the
+    variances and the hazard) ahead of its first.  Every fit of one sample
+    shares the sample's positions of the lookup times."""
 
     sample: SortedSample
     at_risk: np.ndarray
@@ -182,7 +217,7 @@ class ProductLimit:
         return self._at(self.hazard_var, t, 0.0)
 
     def _positions(self, t) -> np.ndarray:
-        """Per row, the number of death-group times <= t, as
+        """Per row, the number of tie-group times <= t, as
         ``(rows, t.size)``.  The last query's positions are kept, so lookups
         of several values at the same times search once.
 
@@ -209,8 +244,10 @@ class ProductLimit:
     def _at(self, values: np.ndarray, t, before: float):
         pos = self._positions(t)
         rows = pos.shape[0]
-        padded = np.concatenate([np.full((rows, 1), before), values.reshape(rows, -1)], axis=1)
-        got = np.take_along_axis(padded, pos, axis=1)
+        # every row has at least one tie group: position 0 reads entry 0,
+        # then takes ``before``
+        got = np.take_along_axis(values.reshape(rows, -1), np.maximum(pos - 1, 0), axis=1)
+        got[pos == 0] = before
         return got.reshape(self.times.shape[:-1] + np.shape(t))[()]
 
     @cached_property

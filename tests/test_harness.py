@@ -488,6 +488,21 @@ class TestRunGrid:
         ]
 
 
+# 3 ranks x 4 cycles with ties (that of ``test_estimate_output_bytes``), and
+# one without: distinct times in every rank, ranks ending in a death and in
+# a censoring
+TIED_OBSERVATIONS = (
+    "cycle,rank,time,event\n1,1,1.0,1\n1,2,0.5,0\n1,3,1.0,1\n2,1,2.0,1\n"
+    "2,2,1.5,1\n2,3,2.0,0\n3,1,2.0,0\n3,2,1.5,1\n3,3,2.5,1\n4,1,3.5,1\n"
+    "4,2,4.0,0\n4,3,2.5,0\n")
+TIE_FREE_OBSERVATIONS = (
+    "cycle,rank,time,event\n1,1,0.3,1\n1,2,1.1,0\n1,3,0.7,1\n2,1,1.9,0\n"
+    "2,2,0.4,1\n2,3,2.2,1\n3,1,1.2,1\n3,2,2.6,1\n3,3,0.9,0\n4,1,2.8,1\n"
+    "4,2,1.6,0\n4,3,3.1,0\n")
+GAMMA_ON_GRID = ["--law", "gamma", "--gamma-shape", "0.25",
+                 "--grid", "0.5,1.1,1.9,2.25,3.1,4"]
+
+
 def estimate_and_bootstrap(tmp_path, path):
     """The bytes ``estimate`` and ``bootstrap --reps 50`` write for ``path``."""
     est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
@@ -716,6 +731,52 @@ class TestCli:
             "rss,3.5,0.236111,0.017345,1,0.189815",
             "",
         ]
+
+    @pytest.mark.parametrize("observations, law, want", [
+        (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [
+            "1,0.833333,0.0104167,0.00715858,0",
+            "1.5,0.611111,0.0186471,0.0131926,0",
+            "2,0.527778,0.0203832,0.0192107,0",
+            "2.5,0.402778,0.0242895,0.0186964,0",
+            "3.5,0.236111,0.017345,0.0100371,0",
+        ]),
+        (TIED_OBSERVATIONS, GAMMA_ON_GRID, [
+            "0.5,1,0,0,0",
+            "1.1,0.833333,0.0104167,0.0195958,0",
+            "1.9,0.611111,0.0186471,0.033185,0",
+            "2.25,0.527778,0.0203832,0.0369661,0",
+            "3.1,0.402778,0.0242895,0.0392812,0",
+            "4,0.236111,0.017345,0.0293364,0",
+        ]),
+        (TIE_FREE_OBSERVATIONS, ["--law", "unit-exponential"], [
+            "0.3,0.916667,0.00520833,0.00332664,0",
+            "0.4,0.833333,0.0104167,0.00697907,0",
+            "0.7,0.75,0.015625,0.0114349,0",
+            "1.2,0.666667,0.0173611,0.011891,0",
+            "2.2,0.541667,0.0212674,0.0136861,0",
+            "2.6,0.291667,0.016059,0.0113555,0",
+            "2.8,0.125,0.00911458,0.0051829,0",
+        ]),
+        (TIE_FREE_OBSERVATIONS, GAMMA_ON_GRID, [
+            "0.5,0.833333,0.0104167,0.0177888,0",
+            "1.1,0.75,0.015625,0.0284757,0",
+            "1.9,0.666667,0.0173611,0.0351344,0",
+            "2.25,0.541667,0.0212674,0.0395099,0",
+            "3.1,0.125,0.00911458,0.0166519,0",
+            "4,0.125,0.00911458,0.0166519,0",
+        ]),
+    ], ids=["tied-exponential", "tied-gamma-grid", "tie-free-exponential",
+            "tie-free-gamma-grid"])
+    def test_bootstrap_output_bytes(self, tmp_path, observations, law, want):
+        # the event-time grid, and a grid at censored times, between times
+        # and past the last, on a tied and a tie-free sample
+        path = tmp_path / "obs.csv"
+        path.write_text(observations)
+        out = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--input", str(path), "--out", str(out),
+                     "--reps", "50", "--seed", "0", *law]) == 0
+        assert out.read_bytes().decode().split("\r\n") == [
+            "t,point_estimate,greenwood_var,bootstrap_var,n_excluded_reps", *want, ""]
 
     def test_estimate_unbalanced_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -389,6 +389,25 @@ class TestJudgedWeibullSlotLaw:
             cdf = 1 - judged_rank_survival(model, k, x[0, :, r])[r]
             assert np.max(np.abs(cdf - u[0, :, r])) <= 1e-6
 
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_sorted_interval_search_matches_direct_search(self, k):
+        # random draws, draws on the table's knots and the largest uniform
+        # below 1, in one block: the direct search in draw order, clipped
+        # to each slot's row, finds the same intervals
+        law = models._judged_law(prepare_model(WeibullModel(1.5, 1.5), 0.9), k, ())
+        shifted = law._inverse[0]
+        n = shifted.size // k
+        knots = (shifted.reshape(k, n) - np.arange(k)[:, None]).T
+        knots = np.clip(knots, 0.0, np.nextafter(1.0, 0.0))
+        u = np.concatenate([np.random.default_rng(k).random((500, k)), knots,
+                            np.full((3, k), np.nextafter(1.0, 0.0))])
+        first = np.arange(k) * n
+        want = np.clip(np.searchsorted(shifted, u + np.arange(k), side="right") - 1,
+                       first, first + n - 2)
+        np.testing.assert_array_equal(law._intervals(u), want, strict=True)
+        np.testing.assert_array_equal(law._intervals(u[:500].reshape(50, 10, k)),
+                                      want[:500].reshape(50, 10, k), strict=True)
+
     def test_largest_uniform_stays_in_its_slot(self):
         # u + r - 1 rounds to r at the largest uniform below 1 for r > 1,
         # which the next row of the shifted table starts with

@@ -15,7 +15,7 @@ from rsskm.survival import SortedSample
 
 def fit_row(times, events):
     """One-row product-limit fit of a sample's raw arrays; its ``times`` are
-    exactly the sample's event times (one row has no padding)."""
+    exactly the sample's distinct times (one row has no padding)."""
     return SortedSample(np.reshape(times, (1, -1)), np.reshape(events, (1, -1))).product_limit()
 
 
@@ -23,6 +23,12 @@ def km(pairs):
     """One-row fit of (time, event) pairs."""
     times, events = zip(*pairs)
     return fit_row(times, events)
+
+
+def at_deaths(fit, values):
+    """Row 0 of an unweighted fit's ``values`` at its tie groups that hold a
+    death (dN > 0); the other groups repeat the value before them."""
+    return values[0][fit.deaths[0] > 0]
 
 
 # sample of 3: death at 1, censored at 2, death at 3
@@ -33,20 +39,21 @@ class TestKaplanMeier:
     def test_hand_computed_survival(self):
         # S(1) = 1 - 1/3 = 2/3; S(3) = (2/3)(1 - 1/1) = 0
         fit = km(THREE)
-        assert fit.times[0].tolist() == [1.0, 3.0]
-        assert fit.survival[0, 0] == pytest.approx(2 / 3, abs=1e-15)
-        assert fit.survival[0, 1] == 0.0
+        assert at_deaths(fit, fit.times).tolist() == [1.0, 3.0]
+        survival = at_deaths(fit, fit.survival)
+        assert survival[0] == pytest.approx(2 / 3, abs=1e-15)
+        assert survival[1] == 0.0
 
     def test_hand_computed_greenwood(self):
         # Greenwood(1) = (2/3)^2 * 1/(3*2) = 2/27
         fit = km(THREE)
-        assert fit.greenwood_var[0, 0] == pytest.approx(2 / 27, abs=1e-15)
+        assert at_deaths(fit, fit.greenwood_var)[0] == pytest.approx(2 / 27, abs=1e-15)
 
     def test_degenerate_tail_flagged_with_zero_variance(self):
         # at t=3 the whole risk set dies: S-hat = 0 exactly, variance 0
         fit = km(THREE)
         assert fit.exhausted_at[0] == 3.0
-        assert fit.greenwood_var[0, 1] == 0.0
+        assert at_deaths(fit, fit.greenwood_var)[1] == 0.0
         assert fit.survival_at(3.0)[0] == 0.0
 
     def test_ties_deaths_processed_before_censorings(self):
@@ -56,12 +63,12 @@ class TestKaplanMeier:
 
     def test_tied_deaths_single_jump(self):
         fit = km([(1.0, True), (1.0, True), (2.0, False)])
-        assert fit.times[0].tolist() == [1.0]
-        assert fit.survival[0, 0] == pytest.approx(1 / 3, abs=1e-15)
+        assert at_deaths(fit, fit.times).tolist() == [1.0]
+        assert at_deaths(fit, fit.survival)[0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_all_censored_is_constant_one(self):
         fit = km([(1.0, False), (2.0, False)])
-        assert fit.times[0].size == 0
+        assert at_deaths(fit, fit.times).size == 0
         assert fit.survival_at(5.0)[0] == 1.0
         assert fit.greenwood_at(5.0)[0] == 0.0
 
@@ -153,7 +160,7 @@ class TestProperties:
     def test_variance_accumulates(self, sample):
         fit = fit_row(*sample)
         assert np.all(fit.hazard_var[0] >= 0)
-        assert np.all(np.diff(fit.cum_hazard[0]) > 0)
+        assert np.all(np.diff(at_deaths(fit, fit.cum_hazard)) > 0)
 
 
 @st.composite
@@ -221,14 +228,13 @@ def dense_product_limit(times, events, weights):
     then S-hat, Greenwood, the hazard sum and its variance sum as a running
     product and running sums over all positions.  The weights are multiples
     of 1/4, so R and dN are exact whatever the order of their sums.
-    Returns the sorted times, the death groups' last positions, the dense
-    outputs and the first times with dN >= R and with R <= 0."""
+    Returns the sorted times, the dense R and dN, the dense outputs and the
+    first times with dN >= R and with R <= 0."""
     order = np.argsort(times, kind="stable")
     t, e, w = times[order], events[order], weights[order]
-    r, dn, ends = np.ones(t.size), np.zeros(t.size), np.zeros(t.size, dtype=bool)
+    r, dn = np.ones(t.size), np.zeros(t.size)
     for u in np.unique(t[e]):
         at = np.flatnonzero(t == u)
-        ends[at[-1]] = True
         r[at[-1]] = sum(w[at[0]:].tolist())
         dn[at[-1]] = sum(w[at][e[at]].tolist())
     s, gw_sum, ch, hv = 1.0, 0.0, 0.0, 0.0
@@ -247,7 +253,7 @@ def dense_product_limit(times, events, weights):
             exhausted = min(exhausted, t[i])
         if gone:
             vanished = min(vanished, t[i])
-    return t, ends, out, exhausted, vanished
+    return t, r, dn, out, exhausted, vanished
 
 
 class TestKernel:
@@ -277,7 +283,7 @@ class TestKernel:
 
     @given(weighted_samples(), st.permutations(LAZY), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_death_group_layout_matches_dense_reference_bitwise(
+    def test_tie_group_layout_matches_dense_reference_bitwise(
             self, sample, read_order, weighted):
         times, events, weights = sample
         if not weighted:
@@ -287,16 +293,20 @@ class TestKernel:
             getattr(fit, name)
         grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.25]
         for r in range(times.shape[0]):
-            t, ends, dense, exhausted, vanished = dense_product_limit(
+            t, dense_r, dense_dn, dense, exhausted, vanished = dense_product_limit(
                 times[r], events[r], weights[r])
-            n = int(ends.sum())
-            np.testing.assert_array_equal(fit.times[r, :n], t[ends])
+            last = np.r_[t[1:] != t[:-1], True]  # each tie group's last position
+            n = int(last.sum())
+            np.testing.assert_array_equal(fit.times[r, :n], t[last])
             assert np.all(fit.times[r, n:] == np.inf)
+            # R and dN at the death groups, neutral at every other entry
+            np.testing.assert_array_equal(fit.at_risk[r, :n], dense_r[last])
+            np.testing.assert_array_equal(fit.deaths[r, :n], dense_dn[last])
             assert np.all(fit.at_risk[r, n:] == 1.0) and np.all(fit.deaths[r, n:] == 0.0)
             np.testing.assert_array_equal(fit.sample.times[r], t)
             for name, (lookup, before) in CURVES.items():
                 values = getattr(fit, name)[r]
-                np.testing.assert_array_equal(values[:n], dense[name][ends])
+                np.testing.assert_array_equal(values[:n], dense[name][last])
                 # padding repeats the row's last value
                 np.testing.assert_array_equal(values[n:], dense[name][-1])
                 # lookups: the dense value at the last position <= t
@@ -323,6 +333,50 @@ class TestKernel:
         np.testing.assert_array_equal(
             row._positions(t), [np.searchsorted(row.times[0], t.ravel(), side="right")],
             strict=True)
+
+
+class TestLayout:
+    """One entry per tie group: a tie-free block is fitted in its sorted
+    order, a tied one in a layout of each row's distinct times padded with
+    inf, and entries without a death are neutral in every fit."""
+
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_tie_free_block_is_its_sorted_order(self, k, m, seed, weighted):
+        rng = np.random.default_rng(seed)
+        times = rng.permutation(k * m).reshape(k, m) / 4
+        events = rng.random((k, m)) < 0.6
+        weights = rng.integers(0, 9, (k, m)) / 4 if weighted else np.ones((k, m))
+        fit = SortedSample(times, events).product_limit(weights if weighted else None)
+        np.testing.assert_array_equal(fit.times, np.sort(times, axis=-1), strict=True)
+        for r in range(k):  # the layout is the dense one, entry for entry
+            t, dense_r, dense_dn, dense, exhausted, vanished = dense_product_limit(
+                times[r], events[r], weights[r])
+            np.testing.assert_array_equal(fit.at_risk[r], dense_r)
+            np.testing.assert_array_equal(fit.deaths[r], dense_dn)
+            for name in CURVES:
+                np.testing.assert_array_equal(getattr(fit, name)[r], dense[name])
+            assert (fit.exhausted_at[r], fit.vanished_at[r]) == (exhausted, vanished)
+
+    @given(ranked_samples())
+    @settings(max_examples=100, deadline=None)
+    def test_one_entry_per_distinct_time_of_each_row(self, sample):
+        times, events = sample
+        fit = SortedSample(times, events).product_limit()
+        distinct = [np.unique(row) for row in times]
+        assert fit.times.shape == (times.shape[0], max(d.size for d in distinct))
+        for row, want in zip(fit.times, distinct):
+            np.testing.assert_array_equal(row[:want.size], want)
+            assert np.all(row[want.size:] == np.inf)
+
+    def test_censored_groups_stay_neutral_under_zero_weights(self):
+        # the weight is 0 from the censoring at 3 on: the risk set vanishes
+        # at the death at 4, not at the censorings
+        sample = SortedSample([[1.0, 2.0, 3.0, 4.0]], [[True, False, False, True]])
+        fit = sample.product_limit(np.array([[1.0, 1.0, 0.0, 0.0]]))
+        assert fit.vanished_at[0] == 4.0
+        assert fit.survival_at(3.5)[0] == 0.5
 
 
 # each block with its argsort kinds; numpy's default sort may put the tied
