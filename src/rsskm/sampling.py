@@ -58,7 +58,9 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
     block alone; judged Weibull: a ``(reps, m, k)`` block of uniforms from
     the proxy substream), so replicate 0 of a draw consumes each substream
     exactly as a one-replicate draw from the same stream does.  A set of one
-    draws no proxies.  Returns ``(times, events)`` of shape ``(reps, k, m)``.
+    draws no proxies, and ``CensoringLaw("none")`` no censoring block: its
+    units are all deaths, observed at their lifetimes.  Returns
+    ``(times, events)`` of shape ``(reps, k, m)``.
     """
     from .rss import EmptyDesignError
 
@@ -66,6 +68,9 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
         raise EmptyDesignError(f"empty design: k={k}, m={m}")
 
     x_sel = model.draw_slots(k, (reps, m), rng.child(_LIFETIMES), rng.child(_PROXIES))
+    if censoring.kind == "none":
+        times = np.ascontiguousarray(x_sel.swapaxes(1, 2))
+        return times, np.ones(times.shape, dtype=bool)
     c = censoring.draw(rng.child(_CENSORING).generator(), (reps, m, k))
     times = np.ascontiguousarray(np.minimum(x_sel, c).swapaxes(1, 2))
     events = np.ascontiguousarray((x_sel <= c).swapaxes(1, 2))

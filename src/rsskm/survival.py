@@ -5,23 +5,34 @@ tied times (R(u) = #{Y >= u}).
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
 set sample, and it takes optional multiplier weights for the bootstrap.
-``SortedSample`` sorts each row once and lays it out with one entry per tie
-group (distinct time).  A block without ties is its own layout, the sorted
-block, so simulated data need no compression and no scatter.  A tied block's
-groups fill a ``(..., width)`` layout, ``width`` being the largest count of
-any row, and shorter rows end in padding (time inf).  Only tie groups that
-hold a death get R and dN; every other entry carries the neutral R = 1,
-dN = 0 in every fit, a factor 1.0 in the product and 0.0 in the sums, so
-each output changes only at death groups, bit for bit as if the other
-entries were not there.  It sorts with numpy's default sort and sorts again
-stably only when some row holds a tie: a row without ties has one sorting
-permutation, so either way each row ends in its stable order, and every sum
-runs in that order.
+``SortedSample`` sorts each row once with ``np.sort`` of the packed key
+``(time bits << 1) | event`` and unpacks the sorted times and events from
+it; the bits of finite times >= +0.0 are in the order of their values.  A
+row without ties has one sorting permutation, so this is its stable order.
+A block where a row holds a tie, or that holds a ``-0.0`` (the key drops the
+sign bit; ``-0.0`` ties ``0.0``), takes its order from the stable argsort,
+so every row ends in its stable order and every sum runs in that order.
+The unit index of each sorted position (``units``), which only weighted fits
+read, is built on first read for a block sorted by its key.
+
+The sample is laid out with one entry per tie group (distinct time).  A
+block without ties is its own layout, the sorted block, so simulated data
+need no compression and no scatter.  A tied block's groups fill a
+``(..., width)`` layout, ``width`` being the largest count of any row, and
+shorter rows end in padding (time inf).  Only tie groups that hold a death
+get R and dN; every other entry carries the neutral R = 1, dN = 0 in every
+fit, a factor 1.0 in the product and 0.0 in the sums, so each output changes
+only at death groups, bit for bit as if the other entries were not there.
+
 ``SortedSample.product_limit`` then turns one weight vector into a
-``ProductLimit`` holding R, dN and S-hat per tie group; Greenwood, the
-cumulative hazard, its variance and the first exhausted and vanished risk
-sets are computed the first time they are read, and right-continuous
-lookups read any of them at given times.
+``ProductLimit`` holding S-hat per tie group; Greenwood, the cumulative
+hazard, its variance and the first exhausted and vanished risk sets are
+computed the first time they are read, and right-continuous lookups read
+any of them at given times.  An unweighted fit of a tie-free block has
+R = m - j and dN = 1 at a death at sorted position j, so its S-hat factors
+1 - 1/(m - j) and Greenwood terms 1/((m - j)(m - j - 1)) are fixed by m and
+the events; its R and dN arrays are built only when read (by ``estimate``,
+the hazards and ``vanished_at``).
 """
 
 from __future__ import annotations
@@ -48,16 +59,32 @@ class InferenceWindowError(ValueError):
     pass
 
 
+def _flat_argsort(times, kind) -> np.ndarray:
+    """The flat index into ``times`` of the unit at each position of its
+    rows sorted by ``np.argsort`` of ``kind``."""
+    m = times.shape[-1]
+    offsets = np.arange(0, times.size, m).reshape(times.shape[:-1] + (1,))
+    return (np.argsort(times, axis=-1, kind=kind) + offsets).ravel()
+
+
 class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each stably sorted
     by time, laid out with one entry per tie group (distinct time) of each
     row.  Built once per sample; ``product_limit`` reruns the arithmetic for
     any weights without sorting.
 
-    The block is sorted with numpy's default (unstable, faster) sort first,
-    and again with the stable sort only if some row holds a tie (``-0.0``
-    and ``0.0`` tie).  Tie-free rows have a single sorting permutation, so
-    both ways yield the stable order, bit for bit.
+    Each row is sorted once by the packed key ``(time bits << 1) | event``
+    with ``np.sort``; the sorted times and events are unpacked from it.  The
+    bits of finite times >= +0.0 are in the order of their values, so this
+    sorts by time.  A tie-free row has a single sorting permutation, so it
+    is the row's stable order, bit for bit.  A block where some row holds a
+    tie is sorted again with the stable argsort, which keeps tied units in
+    input order.  A block holding a ``-0.0`` (which ties ``0.0``), whose
+    sign bit the key would drop, is sorted by the stable argsort alone.
+    ``units``, the flat input index of the unit at each sorted position,
+    comes from that argsort; a block sorted by its key alone builds it on
+    first read, by argsort of a copy of the input times, which only a
+    weighted fit does.
 
     In a tie-free block every sorted position is its own tie group, so the
     sorted block is the layout: ``group_times`` is ``times``, and a fit
@@ -73,30 +100,38 @@ class SortedSample:
             raise EmptySampleError("empty sample")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise InvalidObservationError("invalid observation: negative or non-finite time")
+        events = np.asarray(events, dtype=bool)
         m = times.shape[-1]
-        values = times.ravel()
-        offsets = np.arange(0, times.size, m).reshape(times.shape[:-1] + (1,))
-        # flat index of the unit at each sorted position
-        self.units = (np.argsort(times, axis=-1) + offsets).ravel()
-        flat = values[self.units]
-        # a tie group starts at every row start and wherever the time changes
-        starts = np.r_[True, flat[1:] != flat[:-1]]
-        starts[::m] = True
-        tied = not starts.all()
-        if tied:
-            # a row holds a tie (-0.0 == 0.0 counts): only the stable sort
-            # keeps tied units in input order; the tie groups stay the same
-            self.units = (np.argsort(times, axis=-1, kind="stable") + offsets).ravel()
-            flat = values[self.units]
-        self.times = flat.reshape(times.shape)
-        # the event (death) flags in the same sorted order
-        died = np.asarray(events, dtype=bool).ravel()[self.units]
-        self.events = died.reshape(times.shape)
         # lookup positions among ``group_times``, shared by every fit: they
         # do not depend on the weights
         self._position_cache = {}
         self.slots = None
-        if not tied:
+        if np.signbit(times).any():
+            # a -0.0: the key has no sign bit, so sort the times themselves
+            self.units = _flat_argsort(times, "stable")
+            flat = times.ravel()[self.units]
+        else:
+            key = np.sort((times.view(np.uint64) << 1) | events, axis=-1)
+            self.times = (key >> 1).view(float)
+            if not np.any(self.times[..., 1:] == self.times[..., :-1]):
+                self.events = (key & 1).astype(bool)
+                self.group_times = self.times
+                # ``units`` is built from this copy on first read, whatever
+                # the caller does with its array in the meantime
+                self._input = times.copy()
+                return
+            # a row holds a tie: only the stable sort keeps tied units in
+            # input order; the sorted times are the same either way
+            self.units = _flat_argsort(times, "stable")
+            flat = self.times.ravel()
+        self.times = flat.reshape(times.shape)
+        # the event (death) flags in the same sorted order
+        died = events.ravel()[self.units]
+        self.events = died.reshape(times.shape)
+        # a tie group starts at every row start and wherever the time changes
+        starts = np.r_[True, flat[1:] != flat[:-1]]
+        starts[::m] = True
+        if starts.all():  # a lone -0.0: no row holds a tie
             self.group_times = self.times
             return
 
@@ -121,6 +156,12 @@ class SortedSample:
         self.slots = slots[group[self.death_starts]]
 
     @cached_property
+    def units(self) -> np.ndarray:
+        """The flat input index of the unit at each sorted position.  A row
+        sorted by its key has no tie, so any sort gives its order."""
+        return _flat_argsort(self._input, None)
+
+    @cached_property
     def _units_reversed(self) -> np.ndarray:
         """Each row's units in reversed sorted order: weighted R is a running
         sum from the row's end."""
@@ -142,6 +183,11 @@ class SortedSample:
         in every fit: a factor 1.0 in the product and 0.0 in the sums, so
         the outputs change at death groups only.  A group with R <= 0 (a
         vanished weighted risk set) stops the curve at 0.
+
+        An unweighted fit of a tie-free block has R = m - j and dN = 1 at a
+        death at sorted position j, so its factors are fixed by m and the
+        events: S-hat is the running product of 1 - 1/(m - j) at the deaths,
+        and its R and dN are built only when read.
         """
         shape = self.times.shape
         m = shape[-1]
@@ -152,11 +198,10 @@ class SortedSample:
         if self.slots is None:
             # tie-free: each entry is one unit, a death or not
             if weights is None:
-                at_risk, died = m - np.arange(m), 1.0
-            else:
-                at_risk, died = tail[..., ::-1], w[self.units].reshape(shape)
-            r = np.where(self.events, at_risk, 1.0)
-            dn = np.where(self.events, died, 0.0)
+                factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
+                return ProductLimit(self, np.cumprod(np.where(self.events, factor, 1.0), axis=-1))
+            r = np.where(self.events, tail[..., ::-1], 1.0)
+            dn = np.where(self.events, w[self.units].reshape(shape), 0.0)
         else:
             if weights is None:
                 at_risk = m - self.first % m
@@ -171,8 +216,7 @@ class SortedSample:
         gone = r <= 0
         r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
         factor = np.where(gone, 0.0, 1.0 - np.clip(dn / r_safe, 0.0, 1.0))
-        return ProductLimit(sample=self, at_risk=r, deaths=dn,
-                            survival=np.cumprod(factor, axis=-1))
+        return ProductLimit(self, np.cumprod(factor, axis=-1), (r, dn))
 
 
 @dataclass(frozen=True)
@@ -183,21 +227,29 @@ class ProductLimit:
     ``(..., width)`` with padding of time inf; entries without a death hold
     R = 1, dN = 0, so every output there repeats the entry before it (or its
     value ahead of the first death).  S-hat is computed with the fit; the
-    with-ties Greenwood variance (0 once the whole risk set died), the
-    Nelson-Aalen hazard sum dN/R, its variance sum dN/R^2, ``exhausted_at``
-    (each row's first time its whole risk set died, dN >= R) and
-    ``vanished_at`` (its first time with a weighted risk set <= 0) on first
-    read; both times are inf when it never happens.
+    with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))
+    (0 once the whole risk set died), the Nelson-Aalen hazard sum dN/R, its
+    variance sum dN/R^2, ``exhausted_at`` (each row's first time its whole
+    risk set died, dN >= R) and ``vanished_at`` (its first time with a
+    weighted risk set <= 0) on first read; both times are inf when it never
+    happens.
+
+    ``counts`` holds R and dN as the fit computed them; it is None for an
+    unweighted fit of a tie-free sample, whose R = m - j and dN = 1 at the
+    death at sorted position j are built on first read (by ``at_risk``,
+    ``deaths``, the hazards and ``vanished_at``).  Its Greenwood sum adds
+    1/((m - j)(m - j - 1)) at each death before the last position, and its
+    ``exhausted_at`` is the last time where the last unit died.
 
     The ``*_at`` lookups are right-continuous: per row, the value at the
     row's last tie-group time <= t, and 1.0 (survival) or 0.0 (the
-    variances and the hazard) ahead of its first.  Every fit of one sample
+    variances and the hazard) ahead of its first; ``greenwood_at`` gathers
+    S-hat and the Greenwood sum, then multiplies.  Every fit of one sample
     shares the sample's positions of the lookup times."""
 
     sample: SortedSample
-    at_risk: np.ndarray
-    deaths: np.ndarray
     survival: np.ndarray
+    counts: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -208,7 +260,10 @@ class ProductLimit:
         return self._at(self.survival, t, 1.0)
 
     def greenwood_at(self, t):
-        return self._at(self.greenwood_var, t, 0.0)
+        # s * s: a NumPy scalar's ** 2 calls pow, which can differ from the
+        # square of an array in the last bit
+        s = self.survival_at(t)
+        return s * s * self._at(self._greenwood_sum, t, 0.0)
 
     def cum_hazard_at(self, t):
         return self._at(self.cum_hazard, t, 0.0)
@@ -251,6 +306,19 @@ class ProductLimit:
         return got.reshape(self.times.shape[:-1] + np.shape(t))[()]
 
     @cached_property
+    def at_risk(self) -> np.ndarray:
+        if self.counts is not None:
+            return self.counts[0]
+        m = self.times.shape[-1]
+        return np.where(self.sample.events, m - np.arange(m), 1.0)
+
+    @cached_property
+    def deaths(self) -> np.ndarray:
+        if self.counts is not None:
+            return self.counts[1]
+        return self.sample.events.astype(float)
+
+    @cached_property
     def _dead(self) -> np.ndarray:
         return self.deaths >= self.at_risk
 
@@ -259,10 +327,21 @@ class ProductLimit:
         return np.where(self.at_risk <= 0, 1.0, self.at_risk)
 
     @cached_property
+    def _greenwood_sum(self) -> np.ndarray:
+        if self.counts is None:
+            # R = m - j, dN = 1 at each death; 0 at j = m - 1, where the
+            # whole risk set dies
+            m = self.times.shape[-1]
+            r = m - np.arange(m - 1, dtype=float)
+            terms = np.where(self.sample.events, np.r_[1.0 / (r * (r - 1.0)), 0.0], 0.0)
+        else:
+            r, dn, dead = self.at_risk, self.deaths, self._dead
+            terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
+        return np.cumsum(terms, axis=-1)
+
+    @cached_property
     def greenwood_var(self) -> np.ndarray:
-        r, dn, dead = self.at_risk, self.deaths, self._dead
-        terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
-        return self.survival**2 * np.cumsum(terms, axis=-1)
+        return self.survival**2 * self._greenwood_sum
 
     @cached_property
     def cum_hazard(self) -> np.ndarray:
@@ -274,6 +353,8 @@ class ProductLimit:
 
     @cached_property
     def exhausted_at(self) -> np.ndarray:
+        if self.counts is None:
+            return np.where(self.sample.events[..., -1], self.times[..., -1], np.inf)
         return np.where(self._dead, self.times, np.inf).min(axis=-1, initial=np.inf)
 
     @cached_property

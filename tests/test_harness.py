@@ -731,6 +731,28 @@ class TestCli:
             "rss,3.5,0.236111,0.017345,1,0.189815",
             "",
         ]
+        # tie-free, with a lone -0.0 as rank 1's first death: the sorted
+        # times keep its sign bit
+        path.write_text(TIE_FREE_OBSERVATIONS.replace("1,1,0.3,1", "1,1,-0.0,1"))
+        assert main(["estimate", "--input", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes().decode().split("\r\n") == [
+            "rank,time,survival,greenwood_var,cum_hazard,hazard_var",
+            "1,-0,0.75,0.046875,0.25,0.0625",
+            "1,1.2,0.5,0.0625,0.583333,0.173611",
+            "1,2.8,0,0,1.58333,1.17361",
+            "2,0.4,0.75,0.046875,0.25,0.0625",
+            "2,2.6,0,0,1.25,1.0625",
+            "3,0.7,0.75,0.046875,0.25,0.0625",
+            "3,2.2,0.375,0.0820312,0.75,0.3125",
+            "rss,-0,0.916667,0.00520833,0.0833333,0.00694444",
+            "rss,0.4,0.833333,0.0104167,0.166667,0.0138889",
+            "rss,0.7,0.75,0.015625,0.25,0.0208333",
+            "rss,1.2,0.666667,0.0173611,0.361111,0.033179",
+            "rss,2.2,0.541667,0.0212674,0.527778,0.0609568",
+            "rss,2.6,0.291667,0.016059,0.861111,0.172068",
+            "rss,2.8,0.125,0.00911458,1.19444,0.283179",
+            "",
+        ]
 
     @pytest.mark.parametrize("observations, law, want", [
         (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [

@@ -6,7 +6,7 @@ cumulative-hazard formulas on tiny samples.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsskm import EmptySampleError, InvalidObservationError
@@ -329,7 +329,7 @@ class TestKernel:
         rows = fit.times.reshape(times.shape[0], -1)
         want = np.array([np.searchsorted(row, t.ravel(), side="right") for row in rows])
         np.testing.assert_array_equal(fit._positions(t), want, strict=True)
-        row = fit_row(times[0], events[0])  # unpadded: only its own event times
+        row = fit_row(times[0], events[0])  # unpadded: its distinct times
         np.testing.assert_array_equal(
             row._positions(t), [np.searchsorted(row.times[0], t.ravel(), side="right")],
             strict=True)
@@ -379,39 +379,117 @@ class TestLayout:
         assert fit.survival_at(3.5)[0] == 0.5
 
 
-# each block with its argsort kinds; numpy's default sort may put the tied
-# entries of these rows out of input order
+@st.composite
+def tie_free_samples(draw):
+    """(k, m) samples without a tie, m = 1 included, rows all censored or
+    ending in a death among them, and the one time 0 sometimes a -0.0."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=12))
+    times = np.asarray(draw(st.permutations(range(k * m))), dtype=float).reshape(k, m) / 4
+    if draw(st.booleans()):
+        times[times == 0] = -0.0
+    events = np.asarray(draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m)))
+    events = events.reshape(k, m)
+    for r in range(k):
+        fate = draw(st.sampled_from(["drawn", "all-censored", "last-dies"]))
+        if fate == "all-censored":
+            events[r] = False
+        elif fate == "last-dies":
+            events[r, np.argmax(times[r])] = True
+    return times, events
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), strict=True)
+
+
+class TestConstantFactors:
+    """An unweighted fit of a tie-free block takes R = m - j and dN = 1 at
+    its deaths from m and the events alone; every output is the unit-weight
+    fit's, bit for bit."""
+
+    @given(tie_free_samples(), st.permutations(LAZY))
+    @example(  # m = 1: a lone -0.0 dies as its row's last unit; a row all censored
+        (np.array([[-0.0], [0.25], [0.5]]), np.array([[True], [False], [True]])), LAZY)
+    @example((np.array([[0.5, -0.0, 1.5], [0.75, 0.25, 1.0]]),
+              np.array([[False, True, True], [False, False, False]])), LAZY)
+    @settings(max_examples=200, deadline=None)
+    def test_unweighted_fit_equals_unit_weights_bitwise(self, sample, read_order):
+        times, events = sample
+        sorted_sample = SortedSample(times, events)
+        plain = sorted_sample.product_limit()
+        unit = sorted_sample.product_limit(np.ones(times.shape))
+        for name in read_order:  # each lazy output is computed on this first read
+            getattr(plain, name)
+        for name in ("survival", "at_risk", "deaths", *LAZY):
+            assert_bits_equal(getattr(plain, name), getattr(unit, name))
+        grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.125, np.inf]
+        for lookup, _ in CURVES.values():
+            assert_bits_equal(getattr(plain, lookup)(grid), getattr(unit, lookup)(grid))
+            assert_bits_equal(getattr(plain, lookup)(grid[1]), getattr(unit, lookup)(grid[1]))
+
+
+# each block with the calls of np.sort and the argsort kinds that building
+# it makes, and the argsort kinds of a first read of ``units``; numpy's
+# default sort may put the tied entries of these rows out of input order
 SORT_BLOCKS = {
-    "no-tie": (np.arange(18.0)[::-1].reshape(3, 6) / 4, [None]),
+    "no-tie": (np.arange(18.0)[::-1].reshape(3, 6) / 4, 1, [], [None]),
     "one-row-tie": (np.array([[0.5, 3.0, 1.5, 2.5, 0.25, 1.0],
                               [2.0, 1.0, 2.0, 2.0, 0.0, 2.0],
-                              [4.0, 3.5, 0.75, 5.0, 4.5, 1.25]]), [None, "stable"]),
+                              [4.0, 3.5, 0.75, 5.0, 4.5, 1.25]]), 1, ["stable"], []),
     "signed-zeros": (np.array([[0.0, 1.0, -0.0, 2.0, 0.0, -0.0],
-                               [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), [None, "stable"]),
+                               [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), 0, ["stable"], []),
+    "lone-negative-zero": (np.array([[0.5, -0.0, 1.5, 2.5, 0.25, 1.0],
+                                     [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), 0, ["stable"], []),
 }
 
 
 class TestSortRule:
-    """The default sort, and a stable re-sort only when a row holds a tie,
-    give each row its stable order."""
+    """One np.sort of the packed (time, event) key, and a stable argsort
+    instead when a row holds a tie or the block a -0.0, give each row its
+    stable order; a block sorted by its key builds ``units`` on first read."""
 
     @pytest.mark.parametrize("block", SORT_BLOCKS, ids=list(SORT_BLOCKS))
     def test_rows_in_stable_order_with_one_sort_unless_tied(self, block, monkeypatch):
-        times, want_kinds = SORT_BLOCKS[block]
+        times, want_sorts, want_kinds, want_read_kinds = SORT_BLOCKS[block]
         events = np.arange(times.size).reshape(times.shape) % 3 != 0
         stable = np.argsort(times, axis=-1, kind="stable")
-        kinds, argsort = [], np.argsort
+        sorts, kinds = [], []
+        sort, argsort = np.sort, np.argsort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(kwargs.get("kind"))
+            return sort(*args, **kwargs)
 
         def counting_argsort(*args, **kwargs):
             kinds.append(kwargs.get("kind"))
             return argsort(*args, **kwargs)
 
+        monkeypatch.setattr(np, "sort", counting_sort)
         monkeypatch.setattr(np, "argsort", counting_argsort)
         sample = SortedSample(times, events)
+        assert (len(sorts), kinds) == (want_sorts, want_kinds)
+        del kinds[:]
+        units = sample.units
         monkeypatch.undo()
-        assert kinds == want_kinds  # one sort unless a row holds a tie
+        assert kinds == want_read_kinds  # argsort only on a first read of units
         offsets = np.arange(0, times.size, times.shape[-1])[:, None]
-        np.testing.assert_array_equal(sample.units, (stable + offsets).ravel(), strict=True)
+        np.testing.assert_array_equal(units, (stable + offsets).ravel(), strict=True)
         want = np.take_along_axis(times, stable, axis=-1)
         np.testing.assert_array_equal(sample.times.view(np.uint64), want.view(np.uint64),
                                       strict=True)
+        np.testing.assert_array_equal(
+            sample.events, np.take_along_axis(events, stable, axis=-1), strict=True)
+
+    def test_units_read_late_follow_the_sample_not_the_caller_array(self):
+        # a tie-free block builds ``units`` on first read; the caller may
+        # have reused its arrays by then
+        times = np.array([[0.75, 0.25, 0.5], [1.5, 2.0, 1.0]])
+        events = np.ones(times.shape, dtype=bool)
+        sample = SortedSample(times, events)
+        times[:] = times[:, ::-1].copy()
+        fit = sample.product_limit(np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]]))
+        np.testing.assert_array_equal(sample.units, [1, 2, 0, 5, 3, 4], strict=True)
+        np.testing.assert_array_equal(fit.at_risk, [[7.0, 5.0, 1.0], [56.0, 24.0, 16.0]])
