@@ -15,7 +15,9 @@ Row 2: AFT, k=6, m=50, rho=0.5, 30% censoring, t at S=0.75
 
 import argparse
 
-from rsskm import AftModel, DesignPoint, RngStream, prepare_model, run_cell
+from rsskm import RngStream
+from rsskm.harness import DesignPoint, prepare_model, run_cell
+from rsskm.models import AftModel
 
 ROWS = [
     ("k=10 m=50 rho=0.9 no-censoring S=0.50",

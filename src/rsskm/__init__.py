@@ -5,11 +5,11 @@ set sampling with right censoring, plus a Monte-Carlo efficiency harness.
 product-limit kernel; ``rss_mean`` averages any of the fit's lookups over
 the ranks (power 1 for curves, 2 for the 1/k^2-scaled variances).
 
-The estimation modules load with numpy alone.  The names from ``harness``
-and ``models``, which need ``scipy.special``, are imported on first access
-(PEP 562), so ``import rsskm`` loads no scipy."""
-
-import importlib
+The package root holds the estimation API, which loads with numpy alone, so
+``import rsskm`` loads no scipy.  The simulation API needs ``scipy.special``
+and is imported from its modules: ``rsskm.harness`` (``DesignPoint``,
+``prepare_model``, ``run_cell``, ``run_grid``) and ``rsskm.models`` (the
+models, censoring laws, calibration and variance kernels)."""
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
@@ -30,36 +30,8 @@ from .survival import (
 
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it, imported when the name is first read
-_DEFERRED = {
-    **dict.fromkeys(["DesignPoint", "prepare_model", "run_cell", "run_grid"], "harness"),
-    **dict.fromkeys([
-        "AftModel",
-        "CensoringLaw",
-        "WeibullModel",
-        "aft_rho_ceiling",
-        "aft_score_correlation",
-        "asymptotic_km_variance",
-        "calibrate_aft_concomitant",
-        "censoring_for_fraction",
-        "dell_clutter_sigma",
-    ], "models"),
-}
-
-
-def __getattr__(name):
-    if name not in _DEFERRED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
 __all__ = [
-    "AftModel",
-    "CensoringLaw",
     "ConfigError",
-    "DesignPoint",
     "EmptyDesignError",
     "EmptySampleError",
     "HarnessConfig",
@@ -70,19 +42,9 @@ __all__ = [
     "RankedSetSample",
     "RngStream",
     "UnbalancedDesignError",
-    "WeibullModel",
-    "aft_rho_ceiling",
-    "aft_score_correlation",
-    "asymptotic_km_variance",
-    "calibrate_aft_concomitant",
-    "censoring_for_fraction",
-    "dell_clutter_sigma",
     "draw_balanced_rss",
     "multiplier_bootstrap",
     "parse_config",
-    "prepare_model",
     "rss_kaplan_meier",
     "rss_mean",
-    "run_cell",
-    "run_grid",
 ]

@@ -46,10 +46,10 @@ from .survival import SortedSample
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
 # chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * min(k,
-# _SLOT_WIDTH))) replicates; every sampler draws each judged slot from its
-# law, at most three values per slot.  The rule fixes which replicates
-# share a stream, so changing it changes every simulate value at a fixed
-# seed, SRS columns included.
+# _SLOT_WIDTH))) replicates.  It is kept as a fixed part of the output, not
+# sized by what a sampler draws: it fixes which replicates share a stream,
+# so changing it changes every simulate value at a fixed seed, SRS columns
+# included.
 _BUDGET = 2**15
 _SLOT_WIDTH = 4
 

@@ -16,8 +16,9 @@ exact law of those units (``judged_rank_survival``) feeds the one asymptotic
 KM variance kernel, ``asymptotic_km_variance``: the population law at set
 size k = 1 (SRS), the rank-averaged judged law at k > 1 (RSS).  That law is
 tabulated once per (model, set size, eval times) (``_judged_law``); the
-kernel reads the table at its times, and the judged Weibull sampler inverts
-each slot's CDF in the table at no times.
+kernel reads the table at its times, and at k > 1 the samplers invert each
+slot's CDF in the table at no times (``_judged_slots``).  Perfect-ranking
+Weibull alone draws its slots in closed form, as order statistics.
 
 The standard normal comes from ``scipy.special`` (``ndtr``, ``ndtri``), in
 the forms ``scipy.stats.norm`` evaluates, and the Weibull score-CDF spline
@@ -95,28 +96,15 @@ class AftModel:
 
     def draw_slots(self, k: int, size, lifetimes: RngStream, proxies: RngStream):
         """Lifetimes, shape ``(*size, k)``, of the units measured in judged
-        slots 1..k of k-sets ranked by the score V, each drawn directly from
-        its exact law (Dell & Clutter 1972).
+        slots 1..k of k-sets ranked by the score V, each drawn from its exact
+        law (Dell & Clutter 1972).
 
-        log X and V are jointly normal, so with s = ``log_sd``, sigma =
-        ``sigma_u`` and s_V = hypot(s, sigma), slot r measures
-        log X = mu + (s^2/s_V) w + (s sigma/s_V) Z, where w = Phi^-1(U),
-        U ~ Beta(r, k-r+1) is the score's probability level and Z ~ N(0,1).
-        U = G/(G+G') with (G, G') from ``_slot_gamma_pairs``, and w is taken
-        from the smaller of U and 1-U, so both tails keep full precision; Z
-        comes from ``lifetimes``.  At k = 1 or sigma = inf the slots carry the
-        population law and no proxies are drawn.
-        """
-        if k > 1 and self.sigma_u is None:
-            raise ParameterError("uncalibrated model: sigma_u is not set")
-        s = self.log_sd
-        z = lifetimes.generator().standard_normal((*size, k))
-        if k == 1 or not math.isfinite(self.sigma_u):
-            return np.exp(self.mu + s * z)
-        low, high = _slot_gamma_pairs(k, size, proxies)
-        w = np.where(low <= high, 1.0, -1.0) * ndtri(np.minimum(low, high) / (low + high))
-        s_v = math.hypot(s, self.sigma_u)
-        return np.exp(self.mu + (s * s / s_v) * w + (s * self.sigma_u / s_v) * z)
+        A set of one measures a population draw from ``lifetimes``.
+        Otherwise nothing is drawn from ``lifetimes``: each slot inverts its
+        tabulated CDF at a uniform from ``proxies`` (``_judged_slots``)."""
+        if k == 1:
+            return self.lifetime_at(lifetimes.generator().standard_normal((*size, 1)))
+        return _judged_slots(self, k, size, proxies)
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
@@ -184,22 +172,22 @@ class WeibullModel:
 
         A set of one measures a population draw from ``lifetimes``.
         Otherwise nothing is drawn from ``lifetimes``.  Under perfect ranking
-        (sigma_z = 0) slot r measures the r-th order statistic X_[r]:
-        F(X_[r]) ~ Beta(r, k-r+1) is G/(G+G') with (G, G') from
-        ``_slot_gamma_pairs``, so -log S(X_[r]) = log1p(G/G') and X_[r] =
-        theta * log1p(G/G')^(1/nu).  Under judged ranking slot r measures
-        ``lifetime_at(w)`` with F_r(w) = U for one uniform U per slot, a
-        ``(*size, k)`` block from ``proxies``, and F_r the slot's CDF from the
-        judged-rank law tabulated for (model, k) on the fixed panels (see
-        ``_JudgedLaw.scores``), so the draws do not depend on a cell's eval
-        times."""
+        (sigma_z = 0) slot r measures the r-th order statistic X_[r] in
+        closed form: F(X_[r]) ~ Beta(r, k-r+1) is G/(G+G') with G ~ Gamma(r)
+        and G' ~ Gamma(k-r+1), one ``standard_gamma`` block ``(*size, k, 2)``
+        from ``proxies`` with the shapes [r, k-r+1] interleaved on the last
+        axis, so -log S(X_[r]) = log1p(G/G') and X_[r] = theta *
+        log1p(G/G')^(1/nu).  Under judged ranking each slot inverts its
+        tabulated CDF (``_judged_slots``).  The closed form stays because it
+        draws faster than the table."""
         if k == 1:
             return self.draw_ranking_scale(lifetimes.generator(), (*size, 1))
         if self.sigma_z == 0:
-            g, g_rest = _slot_gamma_pairs(k, size, proxies)
-            return self.scale_theta1 * np.log1p(g / g_rest) ** (1 / self.shape_nu)
-        u = proxies.generator().random((*size, k))
-        return self.lifetime_at(_judged_law(self, k, ()).scores(u))
+            r = np.arange(1, k + 1)
+            g = proxies.generator().standard_gamma(np.stack([r, k + 1 - r], axis=-1),
+                                                   (*size, k, 2))
+            return self.scale_theta1 * np.log1p(g[..., 0] / g[..., 1]) ** (1 / self.shape_nu)
+        return _judged_slots(self, k, size, proxies)
 
     def lifetime_at(self, w):
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
@@ -281,16 +269,6 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s = np.array(s)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
-
-def _slot_gamma_pairs(k: int, size, proxies: RngStream):
-    """(G, G'), each of shape ``(*size, k)``, with G ~ Gamma(r) and
-    G' ~ Gamma(k-r+1) for judged slots r = 1..k, so that G/(G+G') ~
-    Beta(r, k-r+1): one ``standard_gamma`` block ``(*size, k, 2)`` from
-    ``proxies`` with the shapes [r, k-r+1] interleaved on the last axis."""
-    r = np.arange(1, k + 1)
-    g = proxies.generator().standard_gamma(np.stack([r, k + 1 - r], axis=-1), (*size, k, 2))
-    return g[..., 0], g[..., 1]
 
 
 # --------------------------------------------------------------------------
@@ -551,6 +529,17 @@ def _judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedLaw:
 @lru_cache(maxsize=32)
 def _cached_judged_law(model: SuperpopulationModel, k: int, times: bytes) -> _JudgedLaw:
     return _tabulate_judged_law(model, k, np.frombuffer(times))
+
+
+def _judged_slots(model: SuperpopulationModel, k: int, size, proxies: RngStream):
+    """Lifetimes, shape ``(*size, k)``, of judged slots 1..k of k-sets:
+    slot r measures ``model.lifetime_at(w)`` with F_r(w) = U for one uniform
+    U per slot, a ``(*size, k)`` block from ``proxies``, and F_r the slot's
+    CDF in the judged-rank law tabulated for (model, k) on the fixed panels
+    (``_JudgedLaw.scores``), so the draws do not depend on a cell's eval
+    times.  An uncalibrated AFT model raises on tabulation."""
+    u = proxies.generator().random((*size, k))
+    return model.lifetime_at(_judged_law(model, k, ()).scores(u))
 
 
 def judged_rank_survival(model: SuperpopulationModel, k: int, times) -> np.ndarray:

@@ -6,7 +6,7 @@ yield identical draws and distinct addresses are statistically independent.
 Lifetimes, ranking proxies, and censoring each consume their own substream,
 so e.g. adding censoring never perturbs the lifetime draws.  Each model
 draws its own judged slots (``draw_slots``), each slot from its exact law:
-AFT and perfect-ranking Weibull in closed form, judged Weibull ranking by
+at k > 1, perfect-ranking Weibull in closed form and every other model by
 inverting the slot's tabulated CDF.  One stream can yield a block of
 replicate samples (``draw_samples``); a single-sample draw is its first
 replicate, and a simple random sample of n is the k = 1, m = n draw.
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rss import EmptyDesignError, RankedSetSample
 from .survival import ParameterError
 
 
@@ -53,17 +54,16 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
     substreams, laid out ``(reps, m, k)`` in C order; each unit is then
     independently censored by a ``(reps, m, k)`` block from the censoring
     substream.  Every block drawn from a substream has the replicate axis
-    first and is filled in C order (AFT: ``(reps, m, k)`` normals and a
-    ``(reps, m, k, 2)`` gamma block; perfect-ranking Weibull: the gamma
-    block alone; judged Weibull: a ``(reps, m, k)`` block of uniforms from
-    the proxy substream), so replicate 0 of a draw consumes each substream
-    exactly as a one-replicate draw from the same stream does.  A set of one
-    draws no proxies, and ``CensoringLaw("none")`` no censoring block: its
-    units are all deaths, observed at their lifetimes.  Returns
-    ``(times, events)`` of shape ``(reps, k, m)``.
+    first and is filled in C order (at k > 1, perfect-ranking Weibull: a
+    ``(reps, m, k, 2)`` gamma block from the proxy substream; AFT and judged
+    Weibull: a ``(reps, m, k)`` block of uniforms from the proxy substream;
+    neither draws from the lifetime substream), so replicate 0 of a draw
+    consumes each substream exactly as a one-replicate draw from the same
+    stream does.  A set of one draws its ``(reps, m, 1)`` lifetimes from
+    the lifetime substream and no proxies, and ``CensoringLaw("none")`` no
+    censoring block: its units are all deaths, observed at their lifetimes.
+    Returns ``(times, events)`` of shape ``(reps, k, m)``.
     """
-    from .rss import EmptyDesignError
-
     if k < 1 or m < 1:
         raise EmptyDesignError(f"empty design: k={k}, m={m}")
 
@@ -79,7 +79,5 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1
 
 def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
     """Draw one balanced k x m ranked set sample (see ``draw_samples``)."""
-    from .rss import RankedSetSample
-
     times, events = draw_samples(model, k, m, censoring, rng)
     return RankedSetSample(k, m, times[0], events[0])

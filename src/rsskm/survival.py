@@ -79,17 +79,18 @@ class SortedSample:
     sorts by time.  A tie-free row has a single sorting permutation, so it
     is the row's stable order, bit for bit.  A block where some row holds a
     tie is sorted again with the stable argsort, which keeps tied units in
-    input order.  A block holding a ``-0.0`` (which ties ``0.0``), whose
-    sign bit the key would drop, is sorted by the stable argsort alone.
-    ``units``, the flat input index of the unit at each sorted position,
-    comes from that argsort; a block sorted by its key alone builds it on
-    first read, by argsort of a copy of the input times, which only a
-    weighted fit does.
+    input order, and a block holding a ``-0.0`` (which ties ``0.0``), whose
+    sign bit the key would drop, is sorted by the stable argsort alone;
+    either way the sorted times are gathered from the input by that
+    argsort.  ``units``, the flat input index of the unit at each sorted
+    position, comes from that argsort; a block sorted by its key alone
+    builds it on first read, by argsort of a copy of the input times, which
+    only a weighted fit does.
 
-    In a tie-free block every sorted position is its own tie group, so the
-    sorted block is the layout: ``group_times`` is ``times``, and a fit
-    reads R and dN in place, with no compression or scatter.  In a tied
-    block the tie groups of each row fill a ``(..., width)`` layout,
+    In a block sorted by its key alone every sorted position is its own tie
+    group, so the sorted block is the layout: ``group_times`` is ``times``,
+    and a fit reads R and dN in place, with no compression or scatter.  In
+    any other block the tie groups of each row fill a ``(..., width)`` layout,
     ``width`` being the largest count of any row, the rest of a row being
     padding (time inf); ``slots`` places the groups that hold a death.
     """
@@ -106,11 +107,8 @@ class SortedSample:
         # do not depend on the weights
         self._position_cache = {}
         self.slots = None
-        if np.signbit(times).any():
-            # a -0.0: the key has no sign bit, so sort the times themselves
-            self.units = _flat_argsort(times, "stable")
-            flat = times.ravel()[self.units]
-        else:
+        # the key drops the sign bit of a -0.0, so such a block skips it
+        if not np.signbit(times).any():
             key = np.sort((times.view(np.uint64) << 1) | events, axis=-1)
             self.times = (key >> 1).view(float)
             if not np.any(self.times[..., 1:] == self.times[..., :-1]):
@@ -120,10 +118,10 @@ class SortedSample:
                 # the caller does with its array in the meantime
                 self._input = times.copy()
                 return
-            # a row holds a tie: only the stable sort keeps tied units in
-            # input order; the sorted times are the same either way
-            self.units = _flat_argsort(times, "stable")
-            flat = self.times.ravel()
+        # a row holds a tie or the block a -0.0: only the stable sort keeps
+        # tied units in input order
+        self.units = _flat_argsort(times, "stable")
+        flat = times.ravel()[self.units]
         self.times = flat.reshape(times.shape)
         # the event (death) flags in the same sorted order
         died = events.ravel()[self.units]
@@ -131,10 +129,6 @@ class SortedSample:
         # a tie group starts at every row start and wherever the time changes
         starts = np.r_[True, flat[1:] != flat[:-1]]
         starts[::m] = True
-        if starts.all():  # a lone -0.0: no row holds a tie
-            self.group_times = self.times
-            return
-
         first = np.flatnonzero(starts)
         # each tie group's flat slot in the (..., width) layout: its index
         # among all tie groups plus the padding of the rows before its own

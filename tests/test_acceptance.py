@@ -12,22 +12,21 @@ import numpy as np
 import pytest
 
 from rsskm import (
-    AftModel,
-    CensoringLaw,
-    DesignPoint,
     MultiplierLaw,
     RngStream,
-    WeibullModel,
-    asymptotic_km_variance,
-    censoring_for_fraction,
     draw_balanced_rss,
     multiplier_bootstrap,
     parse_config,
-    prepare_model,
     rss_kaplan_meier,
     rss_mean,
-    run_cell,
-    run_grid,
+)
+from rsskm.harness import DesignPoint, prepare_model, run_cell, run_grid
+from rsskm.models import (
+    AftModel,
+    CensoringLaw,
+    WeibullModel,
+    asymptotic_km_variance,
+    censoring_for_fraction,
 )
 from rsskm.survival import SortedSample
 from oracles import exponential_km_variance, order_statistic_survival

@@ -10,13 +10,12 @@ from rsskm import (
     ParameterError,
     RankedSetSample,
     RngStream,
-    WeibullModel,
-    censoring_for_fraction,
     draw_balanced_rss,
     multiplier_bootstrap,
     rss_kaplan_meier,
     rss_mean,
 )
+from rsskm.models import WeibullModel, censoring_for_fraction
 from rsskm.survival import SortedSample
 
 EXP = WeibullModel()

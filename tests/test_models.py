@@ -17,29 +17,24 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
-from rsskm import (
+from rsskm import InferenceWindowError, ParameterError, RngStream, draw_balanced_rss
+from rsskm.harness import prepare_model
+from rsskm import models
+from rsskm.models import (
     AftModel,
     CensoringLaw,
-    InferenceWindowError,
-    ParameterError,
-    RngStream,
     WeibullModel,
+    _W_EDGES,
+    _judged_kernels,
+    _normal_isf,
+    _normal_pdf,
+    _panel_nodes,
     aft_rho_ceiling,
     aft_score_correlation,
     asymptotic_km_variance,
     calibrate_aft_concomitant,
     censoring_for_fraction,
     dell_clutter_sigma,
-    draw_balanced_rss,
-    prepare_model,
-)
-from rsskm import models
-from rsskm.models import (
-    _W_EDGES,
-    _judged_kernels,
-    _normal_isf,
-    _normal_pdf,
-    _panel_nodes,
     judged_rank_survival,
 )
 from oracles import exponential_km_variance, order_statistic_survival

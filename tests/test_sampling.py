@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rsskm import (
+from rsskm import EmptyDesignError, ParameterError, RngStream, draw_balanced_rss
+from rsskm.harness import prepare_model
+from rsskm.models import (
     AftModel,
     CensoringLaw,
-    EmptyDesignError,
-    ParameterError,
-    RngStream,
     WeibullModel,
     censoring_for_fraction,
-    draw_balanced_rss,
-    prepare_model,
+    judged_rank_survival,
 )
 from rsskm import models
-from rsskm.models import judged_rank_survival
 from rsskm.sampling import draw_samples
 from oracles import order_statistic_survival
 
@@ -219,16 +216,17 @@ class TestDrawSamples:
         assert s.events.tolist() == [[True, True, True], [True, True, False]]
 
     def test_pinned_aft_slot_draws(self):
-        # each AFT slot drawn from its exact law: censoring and the
-        # substreams as before, so censoring decisions match the oracle's
+        # each AFT slot inverts its tabulated law at a uniform from the
+        # proxy substream; the censoring substream is the oracle's, so the
+        # censored units show the oracle's censoring times
         aft = prepare_model(AftModel(), 0.5)
         law = censoring_for_fraction(aft, 0.3)
         s = draw_balanced_rss(aft, 2, 3, law, RngStream(3).child(0, 5))
-        assert s.times.tolist() == [[0.1563590820746473, 0.6297459531997343,
-                                     4.391907379625502],
-                                    [6.0390081105912925, 0.8014146182136941,
+        assert s.times.tolist() == [[0.8021164199737582, 0.05448105359766133,
+                                     0.8450247015477867],
+                                    [0.6901468823767488, 0.8236857185695603,
                                      0.2699778349004086]]
-        assert s.events.tolist() == [[True, True, True], [True, True, False]]
+        assert s.events.tolist() == [[False, True, True], [True, True, False]]
 
     def test_first_replicate_of_a_block_is_the_single_draw(self):
         model = prepare_model(AftModel(), 0.5)
@@ -269,9 +267,7 @@ class TestAftSlotLaw:
         model = AftModel(sigma_u=math.inf)
         k, m = 5, 20_000
         s = draw_balanced_rss(model, k, m, NONE, RngStream(10))
-        # no proxies drawn: every slot is a plain population draw
-        np.testing.assert_array_equal(
-            s.times.T, draw_balanced_rss(model, 1, k * m, NONE, RngStream(10)).times.reshape(m, k))
+        # every slot carries the population law
         want = np.array(LEVELS)
         se = np.sqrt(want * (1 - want) / m)
         got = rank_wise_survival(s.times, [model.quantile(level) for level in LEVELS])
@@ -355,7 +351,8 @@ class TestWeibullSlotLaw:
 
 
 class TestJudgedWeibullSlotLaw:
-    """Judged Weibull slots drawn by inverting the tabulated judged-rank law;
+    """Judged Weibull (and AFT) slots drawn by inverting the tabulated
+    judged-rank law;
     the candidate-set oracle checks the law that the sampler and re_true
     both tabulate."""
 
@@ -373,15 +370,21 @@ class TestJudgedWeibullSlotLaw:
             se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / m)
             assert abs(a.mean() - b.mean()) <= 4 * se
 
-    @pytest.mark.parametrize("rho", [0.3, 0.9])
-    def test_inverts_each_slot_cdf(self, rho):
+    # AFT slots are drawn by the same inversion (AFT rho 0.9 saturates)
+    @pytest.mark.parametrize("base, rho", [
+        pytest.param(WeibullModel(1.5, 1.5), 0.3, id="0.3"),
+        pytest.param(WeibullModel(1.5, 1.5), 0.9, id="0.9"),
+        pytest.param(AftModel(), 0.3, id="aft-0.3"),
+        pytest.param(AftModel(), 0.9, id="aft-0.9"),
+    ])
+    def test_inverts_each_slot_cdf(self, base, rho):
         # F_r(X) = U for the uniform U each slot draws from the proxy
         # substream, with F_r recomputed at the drawn lifetimes
         class Unused:
             def generator(self):
                 raise AssertionError("the lifetime substream was drawn from")
 
-        model = prepare_model(WeibullModel(1.5, 1.5), rho)
+        model = prepare_model(base, rho)
         k, m = 10, 200
         x = model.draw_slots(k, (1, m), Unused(), RngStream(18))
         u = RngStream(18).generator().random((1, m, k))
