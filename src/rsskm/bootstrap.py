@@ -5,9 +5,12 @@ rank by iid nonnegative mean-1 weights, recomputes the weighted KM of all
 ranks, and averages across ranks; the variance across replicates estimates
 the sampling variance of the rank-averaged KM without redrawing subjects.
 
-The sample is sorted once per call, by the unweighted fit; each replicate
-only gathers its (k, m) weights into that order (``fit.sample``) and reruns
-the product-limit arithmetic: dN* = sum W I(Y = u, event) and
+The sample is sorted once per call, by the unweighted fit.  Each replicate
+draws (k, m) weights and hands them to that sorted sample (``fit.sample``)
+as they are: a rank's j-th draw weights its j-th observation in sorted
+order.  The weights are iid, so which observation gets which draw does not
+change the law, and the replicates do not depend on the cycle labels.  The
+product-limit arithmetic is then dN* = sum W I(Y = u, event) and
 R* = sum W I(Y >= u) per tie group, S*(t) = prod_{u <= t} (1 - dN*/R*).
 """
 
@@ -69,6 +72,8 @@ def multiplier_bootstrap(
 ) -> BootstrapResult:
     """Bootstrap variance of the rank-averaged KM on a time grid, beside
     the rank-averaged KM and its Greenwood plug-in from the unweighted fit.
+    Replicate b draws its (k, m) weights from ``rng.child(b)``; row r, entry
+    j weights rank r's j-th observation in sorted order.
 
     Replicates where any rank's weighted risk set vanished before the
     largest grid point are flagged and excluded from the variance (their

@@ -156,7 +156,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     sample = _read_observations(args.input)
-    if args.grid:
+    if args.grid is not None:
         t_grid = np.asarray(_parse_floats(args.grid))
     else:
         t_grid = np.unique(sample.times[sample.events])

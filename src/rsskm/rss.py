@@ -49,6 +49,11 @@ class RankedSetSample:
                 f"unbalanced design: expected {(self.set_size_k, self.cycles_m)} "
                 f"times, got {self.times.shape}"
             )
+        if np.shape(self.events) != self.times.shape:
+            raise UnbalancedDesignError(
+                f"unbalanced design: expected {self.times.shape} events, "
+                f"got {np.shape(self.events)}"
+            )
 
     @classmethod
     def from_columns(cls, rank, cycle, time, event, lines=None) -> "RankedSetSample":

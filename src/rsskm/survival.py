@@ -5,15 +5,14 @@ tied times (R(u) = #{Y >= u}).
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
 set sample, and it takes optional multiplier weights for the bootstrap.
-``SortedSample`` sorts each row once with ``np.sort`` of the packed key
+``SortedSample`` sorts each block once with ``np.sort`` of the packed key
 ``(time bits << 1) | event`` and unpacks the sorted times and events from
-it; the bits of finite times >= +0.0 are in the order of their values.  A
-row without ties has one sorting permutation, so this is its stable order.
-A block where a row holds a tie, or that holds a ``-0.0`` (the key drops the
-sign bit; ``-0.0`` ties ``0.0``), takes its order from the stable argsort,
-so every row ends in its stable order and every sum runs in that order.
-The unit index of each sorted position (``units``), which only weighted fits
-read, is built on first read for a block sorted by its key.
+it: the bits of finite times >= +0.0 are in the order of their values, and
+at a tied time censorings come before deaths.  The shift drops the sign
+bit, so a ``-0.0`` reads back as ``0.0``.  A fit reads only sorted
+positions: multiplier weights are taken in that order, entry j of a row
+weighting its j-th sorted observation, which is exact for exchangeable
+weights.
 
 The sample is laid out with one entry per tie group (distinct time).  A
 block without ties is its own layout, the sorted block, so simulated data
@@ -59,40 +58,26 @@ class InferenceWindowError(ValueError):
     pass
 
 
-def _flat_argsort(times, kind) -> np.ndarray:
-    """The flat index into ``times`` of the unit at each position of its
-    rows sorted by ``np.argsort`` of ``kind``."""
-    m = times.shape[-1]
-    offsets = np.arange(0, times.size, m).reshape(times.shape[:-1] + (1,))
-    return (np.argsort(times, axis=-1, kind=kind) + offsets).ravel()
-
-
 class SortedSample:
-    """The rows of a ``(..., m)`` right-censored sample, each stably sorted
-    by time, laid out with one entry per tie group (distinct time) of each
-    row.  Built once per sample; ``product_limit`` reruns the arithmetic for
-    any weights without sorting.
+    """The rows of a ``(..., m)`` right-censored sample, each sorted by time
+    with its censorings before its deaths at a tied time, laid out with one
+    entry per tie group (distinct time) of each row.  Built once per sample;
+    ``product_limit`` reruns the arithmetic for any weights without sorting.
 
-    Each row is sorted once by the packed key ``(time bits << 1) | event``
-    with ``np.sort``; the sorted times and events are unpacked from it.  The
-    bits of finite times >= +0.0 are in the order of their values, so this
-    sorts by time.  A tie-free row has a single sorting permutation, so it
-    is the row's stable order, bit for bit.  A block where some row holds a
-    tie is sorted again with the stable argsort, which keeps tied units in
-    input order, and a block holding a ``-0.0`` (which ties ``0.0``), whose
-    sign bit the key would drop, is sorted by the stable argsort alone;
-    either way the sorted times are gathered from the input by that
-    argsort.  ``units``, the flat input index of the unit at each sorted
-    position, comes from that argsort; a block sorted by its key alone
-    builds it on first read, by argsort of a copy of the input times, which
-    only a weighted fit does.
+    Every block is sorted once by the packed key ``(time bits << 1) | event``
+    with ``np.sort``, and the sorted times and events are unpacked from it.
+    The bits of finite times >= +0.0 are in the order of their values, so
+    this sorts by time, and a censoring's key is below a death's at the same
+    time.  The shift drops the sign bit, so a ``-0.0`` reads back as ``0.0``.
+    Sorted positions are all a fit needs: the weights it takes are in that
+    order too.
 
-    In a block sorted by its key alone every sorted position is its own tie
-    group, so the sorted block is the layout: ``group_times`` is ``times``,
-    and a fit reads R and dN in place, with no compression or scatter.  In
-    any other block the tie groups of each row fill a ``(..., width)`` layout,
-    ``width`` being the largest count of any row, the rest of a row being
-    padding (time inf); ``slots`` places the groups that hold a death.
+    In a block without ties every sorted position is its own tie group, so
+    the sorted block is the layout: ``group_times`` is ``times``, and a fit
+    reads R and dN in place, with no compression or scatter.  In a tied block
+    the tie groups of each row fill a ``(..., width)`` layout, ``width``
+    being the largest count of any row, the rest of a row being padding
+    (time inf); ``slots`` places the groups that hold a death.
     """
 
     def __init__(self, times, events):
@@ -101,34 +86,22 @@ class SortedSample:
             raise EmptySampleError("empty sample")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise InvalidObservationError("invalid observation: negative or non-finite time")
-        events = np.asarray(events, dtype=bool)
         m = times.shape[-1]
         # lookup positions among ``group_times``, shared by every fit: they
         # do not depend on the weights
         self._position_cache = {}
         self.slots = None
-        # the key drops the sign bit of a -0.0, so such a block skips it
-        if not np.signbit(times).any():
-            key = np.sort((times.view(np.uint64) << 1) | events, axis=-1)
-            self.times = (key >> 1).view(float)
-            if not np.any(self.times[..., 1:] == self.times[..., :-1]):
-                self.events = (key & 1).astype(bool)
-                self.group_times = self.times
-                # ``units`` is built from this copy on first read, whatever
-                # the caller does with its array in the meantime
-                self._input = times.copy()
-                return
-        # a row holds a tie or the block a -0.0: only the stable sort keeps
-        # tied units in input order
-        self.units = _flat_argsort(times, "stable")
-        flat = times.ravel()[self.units]
-        self.times = flat.reshape(times.shape)
-        # the event (death) flags in the same sorted order
-        died = events.ravel()[self.units]
-        self.events = died.reshape(times.shape)
+        key = np.sort((times.view(np.uint64) << 1) | np.asarray(events, dtype=bool), axis=-1)
+        self.times = (key >> 1).view(float)
+        self.events = (key & 1).astype(bool)
+        tied = self.times[..., 1:] == self.times[..., :-1]
+        if not tied.any():
+            self.group_times = self.times
+            return
         # a tie group starts at every row start and wherever the time changes
-        starts = np.r_[True, flat[1:] != flat[:-1]]
-        starts[::m] = True
+        starts = np.ones(times.shape, dtype=bool)
+        starts[..., 1:] = ~tied
+        starts = starts.ravel()
         first = np.flatnonzero(starts)
         # each tie group's flat slot in the (..., width) layout: its index
         # among all tie groups plus the padding of the rows before its own
@@ -138,28 +111,15 @@ class SortedSample:
         pad = width - counts
         slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
         self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
-        self.group_times.reshape(-1)[slots] = flat[first]
+        self.group_times.reshape(-1)[slots] = self.times.ravel()[first]
         # sorted flat positions of the deaths; each tie group's deaths are a
         # run among them, starting at ``death_starts``
-        deaths = np.flatnonzero(died)
-        group = np.cumsum(starts)[deaths] - 1
+        self.death_positions = np.flatnonzero(self.events)
+        group = np.cumsum(starts)[self.death_positions] - 1
         self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
-        self.death_units = self.units[deaths]
         # the first sorted position and the slot of each death group
         self.first = first[group[self.death_starts]]
         self.slots = slots[group[self.death_starts]]
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """The flat input index of the unit at each sorted position.  A row
-        sorted by its key has no tie, so any sort gives its order."""
-        return _flat_argsort(self._input, None)
-
-    @cached_property
-    def _units_reversed(self) -> np.ndarray:
-        """Each row's units in reversed sorted order: weighted R is a running
-        sum from the row's end."""
-        return self.units.reshape(self.times.shape)[..., ::-1].ravel()
 
     @cached_property
     def _first_reversed(self) -> np.ndarray:
@@ -169,7 +129,8 @@ class SortedSample:
 
     def product_limit(self, weights=None) -> "ProductLimit":
         """Run the arithmetic under multiplier ``weights`` of the sample's
-        shape (unit weights when None).
+        shape (unit weights when None), given in sorted order: entry j of a
+        row weights the row's j-th sorted observation.
 
         Per tie group with a death, R is the weight from the group's first
         position on and dN the weight of its deaths.  Every other entry (a
@@ -186,23 +147,23 @@ class SortedSample:
         shape = self.times.shape
         m = shape[-1]
         if weights is not None:
-            w = np.asarray(weights, dtype=float).ravel()
+            w = np.asarray(weights, dtype=float).reshape(shape)
             # the weight from each position to its row's end, in reversed order
-            tail = np.cumsum(w[self._units_reversed].reshape(shape), axis=-1)
+            tail = np.cumsum(w[..., ::-1], axis=-1)
         if self.slots is None:
-            # tie-free: each entry is one unit, a death or not
+            # tie-free: each entry is one observation, a death or not
             if weights is None:
                 factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
                 return ProductLimit(self, np.cumprod(np.where(self.events, factor, 1.0), axis=-1))
             r = np.where(self.events, tail[..., ::-1], 1.0)
-            dn = np.where(self.events, w[self.units].reshape(shape), 0.0)
+            dn = np.where(self.events, w, 0.0)
         else:
             if weights is None:
                 at_risk = m - self.first % m
-                died = np.diff(self.death_starts, append=self.death_units.size)
+                died = np.diff(self.death_starts, append=self.death_positions.size)
             else:
                 at_risk = tail.ravel()[self._first_reversed]
-                died = np.add.reduceat(w[self.death_units], self.death_starts)
+                died = np.add.reduceat(w.ravel()[self.death_positions], self.death_starts)
             r, dn = np.ones(self.group_times.shape), np.zeros(self.group_times.shape)
             r.reshape(-1)[self.slots] = at_risk
             dn.reshape(-1)[self.slots] = died
@@ -271,21 +232,23 @@ class ProductLimit:
         of several values at the same times search once.
 
         One search serves all rows: each group time is bucketed by the number
-        of (sorted) query times below it, and a row's position at the j-th
-        smallest query is the count of its group times in buckets 0..j."""
+        of (sorted) query times below it.  A query with j query times below
+        it is not below a group time in buckets 0..j and is below every
+        other, so a row's position there is the count of its group times in
+        those buckets."""
         t = np.asarray(t, dtype=float)
         key = (t.shape, t.tobytes())
         cache = self.sample._position_cache
         if key not in cache:
             times = self.times
             rows = int(np.prod(times.shape[:-1], dtype=int))
-            order = np.argsort(t.ravel())
-            q = order.size
-            bucket = np.searchsorted(t.ravel()[order], times.reshape(rows, -1), side="left")
+            queries = np.sort(t.ravel())
+            q = queries.size
+            bucket = np.searchsorted(queries, times.reshape(rows, -1), side="left")
             bucket += (np.arange(rows) * (q + 1))[:, None]
             counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
-            positions = np.empty((rows, q), dtype=np.intp)
-            positions[:, order] = np.cumsum(counts[:, :q], axis=1)
+            below = np.searchsorted(queries, t.ravel(), side="left")
+            positions = np.cumsum(counts[:, :q], axis=1)[:, below]
             cache.clear()
             cache[key] = positions
         return cache[key]

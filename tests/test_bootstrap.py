@@ -30,8 +30,10 @@ def weighted_km_at(times, events, weights, t_grid):
 
 def dense_bootstrap(sample, t_grid, n_reps, law, rng):
     """``multiplier_bootstrap`` written out replicate by replicate and rank
-    by rank over every sorted position: R* is the running sum of the weights
-    from the row's end, dN* the death weights of a tie group summed with
+    by rank over every sorted position, each rank ordered by time with
+    censorings before deaths at a tied time and its j-th weight on its j-th
+    sorted observation: R* is the running sum of the weights from the row's
+    end, dN* the death weights of a tie group summed with
     ``np.add.reduceat`` (the order of a floating-point sum sets its last
     bits), both at the group's last position with a neutral 1.0 / 0.0
     elsewhere; S* is the running product read at the last position <= t.
@@ -43,8 +45,8 @@ def dense_bootstrap(sample, t_grid, n_reps, law, rng):
         w = law.draw(rng.child(b).generator(), (k, m))
         total = np.zeros(t_grid.size)
         for r in range(k):
-            order = np.argsort(sample.times[r], kind="stable")
-            t, e, wr = sample.times[r][order], sample.events[r][order], w[r][order]
+            order = np.lexsort((sample.events[r], sample.times[r]))
+            t, e, wr = sample.times[r][order], sample.events[r][order], w[r]
             tail, at_risk = 0.0, np.empty(m)
             for i in range(m - 1, -1, -1):
                 tail += wr[i]
@@ -179,6 +181,22 @@ class TestMultiplierBootstrap:
             multiplier_bootstrap(sample, np.array([]), 10)
         with pytest.raises(ParameterError):
             multiplier_bootstrap(sample, np.array([1.0]), 1)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    def test_relabelled_cycles_give_same_replicates(self, sample, tied):
+        # the weights are exchangeable: a rank's j-th draw weights its j-th
+        # sorted observation, whichever cycle holds it
+        times = np.round(sample.times, 1) if tied else sample.times
+        cycles = np.array([np.random.default_rng(r).permutation(30) for r in range(3)])
+        base = RankedSetSample(3, 30, times, sample.events)
+        relabelled = RankedSetSample(3, 30, np.take_along_axis(times, cycles, axis=1),
+                                     np.take_along_axis(sample.events, cycles, axis=1))
+        grid = np.unique(times[sample.events])
+        want = multiplier_bootstrap(base, grid, 20, rng=RngStream(3))
+        got = multiplier_bootstrap(relabelled, grid, 20, rng=RngStream(3))
+        np.testing.assert_array_equal(got.replicates.view(np.uint64),
+                                      want.replicates.view(np.uint64), strict=True)
+        np.testing.assert_array_equal(got.variance, want.variance, strict=True)
 
     @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.003),
                                      MultiplierLaw("degenerate-one")],

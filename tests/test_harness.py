@@ -666,14 +666,15 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {argv[0]}:")
         assert "seed must be >= 0" in err[0] and not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan,-1,1", "0.5,-1", "1,inf"])
+    @pytest.mark.parametrize("grid", ["nan,-1,1", "0.5,-1", "1,inf", ""])
     def test_bootstrap_bad_grid_is_reported(self, tmp_path, capsys, obs_csv, grid):
         out = tmp_path / "boot.csv"
         assert main(["bootstrap", "--input", obs_csv, "--out", str(out),
                      "--reps", "5", f"--grid={grid}"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bootstrap:")
-        assert "grid times" in err[0] and not out.exists()
+        message = "grid times" if grid else "empty evaluation grid"
+        assert message in err[0] and not out.exists()
 
     @pytest.fixture()
     def obs_csv(self, tmp_path):
@@ -725,20 +726,20 @@ class TestCli:
             "rss,3.5,0.236111,0.017345,1,0.189815",
             "",
         ]
-        # tie-free, with a lone -0.0 as rank 1's first death: the sorted
-        # times keep its sign bit
+        # tie-free, with a lone -0.0 as rank 1's first death: it is sorted
+        # and written as 0
         path.write_text(TIE_FREE_OBSERVATIONS.replace("1,1,0.3,1", "1,1,-0.0,1"))
         assert main(["estimate", "--input", str(path), "--out", str(out)]) == 0
         assert out.read_bytes().decode().split("\r\n") == [
             "rank,time,survival,greenwood_var,cum_hazard,hazard_var",
-            "1,-0,0.75,0.046875,0.25,0.0625",
+            "1,0,0.75,0.046875,0.25,0.0625",
             "1,1.2,0.5,0.0625,0.583333,0.173611",
             "1,2.8,0,0,1.58333,1.17361",
             "2,0.4,0.75,0.046875,0.25,0.0625",
             "2,2.6,0,0,1.25,1.0625",
             "3,0.7,0.75,0.046875,0.25,0.0625",
             "3,2.2,0.375,0.0820312,0.75,0.3125",
-            "rss,-0,0.916667,0.00520833,0.0833333,0.00694444",
+            "rss,0,0.916667,0.00520833,0.0833333,0.00694444",
             "rss,0.4,0.833333,0.0104167,0.166667,0.0138889",
             "rss,0.7,0.75,0.015625,0.25,0.0208333",
             "rss,1.2,0.666667,0.0173611,0.361111,0.033179",
@@ -752,34 +753,34 @@ class TestCli:
         (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [
             "1,0.833333,0.0104167,0.00715858,0",
             "1.5,0.611111,0.0186471,0.0131926,0",
-            "2,0.527778,0.0203832,0.0192107,0",
-            "2.5,0.402778,0.0242895,0.0186964,0",
-            "3.5,0.236111,0.017345,0.0100371,0",
+            "2,0.527778,0.0203832,0.0107798,0",
+            "2.5,0.402778,0.0242895,0.0145522,0",
+            "3.5,0.236111,0.017345,0.0122044,0",
         ]),
         (TIED_OBSERVATIONS, GAMMA_ON_GRID, [
             "0.5,1,0,0,0",
             "1.1,0.833333,0.0104167,0.0195958,0",
             "1.9,0.611111,0.0186471,0.033185,0",
-            "2.25,0.527778,0.0203832,0.0369661,0",
-            "3.1,0.402778,0.0242895,0.0392812,0",
-            "4,0.236111,0.017345,0.0293364,0",
+            "2.25,0.527778,0.0203832,0.0388304,0",
+            "3.1,0.402778,0.0242895,0.0525285,0",
+            "4,0.236111,0.017345,0.0318817,0",
         ]),
         (TIE_FREE_OBSERVATIONS, ["--law", "unit-exponential"], [
             "0.3,0.916667,0.00520833,0.00332664,0",
-            "0.4,0.833333,0.0104167,0.00697907,0",
-            "0.7,0.75,0.015625,0.0114349,0",
-            "1.2,0.666667,0.0173611,0.011891,0",
-            "2.2,0.541667,0.0212674,0.0136861,0",
-            "2.6,0.291667,0.016059,0.0113555,0",
-            "2.8,0.125,0.00911458,0.0051829,0",
+            "0.4,0.833333,0.0104167,0.00783674,0",
+            "0.7,0.75,0.015625,0.010313,0",
+            "1.2,0.666667,0.0173611,0.0145771,0",
+            "2.2,0.541667,0.0212674,0.0133948,0",
+            "2.6,0.291667,0.016059,0.00986953,0",
+            "2.8,0.125,0.00911458,0.00524491,0",
         ]),
         (TIE_FREE_OBSERVATIONS, GAMMA_ON_GRID, [
-            "0.5,0.833333,0.0104167,0.0177888,0",
-            "1.1,0.75,0.015625,0.0284757,0",
-            "1.9,0.666667,0.0173611,0.0351344,0",
-            "2.25,0.541667,0.0212674,0.0395099,0",
-            "3.1,0.125,0.00911458,0.0166519,0",
-            "4,0.125,0.00911458,0.0166519,0",
+            "0.5,0.833333,0.0104167,0.0253135,0",
+            "1.1,0.75,0.015625,0.0355261,0",
+            "1.9,0.666667,0.0173611,0.0426549,0",
+            "2.25,0.541667,0.0212674,0.0410399,0",
+            "3.1,0.125,0.00911458,0.0157721,0",
+            "4,0.125,0.00911458,0.0157721,0",
         ]),
     ], ids=["tied-exponential", "tied-gamma-grid", "tie-free-exponential",
             "tie-free-gamma-grid"])

@@ -119,6 +119,14 @@ class TestDesignValidation:
         with pytest.raises(UnbalancedDesignError):
             RankedSetSample(2, 2, np.ones((2, 3)), np.ones((2, 3), dtype=bool))
 
+    @pytest.mark.parametrize("times", [[[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]],
+                                       [[0.5, 1.0, 1.0], [2.0, 2.0, 3.0]]],
+                             ids=["tie-free", "tied"])
+    def test_events_of_another_shape_rejected(self, times):
+        # one event row for two ranks is not broadcast over them
+        with pytest.raises(UnbalancedDesignError, match=r"expected \(2, 3\) events"):
+            RankedSetSample(2, 3, np.array(times), np.array([True, False, True]))
+
     def test_observations_round_trip(self):
         # the sample's flat (rank, cycle, time, event) records, in reverse
         sample = sample_from([(1.0, True, 1), (2.0, False, 2)])

@@ -227,11 +227,13 @@ def dense_product_limit(times, events, weights):
     each death group's last position and a neutral 1.0 / 0.0 elsewhere,
     then S-hat, Greenwood, the hazard sum and its variance sum as a running
     product and running sums over all positions.  The weights are multiples
-    of 1/4, so R and dN are exact whatever the order of their sums.
-    Returns the sorted times, the dense R and dN, the dense outputs and the
-    first times with dN >= R and with R <= 0."""
-    order = np.argsort(times, kind="stable")
-    t, e, w = times[order], events[order], weights[order]
+    of 1/4, so R and dN are exact whatever the order of their sums.  The
+    row is ordered by time, censorings before deaths at a tied time, and
+    ``weights`` are in that order: entry j weights the j-th sorted
+    observation.  Returns the sorted times, the dense R and dN, the dense
+    outputs and the first times with dN >= R and with R <= 0."""
+    order = np.lexsort((events, times))
+    t, e, w = times[order], events[order], weights
     r, dn = np.ones(t.size), np.zeros(t.size)
     for u in np.unique(t[e]):
         at = np.flatnonzero(t == u)
@@ -431,65 +433,45 @@ class TestConstantFactors:
             assert_bits_equal(getattr(plain, lookup)(grid[1]), getattr(unit, lookup)(grid[1]))
 
 
-# each block with the calls of np.sort and the argsort kinds that building
-# it makes, and the argsort kinds of a first read of ``units``; numpy's
-# default sort may put the tied entries of these rows out of input order
+# tie-free, tied within a row, and holding -0.0 tied with 0.0 and alone
 SORT_BLOCKS = {
-    "no-tie": (np.arange(18.0)[::-1].reshape(3, 6) / 4, 1, [], [None]),
-    "one-row-tie": (np.array([[0.5, 3.0, 1.5, 2.5, 0.25, 1.0],
-                              [2.0, 1.0, 2.0, 2.0, 0.0, 2.0],
-                              [4.0, 3.5, 0.75, 5.0, 4.5, 1.25]]), 1, ["stable"], []),
-    "signed-zeros": (np.array([[0.0, 1.0, -0.0, 2.0, 0.0, -0.0],
-                               [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), 0, ["stable"], []),
-    "lone-negative-zero": (np.array([[0.5, -0.0, 1.5, 2.5, 0.25, 1.0],
-                                     [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]), 0, ["stable"], []),
+    "no-tie": np.arange(18.0)[::-1].reshape(3, 6) / 4,
+    "one-row-tie": np.array([[0.5, 3.0, 1.5, 2.5, 0.25, 1.0],
+                             [2.0, 1.0, 2.0, 2.0, 0.0, 2.0],
+                             [4.0, 3.5, 0.75, 5.0, 4.5, 1.25]]),
+    "signed-zeros": np.array([[0.0, 1.0, -0.0, 2.0, 0.0, -0.0],
+                              [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]),
+    "lone-negative-zero": np.array([[0.5, -0.0, 1.5, 2.5, 0.25, 1.0],
+                                    [0.5, 3.0, 1.5, 2.5, 0.25, 1.0]]),
 }
 
 
 class TestSortRule:
-    """One np.sort of the packed (time, event) key, and a stable argsort
-    instead when a row holds a tie or the block a -0.0, give each row its
-    stable order; a block sorted by its key builds ``units`` on first read."""
+    """Every block is sorted by one np.sort of the packed (time, event) key:
+    each row by time, censorings before deaths at a tied time, and a -0.0
+    read back as 0.0."""
 
     @pytest.mark.parametrize("block", SORT_BLOCKS, ids=list(SORT_BLOCKS))
-    def test_rows_in_stable_order_with_one_sort_unless_tied(self, block, monkeypatch):
-        times, want_sorts, want_kinds, want_read_kinds = SORT_BLOCKS[block]
+    def test_one_key_sort_gives_the_time_event_order(self, block, monkeypatch):
+        times = SORT_BLOCKS[block]
         events = np.arange(times.size).reshape(times.shape) % 3 != 0
-        stable = np.argsort(times, axis=-1, kind="stable")
-        sorts, kinds = [], []
+        calls = []
         sort, argsort = np.sort, np.argsort
 
-        def counting_sort(*args, **kwargs):
-            sorts.append(kwargs.get("kind"))
-            return sort(*args, **kwargs)
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
 
-        def counting_argsort(*args, **kwargs):
-            kinds.append(kwargs.get("kind"))
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "sort", counting_sort)
-        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(np, "sort", counting("sort", sort))
+        monkeypatch.setattr(np, "argsort", counting("argsort", argsort))
         sample = SortedSample(times, events)
-        assert (len(sorts), kinds) == (want_sorts, want_kinds)
-        del kinds[:]
-        units = sample.units
         monkeypatch.undo()
-        assert kinds == want_read_kinds  # argsort only on a first read of units
-        offsets = np.arange(0, times.size, times.shape[-1])[:, None]
-        np.testing.assert_array_equal(units, (stable + offsets).ravel(), strict=True)
-        want = np.take_along_axis(times, stable, axis=-1)
-        np.testing.assert_array_equal(sample.times.view(np.uint64), want.view(np.uint64),
-                                      strict=True)
-        np.testing.assert_array_equal(
-            sample.events, np.take_along_axis(events, stable, axis=-1), strict=True)
-
-    def test_units_read_late_follow_the_sample_not_the_caller_array(self):
-        # a tie-free block builds ``units`` on first read; the caller may
-        # have reused its arrays by then
-        times = np.array([[0.75, 0.25, 0.5], [1.5, 2.0, 1.0]])
-        events = np.ones(times.shape, dtype=bool)
-        sample = SortedSample(times, events)
-        times[:] = times[:, ::-1].copy()
-        fit = sample.product_limit(np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]]))
-        np.testing.assert_array_equal(sample.units, [1, 2, 0, 5, 3, 4], strict=True)
-        np.testing.assert_array_equal(fit.at_risk, [[7.0, 5.0, 1.0], [56.0, 24.0, 16.0]])
+        assert calls == ["sort"]
+        for r in range(times.shape[0]):
+            order = np.lexsort((events[r], times[r]))
+            want = times[r][order] + 0.0  # -0.0 + 0.0 is 0.0
+            np.testing.assert_array_equal(sample.times[r].view(np.uint64),
+                                          want.view(np.uint64), strict=True)
+            np.testing.assert_array_equal(sample.events[r], events[r][order], strict=True)
