@@ -5,13 +5,14 @@ rank by iid nonnegative mean-1 weights, recomputes the weighted KM of all
 ranks, and averages across ranks; the variance across replicates estimates
 the sampling variance of the rank-averaged KM without redrawing subjects.
 
-The sample is sorted once per call, by the unweighted fit.  Each replicate
-draws (k, m) weights and hands them to that sorted sample (``fit.sample``)
-as they are: a rank's j-th draw weights its j-th observation in sorted
-order.  The weights are iid, so which observation gets which draw does not
-change the law, and the replicates do not depend on the cycle labels.  The
-product-limit arithmetic is then dN* = sum W I(Y = u, event) and
-R* = sum W I(Y >= u) per tie group, S*(t) = prod_{u <= t} (1 - dN*/R*).
+A replicate's KM needs the weights only through two totals per death group
+g of a rank: D*_g over its dN_g deaths, and E*_g over the other units at
+risk at g but not at the rank's next death group, E_g = R_g - dN_g - R_next
+of them (R_next = 0 after the last).  Then dN* = D*_g, R*_g sums D* + E*
+over g and the later groups, and S*(t) = prod_{u <= t} (1 - dN*/R*).
+Totals of disjoint sets of iid weights are independent, with exact laws
+(``MultiplierLaw.draw_sums``), so a replicate costs O(death groups), not
+O(n), and no replicate depends on the cycle labels.
 """
 
 from __future__ import annotations
@@ -45,12 +46,18 @@ class MultiplierLaw:
             raise ParameterError(
                 f"gamma shape must be positive and finite, got {self.gamma_shape}")
 
-    def draw(self, gen: np.random.Generator, size):
+    def draw_sums(self, gen: np.random.Generator, counts) -> np.ndarray:
+        """The total of n iid weights per entry n of ``counts``: Gamma(n) for
+        unit-exponential, Gamma(n s) / s for gamma(s), n for degenerate-one.
+        A count of 0 draws nothing; a count of 1 draws as standard_exponential."""
+        counts = np.asarray(counts, dtype=float)
         if self.kind == "unit-exponential":
-            return gen.standard_exponential(size)
+            if np.all(counts == 1.0):  # the same draws, by a faster numpy path
+                return gen.standard_exponential(counts.shape)
+            return gen.standard_gamma(counts)
         if self.kind == "gamma":
-            return gen.gamma(self.gamma_shape, 1.0 / self.gamma_shape, size)
-        return np.ones(size)
+            return gen.standard_gamma(counts * self.gamma_shape) / self.gamma_shape
+        return counts.copy()
 
 
 @dataclass(frozen=True)
@@ -72,12 +79,13 @@ def multiplier_bootstrap(
 ) -> BootstrapResult:
     """Bootstrap variance of the rank-averaged KM on a time grid, beside
     the rank-averaged KM and its Greenwood plug-in from the unweighted fit.
-    Replicate b draws its (k, m) weights from ``rng.child(b)``; row r, entry
-    j weights rank r's j-th observation in sorted order.
 
-    Replicates where any rank's weighted risk set vanished before the
-    largest grid point are flagged and excluded from the variance (their
-    count is reported), rather than imputed.
+    Replicate b draws from ``rng.child(b)`` the death totals D* of every
+    death group, rank by rank and by time, then in that order the other
+    totals E* where E is 1, then where E is more.  Replicates where any
+    rank's R* is <= 0 at a death time <= the largest grid point are flagged
+    and excluded from the variance (their count is reported), rather than
+    imputed.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.size == 0:
@@ -93,13 +101,35 @@ def multiplier_bootstrap(
     point = rss_mean(fit.survival_at(t_grid))
     greenwood = rss_mean(fit.greenwood_at(t_grid), 2)
 
+    # the death groups, rank by rank and by time; ``flip`` reverses the rows
+    layout = fit.times.shape
+    slots = np.flatnonzero(fit.deaths)
+    at_risk, died = fit.at_risk.ravel()[slots], fit.deaths.ravel()[slots]
+    flip = slots + layout[-1] - 1 - 2 * (slots % layout[-1])
+    last = np.diff(slots // layout[-1], append=-1) != 0  # a rank's last group
+    rest = at_risk - np.where(last, 0.0, np.roll(at_risk, -1)) - died
+    # numpy draws a block of one-unit totals faster than a mixed one
+    others = [(rest[at], flip[at]) for at in (rest == 1, rest > 1)]
+    # R* falls along a rank: check each rank's last group <= max(t_grid)
+    early = fit.times.ravel()[slots] <= t_grid.max()
+    check = np.flatnonzero(early & (last | ~np.roll(early, -1)))
+
     reps = np.empty((n_reps, t_grid.size))
     ok = np.ones(n_reps, dtype=bool)
+    # every replicate writes the same death-group entries; the others keep
+    # R = 1, dN = 0 and, in the reversed rows, a tail term of 0
+    r_star, dn_star, tails = np.ones(layout), np.zeros(layout), np.zeros(layout)
     for b in range(n_reps):
-        w = law.draw(rng.child(b).generator(), sample.times.shape)
-        replicate = fit.sample.product_limit(w)
+        gen = rng.child(b).generator()
+        deaths = law.draw_sums(gen, died)
+        tails.reshape(-1)[flip] = deaths  # R* sums D* + E* from a row's end
+        for units, at in others:
+            tails.reshape(-1)[at] += law.draw_sums(gen, units)
+        risk = np.cumsum(tails, axis=-1).reshape(-1)[flip]
+        r_star.reshape(-1)[slots], dn_star.reshape(-1)[slots] = risk, deaths
+        replicate = fit.sample.product_limit((r_star, dn_star))
         reps[b] = rss_mean(replicate.survival_at(t_grid))
-        ok[b] = not np.any(replicate.vanished_at <= t_grid.max())
+        ok[b] = not np.any(risk[check] <= 0)
 
     kept = reps[ok]
     if kept.shape[0] < 2:

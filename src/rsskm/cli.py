@@ -159,7 +159,8 @@ def _cmd_bootstrap(args) -> int:
     if args.grid is not None:
         t_grid = np.asarray(_parse_floats(args.grid))
     else:
-        t_grid = np.unique(sample.times[sample.events])
+        fit = rss_kaplan_meier(sample)  # its times read a -0.0 as 0.0
+        t_grid = np.unique(fit.times[fit.deaths > 0])
         if t_grid.size == 0:
             raise EmptySampleError("no event times to evaluate at; pass --grid")
     law = MultiplierLaw(args.law, gamma_shape=args.gamma_shape)

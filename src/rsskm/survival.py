@@ -4,15 +4,12 @@ tied times (R(u) = #{Y >= u}).
 
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
-set sample, and it takes optional multiplier weights for the bootstrap.
+set sample, and it takes optional risk-set counts for the bootstrap.
 ``SortedSample`` sorts each block once with ``np.sort`` of the packed key
 ``(time bits << 1) | event`` and unpacks the sorted times and events from
 it: the bits of finite times >= +0.0 are in the order of their values, and
 at a tied time censorings come before deaths.  The shift drops the sign
-bit, so a ``-0.0`` reads back as ``0.0``.  A fit reads only sorted
-positions: multiplier weights are taken in that order, entry j of a row
-weighting its j-th sorted observation, which is exact for exchangeable
-weights.
+bit, so a ``-0.0`` reads back as ``0.0``.
 
 The sample is laid out with one entry per tie group (distinct time).  A
 block without ties is its own layout, the sorted block, so simulated data
@@ -23,15 +20,15 @@ get R and dN; every other entry carries the neutral R = 1, dN = 0 in every
 fit, a factor 1.0 in the product and 0.0 in the sums, so each output changes
 only at death groups, bit for bit as if the other entries were not there.
 
-``SortedSample.product_limit`` then turns one weight vector into a
-``ProductLimit`` holding S-hat per tie group; Greenwood, the cumulative
-hazard, its variance and the first exhausted and vanished risk sets are
-computed the first time they are read, and right-continuous lookups read
-any of them at given times.  An unweighted fit of a tie-free block has
-R = m - j and dN = 1 at a death at sorted position j, so its S-hat factors
-1 - 1/(m - j) and Greenwood terms 1/((m - j)(m - j - 1)) are fixed by m and
-the events; its R and dN arrays are built only when read (by ``estimate``,
-the hazards and ``vanished_at``).
+``SortedSample.product_limit`` then turns the sample's own counts, or
+counts (R, dN) given in its layout, into a ``ProductLimit`` holding S-hat
+per tie group; Greenwood, the cumulative hazard, its variance and the first
+exhausted risk set are computed the first time they are read, and
+right-continuous lookups read any of them at given times.  The fit of a
+tie-free block's own counts has R = m - j and dN = 1 at a death at sorted
+position j, so its S-hat factors 1 - 1/(m - j) and Greenwood terms
+1/((m - j)(m - j - 1)) are fixed by m and the events; its R and dN arrays
+are built only when read (by ``estimate``, the bootstrap and the hazards).
 """
 
 from __future__ import annotations
@@ -62,15 +59,13 @@ class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each sorted by time
     with its censorings before its deaths at a tied time, laid out with one
     entry per tie group (distinct time) of each row.  Built once per sample;
-    ``product_limit`` reruns the arithmetic for any weights without sorting.
+    ``product_limit`` reruns the arithmetic for any counts without sorting.
 
     Every block is sorted once by the packed key ``(time bits << 1) | event``
     with ``np.sort``, and the sorted times and events are unpacked from it.
     The bits of finite times >= +0.0 are in the order of their values, so
     this sorts by time, and a censoring's key is below a death's at the same
     time.  The shift drops the sign bit, so a ``-0.0`` reads back as ``0.0``.
-    Sorted positions are all a fit needs: the weights it takes are in that
-    order too.
 
     In a block without ties every sorted position is its own tie group, so
     the sorted block is the layout: ``group_times`` is ``times``, and a fit
@@ -84,11 +79,14 @@ class SortedSample:
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             raise EmptySampleError("empty sample")
+        if np.shape(events) != times.shape:
+            raise InvalidObservationError(
+                f"invalid observation: {np.shape(events)} events for {times.shape} times")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise InvalidObservationError("invalid observation: negative or non-finite time")
         m = times.shape[-1]
         # lookup positions among ``group_times``, shared by every fit: they
-        # do not depend on the weights
+        # do not depend on the counts
         self._position_cache = {}
         self.slots = None
         key = np.sort((times.view(np.uint64) << 1) | np.asarray(events, dtype=bool), axis=-1)
@@ -112,89 +110,64 @@ class SortedSample:
         slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
         self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
         self.group_times.reshape(-1)[slots] = self.times.ravel()[first]
-        # sorted flat positions of the deaths; each tie group's deaths are a
-        # run among them, starting at ``death_starts``
-        self.death_positions = np.flatnonzero(self.events)
-        group = np.cumsum(starts)[self.death_positions] - 1
-        self.death_starts = np.flatnonzero(np.diff(group, prepend=-1))
-        # the first sorted position and the slot of each death group
-        self.first = first[group[self.death_starts]]
-        self.slots = slots[group[self.death_starts]]
+        # each death group's slot, R (from its first sorted position to its
+        # row's end) and dN (its run among the sorted deaths)
+        deaths = np.flatnonzero(self.events)
+        group = np.cumsum(starts)[deaths] - 1
+        runs = np.flatnonzero(np.diff(group, prepend=-1))
+        self.slots = slots[group[runs]]
+        self.at_risk = m - first[group[runs]] % m
+        self.died = np.diff(runs, append=deaths.size)
 
-    @cached_property
-    def _first_reversed(self) -> np.ndarray:
-        """Each death group's first position in the reversed rows."""
-        m = self.times.shape[-1]
-        return self.first + m - 1 - 2 * (self.first % m)
+    def product_limit(self, counts=None) -> "ProductLimit":
+        """Run the arithmetic on ``counts``, a pair (R, dN) in the layout of
+        ``group_times``, or on the sample's own counts when None: per tie
+        group with a death, the number at risk from its first position on
+        and its number of deaths.  Every other entry (censorings only, or
+        padding) holds a neutral R = 1, dN = 0, in given counts too.  A
+        group with R <= 0 (a vanished risk set) stops the curve at 0.
 
-    def product_limit(self, weights=None) -> "ProductLimit":
-        """Run the arithmetic under multiplier ``weights`` of the sample's
-        shape (unit weights when None), given in sorted order: entry j of a
-        row weights the row's j-th sorted observation.
-
-        Per tie group with a death, R is the weight from the group's first
-        position on and dN the weight of its deaths.  Every other entry (a
-        group of censorings only, or padding) holds a neutral R = 1, dN = 0
-        in every fit: a factor 1.0 in the product and 0.0 in the sums, so
-        the outputs change at death groups only.  A group with R <= 0 (a
-        vanished weighted risk set) stops the curve at 0.
-
-        An unweighted fit of a tie-free block has R = m - j and dN = 1 at a
-        death at sorted position j, so its factors are fixed by m and the
-        events: S-hat is the running product of 1 - 1/(m - j) at the deaths,
-        and its R and dN are built only when read.
+        A tie-free block's own counts are R = m - j and dN = 1 at a death at
+        sorted position j: S-hat is the running product of 1 - 1/(m - j) at
+        the deaths, and R and dN are built only when read.
         """
-        shape = self.times.shape
-        m = shape[-1]
-        if weights is not None:
-            w = np.asarray(weights, dtype=float).reshape(shape)
-            # the weight from each position to its row's end, in reversed order
-            tail = np.cumsum(w[..., ::-1], axis=-1)
-        if self.slots is None:
+        if counts is not None:
+            r, dn = counts
+        elif self.slots is None:
             # tie-free: each entry is one observation, a death or not
-            if weights is None:
-                factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
-                return ProductLimit(self, np.cumprod(np.where(self.events, factor, 1.0), axis=-1))
-            r = np.where(self.events, tail[..., ::-1], 1.0)
-            dn = np.where(self.events, w, 0.0)
+            m = self.times.shape[-1]
+            factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
+            return ProductLimit(self, np.cumprod(np.where(self.events, factor, 1.0), axis=-1))
         else:
-            if weights is None:
-                at_risk = m - self.first % m
-                died = np.diff(self.death_starts, append=self.death_positions.size)
-            else:
-                at_risk = tail.ravel()[self._first_reversed]
-                died = np.add.reduceat(w.ravel()[self.death_positions], self.death_starts)
             r, dn = np.ones(self.group_times.shape), np.zeros(self.group_times.shape)
-            r.reshape(-1)[self.slots] = at_risk
-            dn.reshape(-1)[self.slots] = died
+            r.reshape(-1)[self.slots] = self.at_risk
+            dn.reshape(-1)[self.slots] = self.died
 
-        gone = r <= 0
-        r_safe = np.where(gone, 1.0, r)  # dN is 0 wherever R is not positive
-        factor = np.where(gone, 0.0, 1.0 - np.clip(dn / r_safe, 0.0, 1.0))
+        gone = r <= 0  # dN is 0 wherever R is not positive
+        factor = 1.0 - np.minimum(np.maximum(dn / np.where(gone, 1.0, r), 0.0), 1.0)
+        factor[gone] = 0.0
         return ProductLimit(self, np.cumprod(factor, axis=-1), (r, dn))
 
 
 @dataclass(frozen=True)
 class ProductLimit:
     """Estimates of every row of ``sample`` at each of its tie groups, for
-    one weight vector.  ``times``, ``at_risk`` (R) and ``deaths`` (dN) are in
+    one pair of counts.  ``times``, ``at_risk`` (R) and ``deaths`` (dN) are in
     the sample's tie-group layout: the sorted block when it has no tie, else
     ``(..., width)`` with padding of time inf; entries without a death hold
     R = 1, dN = 0, so every output there repeats the entry before it (or its
     value ahead of the first death).  S-hat is computed with the fit; the
     with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))
     (0 once the whole risk set died), the Nelson-Aalen hazard sum dN/R, its
-    variance sum dN/R^2, ``exhausted_at`` (each row's first time its whole
-    risk set died, dN >= R) and ``vanished_at`` (its first time with a
-    weighted risk set <= 0) on first read; both times are inf when it never
-    happens.
+    variance sum dN/R^2 and ``exhausted_at`` (each row's first time its
+    whole risk set died, dN >= R, or inf) on first read.
 
-    ``counts`` holds R and dN as the fit computed them; it is None for an
-    unweighted fit of a tie-free sample, whose R = m - j and dN = 1 at the
+    ``counts`` holds R and dN as the fit took them; it is None for the fit
+    of a tie-free sample's own counts, whose R = m - j and dN = 1 at the
     death at sorted position j are built on first read (by ``at_risk``,
-    ``deaths``, the hazards and ``vanished_at``).  Its Greenwood sum adds
-    1/((m - j)(m - j - 1)) at each death before the last position, and its
-    ``exhausted_at`` is the last time where the last unit died.
+    ``deaths`` and the hazards); its Greenwood sum adds 1/((m - j)(m - j - 1))
+    at each death before the last position, and its ``exhausted_at`` is the
+    last time where the last unit died.
 
     The ``*_at`` lookups are right-continuous: per row, the value at the
     row's last tie-group time <= t, and 1.0 (survival) or 0.0 (the
@@ -313,7 +286,3 @@ class ProductLimit:
         if self.counts is None:
             return np.where(self.sample.events[..., -1], self.times[..., -1], np.inf)
         return np.where(self._dead, self.times, np.inf).min(axis=-1, initial=np.inf)
-
-    @cached_property
-    def vanished_at(self) -> np.ndarray:
-        return np.where(self.at_risk <= 0, self.times, np.inf).min(axis=-1, initial=np.inf)

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from rsskm import ParameterError
 
 
@@ -25,3 +27,23 @@ def exponential_km_variance(rate: float, censoring_rate: float, t: float) -> flo
     with S(t) = e^{-rate t} and c the censoring rate."""
     total = rate + censoring_rate
     return math.exp(-2 * rate * t) * rate * math.expm1(total * t) / total
+
+
+def weighted_product_limit(times, events, weights, t):
+    """The law reference of the multiplier bootstrap: one sample's
+    product-limit curve at times ``t`` under per-unit weights, written out
+    from the definition.  ``weights`` is ``(..., n)``, one weight per unit
+    of the n ``times``, for any number of leading (replicate) axes.  At each
+    death time u, R* = sum w I(Y >= u) and dN* = sum w I(Y = u, death);
+    S*(t) is the product over u <= t of 1 - dN*/R*, and 0 from the first u
+    with R* <= 0 on.  Returns S* as ``(..., t.size)``."""
+    times, events = np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
+    weights, t = np.asarray(weights, dtype=float), np.asarray(t, dtype=float)
+    u = np.unique(times[events])
+    r_star = weights @ (times[:, None] >= u).astype(float)
+    dn_star = weights @ ((times[:, None] == u) & events[:, None]).astype(float)
+    gone = r_star <= 0
+    factor = np.where(gone, 0.0, 1.0 - dn_star / np.where(gone, 1.0, r_star))
+    surv = np.cumprod(factor, axis=-1)
+    before = np.ones(surv.shape[:-1] + (1,))
+    return np.concatenate([before, surv], axis=-1)[..., np.searchsorted(u, t, side="right")]

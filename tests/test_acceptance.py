@@ -190,13 +190,14 @@ def test_criterion_6_exact_identities():
     )
     details.append(f"(d) k=1 collapse {'bitwise' if d_ok else 'MISMATCH'}")
 
-    # (e) constant multiplier weights leave the weighted KM unchanged
+    # (e) scaling the counts (R, dN) by 2, as constant multiplier weights
+    # do, leaves the KM unchanged
     t_grid = np.sort(rss.times[0])
     kernel = SortedSample(rss.times, rss.events)
-    base = kernel.product_limit(np.ones((1, 40))).survival_at(t_grid)
-    doubled = kernel.product_limit(np.full((1, 40), 2.0)).survival_at(t_grid)
-    e_ok = np.array_equal(base, doubled)
-    details.append(f"(e) constant weights {'bitwise' if e_ok else 'MISMATCH'}")
+    plain = kernel.product_limit()
+    doubled = kernel.product_limit((2 * plain.at_risk, 2 * plain.deaths))
+    e_ok = np.array_equal(plain.survival_at(t_grid), doubled.survival_at(t_grid))
+    details.append(f"(e) doubled counts {'bitwise' if e_ok else 'MISMATCH'}")
 
     ok = a_ok and b_ok and c_ok and d_ok and e_ok
     report(6, ok, "; ".join(details))

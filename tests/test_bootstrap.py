@@ -18,78 +18,109 @@ from rsskm import (
 from rsskm.models import WeibullModel, censoring_for_fraction
 from rsskm.survival import SortedSample
 
+from oracles import weighted_product_limit
+
 EXP = WeibullModel()
 
 
-def weighted_km_at(times, events, weights, t_grid):
-    """One sample's weighted product-limit curve on ``t_grid`` from the
-    kernel, and whether its weighted risk set vanished by max(t_grid)."""
-    fit = SortedSample(times[None], events[None]).product_limit(weights[None])
-    return fit.survival_at(t_grid)[0], bool(fit.vanished_at[0] <= np.max(t_grid))
-
-
 def dense_bootstrap(sample, t_grid, n_reps, law, rng):
-    """``multiplier_bootstrap`` written out replicate by replicate and rank
-    by rank over every sorted position, each rank ordered by time with
-    censorings before deaths at a tied time and its j-th weight on its j-th
-    sorted observation: R* is the running sum of the weights from the row's
-    end, dN* the death weights of a tie group summed with
-    ``np.add.reduceat`` (the order of a floating-point sum sets its last
-    bits), both at the group's last position with a neutral 1.0 / 0.0
-    elsewhere; S* is the running product read at the last position <= t.
-    Returns the replicates, the variance of the kept ones and the number
-    excluded for a risk set vanished by max(t_grid)."""
-    k, m = sample.times.shape
+    """``multiplier_bootstrap`` written out replicate by replicate, rank by
+    rank and death group by death group.  A rank's death times
+    u_1 < ... < u_G hold dN_g deaths and E_g = R_g - R_(g+1) - dN_g other
+    units, with R_g = #{Y >= u_g} and R_(G+1) = 0.  Replicate b draws from
+    ``rng.child(b)``, one total at a time, the death total D*_g of every
+    group of every rank, ranks in order, then in the same order the other
+    total E*_g of every group whose E_g is 1, then of every group whose E_g
+    is more (E*_g = 0 where E_g = 0).  R*_g is
+    the running sum of D*_g + E*_g from the rank's last group back, S* the
+    running product of 1 - min(max(D*/R*, 0), 1), or 0 where R* <= 0, read
+    at the last death time <= t.  Returns the replicates, the variance of
+    the kept ones and the number excluded for some R* <= 0 at a death time
+    <= max(t_grid)."""
+    k = sample.times.shape[0]
+    groups = []
+    for r in range(k):
+        t, e = sample.times[r], sample.events[r]
+        u = np.unique(t[e])
+        at_risk = np.array([np.count_nonzero(t >= x) for x in u])
+        died = np.array([np.count_nonzero((t == x) & e) for x in u])
+        groups.append((u, died, at_risk - np.r_[at_risk[1:], 0] - died))
     reps, excluded = np.empty((n_reps, t_grid.size)), np.zeros(n_reps, dtype=bool)
     for b in range(n_reps):
-        w = law.draw(rng.child(b).generator(), (k, m))
+        gen = rng.child(b).generator()
+        d_star = [[law.draw_sums(gen, [n])[0] for n in died] for _, died, _ in groups]
+        e_star = [np.zeros(rest.size) for _, _, rest in groups]
+        for one in (True, False):
+            for (_, _, rest), e in zip(groups, e_star):
+                for g in np.flatnonzero((rest == 1) if one else (rest > 1)):
+                    e[g] = law.draw_sums(gen, [rest[g]])[0]
         total = np.zeros(t_grid.size)
-        for r in range(k):
-            order = np.lexsort((sample.events[r], sample.times[r]))
-            t, e, wr = sample.times[r][order], sample.events[r][order], w[r]
-            tail, at_risk = 0.0, np.empty(m)
-            for i in range(m - 1, -1, -1):
-                tail += wr[i]
-                at_risk[i] = tail
-            surv, s = np.empty(m), 1.0
-            for i in range(m):
-                group = np.flatnonzero(t == t[i])
-                deaths = group[e[group]]
-                if i == group[-1] and deaths.size:
-                    r_star = at_risk[group[0]]
-                    dn_star = np.add.reduceat(wr[deaths], [0])[0]
-                    excluded[b] |= r_star <= 0 and t[i] <= t_grid.max()
-                    s *= 0.0 if r_star <= 0 else 1.0 - min(max(dn_star / r_star, 0.0), 1.0)
-                surv[i] = s
-            pos = np.searchsorted(t, t_grid, side="right")
-            total += np.r_[1.0, surv][pos]  # ranks added in rank order
+        for (u, _, _), d, e in zip(groups, d_star, e_star):
+            tail, r_star = 0.0, np.empty(u.size)
+            for g in range(u.size - 1, -1, -1):
+                tail += d[g] + e[g]
+                r_star[g] = tail
+            surv, s = [1.0], 1.0
+            for g in range(u.size):
+                gone = r_star[g] <= 0
+                excluded[b] |= gone and u[g] <= t_grid.max()
+                s *= 0.0 if gone else 1.0 - min(max(d[g] / r_star[g], 0.0), 1.0)
+                surv.append(s)
+            total += np.array(surv)[np.searchsorted(u, t_grid, side="right")]  # rank order
         reps[b] = total / k
     kept = reps[~excluded]
     return reps, np.var(kept - kept[:1], axis=0, ddof=1), int(excluded.sum())
+
+
+def per_unit_bootstrap(sample, t_grid, n_reps, law, gen):
+    """Replicates of the rank-averaged KM under one iid weight per unit, from
+    the law reference ``weighted_product_limit``."""
+    k, m = sample.times.shape
+    total = np.zeros((n_reps, t_grid.size))
+    for r in range(k):
+        if law.kind == "gamma":
+            w = gen.gamma(law.gamma_shape, 1.0 / law.gamma_shape, (n_reps, m))
+        else:
+            w = gen.standard_exponential((n_reps, m))
+        total += weighted_product_limit(sample.times[r], sample.events[r], w, t_grid)
+    return total / k
 
 
 class TestMultiplierLaw:
     def test_known_kinds(self):
         gen = np.random.default_rng(0)
         for kind in ("unit-exponential", "gamma", "degenerate-one"):
-            w = MultiplierLaw(kind).draw(gen, 10_000)
+            w = MultiplierLaw(kind).draw_sums(gen, np.ones(10_000))
             assert np.all(w >= 0)
             assert np.mean(w) == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("shape", [7, (10, 2000), (3, 4, 5)])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_unit_exponential_is_numpy_exponential_bitwise(self, shape, seed):
-        # the draw and the generator state after it equal exponential(1.0)'s
+        # totals of one weight are exponential(1.0)'s draws, a total of no
+        # weight is 0 and draws nothing, and a total of several is
+        # standard_gamma's: the draws and the generator state after them
+        counts = np.ones(shape)
         gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        w = MultiplierLaw("unit-exponential").draw(gen, shape)
+        w = MultiplierLaw("unit-exponential").draw_sums(gen, counts)
         want = ref.exponential(1.0, shape)
+        np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64), strict=True)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        counts.flat[::3] = 0.0
+        counts.flat[1::3] = 3.0
+        w = MultiplierLaw("unit-exponential").draw_sums(gen, counts)
+        want = np.zeros(counts.shape)
+        want[counts > 0] = [ref.standard_gamma(n) for n in counts[counts > 0]]
         np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64), strict=True)
         assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_gamma_variance_is_inverse_shape(self):
+        # a total of n gamma(4) weights has mean n and variance n / 4
         gen = np.random.default_rng(1)
-        w = MultiplierLaw("gamma", gamma_shape=4.0).draw(gen, 200_000)
-        assert np.var(w) == pytest.approx(0.25, abs=0.01)
+        for n in (1, 3):
+            w = MultiplierLaw("gamma", gamma_shape=4.0).draw_sums(gen, np.full(200_000, n))
+            assert np.mean(w) == pytest.approx(n, abs=0.01 * n)
+            assert np.var(w) == pytest.approx(n / 4.0, abs=0.01 * n)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -99,22 +130,26 @@ class TestMultiplierLaw:
 
 
 class TestWeightedKm:
+    """The per-unit law reference ``weighted_product_limit``."""
+
     def test_unit_weights_reproduce_km(self):
         rng = np.random.default_rng(2)
         times = rng.exponential(1.0, 40)
         events = rng.random(40) < 0.7
         grid = np.sort(times)
         fit = SortedSample(times[None], events[None]).product_limit()
-        values, degenerate = weighted_km_at(times, events, np.ones(40), grid)
+        values = weighted_product_limit(times, events, np.ones(40), grid)
         np.testing.assert_allclose(values, fit.survival_at(grid)[0], atol=1e-12)
-        assert not degenerate
 
     def test_handles_ties(self):
         times = np.array([1.0, 1.0, 1.0, 2.0])
         events = np.array([True, True, False, True])
-        values, _ = weighted_km_at(times, events, np.ones(4), np.array([1.0, 2.0]))
+        values = weighted_product_limit(times, events, np.ones(4), np.array([1.0, 2.0]))
         # deaths before censorings: S(1) = 1 - 2/4, then S(2) = 0.5 * 0
         np.testing.assert_allclose(values, [0.5, 0.0], atol=1e-12)
+        # a risk set whose weights are all 0 stops the curve at 0
+        values = weighted_product_limit(times, events, [1.0, 1.0, 1.0, 0.0], [1.0, 2.0])
+        np.testing.assert_allclose(values, [1 / 3, 0.0], atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -125,8 +160,8 @@ class TestWeightedKm:
         times = rng.exponential(1.0, n)
         events = rng.random(n) < 0.8
         grid = np.sort(times)
-        base, _ = weighted_km_at(times, events, np.ones(n), grid)
-        scaled, _ = weighted_km_at(times, events, np.full(n, 3.7), grid)
+        base = weighted_product_limit(times, events, np.ones(n), grid)
+        scaled = weighted_product_limit(times, events, np.full(n, 3.7), grid)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
@@ -184,8 +219,8 @@ class TestMultiplierBootstrap:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
     def test_relabelled_cycles_give_same_replicates(self, sample, tied):
-        # the weights are exchangeable: a rank's j-th draw weights its j-th
-        # sorted observation, whichever cycle holds it
+        # the totals are drawn per death group of the sorted ranks, whichever
+        # cycle holds each observation
         times = np.round(sample.times, 1) if tied else sample.times
         cycles = np.array([np.random.default_rng(r).permutation(30) for r in range(3)])
         base = RankedSetSample(3, 30, times, sample.events)
@@ -213,3 +248,23 @@ class TestMultiplierBootstrap:
         np.testing.assert_array_equal(result.variance, variance)
         assert result.n_excluded == n_excluded
         assert (n_excluded > 0) == (law.kind == "gamma")
+
+    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.5)],
+                             ids=["unit-exponential", "gamma"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    def test_segment_totals_have_the_per_unit_law(self, sample, law, tied):
+        # the replicate mean and variance at several times agree, within 4
+        # standard errors, with those of one iid weight per unit
+        times = np.round(sample.times, 1) if tied else sample.times
+        rss = RankedSetSample(3, 30, times, sample.events)
+        grid = np.quantile(times[sample.events], [0.2, 0.4, 0.6, 0.8])
+        n = 4000
+        got = multiplier_bootstrap(rss, grid, n, law=law, rng=RngStream(8)).replicates
+        want = per_unit_bootstrap(rss, grid, n, law, np.random.default_rng(9))
+        assert np.all(got.var(axis=0) > 0) and np.all(want.var(axis=0) > 0)
+        mean_se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / n)
+        assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) <= 4 * mean_se)
+        # the SE of a sample variance from its squared deviations
+        sq_got, sq_want = (got - got.mean(axis=0)) ** 2, (want - want.mean(axis=0)) ** 2
+        var_se = np.sqrt((sq_got.var(axis=0) + sq_want.var(axis=0)) / n)
+        assert np.all(np.abs(got.var(axis=0) - want.var(axis=0)) <= 4 * var_se)

@@ -751,36 +751,36 @@ class TestCli:
 
     @pytest.mark.parametrize("observations, law, want", [
         (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [
-            "1,0.833333,0.0104167,0.00715858,0",
-            "1.5,0.611111,0.0186471,0.0131926,0",
-            "2,0.527778,0.0203832,0.0107798,0",
-            "2.5,0.402778,0.0242895,0.0145522,0",
-            "3.5,0.236111,0.017345,0.0122044,0",
+            "1,0.833333,0.0104167,0.00712335,0",
+            "1.5,0.611111,0.0186471,0.0107826,0",
+            "2,0.527778,0.0203832,0.0139339,0",
+            "2.5,0.402778,0.0242895,0.0179118,0",
+            "3.5,0.236111,0.017345,0.0109082,0",
         ]),
         (TIED_OBSERVATIONS, GAMMA_ON_GRID, [
             "0.5,1,0,0,0",
-            "1.1,0.833333,0.0104167,0.0195958,0",
-            "1.9,0.611111,0.0186471,0.033185,0",
-            "2.25,0.527778,0.0203832,0.0388304,0",
-            "3.1,0.402778,0.0242895,0.0525285,0",
-            "4,0.236111,0.017345,0.0318817,0",
+            "1.1,0.833333,0.0104167,0.0255294,0",
+            "1.9,0.611111,0.0186471,0.0400907,0",
+            "2.25,0.527778,0.0203832,0.0438547,0",
+            "3.1,0.402778,0.0242895,0.0377024,0",
+            "4,0.236111,0.017345,0.0295444,0",
         ]),
         (TIE_FREE_OBSERVATIONS, ["--law", "unit-exponential"], [
-            "0.3,0.916667,0.00520833,0.00332664,0",
-            "0.4,0.833333,0.0104167,0.00783674,0",
-            "0.7,0.75,0.015625,0.010313,0",
-            "1.2,0.666667,0.0173611,0.0145771,0",
-            "2.2,0.541667,0.0212674,0.0133948,0",
-            "2.6,0.291667,0.016059,0.00986953,0",
-            "2.8,0.125,0.00911458,0.00524491,0",
+            "0.3,0.916667,0.00520833,0.00284815,0",
+            "0.4,0.833333,0.0104167,0.00520616,0",
+            "0.7,0.75,0.015625,0.0103953,0",
+            "1.2,0.666667,0.0173611,0.0115886,0",
+            "2.2,0.541667,0.0212674,0.0144731,0",
+            "2.6,0.291667,0.016059,0.0132311,0",
+            "2.8,0.125,0.00911458,0.0059669,0",
         ]),
         (TIE_FREE_OBSERVATIONS, GAMMA_ON_GRID, [
-            "0.5,0.833333,0.0104167,0.0253135,0",
-            "1.1,0.75,0.015625,0.0355261,0",
-            "1.9,0.666667,0.0173611,0.0426549,0",
-            "2.25,0.541667,0.0212674,0.0410399,0",
-            "3.1,0.125,0.00911458,0.0157721,0",
-            "4,0.125,0.00911458,0.0157721,0",
+            "0.5,0.833333,0.0104167,0.0195292,0",
+            "1.1,0.75,0.015625,0.0308799,0",
+            "1.9,0.666667,0.0173611,0.0359685,0",
+            "2.25,0.541667,0.0212674,0.0341239,0",
+            "3.1,0.125,0.00911458,0.0151,0",
+            "4,0.125,0.00911458,0.0151,0",
         ]),
     ], ids=["tied-exponential", "tied-gamma-grid", "tie-free-exponential",
             "tie-free-gamma-grid"])
@@ -794,6 +794,22 @@ class TestCli:
                      "--reps", "50", "--seed", "0", *law]) == 0
         assert out.read_bytes().decode().split("\r\n") == [
             "t,point_estimate,greenwood_var,bootstrap_var,n_excluded_reps", *want, ""]
+
+    def test_bootstrap_grid_reads_negative_zero_as_zero(self, tmp_path):
+        # the default grid is the fit's death times, as estimate writes them:
+        # -0.0 deaths in two ranks, one tied with a 0.0 censoring
+        path = tmp_path / "obs.csv"
+        path.write_text(TIE_FREE_OBSERVATIONS.replace("1,1,0.3,1", "1,1,-0.0,1")
+                        .replace("2,2,0.4,1", "2,2,-0.0,1").replace("2,1,1.9,0", "2,1,0.0,0"))
+        est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
+        assert main(["estimate", "--input", str(path), "--out", str(est)]) == 0
+        assert main(["bootstrap", "--input", str(path), "--out", str(boot),
+                     "--reps", "5"]) == 0
+        with open(est, newline="") as fh:
+            want = [row["time"] for row in csv.DictReader(fh) if row["rank"] == "rss"]
+        with open(boot, newline="") as fh:
+            got = [row["t"] for row in csv.DictReader(fh)]
+        assert got == want and got[0] == "0"
 
     def test_estimate_unbalanced_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -84,6 +84,15 @@ class TestKaplanMeier:
         with pytest.raises(InvalidObservationError):
             fit_row(np.array([1.0, -2.0]), np.array([True, True]))
 
+    @pytest.mark.parametrize("times, events", [
+        (np.array([0.5, 1.0, 1.5]), [[True, False, True], [False, False, True]]),
+        (np.array([[0.5, 1.0, 1.0], [2.0, 2.0, 0.5]]), [True, False, True]),
+    ], ids=["two-event-rows-for-one", "one-event-row-for-two"])
+    def test_events_of_another_shape_raise(self, times, events):
+        # events are never broadcast against the times
+        with pytest.raises(InvalidObservationError):
+            SortedSample(times, events)
+
 
 class TestNelsonAalen:
     def test_hand_computed_hazard(self):
@@ -198,7 +207,7 @@ def direct_product_limit(times, events):
 # each curve of a fit, its lookup and the lookup's value before the first time
 CURVES = {"survival": ("survival_at", 1.0), "greenwood_var": ("greenwood_at", 0.0),
           "cum_hazard": ("cum_hazard_at", 0.0), "hazard_var": ("hazard_var_at", 0.0)}
-LAZY = ("greenwood_var", "cum_hazard", "hazard_var", "exhausted_at", "vanished_at")
+LAZY = ("greenwood_var", "cum_hazard", "hazard_var", "exhausted_at")
 
 
 @st.composite
@@ -226,21 +235,21 @@ def dense_product_limit(times, events, weights):
     """One row in the dense layout: at every sorted position, R and dN at
     each death group's last position and a neutral 1.0 / 0.0 elsewhere,
     then S-hat, Greenwood, the hazard sum and its variance sum as a running
-    product and running sums over all positions.  The weights are multiples
-    of 1/4, so R and dN are exact whatever the order of their sums.  The
-    row is ordered by time, censorings before deaths at a tied time, and
-    ``weights`` are in that order: entry j weights the j-th sorted
-    observation.  Returns the sorted times, the dense R and dN, the dense
-    outputs and the first times with dN >= R and with R <= 0."""
+    product and running sums over all positions.  R = sum w I(Y >= u) and
+    dN = sum w I(Y = u, death) under one weight per unit of the row; the
+    weights are multiples of 1/4, so R and dN are exact whatever the order
+    of their sums.  The row is ordered by time, censorings before deaths at
+    a tied time.  Returns the sorted times, the dense R and dN, the dense
+    outputs and the first time with dN >= R."""
     order = np.lexsort((events, times))
-    t, e, w = times[order], events[order], weights
+    t, e = times[order], events[order]
     r, dn = np.ones(t.size), np.zeros(t.size)
     for u in np.unique(t[e]):
         at = np.flatnonzero(t == u)
-        r[at[-1]] = sum(w[at[0]:].tolist())
-        dn[at[-1]] = sum(w[at][e[at]].tolist())
+        r[at[-1]] = sum(weights[times >= u].tolist())
+        dn[at[-1]] = sum(weights[(times == u) & events].tolist())
     s, gw_sum, ch, hv = 1.0, 0.0, 0.0, 0.0
-    exhausted = vanished = np.inf
+    exhausted = np.inf
     out = {name: np.empty(t.size) for name in CURVES}
     for i in range(t.size):
         gone, dead = r[i] <= 0, dn[i] >= r[i]
@@ -253,9 +262,18 @@ def dense_product_limit(times, events, weights):
             out[name][i] = value
         if dead:
             exhausted = min(exhausted, t[i])
-        if gone:
-            vanished = min(vanished, t[i])
-    return t, r, dn, out, exhausted, vanished
+    return t, r, dn, out, exhausted
+
+
+def layout_counts(sample, dense_rows):
+    """The dense rows' R and dN at each tie group's last position, in the
+    tie-group layout of ``sample``, with the neutral R = 1, dN = 0 at its
+    padding."""
+    r, dn = np.ones(sample.group_times.shape), np.zeros(sample.group_times.shape)
+    for row, (t, dense_r, dense_dn, *_) in enumerate(dense_rows):
+        last = np.r_[t[1:] != t[:-1], True]  # each tie group's last position
+        r[row, :last.sum()], dn[row, :last.sum()] = dense_r[last], dense_dn[last]
+    return r, dn
 
 
 class TestKernel:
@@ -276,27 +294,29 @@ class TestKernel:
     @given(ranked_samples())
     @settings(max_examples=100, deadline=None)
     def test_unit_weights_reproduce_unweighted_bitwise(self, sample):
+        # unit weights total to the sample's own counts
         times, events = sample
         sorted_sample = SortedSample(times, events)
         plain = sorted_sample.product_limit()
-        unit = sorted_sample.product_limit(np.ones_like(times))
+        unit = sorted_sample.product_limit((plain.at_risk, plain.deaths))
         np.testing.assert_array_equal(unit.survival, plain.survival)
-        assert np.all(unit.vanished_at == np.inf)
 
     @given(weighted_samples(), st.permutations(LAZY), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_tie_group_layout_matches_dense_reference_bitwise(
             self, sample, read_order, weighted):
+        # the sample's own counts, or the weighted counts of the dense rows
         times, events, weights = sample
         if not weighted:
             weights = np.ones_like(times)
-        fit = SortedSample(times, events).product_limit(weights if weighted else None)
+        rows = [dense_product_limit(*row) for row in zip(times, events, weights)]
+        sorted_sample = SortedSample(times, events)
+        fit = sorted_sample.product_limit(
+            layout_counts(sorted_sample, rows) if weighted else None)
         for name in read_order:  # each lazy output is computed on this first read
             getattr(fit, name)
         grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.25]
-        for r in range(times.shape[0]):
-            t, dense_r, dense_dn, dense, exhausted, vanished = dense_product_limit(
-                times[r], events[r], weights[r])
+        for r, (t, dense_r, dense_dn, dense, exhausted) in enumerate(rows):
             last = np.r_[t[1:] != t[:-1], True]  # each tie group's last position
             n = int(last.sum())
             np.testing.assert_array_equal(fit.times[r, :n], t[last])
@@ -315,7 +335,6 @@ class TestKernel:
                 want = np.r_[before, dense[name]][np.searchsorted(t, grid, side="right")]
                 np.testing.assert_array_equal(getattr(fit, lookup)(grid)[r], want)
             assert fit.exhausted_at[r] == exhausted
-            assert fit.vanished_at[r] == vanished
 
     @given(weighted_samples(),
            st.lists(st.integers(min_value=-1, max_value=14).map(lambda i: i / 4)
@@ -350,16 +369,17 @@ class TestLayout:
         times = rng.permutation(k * m).reshape(k, m) / 4
         events = rng.random((k, m)) < 0.6
         weights = rng.integers(0, 9, (k, m)) / 4 if weighted else np.ones((k, m))
-        fit = SortedSample(times, events).product_limit(weights if weighted else None)
+        rows = [dense_product_limit(*row) for row in zip(times, events, weights)]
+        sample = SortedSample(times, events)
+        fit = sample.product_limit(layout_counts(sample, rows) if weighted else None)
         np.testing.assert_array_equal(fit.times, np.sort(times, axis=-1), strict=True)
-        for r in range(k):  # the layout is the dense one, entry for entry
-            t, dense_r, dense_dn, dense, exhausted, vanished = dense_product_limit(
-                times[r], events[r], weights[r])
+        for r, (t, dense_r, dense_dn, dense, exhausted) in enumerate(rows):
+            # the layout is the dense one, entry for entry
             np.testing.assert_array_equal(fit.at_risk[r], dense_r)
             np.testing.assert_array_equal(fit.deaths[r], dense_dn)
             for name in CURVES:
                 np.testing.assert_array_equal(getattr(fit, name)[r], dense[name])
-            assert (fit.exhausted_at[r], fit.vanished_at[r]) == (exhausted, vanished)
+            assert fit.exhausted_at[r] == exhausted
 
     @given(ranked_samples())
     @settings(max_examples=100, deadline=None)
@@ -372,13 +392,14 @@ class TestLayout:
             np.testing.assert_array_equal(row[:want.size], want)
             assert np.all(row[want.size:] == np.inf)
 
-    def test_censored_groups_stay_neutral_under_zero_weights(self):
-        # the weight is 0 from the censoring at 3 on: the risk set vanishes
-        # at the death at 4, not at the censorings
+    def test_vanished_risk_set_stops_the_curve(self):
+        # the counts of weights 1, 1, 0, 0: the risk set vanishes at the
+        # death at 4, which ends the curve at 0 with the whole risk set dead
         sample = SortedSample([[1.0, 2.0, 3.0, 4.0]], [[True, False, False, True]])
-        fit = sample.product_limit(np.array([[1.0, 1.0, 0.0, 0.0]]))
-        assert fit.vanished_at[0] == 4.0
-        assert fit.survival_at(3.5)[0] == 0.5
+        fit = sample.product_limit((np.array([[2.0, 1.0, 1.0, 0.0]]),
+                                    np.array([[1.0, 0.0, 0.0, 0.0]])))
+        np.testing.assert_array_equal(fit.survival_at([3.5, 4.0])[0], [0.5, 0.0])
+        assert fit.exhausted_at[0] == 4.0
 
 
 @st.composite
@@ -409,8 +430,8 @@ def assert_bits_equal(got, want):
 
 class TestConstantFactors:
     """An unweighted fit of a tie-free block takes R = m - j and dN = 1 at
-    its deaths from m and the events alone; every output is the unit-weight
-    fit's, bit for bit."""
+    its deaths from m and the events alone; every output is that of the fit
+    of those counts (the totals of unit weights), bit for bit."""
 
     @given(tie_free_samples(), st.permutations(LAZY))
     @example(  # m = 1: a lone -0.0 dies as its row's last unit; a row all censored
@@ -422,7 +443,8 @@ class TestConstantFactors:
         times, events = sample
         sorted_sample = SortedSample(times, events)
         plain = sorted_sample.product_limit()
-        unit = sorted_sample.product_limit(np.ones(times.shape))
+        e, m = sorted_sample.events, times.shape[-1]
+        unit = sorted_sample.product_limit((np.where(e, m - np.arange(m), 1.0), e * 1.0))
         for name in read_order:  # each lazy output is computed on this first read
             getattr(plain, name)
         for name in ("survival", "at_risk", "deaths", *LAZY):
