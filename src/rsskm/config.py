@@ -118,8 +118,9 @@ def _validate(cfg: HarnessConfig, path: str) -> None:
     for key in sorted(_FLOAT_KEYS):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{path}: field {key!r}: must be finite")
-    if any(x < 1 for x in cfg.k) or any(x < 1 for x in cfg.m):
-        raise ConfigError(f"{path}: field 'k'/'m': must be >= 1")
+    for key in ("k", "m"):
+        if any(x < 1 for x in getattr(cfg, key)):
+            raise ConfigError(f"{path}: field {key!r}: must be >= 1")
     if any(not 0.0 < r <= 1.0 for r in cfg.rho):
         raise ConfigError(f"{path}: field 'rho': values must be in (0,1]")
     if any(not 0.0 <= p < 1.0 for p in cfg.p_cens):

@@ -412,6 +412,9 @@ _GL_CUM = legendre.legval(
 _GH_Z, _GH_W = hermite_e.hermegauss(96)
 _GH_W = _GH_W / _GH_W.sum()
 _W_EDGES = np.linspace(-8.0, 8.0, 33)
+# buckets of u in the slot search's index: a power of two, so that u * B and
+# every bucket edge b / B + r are exact in float64
+_BUCKETS = 4096
 
 
 def _panel_nodes(edges: np.ndarray):
@@ -437,13 +440,22 @@ class _JudgedLaw:
     @cached_property
     def _inverse(self):
         """Tables for ``scores``, one row per slot over the n points w_0 = -8,
-        the nodes, w_{n-1} = 8: F_r = 1 - S_[r] made nondecreasing from 0 to
-        1, shifted by r - 1 into one sorted array over all rows; and per
-        point j of each row the cubic Hermite interpolant of F_r on
-        [w_j, w_j + h] whose end slopes are the tabulated density (taken as
-        0 at |w| = 8, where it is below k * 1e-14): w_j, h, F_r(w_j) and the
-        coefficients c1..c3 of F_r(w_j + h t) - F_r(w_j) = c1 t + c2 t^2 +
-        c3 t^3 (all 0 at the last point, which starts no interval)."""
+        the nodes, w_{n-1} = 8.
+
+        - F_r = 1 - S_[r] made nondecreasing from 0 to 1, shifted by r - 1
+          into one sorted array over all rows.
+        - Per point j of each row, the cubic Hermite interpolant of F_r on
+          [w_j, w_j + h] whose end slopes are the tabulated density (taken
+          as 0 at |w| = 8, where it is below k * 1e-14): w_j, h, F_r(w_j),
+          the coefficients c1..c3 of F_r(w_j + h t) - F_r(w_j) = c1 t +
+          c2 t^2 + c3 t^3, their sum c1 + c2 + c3 (the interval's rise) and
+          the derivative's 3 c3 and 2 c2 (all 0 at the last point, which
+          starts no interval).
+        - The bucket index of ``_intervals``: per slot r and each of
+          ``_BUCKETS`` equal buckets [b/B, (b+1)/B) of u, the interval that
+          holds every u of the bucket, or -1 where the bucket's edges lie
+          in different intervals.  Rows are indexed one by one, so no
+          (k, B) temporary is made."""
         k = len(self.mass)
         points = np.concatenate([[-8.0], self.w.ravel(), [8.0]])
         cdf = np.zeros((k, points.size))
@@ -454,30 +466,46 @@ class _JudgedLaw:
         slope[:, 1:-1] = (self.mass / self.half[:, None]).reshape(k, -1)
         h = np.diff(points)
         a, b, rise = h * slope[:, :-1], h * slope[:, 1:], np.diff(cdf)
-        cubic = np.zeros((6, k, points.size))
+        cubic = np.zeros((9, k, points.size))
         cubic[0], cubic[1, :, :-1], cubic[2] = points, h, cdf
-        cubic[3:, :, :-1] = a, 3 * rise - 2 * a - b, a + b - 2 * rise
-        return (cdf + np.arange(k)[:, None]).ravel(), cubic.reshape(6, -1)
+        cubic[3:6, :, :-1] = a, 3 * rise - 2 * a - b, a + b - 2 * rise
+        c1, c2, c3 = cubic[3:6]
+        cubic[6], cubic[7], cubic[8] = c1 + c2 + c3, 3 * c3, 2 * c2
+        shifted = (cdf + np.arange(k)[:, None]).ravel()
+        n = points.size
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        # the smallest signed type that holds every index and -1
+        index = np.empty((k, _BUCKETS), dtype=np.min_scalar_type(-shifted.size))
+        for r in range(k):
+            at = np.clip(np.searchsorted(shifted, edges + r, side="right") - 1,
+                         r * n, r * n + n - 2)
+            index[r] = np.where(at[:-1] == at[1:], at[:-1], -1)
+        return shifted, cubic.reshape(9, -1), index.ravel()
 
     def _intervals(self, u) -> np.ndarray:
         """The flat index into ``_inverse`` of the interval that holds each
-        draw of ``u`` (slots on the last axis).
+        draw of ``u`` (slots on the last axis): the last point of the
+        shifted array at or below u + r - 1 for slot r, clipped to the
+        slot's row.
 
-        One ``searchsorted`` over all rows, row r shifted by r - 1, finds
-        them.  The keys u + r - 1 are searched in sorted order and the
-        indices scattered back: the same indices as a search in draw order,
-        found faster."""
-        shifted = self._inverse[0]
+        A draw reads the entry of its bucket in the bucket index.  About 96%
+        of uniform draws lie in a bucket that one interval covers; the rest
+        (mostly in the crowded tails) are searched.  Both give the search's
+        index: u + r - 1 rounds monotonically in u, and the bucket's edges
+        b/B + r - 1 are exact, so the index at u lies between the indices
+        at its edges."""
+        shifted, _, index = self._inverse
         k = len(self.mass)
         n = shifted.size // k
-        keys = u + np.arange(k)
-        order = np.argsort(keys, axis=None)
-        point = np.empty(keys.shape, dtype=np.intp)
-        point.reshape(-1)[order] = np.searchsorted(shifted, keys.reshape(-1)[order],
-                                                   side="right") - 1
-        first = np.arange(k) * n
+        bucket = (u * _BUCKETS).astype(np.intp)  # exact: B is a power of two
+        bucket += np.arange(0, k * _BUCKETS, _BUCKETS)
+        point = index.take(bucket).astype(np.intp)
+        miss = np.flatnonzero(point < 0)
+        slot = miss % k
+        found = np.searchsorted(shifted, u.reshape(-1)[miss] + slot, side="right") - 1
         # u + r - 1 rounds to r, the start of the next row, at u just below 1
-        return np.clip(point, first, first + n - 2)
+        point.reshape(-1)[miss] = np.clip(found, slot * n, slot * n + n - 2)
+        return point
 
     def scores(self, u):
         """Normal scores w with F_r(w) = u[..., r - 1] for slots r = 1..k,
@@ -485,14 +513,30 @@ class _JudgedLaw:
 
         ``_intervals`` finds each draw's interval; three Newton steps from
         the secant then solve the interval's cubic (its error against the
-        exact F_r is below 1e-6)."""
-        w, h, f, c1, c2, c3 = self._inverse[1].take(self._intervals(u), axis=1)
-        y = u - f
+        exact F_r is below 1e-6), in place on the gathered coefficients."""
+        w, h, y, c1, c2, c3, rise, three_c3, two_c2 = (
+            self._inverse[1].take(self._intervals(u), axis=1))
+        np.subtract(u, y, out=y)
+        num, den = np.empty_like(y), np.empty_like(y)
         with np.errstate(divide="ignore", invalid="ignore"):  # zero slope at w = -8
-            t = y / (c1 + c2 + c3)
-            for _ in range(3):
-                t -= (((c3 * t + c2) * t + c1) * t - y) / ((3 * c3 * t + 2 * c2) * t + c1)
-        return w + h * np.fmax(np.fmin(t, 1.0), 0.0)
+            t = y / rise
+            for _ in range(3):  # t -= (((c3 t + c2) t + c1) t - y) / ((3 c3 t + 2 c2) t + c1)
+                np.multiply(c3, t, out=num)
+                num += c2
+                num *= t
+                num += c1
+                num *= t
+                num -= y
+                np.multiply(three_c3, t, out=den)
+                den += two_c2
+                den *= t
+                den += c1
+                num /= den
+                t -= num
+        np.fmax(np.fmin(t, 1.0, out=t), 0.0, out=t)
+        t *= h
+        t += w
+        return t
 
 
 def _tabulate_judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedLaw:

@@ -47,3 +47,30 @@ def weighted_product_limit(times, events, weights, t):
     surv = np.cumprod(factor, axis=-1)
     before = np.ones(surv.shape[:-1] + (1,))
     return np.concatenate([before, surv], axis=-1)[..., np.searchsorted(u, t, side="right")]
+
+
+def judged_slot_scores(law, u):
+    """The slot inversion of a tabulated judged-rank law (``models._JudgedLaw``)
+    as it was before the bucket index: the keys u + r - 1 argsorted, searched
+    in sorted order in the shifted CDF array and scattered back, clipped to
+    each slot's row, then three Newton steps from the secant on the
+    interval's cubic, written as expressions.  Returns the intervals and the
+    scores."""
+    shifted = law._inverse[0]
+    k = len(law.mass)
+    n = shifted.size // k
+    keys = u + np.arange(k)
+    order = np.argsort(keys, axis=None)
+    point = np.empty(keys.shape, dtype=np.intp)
+    point.reshape(-1)[order] = np.searchsorted(shifted, keys.reshape(-1)[order],
+                                               side="right") - 1
+    first = np.arange(k) * n
+    # u + r - 1 rounds to r, the start of the next row, at u just below 1
+    point = np.clip(point, first, first + n - 2)
+    w, h, f, c1, c2, c3 = law._inverse[1][:6].take(point, axis=1)
+    y = u - f
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero slope at w = -8
+        t = y / (c1 + c2 + c3)
+        for _ in range(3):
+            t -= (((c3 * t + c2) * t + c1) * t - y) / ((3 * c3 * t + 2 * c2) * t + c1)
+    return point, w + h * np.fmax(np.fmin(t, 1.0), 0.0)

@@ -94,6 +94,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"field '{key}': must be finite"):
                 parse_config(write_config(tmp_path, line + "\n"))
 
+    @pytest.mark.parametrize("key", ["k", "m"])
+    def test_size_below_one_names_its_key(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"field '{key}': must be >= 1$"):
+            parse_config(write_config(tmp_path, f"{key} = 2, 0\n"))
+
     def test_obsolete_keys_are_ignored(self, tmp_path):
         # b_true and n_sets fed the secondary MC run and the mixing matrix
         cfg = parse_config(write_config(tmp_path, "b_true = 0\nn_sets = 0\n"))

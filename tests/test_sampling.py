@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rsskm import EmptyDesignError, ParameterError, RngStream, draw_balanced_rss
@@ -17,7 +19,7 @@ from rsskm.models import (
 )
 from rsskm import models
 from rsskm.sampling import draw_samples
-from oracles import order_statistic_survival
+from oracles import judged_slot_scores, order_statistic_survival
 
 EXP = WeibullModel()
 NONE = CensoringLaw("none")
@@ -350,6 +352,23 @@ class TestWeibullSlotLaw:
             assert stats.kstest(levels[r - 1], stats.beta(r, k - r + 1).cdf).pvalue > 1e-3
 
 
+def knot_draws(law) -> np.ndarray:
+    """The tabulated F_r of each slot r of ``law`` at its points, as draws
+    in [0, 1): ``(points, k)``."""
+    shifted = law._inverse[0]
+    k = len(law.mass)
+    knots = (shifted.reshape(k, -1) - np.arange(k)[:, None]).T
+    return np.clip(knots, 0.0, np.nextafter(1.0, 0.0))
+
+
+def bucket_edge_draws(k: int) -> np.ndarray:
+    """Every edge b / B of the slot search's buckets and the double just
+    below it, the same in each of k slots: ``(2 B - 1, k)``."""
+    edges = np.arange(models._BUCKETS) / models._BUCKETS
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
+    return np.repeat(u[:, None], k, axis=1)
+
+
 class TestJudgedWeibullSlotLaw:
     """Judged Weibull (and AFT) slots drawn by inverting the tabulated
     judged-rank law;
@@ -393,16 +412,16 @@ class TestJudgedWeibullSlotLaw:
             assert np.max(np.abs(cdf - u[0, :, r])) <= 1e-6
 
     @pytest.mark.parametrize("k", [4, 10])
-    def test_sorted_interval_search_matches_direct_search(self, k):
-        # random draws, draws on the table's knots and the largest uniform
-        # below 1, in one block: the direct search in draw order, clipped
-        # to each slot's row, finds the same intervals
+    def test_bucket_index_matches_direct_search(self, k):
+        # random draws, draws on the table's knots, on the bucket edges, one
+        # ulp below them and the largest uniform below 1, in one block: the
+        # direct search in draw order, clipped to each slot's row, finds the
+        # same intervals
         law = models._judged_law(prepare_model(WeibullModel(1.5, 1.5), 0.9), k, ())
         shifted = law._inverse[0]
         n = shifted.size // k
-        knots = (shifted.reshape(k, n) - np.arange(k)[:, None]).T
-        knots = np.clip(knots, 0.0, np.nextafter(1.0, 0.0))
-        u = np.concatenate([np.random.default_rng(k).random((500, k)), knots,
+        u = np.concatenate([np.random.default_rng(k).random((500, k)), knot_draws(law),
+                            bucket_edge_draws(k),
                             np.full((3, k), np.nextafter(1.0, 0.0))])
         first = np.arange(k) * n
         want = np.clip(np.searchsorted(shifted, u + np.arange(k), side="right") - 1,
@@ -418,3 +437,59 @@ class TestJudgedWeibullSlotLaw:
         law = models._judged_law(model, 10, ())
         top = law.scores(np.full(10, np.nextafter(1.0, 0.0)))
         assert np.all(top >= law.scores(np.full(10, 0.999999))) and np.all(top <= 8.0)
+
+
+JUDGED = [
+    pytest.param(AftModel(), id="aft"),
+    pytest.param(WeibullModel(1.5, 1.5), id="weibull"),
+]
+
+
+class TestBucketIndexedInversion:
+    """``_JudgedLaw.scores`` through the bucket index equals, bit for bit,
+    the inversion by the argsorted search that it replaced (oracle)."""
+
+    @staticmethod
+    def law(base, k):
+        return models._judged_law(prepare_model(base, 0.5), k, ())
+
+    @staticmethod
+    def assert_oracle_equal(law, u):
+        want_points, want = judged_slot_scores(law, u)
+        np.testing.assert_array_equal(law._intervals(u), want_points, strict=True)
+        np.testing.assert_array_equal(law.scores(u).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    @pytest.mark.parametrize("base", JUDGED)
+    def test_edges_knots_and_extremes(self, base, k):
+        law = self.law(base, k)
+        top = np.nextafter(1.0, 0.0)
+        knots = knot_draws(law)
+        u = np.concatenate([np.random.default_rng(k).random((2000, k)), knots,
+                            np.nextafter(knots, 0.0), np.fmin(np.nextafter(knots, 1.0), top),
+                            bucket_edge_draws(k), np.zeros((1, k)), np.full((1, k), top)])
+        self.assert_oracle_equal(law, u)
+        self.assert_oracle_equal(law, u[:2000].reshape(40, 50, k))
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    @pytest.mark.parametrize("base", JUDGED)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                    min_size=1, max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_draws(self, base, k, draws):
+        u = np.resize(np.array(draws), (-(-len(draws) // k), k))
+        self.assert_oracle_equal(self.law(base, k), u)
+
+    @pytest.mark.parametrize("base", JUDGED)
+    def test_tail_buckets_take_the_search(self, base):
+        # the first and last bucket of every row hold several knots, so no
+        # draw in them reads an index entry
+        k, buckets = 10, models._BUCKETS
+        law = self.law(base, k)
+        index = law._inverse[2].reshape(k, buckets)
+        assert np.all(index[:, [0, -1]] == -1)
+        low = np.random.default_rng(1).random((500, k)) / buckets
+        u = np.concatenate([low, 1.0 - low, np.zeros((1, k)),
+                            np.full((1, k), np.nextafter(1.0, 0.0))])
+        assert np.all(index[np.arange(k), (u * buckets).astype(int)] == -1)
+        self.assert_oracle_equal(law, u)
