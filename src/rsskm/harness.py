@@ -16,8 +16,12 @@ digits.
 Determinism contract: per-cell stream = (master seed, cell index); the
 replicates run in chunks whose size depends only on (k, m), and chunk c
 draws all its RSS samples from one child stream and all its SRS samples
-from another; reduction in replicate order.  Output is byte-identical for
-a fixed (config, seed) regardless of worker count.
+from another; reduction in replicate order.  Streams follow chunks, and
+compute follows blocks of consecutive chunks: a block draws each chunk's
+variates from the chunk's own streams and fits them together, which gives
+every replicate bit for bit the values a fit of its chunk alone gives, so
+the block size is not part of the output.  Output is byte-identical for a
+fixed (config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .models import (
     dell_clutter_sigma,
 )
 from .rss import rss_mean
-from .sampling import RngStream, draw_samples
+from .sampling import RngStream, StreamParts, draw_samples
 from .survival import SortedSample
 
 # per-cell substream branch of the Monte-Carlo replicates
@@ -49,7 +53,8 @@ _PRIMARY = 0
 # _SLOT_WIDTH))) replicates.  It is kept as a fixed part of the output, not
 # sized by what a sampler draws: it fixes which replicates share a stream,
 # so changing it changes every simulate value at a fixed seed, SRS columns
-# included.
+# included.  A block of min(k, _SLOT_WIDTH) chunks, about _BUDGET units per
+# arm, is drawn and fitted at once; that grouping changes no value.
 _BUDGET = 2**15
 _SLOT_WIDTH = 4
 
@@ -85,6 +90,16 @@ def prepare_model(
     return WeibullModel(base.shape_nu, base.scale_theta1, sigma_z)
 
 
+def _fit_block(model, k: int, m: int, censoring, rng: StreamParts, reps: int, times):
+    """Draw and fit one arm of a block: per replicate, the rank averages of
+    S-hat and of Greenwood at ``times`` and its first time at which some
+    rank's whole risk set died.  Only these outlive the call, so one arm's
+    block is held at a time."""
+    fit = SortedSample(*draw_samples(model, k, m, censoring, rng, reps)).product_limit()
+    return (rss_mean(fit.survival_at(times)), rss_mean(fit.greenwood_at(times), 2),
+            fit.exhausted_at.min(axis=-1))
+
+
 def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     """Paired RSS/SRS replicates; returns per-replicate estimate arrays and,
     per evaluation time, the number of replicates in which some curve was
@@ -92,30 +107,35 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
 
     Replicates run in chunks of ``max(1, _BUDGET // (m * k * min(k,
     _SLOT_WIDTH)))``: chunk c draws all its RSS samples from
-    ``rng.child(c, 0)`` and its SRS samples from ``rng.child(c, 1)``, and
-    fits each block with one kernel call."""
+    ``rng.child(c, 0)`` and its SRS samples from ``rng.child(c, 1)``.
+    Blocks of min(k, _SLOT_WIDTH) consecutive chunks (fewer where that
+    would hold more than _BUDGET units per arm, at least one) are drawn
+    from their chunks' streams (``StreamParts``) and fitted with one kernel
+    call per arm; every row of a fit is independent of the others, so each
+    replicate's values are those of a fit of its chunk alone."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
     chunk = max(1, _BUDGET // (m * k * min(k, _SLOT_WIDTH)))
+    per_block = max(1, min(k, _SLOT_WIDTH, _BUDGET // (m * k * chunk)))
+    sizes = [min(chunk, n_reps - start) for start in range(0, n_reps, chunk)]
 
     s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
     n_degenerate = np.zeros(times.size, dtype=int)
 
-    for c, start in enumerate(range(0, n_reps, chunk)):
-        size = min(chunk, n_reps - start)
-        reps = slice(start, start + size)
-        rss = SortedSample(*draw_samples(model, k, m, censoring, rng.child(c, 0), size))
-        srs = SortedSample(*draw_samples(model, 1, n, censoring, rng.child(c, 1), size))
-        rss_fit, srs_fit = rss.product_limit(), srs.product_limit()
-
-        # (reps, k, times) lookups, averaged over the rank axis
-        s_rss[reps] = rss_mean(rss_fit.survival_at(times))
-        gw_rss[reps] = rss_mean(rss_fit.greenwood_at(times), 2)
-        s_srs[reps] = srs_fit.survival_at(times)[:, 0]
-        gw_srs[reps] = srs_fit.greenwood_at(times)[:, 0]
-        exhausted = np.minimum(rss_fit.exhausted_at.min(axis=-1), srs_fit.exhausted_at[:, 0])
+    for first in range(0, len(sizes), per_block):
+        block = range(first, min(first + per_block, len(sizes)))
+        size = sum(sizes[c] for c in block)
+        reps = slice(first * chunk, first * chunk + size)
+        rss_rng, srs_rng = (StreamParts(tuple((rng.child(c, arm), sizes[c]) for c in block))
+                            for arm in (0, 1))
+        # the SRS arm is a set of one: its rank averages are its values
+        s_rss[reps], gw_rss[reps], rss_exhausted = _fit_block(
+            model, k, m, censoring, rss_rng, size, times)
+        s_srs[reps], gw_srs[reps], srs_exhausted = _fit_block(
+            model, 1, n, censoring, srs_rng, size, times)
+        exhausted = np.minimum(rss_exhausted, srs_exhausted)
         n_degenerate += np.sum(exhausted[:, None] <= times, axis=0)
 
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate

@@ -204,9 +204,12 @@ class TestSimulateBatch:
         got = harness._simulate_batch(design, n_reps, rng, times)
         assert_batches_equal(got, reference_batch(design, n_reps, times, per_replicate()))
 
+    # 5 chunks + 7 at k = 9: a full block of 4 chunks, then a block of one
+    # full chunk and a partial one
     @pytest.mark.parametrize("b_mc", [lambda chunk: 2, lambda chunk: chunk + 1,
-                                      lambda chunk: 2 * chunk + 43],
-                             ids=["two", "chunk-plus-one", "non-multiple"])
+                                      lambda chunk: 2 * chunk + 43,
+                                      lambda chunk: 5 * chunk + 7],
+                             ids=["two", "chunk-plus-one", "non-multiple", "two-blocks"])
     @pytest.mark.parametrize("times", [None, [0.5]], ids=["four-times", "one-time"])
     def test_chunks_match_one_kernel_call_per_slice(self, b_mc, times):
         design, rng = self.JUDGED_WEIBULL, RngStream(6, 2)
@@ -220,8 +223,9 @@ class TestSimulateBatch:
         assert_batches_equal(got, want)
         assert got[0].shape == (n_reps, len(times))
 
-    @pytest.mark.parametrize("b_mc", [lambda chunk: chunk + 1, lambda chunk: 2 * chunk + 43],
-                             ids=["chunk-plus-one", "non-multiple"])
+    @pytest.mark.parametrize("b_mc", [lambda chunk: chunk + 1, lambda chunk: 2 * chunk + 43,
+                                      lambda chunk: 5 * chunk + 7],
+                             ids=["chunk-plus-one", "non-multiple", "two-blocks"])
     @pytest.mark.parametrize("design", [
         DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3, FOUR_LEVELS),
         DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3, FOUR_LEVELS),
@@ -236,6 +240,40 @@ class TestSimulateBatch:
         got = harness._simulate_batch(design, n_reps, rng, times)
         want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
         assert_batches_equal(got, want)
+
+
+    @pytest.mark.parametrize("design", [
+        DesignPoint(prepare_model(AftModel(), 0.5), 2, 200, 0.5, 0.3, FOUR_LEVELS),
+        DesignPoint(prepare_model(EXP, 0.9), 3, 100, 0.9, 0.3, FOUR_LEVELS),
+    ], ids=["aft-k2", "weibull-k3"])
+    def test_blocks_of_k_chunks_below_four(self, design):
+        # blocks of 2 (k = 2) and 3 (k = 3) chunks; 5 chunks + 7 end in a
+        # block whose last chunk is partial
+        k, m = design.k, design.m
+        chunk = harness._BUDGET // (m * k * k)
+        n_reps, rng = 5 * chunk + 7, RngStream(6, 4)
+        times = eval_times(design)
+        got = harness._simulate_batch(design, n_reps, rng, times)
+        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
+        assert_batches_equal(got, want)
+
+    def test_blocks_draw_each_chunk_from_its_streams(self, monkeypatch):
+        # a block of 4 chunks draws each arm once, from the 4 chunks' streams
+        design, rng = self.JUDGED_WEIBULL, RngStream(6, 5)
+        chunk = harness._BUDGET // (7 * 9 * 4)
+        calls = []
+
+        def recording(model, k, m, censoring, streams, reps):
+            calls.append((k, streams.parts, reps))
+            return draw_samples(model, k, m, censoring, streams, reps)
+
+        monkeypatch.setattr(harness, "draw_samples", recording)
+        harness._simulate_batch(design, 5 * chunk + 7, rng, [0.5])
+        sizes = [[chunk] * 4, [chunk, 7]]
+        assert calls == [
+            (k, tuple((rng.child(first + i, arm), size) for i, size in enumerate(block)),
+             sum(block))
+            for first, block in zip((0, 4), sizes) for k, arm in ((9, 0), (1, 1))]
 
 
 class TestRunCell:
@@ -300,7 +338,7 @@ class TestRunCell:
 
     def test_judged_law_is_tabulated_once_per_cell(self, monkeypatch):
         # re_true reads one k = 1 table for the SRS kernel and one judged
-        # table at the cell's times, then every chunk of the sampler reads
+        # table at the cell's times, then every block of the sampler reads
         # one judged-rank table at no times
         models._cached_judged_law.cache_clear()
         calls = []
@@ -487,6 +525,25 @@ class TestRunGrid:
         ]
 
 
+    def test_output_bytes_across_chunks_and_blocks(self, tmp_path):
+        # k = 10, m = 50: chunks of 16 replicates, blocks of 4 chunks, so
+        # b_mc = 200 runs 13 chunks in 4 blocks, the last a partial chunk;
+        # recorded when every chunk was drawn and fitted on its own
+        cfg = write_config(tmp_path, "model = aft\nk = 10\nm = 50\nrho = 0.5\n"
+                           "p_cens = 0, 0.3\nlevels = 0.75, 0.5, 0.25\nb_mc = 200\nseed = 2\n")
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes().decode().split("\n")[2:] == [
+            "aft,10,50,500,0.5,0,0.75,0.350958,0.74995,0.75012,0.000179837,0.000362759,0.000169944,0.000374158,2.16177,2.01716,2.20166,200,1,2,0.402458",
+            "aft,10,50,500,0.5,0,0.5,1,0.50055,0.49914,0.000173987,0.00045594,0.000200784,0.000499091,2.41276,2.62053,2.48572,200,182,2,0.402458",
+            "aft,10,50,500,0.5,0,0.25,2.84935,0.25028,0.24971,0.000181268,0.000350167,0.000171363,0.000374013,2.16177,1.93176,2.18257,200,200,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.75,0.350958,0.748189,0.749845,0.000210578,0.000386477,0.000175295,0.000382154,2.14834,1.83532,2.18007,200,3,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.5,1,0.498723,0.499692,0.000213552,0.000609432,0.000217979,0.000527217,2.36131,2.85378,2.41865,200,181,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.25,2.84935,0.251563,0.249246,0.000247329,0.00047958,0.000211284,0.000438875,2.04314,1.93903,2.07718,200,200,2,0.402458",
+            "",
+        ]
+
+
 # 3 ranks x 4 cycles with ties (that of ``test_estimate_output_bytes``), and
 # one without: distinct times in every rank, ranks ending in a death and in
 # a censoring
@@ -594,6 +651,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {command}: {quantity}")
         assert "overflows" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("simulate", "model = aft\nk = 1040\nm = 2\nrho = 0.5\np_cens = 0\nb_mc = 5\n"),
+        ("kernels", "--k 1100 --levels 0.5 --rho 0.9 --p-cens 0"),
+    ], ids=["simulate-k1040", "kernels-k1100"])
+    def test_too_large_k_is_reported(self, tmp_path, capsys, command, argv):
+        # k * C(k - 1, r) overflows a float from k = 1021 on
+        out = tmp_path / "out.csv"
+        if command == "kernels":
+            argv = ["kernels", *argv.split()]
+        else:
+            argv = ["simulate", "--config", write_config(tmp_path, argv)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        k = 1040 if command == "simulate" else 1100
+        assert err == [f"error: {command}: k = {k} is too large: the judged-rank weight "
+                       f"k * C(k - 1, r) overflows a float"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_simulate_jobs_below_one_is_reported_before_any_work(

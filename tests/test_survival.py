@@ -497,3 +497,52 @@ class TestSortRule:
             np.testing.assert_array_equal(sample.times[r].view(np.uint64),
                                           want.view(np.uint64), strict=True)
             np.testing.assert_array_equal(sample.events[r], events[r][order], strict=True)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A tied ``(reps, k, m)`` block on a coarse time grid and a tie-free
+    one of the same k and m, with rows all censored or ending in a death."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=10))
+    blocks = []
+    for tied in (True, False):
+        reps = draw(st.integers(min_value=1, max_value=3))
+        n = reps * k * m
+        if tied:
+            times = np.asarray(draw(st.lists(st.integers(min_value=0, max_value=4),
+                                             min_size=n, max_size=n)), dtype=float) / 2
+            times[1] = times[0]
+        else:
+            times = np.asarray(draw(st.permutations(range(n))), dtype=float) / 4
+        events = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        times, events = times.reshape(reps, k, m), events.reshape(reps, k, m)
+        for row in np.ndindex(reps, k):
+            fate = draw(st.sampled_from(["drawn", "all-censored", "last-dies"]))
+            if fate == "all-censored":
+                events[row] = False
+            elif fate == "last-dies":
+                events[row][times[row] == times[row].max()] = True
+        blocks.append((times, events))
+    return blocks
+
+
+class TestMixedBlock:
+    """A block fits every row on its own: stacked on a tied block, a
+    tie-free block takes the tied layout, and each row of the stack's fit
+    is, bit for bit, that row of its part's fit alone."""
+
+    @given(mixed_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_fit_as_alone(self, blocks):
+        stack = SortedSample(*(np.concatenate(arrays) for arrays in zip(*blocks)))
+        assert stack.slots is not None  # the tied layout
+        both = stack.product_limit()
+        alone = [SortedSample(*block).product_limit() for block in blocks]
+        assert alone[1].counts is None  # the tie-free fit of its own counts
+        times = np.unique(np.concatenate([block[0].ravel() for block in blocks]))
+        grid = np.r_[-1.0, times, times + 0.125, np.inf]
+        for lookup, _ in CURVES.values():
+            assert_bits_equal(getattr(both, lookup)(grid),
+                              np.concatenate([getattr(a, lookup)(grid) for a in alone]))
+        assert_bits_equal(both.exhausted_at, np.concatenate([a.exhausted_at for a in alone]))
