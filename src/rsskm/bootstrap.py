@@ -13,6 +13,14 @@ over g and the later groups, and S*(t) = prod_{u <= t} (1 - dN*/R*).
 Totals of disjoint sets of iid weights are independent, with exact laws
 (``MultiplierLaw.draw_sums``), so a replicate costs O(death groups), not
 O(n), and no replicate depends on the cycle labels.
+
+Each kind of total has its own stream, read in replicate order: the death
+totals D* from ``rng.child(0)``, the other totals E* where E is 1 from
+``rng.child(1)`` and those where E is more from ``rng.child(2)``.  A block
+of replicates fills a ``(replicates, groups)`` array from each stream in C
+order, and one product-limit fit with a leading replicate axis serves the
+whole block.  Row b is replicate b whatever the block size, so a run of N
+replicates gives exactly the first N of a longer run.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ import numpy as np
 from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
 from .sampling import RngStream
 from .survival import ParameterError
+
+# a block of replicates is fitted at once, in arrays of about this many
+# entries (replicates x the fit's layout) at most
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -80,12 +92,14 @@ def multiplier_bootstrap(
     """Bootstrap variance of the rank-averaged KM on a time grid, beside
     the rank-averaged KM and its Greenwood plug-in from the unweighted fit.
 
-    Replicate b draws from ``rng.child(b)`` the death totals D* of every
-    death group, rank by rank and by time, then in that order the other
-    totals E* where E is 1, then where E is more.  Replicates where any
-    rank's R* is <= 0 at a death time <= the largest grid point are flagged
-    and excluded from the variance (their count is reported), rather than
-    imputed.
+    Replicate b draws the death totals D* of every death group, rank by
+    rank and by time, as the b-th such run of ``rng.child(0)``; in the same
+    order its other totals E* where E is 1 from ``rng.child(1)`` and where
+    E is more from ``rng.child(2)``.  So the first N replicates do not
+    depend on ``n_reps`` or on how many are fitted at once.  Replicates
+    where any rank's R* is <= 0 at a death time <= the largest grid point
+    are flagged and excluded from the variance (their count is reported),
+    rather than imputed.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.size == 0:
@@ -102,14 +116,16 @@ def multiplier_bootstrap(
     greenwood = rss_mean(fit.greenwood_at(t_grid), 2)
 
     # the death groups, rank by rank and by time; ``flip`` reverses the rows
-    layout = fit.times.shape
+    layout, size = fit.times.shape, fit.times.size
     slots = np.flatnonzero(fit.deaths)
     at_risk, died = fit.at_risk.ravel()[slots], fit.deaths.ravel()[slots]
     flip = slots + layout[-1] - 1 - 2 * (slots % layout[-1])
     last = np.diff(slots // layout[-1], append=-1) != 0  # a rank's last group
     rest = at_risk - np.where(last, 0.0, np.roll(at_risk, -1)) - died
-    # numpy draws a block of one-unit totals faster than a mixed one
+    # one stream per kind of total: D*, then E* where E is 1 (numpy draws a
+    # block of one-unit totals faster than a mixed one), then where E is more
     others = [(rest[at], flip[at]) for at in (rest == 1, rest > 1)]
+    death_stream, *other_streams = (rng.child(kind).generator() for kind in range(3))
     # R* falls along a rank: check each rank's last group <= max(t_grid)
     early = fit.times.ravel()[slots] <= t_grid.max()
     check = np.flatnonzero(early & (last | ~np.roll(early, -1)))
@@ -118,18 +134,21 @@ def multiplier_bootstrap(
     ok = np.ones(n_reps, dtype=bool)
     # every replicate writes the same death-group entries; the others keep
     # R = 1, dN = 0 and, in the reversed rows, a tail term of 0
-    r_star, dn_star, tails = np.ones(layout), np.zeros(layout), np.zeros(layout)
-    for b in range(n_reps):
-        gen = rng.child(b).generator()
-        deaths = law.draw_sums(gen, died)
-        tails.reshape(-1)[flip] = deaths  # R* sums D* + E* from a row's end
-        for units, at in others:
-            tails.reshape(-1)[at] += law.draw_sums(gen, units)
-        risk = np.cumsum(tails, axis=-1).reshape(-1)[flip]
-        r_star.reshape(-1)[slots], dn_star.reshape(-1)[slots] = risk, deaths
-        replicate = fit.sample.product_limit((r_star, dn_star))
-        reps[b] = rss_mean(replicate.survival_at(t_grid))
-        ok[b] = not np.any(risk[check] <= 0)
+    block = max(1, min(n_reps, _BLOCK_ENTRIES // size))
+    r_star = np.ones((block, size))
+    dn_star, tails = np.zeros((block, size)), np.zeros((block, size))
+    for start in range(0, n_reps, block):
+        n = min(block, n_reps - start)
+        deaths = law.draw_sums(death_stream, np.broadcast_to(died, (n, died.size)))
+        tails[:n, flip] = deaths  # R* sums D* + E* from a row's end
+        for gen, (units, at) in zip(other_streams, others):
+            tails[:n, at] += law.draw_sums(gen, np.broadcast_to(units, (n, units.size)))
+        risk = np.cumsum(tails[:n].reshape(n, *layout), axis=-1).reshape(n, size)[:, flip]
+        r_star[:n, slots], dn_star[:n, slots] = risk, deaths
+        replicate = fit.sample.product_limit(
+            (r_star[:n].reshape(n, *layout), dn_star[:n].reshape(n, *layout)))
+        reps[start:start + n] = rss_mean(replicate.survival_at(t_grid))
+        ok[start:start + n] = ~np.any(risk[:, check] <= 0, axis=1)
 
     kept = reps[ok]
     if kept.shape[0] < 2:

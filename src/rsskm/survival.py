@@ -4,7 +4,8 @@ tied times (R(u) = #{Y >= u}).
 
 One kernel serves every estimator.  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
-set sample, and it takes optional risk-set counts for the bootstrap.
+set sample, and it takes optional risk-set counts for the bootstrap, for
+a block of replicates at once along leading axes.
 ``SortedSample`` sorts each block once with ``np.sort`` of the packed key
 ``(time bits << 1) | event`` and unpacks the sorted times and events from
 it: the bits of finite times >= +0.0 are in the order of their values, and
@@ -125,7 +126,9 @@ class SortedSample:
         group with a death, the number at risk from its first position on
         and its number of deaths.  Every other entry (censorings only, or
         padding) holds a neutral R = 1, dN = 0, in given counts too.  A
-        group with R <= 0 (a vanished risk set) stops the curve at 0.
+        group with R <= 0 (a vanished risk set) stops the curve at 0.  Given
+        counts may have leading (replicate) axes before the layout; each
+        replicate is then fitted as if alone.
 
         A tie-free block's own counts are R = m - j and dN = 1 at a death at
         sorted position j: S-hat is the running product of 1 - 1/(m - j) at
@@ -201,8 +204,7 @@ class ProductLimit:
 
     def _positions(self, t) -> np.ndarray:
         """Per row, the number of tie-group times <= t, as
-        ``(rows, t.size)``.  The last query's positions are kept, so lookups
-        of several values at the same times search once.
+        ``(rows, t.size)``.
 
         One search serves all rows: each group time is bucketed by the number
         of (sorted) query times below it.  A query with j query times below
@@ -210,30 +212,40 @@ class ProductLimit:
         other, so a row's position there is the count of its group times in
         those buckets."""
         t = np.asarray(t, dtype=float)
+        times = self.times
+        rows = times.size // times.shape[-1]
+        queries = np.sort(t.ravel())
+        q = queries.size
+        bucket = np.searchsorted(queries, times.reshape(rows, -1), side="left")
+        bucket += (np.arange(rows) * (q + 1))[:, None]
+        counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
+        below = np.searchsorted(queries, t.ravel(), side="left")
+        return np.cumsum(counts[:, :q], axis=1)[:, below]
+
+    def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Where each row reads its values at times t: per row and query,
+        the flat layout index of its last tie group <= t (its first entry
+        when there is none), and the flat (row, query) indices with no tie
+        group <= t.  The last query's are kept, so lookups of several values
+        at the same times, and in every fit of one sample, search once."""
+        t = np.asarray(t, dtype=float)
         key = (t.shape, t.tobytes())
         cache = self.sample._position_cache
         if key not in cache:
-            times = self.times
-            rows = int(np.prod(times.shape[:-1], dtype=int))
-            queries = np.sort(t.ravel())
-            q = queries.size
-            bucket = np.searchsorted(queries, times.reshape(rows, -1), side="left")
-            bucket += (np.arange(rows) * (q + 1))[:, None]
-            counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
-            below = np.searchsorted(queries, t.ravel(), side="left")
-            positions = np.cumsum(counts[:, :q], axis=1)[:, below]
+            positions = self._positions(t)
+            width = self.times.shape[-1]
+            gather = np.maximum(positions - 1, 0) + (np.arange(len(positions)) * width)[:, None]
             cache.clear()
-            cache[key] = positions
+            cache[key] = gather.ravel(), np.flatnonzero(positions == 0)
         return cache[key]
 
     def _at(self, values: np.ndarray, t, before: float):
-        pos = self._positions(t)
-        rows = pos.shape[0]
-        # every row has at least one tie group: position 0 reads entry 0,
-        # then takes ``before``
-        got = np.take_along_axis(values.reshape(rows, -1), np.maximum(pos - 1, 0), axis=1)
-        got[pos == 0] = before
-        return got.reshape(self.times.shape[:-1] + np.shape(t))[()]
+        """``values`` at times ``t``, per row; ``values`` is in the layout
+        of ``times`` or has leading (replicate) axes before it."""
+        gather, ahead = self._lookup(t)
+        got = values.reshape(-1, self.times.size).take(gather, axis=1)
+        got[:, ahead] = before
+        return got.reshape(values.shape[:-1] + np.shape(t))[()]
 
     @cached_property
     def at_risk(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from rsskm import (
     rss_kaplan_meier,
     rss_mean,
 )
+from rsskm import bootstrap
 from rsskm.models import WeibullModel, censoring_for_fraction
 from rsskm.survival import SortedSample
 
@@ -27,16 +28,17 @@ def dense_bootstrap(sample, t_grid, n_reps, law, rng):
     """``multiplier_bootstrap`` written out replicate by replicate, rank by
     rank and death group by death group.  A rank's death times
     u_1 < ... < u_G hold dN_g deaths and E_g = R_g - R_(g+1) - dN_g other
-    units, with R_g = #{Y >= u_g} and R_(G+1) = 0.  Replicate b draws from
-    ``rng.child(b)``, one total at a time, the death total D*_g of every
-    group of every rank, ranks in order, then in the same order the other
-    total E*_g of every group whose E_g is 1, then of every group whose E_g
-    is more (E*_g = 0 where E_g = 0).  R*_g is
-    the running sum of D*_g + E*_g from the rank's last group back, S* the
-    running product of 1 - min(max(D*/R*, 0), 1), or 0 where R* <= 0, read
-    at the last death time <= t.  Returns the replicates, the variance of
-    the kept ones and the number excluded for some R* <= 0 at a death time
-    <= max(t_grid)."""
+    units, with R_g = #{Y >= u_g} and R_(G+1) = 0.  Each kind of total has
+    its own stream, read one total at a time in replicate order: replicate
+    b draws from ``rng.child(0)`` the death total D*_g of every group of
+    every rank, ranks in order, from ``rng.child(1)`` in the same order the
+    other total E*_g of every group whose E_g is 1, and from
+    ``rng.child(2)`` that of every group whose E_g is more (E*_g = 0 where
+    E_g = 0).  R*_g is the running sum of D*_g + E*_g from the rank's last
+    group back, S* the running product of 1 - min(max(D*/R*, 0), 1), or 0
+    where R* <= 0, read at the last death time <= t.  Returns the
+    replicates, the variance of the kept ones and the number excluded for
+    some R* <= 0 at a death time <= max(t_grid)."""
     k = sample.times.shape[0]
     groups = []
     for r in range(k):
@@ -46,11 +48,11 @@ def dense_bootstrap(sample, t_grid, n_reps, law, rng):
         died = np.array([np.count_nonzero((t == x) & e) for x in u])
         groups.append((u, died, at_risk - np.r_[at_risk[1:], 0] - died))
     reps, excluded = np.empty((n_reps, t_grid.size)), np.zeros(n_reps, dtype=bool)
+    deaths, ones, more = (rng.child(kind).generator() for kind in range(3))
     for b in range(n_reps):
-        gen = rng.child(b).generator()
-        d_star = [[law.draw_sums(gen, [n])[0] for n in died] for _, died, _ in groups]
+        d_star = [[law.draw_sums(deaths, [n])[0] for n in died] for _, died, _ in groups]
         e_star = [np.zeros(rest.size) for _, _, rest in groups]
-        for one in (True, False):
+        for gen, one in ((ones, True), (more, False)):
             for (_, _, rest), e in zip(groups, e_star):
                 for g in np.flatnonzero((rest == 1) if one else (rest > 1)):
                     e[g] = law.draw_sums(gen, [rest[g]])[0]
@@ -268,3 +270,51 @@ class TestMultiplierBootstrap:
         sq_got, sq_want = (got - got.mean(axis=0)) ** 2, (want - want.mean(axis=0)) ** 2
         var_se = np.sqrt((sq_got.var(axis=0) + sq_want.var(axis=0)) / n)
         assert np.all(np.abs(got.var(axis=0) - want.var(axis=0)) <= 4 * var_se)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    def test_replicates_do_not_depend_on_block_size_or_count(self, sample, monkeypatch, tied):
+        # row b is replicate b, whether it is fitted in the default blocks,
+        # one replicate at a time or in one block of all of them
+        times = np.round(sample.times, 1) if tied else sample.times
+        rss = RankedSetSample(3, 30, times, sample.events)
+        grid = np.quantile(times[sample.events], [0.2, 0.5, 0.8])
+        block = bootstrap._BLOCK_ENTRIES // rss_kaplan_meier(rss).times.size
+        runs = []
+        for entries in (bootstrap._BLOCK_ENTRIES, 1, 2**40):
+            monkeypatch.setattr(bootstrap, "_BLOCK_ENTRIES", entries)
+            for n_reps in (block + 1, 3 * block + 5):
+                runs.append(multiplier_bootstrap(rss, grid, n_reps, rng=RngStream(4)).replicates)
+        want = max(runs, key=len)
+        for got in runs:
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want[:len(got)].view(np.uint64), strict=True)
+
+    def test_three_generators_per_call(self, sample, monkeypatch):
+        # one stream per kind of total, however many replicates
+        built, original = [], RngStream.generator
+
+        def generator(stream):
+            built.append(stream.path)
+            return original(stream)
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+        tied = RankedSetSample(3, 30, np.round(sample.times, 1), sample.events)
+        multiplier_bootstrap(tied, np.array([0.5, 1.0]), 50, rng=RngStream(6))
+        assert built == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 2.0)],
+                             ids=["unit-exponential", "gamma"])
+    @pytest.mark.parametrize("censored", ["one-rank", "all"])
+    def test_ranks_without_deaths(self, sample, law, censored):
+        # a rank without a death draws no total and contributes S* = 1; a
+        # sample without any gives every replicate the constant-1 curve
+        events = sample.events.copy()
+        events[1 if censored == "one-rank" else slice(None)] = False
+        rss = RankedSetSample(3, 30, np.round(sample.times, 1), events)
+        grid = np.array([0.2, 0.6, 1.2, 5.0])
+        result = multiplier_bootstrap(rss, grid, 40, law=law, rng=RngStream(5))
+        reps, variance, n_excluded = dense_bootstrap(rss, grid, 40, law, RngStream(5))
+        np.testing.assert_array_equal(result.replicates, reps)
+        np.testing.assert_array_equal(result.variance, variance)
+        assert np.all(np.isfinite(result.variance)) and result.n_excluded == n_excluded == 0
+        assert np.all(result.variance > 0) == (censored == "one-rank")

@@ -831,36 +831,36 @@ class TestCli:
 
     @pytest.mark.parametrize("observations, law, want", [
         (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [
-            "1,0.833333,0.0104167,0.00712335,0",
-            "1.5,0.611111,0.0186471,0.0107826,0",
-            "2,0.527778,0.0203832,0.0139339,0",
-            "2.5,0.402778,0.0242895,0.0179118,0",
-            "3.5,0.236111,0.017345,0.0109082,0",
+            "1,0.833333,0.0104167,0.00723398,0",
+            "1.5,0.611111,0.0186471,0.0157554,0",
+            "2,0.527778,0.0203832,0.0175256,0",
+            "2.5,0.402778,0.0242895,0.0237786,0",
+            "3.5,0.236111,0.017345,0.0159145,0",
         ]),
         (TIED_OBSERVATIONS, GAMMA_ON_GRID, [
             "0.5,1,0,0,0",
-            "1.1,0.833333,0.0104167,0.0255294,0",
-            "1.9,0.611111,0.0186471,0.0400907,0",
-            "2.25,0.527778,0.0203832,0.0438547,0",
-            "3.1,0.402778,0.0242895,0.0377024,0",
-            "4,0.236111,0.017345,0.0295444,0",
+            "1.1,0.833333,0.0104167,0.0153813,0",
+            "1.9,0.611111,0.0186471,0.0281304,0",
+            "2.25,0.527778,0.0203832,0.0324402,0",
+            "3.1,0.402778,0.0242895,0.0325233,0",
+            "4,0.236111,0.017345,0.0202741,0",
         ]),
         (TIE_FREE_OBSERVATIONS, ["--law", "unit-exponential"], [
-            "0.3,0.916667,0.00520833,0.00284815,0",
-            "0.4,0.833333,0.0104167,0.00520616,0",
-            "0.7,0.75,0.015625,0.0103953,0",
-            "1.2,0.666667,0.0173611,0.0115886,0",
-            "2.2,0.541667,0.0212674,0.0144731,0",
-            "2.6,0.291667,0.016059,0.0132311,0",
-            "2.8,0.125,0.00911458,0.0059669,0",
+            "0.3,0.916667,0.00520833,0.00273848,0",
+            "0.4,0.833333,0.0104167,0.00654932,0",
+            "0.7,0.75,0.015625,0.0099904,0",
+            "1.2,0.666667,0.0173611,0.0119183,0",
+            "2.2,0.541667,0.0212674,0.0118803,0",
+            "2.6,0.291667,0.016059,0.00933781,0",
+            "2.8,0.125,0.00911458,0.00528748,0",
         ]),
         (TIE_FREE_OBSERVATIONS, GAMMA_ON_GRID, [
-            "0.5,0.833333,0.0104167,0.0195292,0",
-            "1.1,0.75,0.015625,0.0308799,0",
-            "1.9,0.666667,0.0173611,0.0359685,0",
-            "2.25,0.541667,0.0212674,0.0341239,0",
-            "3.1,0.125,0.00911458,0.0151,0",
-            "4,0.125,0.00911458,0.0151,0",
+            "0.5,0.833333,0.0104167,0.0183025,0",
+            "1.1,0.75,0.015625,0.0258714,0",
+            "1.9,0.666667,0.0173611,0.0305338,0",
+            "2.25,0.541667,0.0212674,0.03687,0",
+            "3.1,0.125,0.00911458,0.0159087,0",
+            "4,0.125,0.00911458,0.0159087,0",
         ]),
     ], ids=["tied-exponential", "tied-gamma-grid", "tie-free-exponential",
             "tie-free-gamma-grid"])

@@ -546,3 +546,33 @@ class TestMixedBlock:
             assert_bits_equal(getattr(both, lookup)(grid),
                               np.concatenate([getattr(a, lookup)(grid) for a in alone]))
         assert_bits_equal(both.exhausted_at, np.concatenate([a.exhausted_at for a in alone]))
+
+
+class TestReplicateAxis:
+    """Counts with leading replicate axes: ``product_limit`` on a stacked
+    ``(reps, k, width)`` block of counts, and every lookup of that fit, are
+    bit for bit the fits of each replicate's counts alone."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_counts_fit_as_alone(self, tied, seed):
+        rng = np.random.default_rng(seed)
+        k, m, reps = 3, 8, 4
+        if tied:
+            times = rng.integers(0, 6, (k, m)) / 2
+        else:
+            times = rng.permutation(k * m).reshape(k, m) / 4
+        sample = SortedSample(times, rng.random((k, m)) < 0.7)
+        assert (sample.slots is not None) == tied
+        # risk sets of every sign, so that some entries have R <= 0
+        r = rng.integers(-1, 6, (reps, *sample.group_times.shape)).astype(float)
+        dn = rng.integers(0, 3, r.shape).astype(float)
+        assert np.any(r <= 0)
+        stacked = sample.product_limit((r, dn))
+        alone = [sample.product_limit((r[b], dn[b])) for b in range(reps)]
+        grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.125, np.inf]
+        for lookup, _ in CURVES.values():
+            assert_bits_equal(getattr(stacked, lookup)(grid),
+                              np.stack([getattr(a, lookup)(grid) for a in alone]))
+        assert_bits_equal(stacked.survival_at(1.0), np.stack([a.survival_at(1.0) for a in alone]))
+        assert_bits_equal(stacked.exhausted_at, np.stack([a.exhausted_at for a in alone]))
