@@ -21,6 +21,12 @@ of replicates fills a ``(replicates, groups)`` array from each stream in C
 order, and one product-limit fit with a leading replicate axis serves the
 whole block.  Row b is replicate b whatever the block size, so a run of N
 replicates gives exactly the first N of a longer run.
+
+R* is summed over each whole row of the fit's tie-group layout, from its
+end.  The product-limit fit then covers only the head of the layout: per
+rank, the entries at or before max(t_grid), the widest rank setting the
+width (``SortedSample.head``).  The grid reads S* nowhere past them, so
+every replicate is bit for bit that of a fit of the whole layout.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class MultiplierLaw:
 
     kinds: "unit-exponential" (variance 1, the default), "gamma" with
     shape s and scale 1/s (variance 1/s), and "degenerate-one" (variance 0,
-    test-only).
+    test-only).  Only the gamma law takes a shape other than 1.
     """
 
     kind: str = "unit-exponential"
@@ -57,6 +63,10 @@ class MultiplierLaw:
         if self.kind == "gamma" and not 0 < self.gamma_shape < math.inf:
             raise ParameterError(
                 f"gamma shape must be positive and finite, got {self.gamma_shape}")
+        if self.kind != "gamma" and self.gamma_shape != 1.0:
+            raise ParameterError(
+                f"a gamma shape applies only to the gamma law, got {self.gamma_shape} "
+                f"for {self.kind}")
 
     def draw_sums(self, gen: np.random.Generator, counts) -> np.ndarray:
         """The total of n iid weights per entry n of ``counts``: Gamma(n) for
@@ -99,7 +109,9 @@ def multiplier_bootstrap(
     depend on ``n_reps`` or on how many are fitted at once.  Replicates
     where any rank's R* is <= 0 at a death time <= the largest grid point
     are flagged and excluded from the variance (their count is reported),
-    rather than imputed.
+    rather than imputed.  Each replicate's R* sums its totals over whole
+    ranks, but its KM is fitted only on the head of the layout at or before
+    max(t_grid), which holds every entry the grid reads.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.size == 0:
@@ -126,27 +138,35 @@ def multiplier_bootstrap(
     # block of one-unit totals faster than a mixed one), then where E is more
     others = [(rest[at], flip[at]) for at in (rest == 1, rest > 1)]
     death_stream, *other_streams = (rng.child(kind).generator() for kind in range(3))
-    # R* falls along a rank: check each rank's last group <= max(t_grid)
+    # the grid reads S* only at entries <= max(t_grid): each replicate is
+    # fitted on the first ``width`` entries of every rank, the head
     early = fit.times.ravel()[slots] <= t_grid.max()
-    check = np.flatnonzero(early & (last | ~np.roll(early, -1)))
+    width = max(1, int(np.count_nonzero(fit.times <= t_grid.max(), axis=-1).max()))
+    head = fit.sample.head(width)
+    rank, column = np.divmod(slots, layout[-1])
+    in_head = column < width
+    head_slots, head_flip = rank[in_head] * width + column[in_head], flip[in_head]
+    # R* falls along a rank: check each rank's last group <= max(t_grid)
+    check = np.flatnonzero((early & (last | ~np.roll(early, -1)))[in_head])
 
     reps = np.empty((n_reps, t_grid.size))
     ok = np.ones(n_reps, dtype=bool)
     # every replicate writes the same death-group entries; the others keep
     # R = 1, dN = 0 and, in the reversed rows, a tail term of 0
     block = max(1, min(n_reps, _BLOCK_ENTRIES // size))
-    r_star = np.ones((block, size))
-    dn_star, tails = np.zeros((block, size)), np.zeros((block, size))
+    tails = np.zeros((block, size))
+    r_star = np.ones((block, head.group_times.size))
+    dn_star = np.zeros((block, head.group_times.size))
     for start in range(0, n_reps, block):
         n = min(block, n_reps - start)
         deaths = law.draw_sums(death_stream, np.broadcast_to(died, (n, died.size)))
         tails[:n, flip] = deaths  # R* sums D* + E* from a row's end
         for gen, (units, at) in zip(other_streams, others):
             tails[:n, at] += law.draw_sums(gen, np.broadcast_to(units, (n, units.size)))
-        risk = np.cumsum(tails[:n].reshape(n, *layout), axis=-1).reshape(n, size)[:, flip]
-        r_star[:n, slots], dn_star[:n, slots] = risk, deaths
-        replicate = fit.sample.product_limit(
-            (r_star[:n].reshape(n, *layout), dn_star[:n].reshape(n, *layout)))
+        risk = np.cumsum(tails[:n].reshape(n, *layout), axis=-1).reshape(n, size)[:, head_flip]
+        r_star[:n, head_slots], dn_star[:n, head_slots] = risk, deaths[:, in_head]
+        replicate = head.product_limit((r_star[:n].reshape(n, *head.group_times.shape),
+                                        dn_star[:n].reshape(n, *head.group_times.shape)))
         reps[start:start + n] = rss_mean(replicate.survival_at(t_grid))
         ok[start:start + n] = ~np.any(risk[:, check] <= 0, axis=1)
 

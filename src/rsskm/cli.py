@@ -54,20 +54,32 @@ _KNOWN_ERRORS = (
     OSError,
 )
 
-# observation CSV rows converted per block
+# observation CSV records converted per block
 _BLOCK_ROWS = 4096
+# the lines that csv reads as no record
+_BLANK_LINES = ("\n", "\r\n", "\r")
+# NUL, which csv rejects before Python 3.11, and \x1c-\x1f, which numpy strips
+# around a number and float does not: csv reads a block that holds one
+_CSV_ONLY = "\0\x1c\x1d\x1e\x1f"
 
 
 def _read_observations(path: str) -> RankedSetSample:
     """Load a UTF-8 (cycle, rank, time, event) CSV, with or without a
-    byte-order mark, into a balanced sample; rows may come in any order, and
-    each (rank, cycle) pair must occur exactly once.  Blank lines are
-    skipped; errors name the line of the first bad row, undecodable byte or
-    oversized field.  Rows are converted in blocks, so only one block's
-    strings are held."""
+    byte-order mark, into a balanced sample; the header names the columns,
+    in any order and beside any others, and rows may come in any order, with
+    each (rank, cycle) pair exactly once.  Fields may be quoted, lines may
+    end in LF, CRLF or CR, and blank lines are skipped; errors name the line
+    of the first bad row, undecodable byte or oversized field.
+
+    The lines are read in blocks of ``_BLOCK_ROWS`` records, so only one
+    block's strings are held.  numpy's C reader, whose tokenizer is csv's,
+    converts a block whose lines are its records; a block it rejects, or
+    that holds a record spanning lines, a line longer than csv's field limit
+    or a character on which it and ``float`` differ, is read by csv row by
+    row (``_block_columns``)."""
     names = ("rank", "cycle", "time", "event")
-    columns = [[np.empty(0)] for _ in names]
-    lines = [np.empty(0, dtype=int)]
+    blocks, lines = [np.empty((0, len(names)))], [np.empty(0, dtype=int)]
+    read = 0  # the lines read before ``reader`` started
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -77,18 +89,75 @@ def _read_observations(path: str) -> RankedSetSample:
                     f"{path}: header must contain columns {sorted(names)}"
                 )
             index = [header.index(name) for name in names]
-            records = ((reader.line_num, row) for row in reader if row)
-            while block := list(itertools.islice(records, _BLOCK_ROWS)):
-                for column, values in zip(columns, _block_columns(path, block, index, names)):
-                    column.append(values)
-                lines.append(np.array([lineno for lineno, _ in block]))
+            read = reader.line_num
+            while True:
+                block, blank = _next_lines(fh)
+                if len(block) == blank:
+                    break
+                converted = _c_block(block, blank, index, read + 1)
+                if converted is None:
+                    # the block's records, each on the line where csv ends
+                    # it; the last may run on past the block
+                    reader = csv.reader(itertools.chain(block, fh))
+                    records = ((read + reader.line_num, row) for row in reader if row)
+                    rows = list(itertools.islice(records, _BLOCK_ROWS))
+                    converted = (np.column_stack(_block_columns(path, rows, index, names)),
+                                 np.array([lineno for lineno, _ in rows]))
+                    read += reader.line_num
+                else:
+                    read += len(block)
+                blocks.append(converted[0])
+                lines.append(converted[1])
         except UnicodeDecodeError as exc:
             raise InvalidObservationError(
                 f"{path}: line {undecodable_line(path)}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
-            raise InvalidObservationError(f"{path}: line {reader.line_num}: {exc}") from None
-    return RankedSetSample.from_columns(*map(np.concatenate, columns),
+            raise InvalidObservationError(
+                f"{path}: line {read + reader.line_num}: {exc}") from None
+    return RankedSetSample.from_columns(*np.concatenate(blocks).T,
                                         lines=np.concatenate(lines))
+
+
+def _next_lines(fh) -> tuple[list[str], int]:
+    """The lines of ``fh`` up to its next ``_BLOCK_ROWS``-th non-blank line
+    (or its end), and how many of them are blank."""
+    block, blank = [], 0
+    while more := list(itertools.islice(fh, _BLOCK_ROWS - len(block) + blank)):
+        block += more
+        blank += sum(map(more.count, _BLANK_LINES))
+    return block, blank
+
+
+def _c_block(block, blank, index, first):
+    """The named columns of a block of lines as a (records, columns) float
+    array, read by numpy's C reader, and each record's line number (the
+    block's first line being ``first``); None where csv and ``float`` might
+    read the block otherwise."""
+    text = "".join(block)
+    limit = csv.field_size_limit()
+    if any(c in text for c in _CSV_ONLY) or (len(text) > limit and max(map(len, block)) > limit):
+        return None
+    try:
+        values = np.loadtxt(block, delimiter=",", quotechar='"', comments=None,
+                            usecols=index, ndmin=2)
+    except ValueError:  # csv and float name the bad row
+        return None
+    # a record that spans lines takes more than one; one that starts on the
+    # last line and stays open runs on past the block
+    last = next(line for line in reversed(block) if line not in _BLANK_LINES)
+    if len(values) != len(block) - blank or _ends_quoted(last):
+        return None
+    if not blank:
+        return values, np.arange(first, first + len(block))
+    return values, first + np.flatnonzero([line not in _BLANK_LINES for line in block])
+
+
+def _ends_quoted(line: str) -> bool:
+    """Whether a record that starts at ``line`` is still in a quoted field
+    at its end."""
+    reader = csv.reader((line, "\n"))
+    next(reader)
+    return reader.line_num > 1
 
 
 def _block_columns(path, block, index, names) -> list[np.ndarray]:
@@ -163,7 +232,9 @@ def _cmd_bootstrap(args) -> int:
         t_grid = np.unique(fit.times[fit.deaths > 0])
         if t_grid.size == 0:
             raise EmptySampleError("no event times to evaluate at; pass --grid")
-    law = MultiplierLaw(args.law, gamma_shape=args.gamma_shape)
+    if args.gamma_shape is not None and args.law != "gamma":
+        raise ParameterError(f"--gamma-shape applies only to --law gamma, not {args.law}")
+    law = MultiplierLaw(args.law, 1.0 if args.gamma_shape is None else args.gamma_shape)
     result = multiplier_bootstrap(
         sample, t_grid, args.reps, law=law, rng=RngStream(args.seed)
     )
@@ -252,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000, help="bootstrap replicates")
     p.add_argument("--law", default="unit-exponential",
                    choices=["unit-exponential", "gamma", "degenerate-one"])
-    p.add_argument("--gamma-shape", type=float, default=1.0)
+    p.add_argument("--gamma-shape", type=float, default=None,
+                   help="shape s of --law gamma (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default=None,
                    help="comma-separated evaluation times (default: event times)")

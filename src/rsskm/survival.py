@@ -120,6 +120,17 @@ class SortedSample:
         self.at_risk = m - first[group[runs]] % m
         self.died = np.diff(runs, append=deaths.size)
 
+    def head(self, width: int) -> "SortedSample":
+        """The first ``width`` entries of every row of the layout, as a
+        sample that fits counts given in its own layout.  S-hat and every sum
+        run along a row, so at times before each row's entry ``width`` such a
+        fit reads what the fit of the whole layout reads.  The head has no
+        counts of its own."""
+        head = object.__new__(SortedSample)
+        head.group_times = self.group_times[..., :width]
+        head._position_cache = {}
+        return head
+
     def product_limit(self, counts=None) -> "ProductLimit":
         """Run the arithmetic on ``counts``, a pair (R, dN) in the layout of
         ``group_times``, or on the sample's own counts when None: per tie

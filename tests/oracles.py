@@ -1,10 +1,17 @@
-"""Closed-form reference laws that the tests compare the package against."""
+"""Reference laws and implementations that the tests compare the package
+against: closed forms, written-out definitions and earlier versions."""
 
+import csv
+import itertools
 import math
 
 import numpy as np
 
-from rsskm import ParameterError
+from rsskm import InvalidObservationError, ParameterError, RankedSetSample
+from rsskm.config import undecodable_line
+
+# observation CSV rows converted per block by ``read_observations``
+_BLOCK_ROWS = 4096
 
 
 def order_statistic_survival(s, k: int, r: int, t: float) -> float:
@@ -74,3 +81,56 @@ def judged_slot_scores(law, u):
         for _ in range(3):
             t -= (((c3 * t + c2) * t + c1) * t - y) / ((3 * c3 * t + 2 * c2) * t + c1)
     return point, w + h * np.fmax(np.fmin(t, 1.0), 0.0)
+
+
+# The observation reader as it was before it converted blocks with numpy's C
+# reader: every row through csv and float, in blocks of ``_BLOCK_ROWS`` records.
+
+
+def read_observations(path: str) -> RankedSetSample:
+    """Load a UTF-8 (cycle, rank, time, event) CSV, with or without a
+    byte-order mark, into a balanced sample; rows may come in any order, and
+    each (rank, cycle) pair must occur exactly once.  Blank lines are
+    skipped; errors name the line of the first bad row, undecodable byte or
+    oversized field.  Rows are converted in blocks, so only one block's
+    strings are held."""
+    names = ("rank", "cycle", "time", "event")
+    columns = [[np.empty(0)] for _ in names]
+    lines = [np.empty(0, dtype=int)]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or not set(names) <= set(header):
+                raise InvalidObservationError(
+                    f"{path}: header must contain columns {sorted(names)}"
+                )
+            index = [header.index(name) for name in names]
+            records = ((reader.line_num, row) for row in reader if row)
+            while block := list(itertools.islice(records, _BLOCK_ROWS)):
+                for column, values in zip(columns, _block_columns(path, block, index, names)):
+                    column.append(values)
+                lines.append(np.array([lineno for lineno, _ in block]))
+        except UnicodeDecodeError as exc:
+            raise InvalidObservationError(
+                f"{path}: line {undecodable_line(path)}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise InvalidObservationError(f"{path}: line {reader.line_num}: {exc}") from None
+    return RankedSetSample.from_columns(*map(np.concatenate, columns),
+                                        lines=np.concatenate(lines))
+
+
+def _block_columns(path, block, index, names) -> list[np.ndarray]:
+    """The named columns of a block of (line, row) records as float arrays."""
+    try:
+        fields = list(zip(*(row for _, row in block)))
+        return [np.array(fields[i], dtype=float) for i in index]
+    except (IndexError, ValueError):
+        for lineno, row in block:  # name the first short or non-numeric row
+            try:
+                [float(row[i]) for i in index]
+            except (IndexError, ValueError):
+                raise InvalidObservationError(
+                    f"{path}: line {lineno}: columns {', '.join(names)} must hold "
+                    f"numbers, got {row}") from None
+        raise

@@ -74,6 +74,19 @@ def dense_bootstrap(sample, t_grid, n_reps, law, rng):
     return reps, np.var(kept - kept[:1], axis=0, ddof=1), int(excluded.sum())
 
 
+# evaluation grids of a (k, m) sample's times and events for the bitwise
+# reference test: all event times, or a grid whose largest time comes before
+# the last entries of the tie-group layout
+REFERENCE_GRIDS = {
+    "event-times": lambda t, d: np.unique(t[d]),
+    "before-median-death": lambda t, d: np.quantile(t[d], [0.1, 0.25, 0.4]),
+    "max-at-a-tie-group": lambda t, d: np.unique(t[d])[[2, len(np.unique(t[d])) // 2]],
+    "before-first-death": lambda t, d: np.array([t[d].min() / 2]),
+    "beyond-last-time": lambda t, d: np.array([np.median(t), t.max() + 1.0]),
+    "unsorted": lambda t, d: np.quantile(t[d], [0.6, 0.1, 0.35]),
+    "with-zero": lambda t, d: np.array([0.0, np.quantile(t[d], 0.4)]),
+}
+
 def per_unit_bootstrap(sample, t_grid, n_reps, law, gen):
     """Replicates of the rank-averaged KM under one iid weight per unit, from
     the law reference ``weighted_product_limit``."""
@@ -129,6 +142,9 @@ class TestMultiplierLaw:
             MultiplierLaw("uniform")
         with pytest.raises(ParameterError):
             MultiplierLaw("gamma", gamma_shape=0.0)
+        for kind in ("unit-exponential", "degenerate-one"):
+            with pytest.raises(ParameterError, match="applies only to the gamma law"):
+                MultiplierLaw(kind, gamma_shape=-5)
 
 
 class TestWeightedKm:
@@ -235,21 +251,31 @@ class TestMultiplierBootstrap:
                                       want.replicates.view(np.uint64), strict=True)
         np.testing.assert_array_equal(got.variance, want.variance, strict=True)
 
-    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.003),
-                                     MultiplierLaw("degenerate-one")],
-                             ids=["unit-exponential", "gamma", "degenerate-one"])
-    def test_matches_dense_reference_bitwise(self, sample, law):
-        # times on a 0.1 grid so that ranks hold tie groups; at gamma shape
-        # 0.003 about a fifth of the weights underflow to 0, so some
-        # replicates lose a whole risk set and are excluded
-        tied = RankedSetSample(3, 30, np.round(sample.times, 1), sample.events)
-        grid = np.unique(tied.times[tied.events])
-        result = multiplier_bootstrap(tied, grid, 40, law=law, rng=RngStream(3))
-        reps, variance, n_excluded = dense_bootstrap(tied, grid, 40, law, RngStream(3))
+    @pytest.mark.parametrize("law, tied, grid", [
+        pytest.param(law, tied, grid, id="-".join(
+            [law_id] if (tied, grid) == (True, "event-times") else
+            [law_id, "tied" if tied else "tie-free", grid]))
+        for law, law_id in [(MultiplierLaw(), "unit-exponential"),
+                            (MultiplierLaw("gamma", 0.003), "gamma"),
+                            (MultiplierLaw("degenerate-one"), "degenerate-one")]
+        for tied in (True, False) for grid in REFERENCE_GRIDS])
+    def test_matches_dense_reference_bitwise(self, sample, law, tied, grid):
+        # tied: times on a 0.1 grid so that ranks hold tie groups.  At gamma
+        # shape 0.003 about a fifth of the weights underflow to 0, so some
+        # replicates lose a whole risk set and are excluded.  Every grid but
+        # the event times ends before some rank's last entry, so the fit
+        # covers only the head of the layout
+        times = np.round(sample.times, 1) if tied else sample.times
+        rss = RankedSetSample(3, 30, times, sample.events)
+        t_grid = REFERENCE_GRIDS[grid](times, sample.events)
+        result = multiplier_bootstrap(rss, t_grid, 40, law=law, rng=RngStream(3))
+        reps, variance, n_excluded = dense_bootstrap(rss, t_grid, 40, law, RngStream(3))
         np.testing.assert_array_equal(result.replicates, reps)
         np.testing.assert_array_equal(result.variance, variance)
         assert result.n_excluded == n_excluded
-        assert (n_excluded > 0) == (law.kind == "gamma")
+        assert n_excluded == 0 or law.kind == "gamma"
+        if grid == "event-times":
+            assert (n_excluded > 0) == (law.kind == "gamma")
 
     @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.5)],
                              ids=["unit-exponential", "gamma"])

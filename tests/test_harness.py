@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rsskm import (
     ConfigError,
@@ -25,6 +28,7 @@ from rsskm.cli import main
 from rsskm.rss import rss_mean
 from rsskm.sampling import draw_samples
 from rsskm.survival import SortedSample
+import oracles
 from oracles import order_statistic_survival
 
 EXP = WeibullModel()
@@ -559,6 +563,122 @@ GAMMA_ON_GRID = ["--law", "gamma", "--gamma-shape", "0.25",
                  "--grid", "0.5,1.1,1.9,2.25,3.1,4"]
 
 
+# --------------------------------------------------------------------------
+# observation files for the reader, against the row-by-row reference
+
+OBSERVATION_COLUMNS = ("cycle", "rank", "time", "event")
+# fields that make a row bad: one csv and float read as no number (numpy
+# strips \x1c-\x1f, float does not), one no column takes, and one over
+# csv's field limit
+NOT_NUMBERS = ("two", "", "1 2", "1\x1c", "\x1f0", "1\x00")
+OUT_OF_RANGE = (("time", "-1"), ("time", "nan"), ("event", "7"), ("rank", "0"),
+                ("cycle", "1.5"))
+OVERSIZED = "1" * (csv.field_size_limit() + 1)
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def number_spellings(draw, value, end, styles):
+    """``value`` as float reads it: in any notation, and in the ``styles``
+    that the file allows, with an underscore between digits ("_"), spaces
+    around it (" ") and quotes around it all ('"'), perhaps with a line end
+    inside them ("\\n")."""
+    text = draw(st.sampled_from([repr(float(value)), f"{value:g}", f"{value:.2e}",
+                                 f"+{value:g}", f"00{value:g}"]))
+    digits = [i for i in range(1, len(text)) if (text[i - 1] + text[i]).isdigit()]
+    if "_" in styles and digits and draw(st.booleans()):
+        at = draw(st.sampled_from(digits))
+        text = text[:at] + "_" + text[at:]
+    if " " in styles:
+        pad = st.sampled_from(["", " ", "\t"])
+        text = draw(pad) + text + draw(pad)
+    if '"' not in styles or not draw(st.booleans()):
+        return text
+    return quoted(text + (end if "\n" in styles and draw(st.booleans()) else ""))
+
+
+@st.composite
+def observation_files(draw):
+    """An observation CSV as (bytes, the readers' block size or None for
+    ``cli._BLOCK_ROWS``): a valid file in any column order, with extra
+    columns, LF, CRLF or CR line ends, a byte-order mark or not, blank
+    lines, quoted fields, spaces around numbers and shuffled rows; or such
+    a file with one bad row or header."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    styles = draw(st.sets(st.sampled_from('_ "\n')))
+    extras = draw(st.lists(st.sampled_from(["id", "note", "x y"]), unique=True, max_size=2))
+    header = draw(st.permutations(OBSERVATION_COLUMNS + tuple(extras)))
+    extra = st.text(' ab,"\n' if "\n" in styles else ' ab,"', max_size=4).map(
+        lambda v: quoted(v) if set(v) & set(',"\r\n') else v)
+    records = []
+    for r in range(1, k + 1):
+        for c in range(1, m + 1):
+            values = {"cycle": c, "rank": r, "event": draw(st.integers(0, 1)),
+                      "time": draw(st.sampled_from([0.0, 0.5, 1.25, 2.0, 12.5]))}
+            records.append({name: draw(number_spellings(values[name], end, styles))
+                            if name in values else draw(extra) for name in header})
+    records = draw(st.permutations(records))
+    bad = draw(st.one_of(st.none(), st.sampled_from(
+        ["not-a-number", "out-of-range", "oversized", "undecodable", "short", "repeat",
+         "header", "blank-header"])))
+    row, other = (draw(st.integers(0, len(records) - 1)) for _ in range(2))
+    if bad == "not-a-number":
+        records[row][draw(st.sampled_from(OBSERVATION_COLUMNS))] = draw(
+            st.sampled_from(NOT_NUMBERS))
+    elif bad == "out-of-range":
+        name, value = draw(st.sampled_from(OUT_OF_RANGE))
+        records[row][name] = value
+    elif bad in ("oversized", "undecodable"):
+        records[row][draw(st.sampled_from(header))] = (
+            OVERSIZED if bad == "oversized" else "@undecodable@")
+    elif bad == "repeat":
+        records[row].update(rank=records[other]["rank"], cycle=records[other]["cycle"])
+    elif bad == "header":
+        header = [name for name in header if name != draw(st.sampled_from(OBSERVATION_COLUMNS))]
+    lines = [",".join(draw(st.sampled_from([name, quoted(name)])) for name in header)]
+    lines += [",".join(record[name] for name in header) for record in records]
+    if bad == "short":
+        lines[row + 1] = lines[row + 1].rsplit(",", 1)[0]
+    for at in draw(st.lists(st.integers(0 if bad == "blank-header" else 1, len(lines)),
+                            max_size=6)):
+        lines.insert(at, "")
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+    return data.replace(b"@undecodable@", b"\xff"), draw(st.sampled_from([1, 2, 3, 5, None]))
+
+
+def long_observation_file():
+    """A valid CRLF file of more than ``cli._BLOCK_ROWS`` records, with a
+    byte-order mark, a permuted header, an extra column, blank lines, quoted
+    fields and some records that span lines."""
+    n = cli._BLOCK_ROWS // 2 + 60
+    rng = np.random.default_rng(5)
+    times, events = np.round(rng.exponential(size=(2, n)), 2), rng.random((2, n)) < 0.7
+    lines = ["time,note,event,rank,cycle"]
+    for c in range(n):
+        for r in range(2):
+            note = '"a\r\nb"' if c % 700 == 3 else "x"
+            time = f'"{times[r, c]}"' if c % 7 == 0 else f" {times[r, c]} "
+            lines.append(f"{time},{note},{int(events[r, c])},{r + 1},{c + 1}")
+        if c % 500 == 0:
+            lines.append("")
+    return b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n"
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: the sample's shape, time bits and
+    events, or the type and message of its error."""
+    try:
+        sample = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sample.times.shape, sample.times.view(np.uint64).tolist(), sample.events.tolist()
+
+
 def estimate_and_bootstrap(tmp_path, path):
     """The bytes ``estimate`` and ``bootstrap --reps 50`` write for ``path``."""
     est, boot = tmp_path / "est.csv", tmp_path / "boot.csv"
@@ -712,15 +832,21 @@ class TestCli:
         assert err[0].startswith("error: kernels:") and "finite" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("shape", ["nan", "inf"])
+    @pytest.mark.parametrize("law, shape, message", [
+        ("gamma", "nan", "gamma shape must be positive and finite"),
+        ("gamma", "inf", "gamma shape must be positive and finite"),
+        # a shape given with another law is rejected, not ignored
+        ("unit-exponential", "-5", "--gamma-shape applies only to --law gamma"),
+        ("degenerate-one", "1", "--gamma-shape applies only to --law gamma"),
+    ], ids=["nan", "inf", "unit-exponential", "degenerate-one"])
     def test_bootstrap_non_finite_gamma_shape_is_reported(self, tmp_path, capsys, obs_csv,
-                                                          shape):
+                                                          law, shape, message):
         out = tmp_path / "boot.csv"
         assert main(["bootstrap", "--input", obs_csv, "--out", str(out), "--reps", "5",
-                     "--law", "gamma", "--gamma-shape", shape]) == 2
+                     "--law", law, "--gamma-shape", shape]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bootstrap:")
-        assert "gamma shape" in err[0] and not out.exists()
+        assert message in err[0] and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-5", "--jobs", "1"],
@@ -958,6 +1084,28 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {command}: {path}{where}")
         assert message in err[0] and not out.exists()
+
+    @given(case=observation_files())
+    @example(case=(long_observation_file(), None))
+    # where numpy's C reader alone would read otherwise: \x1c around a
+    # number, a record's line after a blank line or after a record that
+    # spans lines, and a quoted field open at the end of a block
+    @example(case=(b"cycle,rank,time,event\n1,1,1.0,1\n1,2,2.0\x1c,1\n", None))
+    @example(case=(b"cycle,rank,time,event\n1,1,1.0,1\n\n1,2,-2.0,1\n", None))
+    @example(case=(b'cycle,rank,time,event\n1,1,"1.0\n",1\n1,2,-2.0,1\n', None))
+    @example(case=(b'cycle,rank,time,event\n1,1,1.0,"1\n"\n1,2,2.0,1\n', 1))
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_row_by_row_reference(self, tmp_path_factory, case):
+        # the same sample, bit for bit, or the same error as csv and float
+        # reading every row
+        data, block_rows = case
+        path = tmp_path_factory.getbasetemp() / "observations.csv"
+        path.write_bytes(data)
+        block_rows = block_rows or cli._BLOCK_ROWS
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(oracles, "_BLOCK_ROWS", block_rows):
+            want = read_outcome(oracles.read_observations, str(path))
+            assert read_outcome(cli._read_observations, str(path)) == want
 
     def test_blocks_join_into_one_sample(self, tmp_path):
         n = 2 * cli._BLOCK_ROWS + 7
