@@ -8,8 +8,9 @@ the ranks (power 1 for curves, 2 for the 1/k^2-scaled variances).
 The package root holds the estimation API, which loads with numpy alone, so
 ``import rsskm`` loads no scipy.  The simulation API needs ``scipy.special``
 and is imported from its modules: ``rsskm.harness`` (``DesignPoint``,
-``prepare_model``, ``run_cell``, ``run_grid``) and ``rsskm.models`` (the
-models, censoring laws, calibration and variance kernels)."""
+``prepare_model``, ``run_cell``, ``run_grid``, ``run_kernels``) and
+``rsskm.models`` (the models, censoring laws, calibration and variance
+kernels)."""
 
 from .bootstrap import MultiplierLaw, multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config

@@ -6,8 +6,9 @@ Subcommands:
 * ``estimate``  — fit rank-wise and rank-averaged KM/NA curves on a CSV of
   censored observations.
 * ``bootstrap`` — multiplier-bootstrap variance of the RSS KM on a CSV.
-* ``kernels``   — analytic asymptotic variance / RE tables (Weibull lifetimes,
-  perfect and judged ranking).
+* ``kernels``   — the analytic twin of ``simulate``: the same config and rows,
+  with the asymptotic variance kernels and ``re_true`` in place of the
+  Monte-Carlo columns.
 
 All failures exit nonzero after printing a single machine-readable
 ``error: <context>: <message>`` line on stderr.
@@ -183,14 +184,6 @@ def _parse_floats(text: str) -> list[float]:
         raise ParameterError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _parse_set_sizes(text: str) -> list[int]:
-    sizes = _parse_floats(text)
-    for k in sizes:
-        if not (k >= 1 and k % 1 == 0):
-            raise ParameterError(f"set size k must be >= 1 and a whole number, got {k:g}")
-    return [int(k) for k in sizes]
-
-
 def _cmd_simulate(args) -> int:
     from .harness import run_grid
 
@@ -251,46 +244,9 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    from .harness import prepare_model
-    from .models import (
-        WeibullModel,
-        asymptotic_km_variance,
-        censoring_for_fraction,
-    )
+    from .harness import run_kernels
 
-    model = WeibullModel(args.nu, args.theta1)
-    sizes = _parse_set_sizes(args.k)
-    rhos, fractions, levels = map(_parse_floats, (args.rho, args.p_cens, args.levels))
-    for flag, values in (("--k", sizes), ("--rho", rhos), ("--p-cens", fractions),
-                         ("--levels", levels)):
-        if not values:
-            raise ParameterError(f"{flag} lists no values")
-    times = [model.quantile(level) for level in levels]
-    # every --rho is checked before any --p-cens or time: a bad --rho is the
-    # error reported even when another input is bad too
-    judged_models = [prepare_model(model, rho) for rho in rhos]
-    laws = [censoring_for_fraction(model, p) for p in fractions]
-    # the SRS kernel depends on (p, t) only, the perfect-ranking one on (k, p)
-    v_srs = [asymptotic_km_variance(model, cens, times) for cens in laws]
-    rows = []  # all computed before --out is opened: an error leaves no file
-    for k in sizes:
-        v_perf = [asymptotic_km_variance(model, cens, times, k) for cens in laws]
-        for rho, judged in zip(rhos, judged_models):
-            for p, cens, v_srs_p, v_perf_p in zip(fractions, laws, v_srs, v_perf):
-                v_judg = asymptotic_km_variance(judged, cens, times, k)
-                for level, t, v, perf, judg in zip(levels, times, v_srs_p, v_perf_p, v_judg):
-                    rows.append([
-                        k, f"{rho:.6g}", f"{p:.6g}", f"{level:.6g}", f"{t:.6g}",
-                        f"{v:.6g}", f"{perf:.6g}", f"{judg:.6g}",
-                        f"{v / perf:.6g}", f"{v / judg:.6g}",
-                    ])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "rho", "p_cens", "level", "t",
-             "v_srs", "v_rss_perfect", "v_rss_judged", "re_perfect", "re_judged"]
-        )
-        writer.writerows(rows)
+    run_kernels(parse_config(args.config), args.out)
     return 0
 
 
@@ -330,14 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated evaluation times (default: event times)")
     p.set_defaults(func=_cmd_bootstrap)
 
-    p = sub.add_parser("kernels", help="analytic Weibull variance/RE tables")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--nu", type=float, default=1.0, help="Weibull shape")
-    p.add_argument("--theta1", type=float, default=1.0, help="Weibull scale")
-    p.add_argument("--k", default="2,4,6,8,10", help="set sizes")
-    p.add_argument("--rho", default="1.0", help="ranking correlations (1 = perfect)")
-    p.add_argument("--p-cens", default="0,0.1,0.3,0.5", help="censoring fractions")
-    p.add_argument("--levels", default="0.75,0.5,0.25", help="survival levels")
+    p = sub.add_parser("kernels", help="analytic variance/RE table of a simulate grid")
+    p.add_argument("--config", required=True, help="key = value config file, as for simulate")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_kernels)
 
     return parser

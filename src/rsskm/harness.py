@@ -11,7 +11,8 @@ Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
 CSV column in CSV order, each holding one value per evaluation time.  That
 dict is the one definition of the columns: ``run_grid`` writes the header
 from its names and each row from its values, floats to 6 significant
-digits.
+digits.  ``run_kernels`` writes the same rows with the analytic columns
+in place of the Monte-Carlo ones, from the same code.
 
 Determinism contract: per-cell stream = (master seed, cell index); the
 replicates run in chunks whose size depends only on (k, m), and chunk c
@@ -68,6 +69,10 @@ class DesignPoint:
     rho_target: float
     p_cens: float
     eval_levels: tuple[float, ...]
+
+    def eval_times(self) -> list[float]:
+        """The times t with S(t) = level, one per eval level."""
+        return [self.model.quantile(level) for level in self.eval_levels]
 
 
 def prepare_model(
@@ -141,13 +146,37 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
 
 
-def _true_re(design: DesignPoint, times) -> np.ndarray:
-    """Benchmark RE per eval time: the ratio of the SRS kernel to the
-    judged-rank RSS kernel, exactly 1.0 at k = 1."""
+def _true_columns(design: DesignPoint, times) -> dict[str, np.ndarray]:
+    """A cell's analytic columns per eval time: the SRS kernel
+    ``v_srs_true``, the judged-rank RSS kernel ``v_rss_true`` and their
+    ratio ``re_true``, exactly 1.0 at k = 1."""
     model = design.model
     censoring = censoring_for_fraction(model, design.p_cens)
     v_srs = asymptotic_km_variance(model, censoring, times)
-    return v_srs / asymptotic_km_variance(model, censoring, times, design.k)
+    v_rss = asymptotic_km_variance(model, censoring, times, design.k)
+    return {"v_srs_true": v_srs, "v_rss_true": v_rss, "re_true": v_srs / v_rss}
+
+
+def _cell_columns(design: DesignPoint, times, body: dict) -> dict[str, list | np.ndarray]:
+    """A cell's CSV columns, one entry per eval time: the key columns, then
+    ``body``'s, then ``rank_noise_sd``; a scalar is repeated at every time.
+    The one frame of ``simulate`` and ``kernels`` rows."""
+    model = design.model
+    aft = isinstance(model, AftModel)
+    columns = {
+        "model": "aft" if aft else "weibull",
+        "k": design.k,
+        "m": design.m,
+        "n": design.k * design.m,
+        "rho": design.rho_target,
+        "p_cens": design.p_cens,
+        "level": np.asarray(design.eval_levels, float),
+        "t": np.asarray(times, float),
+        **body,
+        "rank_noise_sd": model.sigma_u if aft else model.sigma_z,
+    }
+    return {name: value if np.ndim(value) else [value] * len(times)
+            for name, value in columns.items()}
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -160,11 +189,10 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list |
     one entry per evaluation time.  ``seed`` is ``rng.seed``."""
     if b_mc < 2:
         raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
-    model, k, m = design.model, design.k, design.m
-    times = [model.quantile(level) for level in design.eval_levels]
+    times = design.eval_times()
     # first, so that an eval time outside the inference window fails before
     # any replicate is drawn
-    re_true = _true_re(design, times)
+    re_true = _true_columns(design, times)["re_true"]
 
     *batch, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times)
     # one contiguous row of replicates per time, so that each row reduces
@@ -172,20 +200,7 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list |
     s_rss, gw_rss, s_srs, gw_srs = (np.ascontiguousarray(a.T) for a in batch)
     v_rss, v_srs = np.var(s_rss, axis=1, ddof=1), np.var(s_srs, axis=1, ddof=1)
     m_gw_rss, m_gw_srs = np.mean(gw_rss, axis=1), np.mean(gw_srs, axis=1)
-    aft = isinstance(model, AftModel)
-
-    def each(value) -> list:
-        return [value] * len(times)
-
-    return {
-        "model": each("aft" if aft else "weibull"),
-        "k": each(k),
-        "m": each(m),
-        "n": each(k * m),
-        "rho": each(design.rho_target),
-        "p_cens": each(design.p_cens),
-        "level": np.asarray(design.eval_levels, float),
-        "t": np.asarray(times, float),
+    return _cell_columns(design, times, {
         "mean_s_rss": np.mean(s_rss, axis=1),
         "mean_s_srs": np.mean(s_srs, axis=1),
         "v_rss_mc": v_rss,
@@ -195,11 +210,10 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list |
         "re_true": re_true,
         "re_mc": _ratio(v_srs, v_rss),
         "re_gw": _ratio(m_gw_srs, m_gw_rss),
-        "b_mc": each(b_mc),
+        "b_mc": b_mc,
         "n_degenerate": n_deg,
-        "seed": each(rng.seed),
-        "rank_noise_sd": each(model.sigma_u if aft else model.sigma_z),
-    }
+        "seed": rng.seed,
+    })
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +248,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _grid(config: HarnessConfig):
+    """The grid's (k, m, rho, p_cens) cells in CSV row order, and its
+    models calibrated by rho."""
+    if not all([config.k, config.m, config.rho, config.p_cens]):
+        raise ParameterError("empty grid: k, m, rho and p_cens each need at least one value")
+    base = _base_model(config)
+    calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
+    return list(itertools.product(config.k, config.m, config.rho, config.p_cens)), calibrated
+
+
+def _write_rows(output_path: str, results) -> None:
+    """Write the schema line, the header and one row per (cell, eval time)
+    of ``results``, each a cell's columns by name."""
+    try:
+        with open(output_path, "w") as fh:
+            fh.write("# schema_version=2\n")
+            fh.write(",".join(results[0]) + "\n")
+            for columns in results:
+                for row in zip(*columns.values()):
+                    fh.write(",".join(map(_fmt, row)) + "\n")
+    except OSError as exc:
+        raise ParameterError(f"unwritable output {output_path}: {exc}") from exc
+
+
 def run_grid(
     config: HarnessConfig,
     output_path: str,
@@ -251,12 +289,7 @@ def run_grid(
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     seed = config.seed if master_seed is None else master_seed
-    if not all([config.k, config.m, config.rho, config.p_cens]):
-        raise ParameterError("empty grid: k, m, rho and p_cens each need at least one value")
-
-    base = _base_model(config)
-    calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
-    cells = itertools.product(config.k, config.m, config.rho, config.p_cens)
+    cells, calibrated = _grid(config)
     tasks = [
         (RngStream(seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)
         for idx, (k, m, rho, p) in enumerate(cells)
@@ -268,13 +301,18 @@ def run_grid(
             results = pool.map(_cell_task, tasks, chunksize=1)
     else:
         results = [_cell_task(t, calibrated) for t in tasks]
+    _write_rows(output_path, results)
 
-    try:
-        with open(output_path, "w") as fh:
-            fh.write("# schema_version=2\n")
-            fh.write(",".join(results[0]) + "\n")
-            for columns in results:
-                for row in zip(*columns.values()):
-                    fh.write(",".join(map(_fmt, row)) + "\n")
-    except OSError as exc:
-        raise ParameterError(f"unwritable output {output_path}: {exc}") from exc
+
+def run_kernels(config: HarnessConfig, output_path: str) -> None:
+    """Write ``run_grid``'s rows, in its order and format, with the key
+    columns, the analytic columns and ``rank_noise_sd`` alone; no random
+    draws, so ``b_mc`` and ``seed`` are not used.  Every row is computed
+    before the file is opened, so an error leaves no file."""
+    cells, calibrated = _grid(config)
+    results = []
+    for k, m, rho, p in cells:
+        design = DesignPoint(calibrated[rho], k, m, rho, p, tuple(config.levels))
+        times = design.eval_times()
+        results.append(_cell_columns(design, times, _true_columns(design, times)))
+    _write_rows(output_path, results)

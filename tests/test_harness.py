@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,13 @@ from rsskm import (
     parse_config,
 )
 from rsskm.harness import DesignPoint, prepare_model, run_cell, run_grid
-from rsskm.models import AftModel, WeibullModel, censoring_for_fraction, dell_clutter_sigma
+from rsskm.models import (
+    AftModel,
+    WeibullModel,
+    asymptotic_km_variance,
+    censoring_for_fraction,
+    dell_clutter_sigma,
+)
 from rsskm import cli, harness, models
 from rsskm.cli import main
 from rsskm.rss import rss_mean
@@ -548,6 +555,70 @@ class TestRunGrid:
         ]
 
 
+# k = 1 and 3, two m, judged and perfect ranking, with and without censoring
+KERNELS_GRID = ("k = 1, 3\nm = 3, 4\nrho = 0.5, 1.0\np_cens = 0, 0.3\nlevels = 0.75, 0.5\n"
+                "b_mc = 20\nseed = 2\n")
+
+
+def written_columns(monkeypatch, tmp_path, command, text):
+    """The unrounded columns ``rsskm <command>`` writes for a config, cell by
+    cell."""
+    written = []
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_write_rows", lambda path, results: written.extend(results))
+        out = tmp_path / "unwritten.csv"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert not out.exists()
+    return written
+
+
+class TestKernels:
+    @pytest.mark.parametrize("model", ["model = aft\n", "model = weibull\nnu = 1.5\n"],
+                             ids=["aft", "weibull"])
+    def test_columns_shared_with_simulate_are_equal(self, tmp_path, monkeypatch, model):
+        cfg = write_config(tmp_path, model + KERNELS_GRID)
+        kern, grid = tmp_path / "kern.csv", tmp_path / "grid.csv"
+        assert main(["kernels", "--config", cfg, "--out", str(kern)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(grid)]) == 0
+        kernels, simulated = read_rows(kern), read_rows(grid)
+        keys = ["model", "k", "m", "n", "rho", "p_cens", "level", "t"]
+        assert list(kernels[0]) == [*keys, "v_srs_true", "v_rss_true", "re_true",
+                                    "rank_noise_sd"]
+        shared = [name for name in kernels[0] if name in simulated[0]]
+        assert shared == [*keys, "re_true", "rank_noise_sd"]
+        assert len(kernels) == len(simulated) == 32
+        assert ([[row[name] for name in shared] for row in kernels]
+                == [[row[name] for name in shared] for row in simulated])
+        # and bit for bit before formatting
+        cells = zip(*(written_columns(monkeypatch, tmp_path, command, model + KERNELS_GRID)
+                      for command in ("kernels", "simulate")))
+        for kernel_cell, simulated_cell in cells:
+            for name in shared:
+                assert np.array_equal(kernel_cell[name], simulated_cell[name]), name
+
+    def test_perfect_ranking_rows_are_the_perfect_ranking_kernel(self, tmp_path, monkeypatch):
+        base = WeibullModel(1.5, 2.0)
+        perfect = [columns for columns in written_columns(
+            monkeypatch, tmp_path, "kernels", "model = weibull\nnu = 1.5\ntheta1 = 2.0\n"
+            + KERNELS_GRID) if columns["rho"][0] == 1.0]
+        assert len(perfect) == 8
+        for columns in perfect:
+            censoring = censoring_for_fraction(base, columns["p_cens"][0])
+            want = asymptotic_km_variance(base, censoring, columns["t"], columns["k"][0])
+            np.testing.assert_allclose(columns["v_rss_true"], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", ["model = aft\n", "model = weibull\nnu = 1.5\n"],
+                             ids=["aft", "weibull"])
+    def test_k1_rows_have_re_true_one(self, tmp_path, monkeypatch, model):
+        cells = [columns for columns in written_columns(monkeypatch, tmp_path, "kernels",
+                                                        model + KERNELS_GRID)
+                 if columns["k"][0] == 1]
+        assert len(cells) == 8
+        for columns in cells:
+            assert list(columns["re_true"]) == [1.0, 1.0]
+            np.testing.assert_array_equal(columns["v_srs_true"], columns["v_rss_true"])
+
+
 # 3 ranks x 4 cycles with ties (that of ``test_estimate_output_bytes``), and
 # one without: distinct times in every rank, ranks ending in a death and in
 # a censoring
@@ -709,50 +780,38 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: simulate:")
 
-    def test_kernels_zero_k_is_reported(self, tmp_path, capsys):
-        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "0",
-                     "--rho", "0.5"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
-
-    @pytest.mark.parametrize("argv", [
-        ["--k", "2", "--rho", "1.0", "--p-cens", "0,0.5", "--levels", "1e-7"],
-        ["--p-cens", "0.999999"],
-    ], ids=["window-error-after-first-row", "censoring-error-before-first-row"])
-    def test_kernels_error_leaves_no_file(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("line, field", [
+        ("k = 0", "k"), ("k = 2.5", "k"), ("k = 2, -3", "k"), ("k = nan", "k"),
+        ("k = two", "k"), ("k =", "k"), ("rho =", "rho"), ("p_cens =", "p_cens"),
+        ("levels =", "levels"), ("rho = 0.5, 1.5", "rho"), ("theta1 = nan", "theta1"),
+        ("nu = inf", "nu"),
+    ], ids=["zero-k", "fractional-k", "negative-k", "nan-k", "word-k", "empty-k", "empty-rho",
+            "empty-p-cens", "empty-levels", "rho-above-one", "nan-theta1", "inf-nu"])
+    def test_kernels_bad_config_is_reported(self, tmp_path, capsys, line, field):
         out = tmp_path / "k.csv"
-        assert main(["kernels", "--out", str(out), *argv]) == 2
+        cfg = write_config(tmp_path, f"model = weibull\n{line}\n")
+        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: kernels: {cfg}")
+        assert f"field '{field}'" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "k = 2\nrho = 1.0\np_cens = 0, 0.5\nlevels = 1e-7\n",
+        "p_cens = 0.999999\n",
+    ], ids=["window-error-after-first-row", "censoring-error-before-first-row"])
+    def test_kernels_error_leaves_no_file(self, tmp_path, capsys, text):
+        out = tmp_path / "k.csv"
+        cfg = write_config(tmp_path, "model = weibull\n" + text)
+        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: kernels:")
         assert "outside inference window" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["--rho", "1.5", "--levels", "1e-13"],
-        ["--rho", "1.5", "--p-cens", "1.0"],
-        ["--rho", "0.5,1.5", "--p-cens", "0.3,1.0"],
-    ], ids=["bad-rho-and-out-of-window-level", "bad-rho-and-bad-p-cens",
-            "bad-second-rho-and-bad-second-p-cens"])
-    def test_kernels_bad_rho_is_reported_first(self, tmp_path, capsys, argv):
-        # every --rho is checked before any censoring fraction or time window
-        out = tmp_path / "k.csv"
-        assert main(["kernels", "--out", str(out), *argv]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: kernels: rho must be in (0,1], got 1.5"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--k", "--rho", "--p-cens", "--levels"])
-    def test_kernels_empty_list_is_reported(self, tmp_path, capsys, flag):
-        out = tmp_path / "k.csv"
-        assert main(["kernels", "--out", str(out), flag, ""]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: kernels: {flag} lists no values"]
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, text, quantity", [
-        ("kernels", "--nu 0.001 --levels 0.1", "quantile at survival level 0.1"),
-        ("kernels", "--nu 0.01 --rho 0.5 --levels 0.5", "Weibull lifetime variance"),
+        ("kernels", "model = weibull\nnu = 0.001\nrho = 1.0\nlevels = 0.1\n",
+         "quantile at survival level 0.1"),
+        ("kernels", "model = weibull\nnu = 0.01\nlevels = 0.5\n", "Weibull lifetime variance"),
         ("simulate", "beta = 600\nlevels = 0.01\n", "exp(s^2) in the AFT ranking-correlation"),
         ("simulate", "beta = 40\np_cens = 0.3\n", "exp(s^2) in the AFT ranking-correlation"),
         ("simulate", "mu = 800\nlevels = 0.75\n", "quantile at survival level 0.75"),
@@ -762,28 +821,21 @@ class TestCli:
             "aft-quantile", "aft-mean-lifetime"])
     def test_overflowing_model_is_reported(self, tmp_path, capsys, command, text, quantity):
         out = tmp_path / "out.csv"
-        if command == "kernels":
-            argv = ["kernels", *text.split()]
-        else:
-            base = "model = aft\nk = 2\nm = 5\nrho = 0.5\np_cens = 0\nb_mc = 5\n"
-            argv = ["simulate", "--config", write_config(tmp_path, base + text)]
-        assert main(argv + ["--out", str(out)]) == 2
+        base = "model = aft\nk = 2\nm = 5\nrho = 0.5\np_cens = 0\nb_mc = 5\n"
+        cfg = write_config(tmp_path, base + text)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {command}: {quantity}")
         assert "overflows" in err[0] and not out.exists()
 
-    @pytest.mark.parametrize("command, argv", [
+    @pytest.mark.parametrize("command, text", [
         ("simulate", "model = aft\nk = 1040\nm = 2\nrho = 0.5\np_cens = 0\nb_mc = 5\n"),
-        ("kernels", "--k 1100 --levels 0.5 --rho 0.9 --p-cens 0"),
+        ("kernels", "model = weibull\nk = 1100\nrho = 0.9\np_cens = 0\nlevels = 0.5\n"),
     ], ids=["simulate-k1040", "kernels-k1100"])
-    def test_too_large_k_is_reported(self, tmp_path, capsys, command, argv):
+    def test_too_large_k_is_reported(self, tmp_path, capsys, command, text):
         # k * C(k - 1, r) overflows a float from k = 1021 on
         out = tmp_path / "out.csv"
-        if command == "kernels":
-            argv = ["kernels", *argv.split()]
-        else:
-            argv = ["simulate", "--config", write_config(tmp_path, argv)]
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         k = 1040 if command == "simulate" else 1100
         assert err == [f"error: {command}: k = {k} is too large: the judged-rank weight "
@@ -805,32 +857,12 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: simulate:")
         assert "jobs must be >= 1" in err[0] and not out.exists()
 
-    @pytest.mark.parametrize("k", ["2.5", "2,-3", "nan"])
-    def test_kernels_non_integer_k_is_reported(self, tmp_path, capsys, k):
-        out = tmp_path / "k.csv"
-        assert main(["kernels", "--out", str(out), f"--k={k}", "--rho", "0.5"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: kernels:") and "k must be >= 1" in err[0]
-        assert not out.exists()
-
     def test_non_numeric_lists_are_reported(self, tmp_path, capsys, obs_csv):
         assert main(["bootstrap", "--input", obs_csv, "--out", str(tmp_path / "b.csv"),
                      "--grid", "0.5,abc"]) == 2
-        assert main(["kernels", "--out", str(tmp_path / "k.csv"), "--k", "two"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
-        assert err[0].startswith("error: bootstrap:") and "'0.5,abc'" in err[0]
-        assert err[1].startswith("error: kernels:") and "'two'" in err[1]
-
-    @pytest.mark.parametrize("flag", ["--theta1=nan", "--nu=inf"])
-    def test_kernels_non_finite_model_is_reported(self, tmp_path, capsys, flag):
-        out = tmp_path / "k.csv"
-        assert main(["kernels", "--out", str(out), flag]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: kernels:") and "finite" in err[0]
-        assert not out.exists()
+        assert err[0].startswith("error: bootstrap:") and "'0.5,abc'" in err[0]
 
     @pytest.mark.parametrize("law, shape, message", [
         ("gamma", "nan", "gamma shape must be positive and finite"),
@@ -1123,7 +1155,7 @@ class TestCli:
         assert sample.events.all()
 
     def test_row_order_does_not_matter(self, tmp_path, obs_csv):
-        header, *rows = open(obs_csv).read().splitlines(keepends=True)
+        header, *rows = Path(obs_csv).read_text().splitlines(keepends=True)
         np.random.default_rng(1).shuffle(rows)
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text(header + "".join(rows))
@@ -1133,7 +1165,7 @@ class TestCli:
     def test_byte_order_mark_is_skipped(self, tmp_path, obs_csv):
         # spreadsheet programs save UTF-8 CSVs with a leading BOM
         marked = tmp_path / "bom.csv"
-        marked.write_bytes(b"\xef\xbb\xbf" + open(obs_csv, "rb").read())
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(obs_csv).read_bytes())
         assert estimate_and_bootstrap(tmp_path, str(marked)) == estimate_and_bootstrap(
             tmp_path, obs_csv)
 
@@ -1147,16 +1179,19 @@ class TestCli:
         assert all(float(r["bootstrap_var"]) >= 0 for r in rows)
 
     def test_kernels(self, tmp_path):
-        out = tmp_path / "kern.csv"
-        assert main(["kernels", "--out", str(out), "--k", "2",
-                     "--rho", "0.5,1.0", "--p-cens", "0,0.3",
-                     "--levels", "0.5"]) == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        for row in rows:
-            assert float(row["re_perfect"]) >= float(row["re_judged"]) - 1e-9
-            assert float(row["re_judged"]) >= 1.0 - 1e-9
+        text = "model = weibull\nk = 2\nm = 5\nrho = 0.5, 1.0\np_cens = 0, 0.3\nlevels = 0.5\n"
+        out, reseeded = tmp_path / "kern.csv", tmp_path / "reseeded.csv"
+        assert main(["kernels", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        # no random draws: b_mc and seed change nothing
+        assert main(["kernels", "--config", write_config(tmp_path, text + "b_mc = 7\nseed = 9\n"),
+                     "--out", str(reseeded)]) == 0
+        assert out.read_bytes() == reseeded.read_bytes()
+        rows = read_rows(out)
+        assert [r["rho"] for r in rows] == ["0.5", "0.5", "1", "1"]
+        judged, perfect = rows[:2], rows[2:]
+        for j, p in zip(judged, perfect):
+            assert float(p["re_true"]) >= float(j["re_true"]) >= 1.0
 
 
 # --------------------------------------------------------------------------
