@@ -12,7 +12,7 @@ and is imported from its modules: ``rsskm.harness`` (``DesignPoint``,
 ``rsskm.models`` (the models, censoring laws, calibration and variance
 kernels)."""
 
-from .bootstrap import MultiplierLaw, multiplier_bootstrap
+from .bootstrap import multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
 from .rss import (
     EmptyDesignError,
@@ -38,7 +38,6 @@ __all__ = [
     "HarnessConfig",
     "InferenceWindowError",
     "InvalidObservationError",
-    "MultiplierLaw",
     "ParameterError",
     "RankedSetSample",
     "RngStream",

@@ -10,9 +10,12 @@ g of a rank: D*_g over its dN_g deaths, and E*_g over the other units at
 risk at g but not at the rank's next death group, E_g = R_g - dN_g - R_next
 of them (R_next = 0 after the last).  Then dN* = D*_g, R*_g sums D* + E*
 over g and the later groups, and S*(t) = prod_{u <= t} (1 - dN*/R*).
-Totals of disjoint sets of iid weights are independent, with exact laws
-(``MultiplierLaw.draw_sums``), so a replicate costs O(death groups), not
-O(n), and no replicate depends on the cycle labels.
+The weights are Gamma(s, 1/s), mean 1 and variance 1/s, for one shape s:
+s = 1 is the unit exponential, and s = inf puts every weight at 1, so that
+each replicate is the unweighted fit.  Totals of disjoint sets of iid
+weights are independent, with exact laws (a total of n weights is
+Gamma(n s) / s, see ``_weight_sums``), so a replicate costs O(death
+groups), not O(n), and no replicate depends on the cycle labels.
 
 Each kind of total has its own stream, read in replicate order: the death
 totals D* from ``rng.child(0)``, the other totals E* where E is 1 from
@@ -38,48 +41,25 @@ import numpy as np
 
 from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
 from .sampling import RngStream
-from .survival import ParameterError
+from .survival import EmptySampleError, ParameterError
 
 # a block of replicates is fitted at once, in arrays of about this many
 # entries (replicates x the fit's layout) at most
 _BLOCK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
-class MultiplierLaw:
-    """Nonnegative multiplier weights with mean 1.
-
-    kinds: "unit-exponential" (variance 1, the default), "gamma" with
-    shape s and scale 1/s (variance 1/s), and "degenerate-one" (variance 0,
-    test-only).  Only the gamma law takes a shape other than 1.
-    """
-
-    kind: str = "unit-exponential"
-    gamma_shape: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("unit-exponential", "gamma", "degenerate-one"):
-            raise ParameterError(f"unknown multiplier law: {self.kind}")
-        if self.kind == "gamma" and not 0 < self.gamma_shape < math.inf:
-            raise ParameterError(
-                f"gamma shape must be positive and finite, got {self.gamma_shape}")
-        if self.kind != "gamma" and self.gamma_shape != 1.0:
-            raise ParameterError(
-                f"a gamma shape applies only to the gamma law, got {self.gamma_shape} "
-                f"for {self.kind}")
-
-    def draw_sums(self, gen: np.random.Generator, counts) -> np.ndarray:
-        """The total of n iid weights per entry n of ``counts``: Gamma(n) for
-        unit-exponential, Gamma(n s) / s for gamma(s), n for degenerate-one.
-        A count of 0 draws nothing; a count of 1 draws as standard_exponential."""
-        counts = np.asarray(counts, dtype=float)
-        if self.kind == "unit-exponential":
-            if np.all(counts == 1.0):  # the same draws, by a faster numpy path
-                return gen.standard_exponential(counts.shape)
-            return gen.standard_gamma(counts)
-        if self.kind == "gamma":
-            return gen.standard_gamma(counts * self.gamma_shape) / self.gamma_shape
+def _weight_sums(gen: np.random.Generator, counts, shape: float) -> np.ndarray:
+    """The total of n iid Gamma(s, 1/s) weights (mean 1, variance 1/s) per
+    entry n of ``counts``: Gamma(n s) / s, or n itself at s = inf.  A count
+    of 0 draws nothing; where every n s is 1 the draws are
+    standard_exponential's, which are standard_gamma(1)'s by a faster path."""
+    counts = np.asarray(counts, dtype=float)
+    if shape == math.inf:
         return counts.copy()
+    scaled = counts * shape
+    if np.all(scaled == 1.0):
+        return gen.standard_exponential(counts.shape) / shape
+    return gen.standard_gamma(scaled) / shape
 
 
 @dataclass(frozen=True)
@@ -96,11 +76,13 @@ def multiplier_bootstrap(
     sample: RankedSetSample,
     t_grid,
     n_reps: int,
-    law: MultiplierLaw | None = None,
+    gamma_shape: float = 1.0,
     rng: RngStream | None = None,
 ) -> BootstrapResult:
     """Bootstrap variance of the rank-averaged KM on a time grid, beside
     the rank-averaged KM and its Greenwood plug-in from the unweighted fit.
+    A ``t_grid`` of None is the fit's event times.  The weights are
+    Gamma(s, 1/s) for s = ``gamma_shape`` (inf: every weight is 1).
 
     Replicate b draws the death totals D* of every death group, rank by
     rank and by time, as the b-th such run of ``rng.child(0)``; in the same
@@ -113,17 +95,26 @@ def multiplier_bootstrap(
     ranks, but its KM is fitted only on the head of the layout at or before
     max(t_grid), which holds every entry the grid reads.
     """
-    t_grid = np.asarray(t_grid, float)
-    if t_grid.size == 0:
-        raise ParameterError("empty evaluation grid")
-    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
-        raise ParameterError(f"grid times must be finite and >= 0, got {t_grid}")
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, float)
+        if t_grid.size == 0:
+            raise ParameterError("empty evaluation grid")
+        if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
+            raise ParameterError(f"grid times must be finite and >= 0, got {t_grid}")
     if n_reps < 2:
         raise ParameterError(f"n_reps must be >= 2, got {n_reps}")
-    law = law or MultiplierLaw()
+    # no count of weights exceeds m, the units per rank, so no n s overflows
+    m = sample.cycles_m
+    if not (gamma_shape > 0 and (math.isinf(gamma_shape) or math.isfinite(m * gamma_shape))):
+        raise ParameterError(f"gamma shape must be > 0, and inf or small enough that "
+                             f"m = {m} times it is finite, got {gamma_shape}")
     rng = rng or RngStream(0)
 
     fit = rss_kaplan_meier(sample)
+    if t_grid is None:
+        t_grid = np.unique(fit.times[fit.deaths > 0])  # its times read a -0.0 as 0.0
+        if t_grid.size == 0:
+            raise EmptySampleError("no event times to evaluate at; pass --grid")
     point = rss_mean(fit.survival_at(t_grid))
     greenwood = rss_mean(fit.greenwood_at(t_grid), 2)
 
@@ -159,10 +150,11 @@ def multiplier_bootstrap(
     dn_star = np.zeros((block, head.group_times.size))
     for start in range(0, n_reps, block):
         n = min(block, n_reps - start)
-        deaths = law.draw_sums(death_stream, np.broadcast_to(died, (n, died.size)))
+        deaths = _weight_sums(death_stream, np.broadcast_to(died, (n, died.size)), gamma_shape)
         tails[:n, flip] = deaths  # R* sums D* + E* from a row's end
         for gen, (units, at) in zip(other_streams, others):
-            tails[:n, at] += law.draw_sums(gen, np.broadcast_to(units, (n, units.size)))
+            tails[:n, at] += _weight_sums(
+                gen, np.broadcast_to(units, (n, units.size)), gamma_shape)
         risk = np.cumsum(tails[:n].reshape(n, *layout), axis=-1).reshape(n, size)[:, head_flip]
         r_star[:n, head_slots], dn_star[:n, head_slots] = risk, deaths[:, in_head]
         replicate = head.product_limit((r_star[:n].reshape(n, *head.group_times.shape),
@@ -173,7 +165,7 @@ def multiplier_bootstrap(
     kept = reps[ok]
     if kept.shape[0] < 2:
         raise ParameterError("fewer than 2 usable bootstrap replicates")
-    # shift by the first replicate so constant columns (e.g. under the
-    # degenerate-one law) yield exactly zero variance
+    # shift by the first replicate so constant columns (e.g. at shape inf,
+    # where every weight is 1) yield exactly zero variance
     variance = np.var(kept - kept[:1], axis=0, ddof=1)
     return BootstrapResult(t_grid, point, greenwood, variance, reps, int(np.sum(~ok)))

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .bootstrap import MultiplierLaw, multiplier_bootstrap
+from .bootstrap import multiplier_bootstrap
 from .config import ConfigError, parse_config, undecodable_line
 from .rss import (
     EmptyDesignError,
@@ -190,7 +190,7 @@ def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     if args.full:
         cfg.b_mc = 10_000
-    run_grid(cfg, args.out, master_seed=args.seed, parallelism=args.jobs)
+    run_grid(cfg, args.out, parallelism=args.jobs)
     return 0
 
 
@@ -218,19 +218,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     sample = _read_observations(args.input)
-    if args.grid is not None:
-        t_grid = np.asarray(_parse_floats(args.grid))
-    else:
-        fit = rss_kaplan_meier(sample)  # its times read a -0.0 as 0.0
-        t_grid = np.unique(fit.times[fit.deaths > 0])
-        if t_grid.size == 0:
-            raise EmptySampleError("no event times to evaluate at; pass --grid")
-    if args.gamma_shape is not None and args.law != "gamma":
-        raise ParameterError(f"--gamma-shape applies only to --law gamma, not {args.law}")
-    law = MultiplierLaw(args.law, 1.0 if args.gamma_shape is None else args.gamma_shape)
-    result = multiplier_bootstrap(
-        sample, t_grid, args.reps, law=law, rng=RngStream(args.seed)
-    )
+    t_grid = None if args.grid is None else _parse_floats(args.grid)
+    result = multiplier_bootstrap(sample, t_grid, args.reps, gamma_shape=args.gamma_shape,
+                                  rng=RngStream(args.seed))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -260,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the Monte-Carlo efficiency grid")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (overrides the config)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--full", action="store_true", help="full scale: b_mc=10000")
     p.set_defaults(func=_cmd_simulate)
@@ -277,10 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with columns cycle,rank,time,event")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--reps", type=int, default=1000, help="bootstrap replicates")
-    p.add_argument("--law", default="unit-exponential",
-                   choices=["unit-exponential", "gamma", "degenerate-one"])
-    p.add_argument("--gamma-shape", type=float, default=None,
-                   help="shape s of --law gamma (default 1)")
+    p.add_argument("--gamma-shape", type=float, default=1.0,
+                   help="shape s of the Gamma(s, 1/s) weights (default 1, the unit "
+                        "exponential; inf: every weight is 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default=None,
                    help="comma-separated evaluation times (default: event times)")

@@ -275,7 +275,6 @@ def _write_rows(output_path: str, results) -> None:
 def run_grid(
     config: HarnessConfig,
     output_path: str,
-    master_seed: int | None = None,
     parallelism: int = 1,
 ) -> None:
     """Run every grid cell and write one CSV row per (cell, eval time).
@@ -288,10 +287,9 @@ def run_grid(
     """
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
-    seed = config.seed if master_seed is None else master_seed
     cells, calibrated = _grid(config)
     tasks = [
-        (RngStream(seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)
+        (RngStream(config.seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)
         for idx, (k, m, rho, p) in enumerate(cells)
     ]
 

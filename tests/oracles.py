@@ -4,6 +4,7 @@ against: closed forms, written-out definitions and earlier versions."""
 import csv
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,37 @@ def weighted_product_limit(times, events, weights, t):
     surv = np.cumprod(factor, axis=-1)
     before = np.ones(surv.shape[:-1] + (1,))
     return np.concatenate([before, surv], axis=-1)[..., np.searchsorted(u, t, side="right")]
+
+
+@dataclass(frozen=True)
+class MultiplierLaw:
+    """The multiplier weight law of rsskm before its three kinds became one
+    gamma shape s (``bootstrap._weight_sums``): "unit-exponential" is s = 1,
+    "gamma" with shape s is s, and "degenerate-one" is s = inf.
+    ``draw_sums`` is verbatim; the argument checks are left out."""
+
+    kind: str = "unit-exponential"
+    gamma_shape: float = 1.0
+
+    @classmethod
+    def of_shape(cls, shape: float) -> "MultiplierLaw":
+        """The old law that draws as weights of gamma shape ``shape``."""
+        if shape == 1.0:
+            return cls()
+        return cls("degenerate-one") if shape == math.inf else cls("gamma", shape)
+
+    def draw_sums(self, gen: np.random.Generator, counts) -> np.ndarray:
+        """The total of n iid weights per entry n of ``counts``: Gamma(n) for
+        unit-exponential, Gamma(n s) / s for gamma(s), n for degenerate-one.
+        A count of 0 draws nothing; a count of 1 draws as standard_exponential."""
+        counts = np.asarray(counts, dtype=float)
+        if self.kind == "unit-exponential":
+            if np.all(counts == 1.0):  # the same draws, by a faster numpy path
+                return gen.standard_exponential(counts.shape)
+            return gen.standard_gamma(counts)
+        if self.kind == "gamma":
+            return gen.standard_gamma(counts * self.gamma_shape) / self.gamma_shape
+        return counts.copy()
 
 
 def judged_slot_scores(law, u):

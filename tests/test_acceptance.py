@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rsskm import (
-    MultiplierLaw,
     RngStream,
     draw_balanced_rss,
     multiplier_bootstrap,
@@ -246,13 +245,12 @@ def test_criterion_8_bootstrap_sanity():
     ratio = np.mean(boot_vars) / np.mean(gw_vars)
 
     sample = draw_balanced_rss(EXP, 4, 50, law, RngStream(SEED, 52))
-    degen = multiplier_bootstrap(
-        sample, t, 50, law=MultiplierLaw("degenerate-one"), rng=RngStream(0))
+    degen = multiplier_bootstrap(sample, t, 50, gamma_shape=math.inf, rng=RngStream(0))
     zero_ok = float(degen.variance[0]) == 0.0
 
     ok = abs(ratio - 1.0) <= 0.15 and zero_ok
     report(8, ok, f"bootstrap/Greenwood variance ratio {ratio:.3f} over 20 "
-                  f"seeds (within 15%); degenerate-one variance exactly zero: "
+                  f"seeds (within 15%); gamma shape inf variance exactly zero: "
                   f"{zero_ok}")
 
 

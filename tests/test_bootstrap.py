@@ -1,12 +1,14 @@
 """Multiplier bootstrap for the rank-averaged Kaplan-Meier."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsskm import (
-    MultiplierLaw,
+    EmptySampleError,
     ParameterError,
     RankedSetSample,
     RngStream,
@@ -19,14 +21,15 @@ from rsskm import bootstrap
 from rsskm.models import WeibullModel, censoring_for_fraction
 from rsskm.survival import SortedSample
 
-from oracles import weighted_product_limit
+from oracles import MultiplierLaw, weighted_product_limit
 
 EXP = WeibullModel()
 
 
-def dense_bootstrap(sample, t_grid, n_reps, law, rng):
-    """``multiplier_bootstrap`` written out replicate by replicate, rank by
-    rank and death group by death group.  A rank's death times
+def dense_bootstrap(sample, t_grid, n_reps, shape, rng):
+    """``multiplier_bootstrap`` at gamma shape ``shape`` written out replicate
+    by replicate, rank by rank and death group by death group, each total
+    drawn by the earlier law ``oracles.MultiplierLaw``.  A rank's death times
     u_1 < ... < u_G hold dN_g deaths and E_g = R_g - R_(g+1) - dN_g other
     units, with R_g = #{Y >= u_g} and R_(G+1) = 0.  Each kind of total has
     its own stream, read one total at a time in replicate order: replicate
@@ -48,6 +51,7 @@ def dense_bootstrap(sample, t_grid, n_reps, law, rng):
         died = np.array([np.count_nonzero((t == x) & e) for x in u])
         groups.append((u, died, at_risk - np.r_[at_risk[1:], 0] - died))
     reps, excluded = np.empty((n_reps, t_grid.size)), np.zeros(n_reps, dtype=bool)
+    law = MultiplierLaw.of_shape(shape)
     deaths, ones, more = (rng.child(kind).generator() for kind in range(3))
     for b in range(n_reps):
         d_star = [[law.draw_sums(deaths, [n])[0] for n in died] for _, died, _ in groups]
@@ -87,27 +91,53 @@ REFERENCE_GRIDS = {
     "with-zero": lambda t, d: np.array([0.0, np.quantile(t[d], 0.4)]),
 }
 
-def per_unit_bootstrap(sample, t_grid, n_reps, law, gen):
-    """Replicates of the rank-averaged KM under one iid weight per unit, from
-    the law reference ``weighted_product_limit``."""
+def per_unit_bootstrap(sample, t_grid, n_reps, shape, gen):
+    """Replicates of the rank-averaged KM under one iid Gamma(s, 1/s) weight
+    per unit, from the law reference ``weighted_product_limit``."""
     k, m = sample.times.shape
     total = np.zeros((n_reps, t_grid.size))
     for r in range(k):
-        if law.kind == "gamma":
-            w = gen.gamma(law.gamma_shape, 1.0 / law.gamma_shape, (n_reps, m))
-        else:
-            w = gen.standard_exponential((n_reps, m))
+        w = gen.gamma(shape, 1.0 / shape, (n_reps, m))
         total += weighted_product_limit(sample.times[r], sample.events[r], w, t_grid)
     return total / k
 
 
-class TestMultiplierLaw:
-    def test_known_kinds(self):
+# count blocks for the weight-total draws: totals of one weight each, of
+# none, one or several, and tied totals whose n s is 1 at shape 0.25
+COUNT_BLOCKS = {
+    "all-ones": np.ones((10, 200)),
+    "mixed": np.random.default_rng(3).integers(0, 6, (4, 50)).astype(float),
+    "tied": np.full((6, 30), 4.0),
+}
+
+
+class TestWeightSums:
+    def test_mean_one(self):
         gen = np.random.default_rng(0)
-        for kind in ("unit-exponential", "gamma", "degenerate-one"):
-            w = MultiplierLaw(kind).draw_sums(gen, np.ones(10_000))
+        for shape in (1.0, 0.5, 4.0, math.inf):
+            w = bootstrap._weight_sums(gen, np.ones(10_000), shape)
             assert np.all(w >= 0)
             assert np.mean(w) == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("counts", COUNT_BLOCKS.values(), ids=COUNT_BLOCKS.keys())
+    @pytest.mark.parametrize("law, shape", [
+        (MultiplierLaw(), 1.0),
+        (MultiplierLaw("gamma", 1.0), 1.0),
+        (MultiplierLaw("gamma", 0.25), 0.25),
+        (MultiplierLaw("gamma", 2.0), 2.0),
+        (MultiplierLaw("gamma", 0.003), 0.003),
+        (MultiplierLaw("degenerate-one"), math.inf),
+    ], ids=["unit-exponential", "gamma-1", "gamma-0.25", "gamma-2", "gamma-0.003",
+            "degenerate-one"])
+    def test_matches_the_earlier_law_bitwise(self, law, shape, counts):
+        # each kind of the earlier law draws as its shape: the totals and the
+        # generator state after them
+        for seed in (0, 11):
+            gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = bootstrap._weight_sums(gen, counts, shape), law.draw_sums(ref, counts)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                          strict=True)
+            assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("shape", [7, (10, 2000), (3, 4, 5)])
     @pytest.mark.parametrize("seed", [0, 11])
@@ -117,13 +147,13 @@ class TestMultiplierLaw:
         # standard_gamma's: the draws and the generator state after them
         counts = np.ones(shape)
         gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        w = MultiplierLaw("unit-exponential").draw_sums(gen, counts)
+        w = bootstrap._weight_sums(gen, counts, 1.0)
         want = ref.exponential(1.0, shape)
         np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64), strict=True)
         assert gen.bit_generator.state == ref.bit_generator.state
         counts.flat[::3] = 0.0
         counts.flat[1::3] = 3.0
-        w = MultiplierLaw("unit-exponential").draw_sums(gen, counts)
+        w = bootstrap._weight_sums(gen, counts, 1.0)
         want = np.zeros(counts.shape)
         want[counts > 0] = [ref.standard_gamma(n) for n in counts[counts > 0]]
         np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64), strict=True)
@@ -133,18 +163,9 @@ class TestMultiplierLaw:
         # a total of n gamma(4) weights has mean n and variance n / 4
         gen = np.random.default_rng(1)
         for n in (1, 3):
-            w = MultiplierLaw("gamma", gamma_shape=4.0).draw_sums(gen, np.full(200_000, n))
+            w = bootstrap._weight_sums(gen, np.full(200_000, n), 4.0)
             assert np.mean(w) == pytest.approx(n, abs=0.01 * n)
             assert np.var(w) == pytest.approx(n / 4.0, abs=0.01 * n)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            MultiplierLaw("uniform")
-        with pytest.raises(ParameterError):
-            MultiplierLaw("gamma", gamma_shape=0.0)
-        for kind in ("unit-exponential", "degenerate-one"):
-            with pytest.raises(ParameterError, match="applies only to the gamma law"):
-                MultiplierLaw(kind, gamma_shape=-5)
 
 
 class TestWeightedKm:
@@ -189,11 +210,9 @@ class TestMultiplierBootstrap:
         law = censoring_for_fraction(EXP, 0.1)
         return draw_balanced_rss(EXP, 3, 30, law, RngStream(7))
 
-    def test_degenerate_one_law_gives_zero_variance(self, sample):
+    def test_infinite_shape_gives_zero_variance(self, sample):
         grid = np.array([0.5, 1.0])
-        result = multiplier_bootstrap(
-            sample, grid, 50, law=MultiplierLaw("degenerate-one"),
-            rng=RngStream(0))
+        result = multiplier_bootstrap(sample, grid, 50, gamma_shape=math.inf, rng=RngStream(0))
         np.testing.assert_array_equal(result.variance, 0.0)
         for rep in result.replicates:
             np.testing.assert_allclose(rep, result.point_estimate, atol=1e-12)
@@ -234,6 +253,30 @@ class TestMultiplierBootstrap:
             multiplier_bootstrap(sample, np.array([]), 10)
         with pytest.raises(ParameterError):
             multiplier_bootstrap(sample, np.array([1.0]), 1)
+        # m = 30 units per rank: a shape of 1e308 would draw Gamma(inf)
+        for shape in (0.0, -1.0, math.nan, 1e308, -math.inf):
+            with pytest.raises(ParameterError, match="gamma shape must be > 0"):
+                multiplier_bootstrap(sample, np.array([1.0]), 10, gamma_shape=shape)
+        result = multiplier_bootstrap(sample, np.array([1.0]), 10, gamma_shape=1e308 / 31)
+        assert np.all(np.isfinite(result.variance))
+
+    def test_default_grid_is_the_event_times_of_one_fit(self, sample, monkeypatch):
+        fits = []
+
+        def counting(rss):
+            fits.append(rss)
+            return rss_kaplan_meier(rss)
+
+        monkeypatch.setattr(bootstrap, "rss_kaplan_meier", counting)
+        got = multiplier_bootstrap(sample, None, 20, rng=RngStream(3))
+        assert len(fits) == 1
+        want = multiplier_bootstrap(sample, np.unique(sample.times[sample.events]), 20,
+                                    rng=RngStream(3))
+        np.testing.assert_array_equal(got.t_grid, want.t_grid, strict=True)
+        np.testing.assert_array_equal(got.replicates, want.replicates, strict=True)
+        censored = RankedSetSample(3, 30, sample.times, np.zeros_like(sample.events))
+        with pytest.raises(EmptySampleError, match="no event times"):
+            multiplier_bootstrap(censored, None, 20)
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
     def test_relabelled_cycles_give_same_replicates(self, sample, tied):
@@ -251,15 +294,13 @@ class TestMultiplierBootstrap:
                                       want.replicates.view(np.uint64), strict=True)
         np.testing.assert_array_equal(got.variance, want.variance, strict=True)
 
-    @pytest.mark.parametrize("law, tied, grid", [
-        pytest.param(law, tied, grid, id="-".join(
-            [law_id] if (tied, grid) == (True, "event-times") else
-            [law_id, "tied" if tied else "tie-free", grid]))
-        for law, law_id in [(MultiplierLaw(), "unit-exponential"),
-                            (MultiplierLaw("gamma", 0.003), "gamma"),
-                            (MultiplierLaw("degenerate-one"), "degenerate-one")]
+    @pytest.mark.parametrize("shape, tied, grid", [
+        pytest.param(shape, tied, grid, id="-".join(
+            [f"shape-{shape}"] if (tied, grid) == (True, "event-times") else
+            [f"shape-{shape}", "tied" if tied else "tie-free", grid]))
+        for shape in (1.0, 0.003, math.inf)
         for tied in (True, False) for grid in REFERENCE_GRIDS])
-    def test_matches_dense_reference_bitwise(self, sample, law, tied, grid):
+    def test_matches_dense_reference_bitwise(self, sample, shape, tied, grid):
         # tied: times on a 0.1 grid so that ranks hold tie groups.  At gamma
         # shape 0.003 about a fifth of the weights underflow to 0, so some
         # replicates lose a whole risk set and are excluded.  Every grid but
@@ -268,27 +309,26 @@ class TestMultiplierBootstrap:
         times = np.round(sample.times, 1) if tied else sample.times
         rss = RankedSetSample(3, 30, times, sample.events)
         t_grid = REFERENCE_GRIDS[grid](times, sample.events)
-        result = multiplier_bootstrap(rss, t_grid, 40, law=law, rng=RngStream(3))
-        reps, variance, n_excluded = dense_bootstrap(rss, t_grid, 40, law, RngStream(3))
+        result = multiplier_bootstrap(rss, t_grid, 40, shape, RngStream(3))
+        reps, variance, n_excluded = dense_bootstrap(rss, t_grid, 40, shape, RngStream(3))
         np.testing.assert_array_equal(result.replicates, reps)
         np.testing.assert_array_equal(result.variance, variance)
         assert result.n_excluded == n_excluded
-        assert n_excluded == 0 or law.kind == "gamma"
+        assert n_excluded == 0 or shape < 1
         if grid == "event-times":
-            assert (n_excluded > 0) == (law.kind == "gamma")
+            assert (n_excluded > 0) == (shape < 1)
 
-    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 0.5)],
-                             ids=["unit-exponential", "gamma"])
+    @pytest.mark.parametrize("shape", [1.0, 0.5], ids=["shape-1", "shape-0.5"])
     @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
-    def test_segment_totals_have_the_per_unit_law(self, sample, law, tied):
+    def test_segment_totals_have_the_per_unit_law(self, sample, shape, tied):
         # the replicate mean and variance at several times agree, within 4
         # standard errors, with those of one iid weight per unit
         times = np.round(sample.times, 1) if tied else sample.times
         rss = RankedSetSample(3, 30, times, sample.events)
         grid = np.quantile(times[sample.events], [0.2, 0.4, 0.6, 0.8])
         n = 4000
-        got = multiplier_bootstrap(rss, grid, n, law=law, rng=RngStream(8)).replicates
-        want = per_unit_bootstrap(rss, grid, n, law, np.random.default_rng(9))
+        got = multiplier_bootstrap(rss, grid, n, shape, RngStream(8)).replicates
+        want = per_unit_bootstrap(rss, grid, n, shape, np.random.default_rng(9))
         assert np.all(got.var(axis=0) > 0) and np.all(want.var(axis=0) > 0)
         mean_se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / n)
         assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) <= 4 * mean_se)
@@ -328,18 +368,17 @@ class TestMultiplierBootstrap:
         multiplier_bootstrap(tied, np.array([0.5, 1.0]), 50, rng=RngStream(6))
         assert built == [(0,), (1,), (2,)]
 
-    @pytest.mark.parametrize("law", [MultiplierLaw(), MultiplierLaw("gamma", 2.0)],
-                             ids=["unit-exponential", "gamma"])
+    @pytest.mark.parametrize("shape", [1.0, 2.0], ids=["shape-1", "shape-2"])
     @pytest.mark.parametrize("censored", ["one-rank", "all"])
-    def test_ranks_without_deaths(self, sample, law, censored):
+    def test_ranks_without_deaths(self, sample, shape, censored):
         # a rank without a death draws no total and contributes S* = 1; a
         # sample without any gives every replicate the constant-1 curve
         events = sample.events.copy()
         events[1 if censored == "one-rank" else slice(None)] = False
         rss = RankedSetSample(3, 30, np.round(sample.times, 1), events)
         grid = np.array([0.2, 0.6, 1.2, 5.0])
-        result = multiplier_bootstrap(rss, grid, 40, law=law, rng=RngStream(5))
-        reps, variance, n_excluded = dense_bootstrap(rss, grid, 40, law, RngStream(5))
+        result = multiplier_bootstrap(rss, grid, 40, shape, RngStream(5))
+        reps, variance, n_excluded = dense_bootstrap(rss, grid, 40, shape, RngStream(5))
         np.testing.assert_array_equal(result.replicates, reps)
         np.testing.assert_array_equal(result.variance, variance)
         assert np.all(np.isfinite(result.variance)) and result.n_excluded == n_excluded == 0

@@ -30,7 +30,7 @@ from rsskm.models import (
     censoring_for_fraction,
     dell_clutter_sigma,
 )
-from rsskm import cli, harness, models
+from rsskm import bootstrap, cli, harness, models
 from rsskm.cli import main
 from rsskm.rss import rss_mean
 from rsskm.sampling import draw_samples
@@ -486,7 +486,8 @@ class TestRunGrid:
         cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_grid(cfg, str(a))
-        run_grid(cfg, str(b), master_seed=99)
+        cfg.seed = 99
+        run_grid(cfg, str(b))
         assert a.read_bytes() != b.read_bytes()
 
     def test_empty_grid_is_reported_before_any_work(self, tmp_path):
@@ -630,8 +631,7 @@ TIE_FREE_OBSERVATIONS = (
     "cycle,rank,time,event\n1,1,0.3,1\n1,2,1.1,0\n1,3,0.7,1\n2,1,1.9,0\n"
     "2,2,0.4,1\n2,3,2.2,1\n3,1,1.2,1\n3,2,2.6,1\n3,3,0.9,0\n4,1,2.8,1\n"
     "4,2,1.6,0\n4,3,3.1,0\n")
-GAMMA_ON_GRID = ["--law", "gamma", "--gamma-shape", "0.25",
-                 "--grid", "0.5,1.1,1.9,2.25,3.1,4"]
+GAMMA_ON_GRID = ["--gamma-shape", "0.25", "--grid", "0.5,1.1,1.9,2.25,3.1,4"]
 
 
 # --------------------------------------------------------------------------
@@ -864,28 +864,34 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: bootstrap:") and "'0.5,abc'" in err[0]
 
-    @pytest.mark.parametrize("law, shape, message", [
-        ("gamma", "nan", "gamma shape must be positive and finite"),
-        ("gamma", "inf", "gamma shape must be positive and finite"),
-        # a shape given with another law is rejected, not ignored
-        ("unit-exponential", "-5", "--gamma-shape applies only to --law gamma"),
-        ("degenerate-one", "1", "--gamma-shape applies only to --law gamma"),
-    ], ids=["nan", "inf", "unit-exponential", "degenerate-one"])
-    def test_bootstrap_non_finite_gamma_shape_is_reported(self, tmp_path, capsys, obs_csv,
-                                                          law, shape, message):
+    @pytest.mark.parametrize("shape", ["nan", "0", "-1", "1e308", "inf"])
+    def test_bootstrap_gamma_shape_is_checked(self, tmp_path, capsys, monkeypatch, obs_csv,
+                                              shape):
+        # a shape is > 0, and inf (every weight 1) or small enough that m
+        # times it is finite: at m = 15, 1e308 would draw Gamma(inf) totals
+        # and write nan; a bad shape is reported before any replicate
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        if shape != "inf":
+            monkeypatch.setattr(bootstrap, "_weight_sums", must_not_run)
         out = tmp_path / "boot.csv"
-        assert main(["bootstrap", "--input", obs_csv, "--out", str(out), "--reps", "5",
-                     "--law", law, "--gamma-shape", shape]) == 2
+        code = main(["bootstrap", "--input", obs_csv, "--out", str(out), "--reps", "5",
+                     "--gamma-shape", shape])
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: bootstrap:")
-        assert message in err[0] and not out.exists()
+        if shape == "inf":
+            assert code == 0 and not err
+            with open(out) as fh:
+                assert all(float(row["bootstrap_var"]) == 0 for row in csv.DictReader(fh))
+            return
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: bootstrap:")
+        assert "gamma shape must be > 0" in err[0] and not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--seed", "-5", "--jobs", "1"],
-        ["simulate", "--seed", "-5", "--jobs", "2"],
-        ["simulate", "--jobs", "2"],  # with seed = -1 in the config
+        ["simulate", "--jobs", "1"],  # with seed = -1 in the config
+        ["simulate", "--jobs", "2"],
         ["bootstrap", "--seed", "-1"],
-    ], ids=["simulate-jobs-1", "simulate-jobs-2", "config-seed", "bootstrap"])
+    ], ids=["config-seed-jobs-1", "config-seed-jobs-2", "bootstrap"])
     def test_negative_seed_is_reported_before_any_work(
             self, tmp_path, capsys, monkeypatch, obs_csv, argv):
         def must_not_run(*args, **kwargs):
@@ -895,8 +901,7 @@ class TestCli:
         monkeypatch.setattr(cli, "multiplier_bootstrap", must_not_run)
         out = tmp_path / "out.csv"
         if argv[0] == "simulate":
-            seed_line = "seed = -1\n" if "--seed" not in argv else ""
-            argv = argv + ["--config", write_config(tmp_path, TINY_CONFIG + seed_line)]
+            argv = argv + ["--config", write_config(tmp_path, TINY_CONFIG + "seed = -1\n")]
         else:
             argv = argv + ["--input", obs_csv]
         assert main(argv + ["--out", str(out)]) == 2
@@ -988,7 +993,7 @@ class TestCli:
         ]
 
     @pytest.mark.parametrize("observations, law, want", [
-        (TIED_OBSERVATIONS, ["--law", "unit-exponential"], [
+        (TIED_OBSERVATIONS, [], [
             "1,0.833333,0.0104167,0.00723398,0",
             "1.5,0.611111,0.0186471,0.0157554,0",
             "2,0.527778,0.0203832,0.0175256,0",
@@ -1003,7 +1008,7 @@ class TestCli:
             "3.1,0.402778,0.0242895,0.0325233,0",
             "4,0.236111,0.017345,0.0202741,0",
         ]),
-        (TIE_FREE_OBSERVATIONS, ["--law", "unit-exponential"], [
+        (TIE_FREE_OBSERVATIONS, [], [
             "0.3,0.916667,0.00520833,0.00273848,0",
             "0.4,0.833333,0.0104167,0.00654932,0",
             "0.7,0.75,0.015625,0.0099904,0",
