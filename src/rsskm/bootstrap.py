@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
-from .sampling import RngStream
+from .sampling import RngStream, replicate_arrays
 from .survival import EmptySampleError, ParameterError
 
 # a block of replicates is fitted at once, in arrays of about this many
@@ -140,7 +140,7 @@ def multiplier_bootstrap(
     # R* falls along a rank: check each rank's last group <= max(t_grid)
     check = np.flatnonzero((early & (last | ~np.roll(early, -1)))[in_head])
 
-    reps = np.empty((n_reps, t_grid.size))
+    reps = replicate_arrays(1, n_reps, t_grid.size)[0]
     ok = np.ones(n_reps, dtype=bool)
     # every replicate writes the same death-group entries; the others keep
     # R = 1, dN = 0 and, in the reversed rows, a tail term of 0

@@ -45,8 +45,8 @@ from .models import (
     dell_clutter_sigma,
 )
 from .rss import rss_mean
-from .sampling import RngStream, StreamParts, draw_samples
-from .survival import SortedSample
+from .sampling import RngStream, StreamParts, draw_samples, replicate_arrays
+from .survival import product_limit_at
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
@@ -98,11 +98,12 @@ def prepare_model(
 def _fit_block(model, k: int, m: int, censoring, rng: StreamParts, reps: int, times):
     """Draw and fit one arm of a block: per replicate, the rank averages of
     S-hat and of Greenwood at ``times`` and its first time at which some
-    rank's whole risk set died.  Only these outlive the call, so one arm's
-    block is held at a time."""
-    fit = SortedSample(*draw_samples(model, k, m, censoring, rng, reps)).product_limit()
-    return (rss_mean(fit.survival_at(times)), rss_mean(fit.greenwood_at(times), 2),
-            fit.exhausted_at.min(axis=-1))
+    rank's whole risk set died.  The block's (reps, k, m) rows are fitted
+    and read at ``times`` by one ``product_limit_at`` call; only these values
+    outlive the call, so one arm's block is held at a time."""
+    survival, greenwood, exhausted = product_limit_at(
+        *draw_samples(model, k, m, censoring, rng, reps), times)
+    return rss_mean(survival), rss_mean(greenwood, 2), exhausted.min(axis=-1)
 
 
 def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
@@ -115,18 +116,19 @@ def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
     ``rng.child(c, 0)`` and its SRS samples from ``rng.child(c, 1)``.
     Blocks of min(k, _SLOT_WIDTH) consecutive chunks (fewer where that
     would hold more than _BUDGET units per arm, at least one) are drawn
-    from their chunks' streams (``StreamParts``) and fitted with one kernel
-    call per arm; every row of a fit is independent of the others, so each
-    replicate's values are those of a fit of its chunk alone."""
+    from their chunks' streams (``StreamParts``) and fitted with one
+    ``product_limit_at`` call per arm; every row of a fit is independent of
+    the others, so each replicate's values are those of a fit of its chunk
+    alone.  The result arrays are taken first, so a count too large to hold
+    fails before any replicate is drawn."""
     model, k, m = design.model, design.k, design.m
     n = k * m
     censoring = censoring_for_fraction(model, design.p_cens)
     times = np.asarray(times, float)
+    s_rss, gw_rss, s_srs, gw_srs = replicate_arrays(4, n_reps, times.size)
     chunk = max(1, _BUDGET // (m * k * min(k, _SLOT_WIDTH)))
     per_block = max(1, min(k, _SLOT_WIDTH, _BUDGET // (m * k * chunk)))
     sizes = [min(chunk, n_reps - start) for start in range(0, n_reps, chunk)]
-
-    s_rss, gw_rss, s_srs, gw_srs = np.empty((4, n_reps, times.size))
     n_degenerate = np.zeros(times.size, dtype=int)
 
     for first in range(0, len(sizes), per_block):
@@ -184,11 +186,18 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0)
 
 
+def _check_replicates(b_mc: int, n_times: int) -> None:
+    """Raise ParameterError for a b_mc below 2, or one whose replicate
+    arrays (``_simulate_batch``'s) are too large to hold."""
+    if b_mc < 2:
+        raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
+    replicate_arrays(4, b_mc, n_times)
+
+
 def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list | np.ndarray]:
     """Run one grid cell; returns its CSV columns by name, in CSV order,
     one entry per evaluation time.  ``seed`` is ``rng.seed``."""
-    if b_mc < 2:
-        raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
+    _check_replicates(b_mc, len(design.eval_levels))
     times = design.eval_times()
     # first, so that an eval time outside the inference window fails before
     # any replicate is drawn
@@ -287,6 +296,8 @@ def run_grid(
     """
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
+    # before any model is calibrated or a pool starts
+    _check_replicates(config.b_mc, len(config.levels))
     cells, calibrated = _grid(config)
     tasks = [
         (RngStream(config.seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)

@@ -126,6 +126,17 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream | StreamParts,
     return times, events
 
 
+def replicate_arrays(count: int, n_reps: int, size: int) -> np.ndarray:
+    """``count`` uninitialised ``(n_reps, size)`` float arrays, one row per
+    replicate, as one ``(count, n_reps, size)`` block.  A replicate count
+    too large for numpy to hold raises ParameterError, so a caller that
+    takes its arrays first fails before it draws any replicate."""
+    try:
+        return np.empty((count, n_reps, size))
+    except (ValueError, MemoryError) as exc:
+        raise ParameterError(f"{n_reps} replicates are too many to hold: {exc}") from None
+
+
 def draw_balanced_rss(model, k: int, m: int, censoring, rng: RngStream):
     """Draw one balanced k x m ranked set sample (see ``draw_samples``)."""
     times, events = draw_samples(model, k, m, censoring, rng)

@@ -2,7 +2,8 @@
 Nelson-Aalen on right-censored samples, deaths counted before censorings at
 tied times (R(u) = #{Y >= u}).
 
-One kernel serves every estimator.  It works over the last axis of
+One kernel defines every estimator (the Monte-Carlo grid reads its values
+through ``product_limit_at``, below).  It works over the last axis of
 ``(..., m)`` time and event arrays, so one call fits all k ranks of a ranked
 set sample, and it takes optional risk-set counts for the bootstrap, for
 a block of replicates at once along leading axes.
@@ -13,23 +14,29 @@ at a tied time censorings come before deaths.  The shift drops the sign
 bit, so a ``-0.0`` reads back as ``0.0``.
 
 The sample is laid out with one entry per tie group (distinct time).  A
-block without ties is its own layout, the sorted block, so simulated data
-need no compression and no scatter.  A tied block's groups fill a
-``(..., width)`` layout, ``width`` being the largest count of any row, and
-shorter rows end in padding (time inf).  Only tie groups that hold a death
-get R and dN; every other entry carries the neutral R = 1, dN = 0 in every
-fit, a factor 1.0 in the product and 0.0 in the sums, so each output changes
-only at death groups, bit for bit as if the other entries were not there.
+block without ties has one group per sorted position, so its layout is the
+sorted block.  A tied block's groups fill a ``(..., width)`` layout,
+``width`` being the largest count of any row, and shorter rows end in
+padding (time inf).  Only tie groups that hold a death get R and dN; every
+other entry carries the neutral R = 1, dN = 0 in every fit, a factor 1.0 in
+the product and 0.0 in the sums, so each output changes only at death
+groups, bit for bit as if the other entries were not there.
 
 ``SortedSample.product_limit`` then turns the sample's own counts, or
 counts (R, dN) given in its layout, into a ``ProductLimit`` holding S-hat
 per tie group; Greenwood, the cumulative hazard, its variance and the first
 exhausted risk set are computed the first time they are read, and
-right-continuous lookups read any of them at given times.  The fit of a
-tie-free block's own counts has R = m - j and dN = 1 at a death at sorted
-position j, so its S-hat factors 1 - 1/(m - j) and Greenwood terms
-1/((m - j)(m - j - 1)) are fixed by m and the events; its R and dN arrays
-are built only when read (by ``estimate``, the bootstrap and the hazards).
+right-continuous lookups read any of them at given times.
+
+``product_limit_at`` is the simulation grid's reducer: S-hat, Greenwood and
+``exhausted_at`` of every row of a block, read at a few times, bit for bit
+what the kernel's fit and lookups give.  On a block without ties a death at
+sorted position j has R = m - j and dN = 1, so the factors 1 - 1/(m - j) and
+the Greenwood terms are fixed by m and the events: it takes the running
+product and sum one sorted position at a time across all rows (or along
+each row, where rows are fewer than positions) and reads each row at its
+count of times <= t, with no tie-group layout.  A tied block goes to the
+kernel.
 """
 
 from __future__ import annotations
@@ -56,6 +63,22 @@ class InferenceWindowError(ValueError):
     pass
 
 
+def _sorted_key(times, events) -> np.ndarray:
+    """The packed keys ``(time bits << 1) | event`` of a ``(..., m)``
+    right-censored sample, each row sorted with ``np.sort``, after checking
+    that the sample is non-empty, that ``events`` has the shape of
+    ``times`` and that every time is finite and >= 0."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise EmptySampleError("empty sample")
+    if np.shape(events) != times.shape:
+        raise InvalidObservationError(
+            f"invalid observation: {np.shape(events)} events for {times.shape} times")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise InvalidObservationError("invalid observation: negative or non-finite time")
+    return np.sort((times.view(np.uint64) << 1) | np.asarray(events, dtype=bool), axis=-1)
+
+
 class SortedSample:
     """The rows of a ``(..., m)`` right-censored sample, each sorted by time
     with its censorings before its deaths at a tied time, laid out with one
@@ -69,47 +92,41 @@ class SortedSample:
     time.  The shift drops the sign bit, so a ``-0.0`` reads back as ``0.0``.
 
     In a block without ties every sorted position is its own tie group, so
-    the sorted block is the layout: ``group_times`` is ``times``, and a fit
-    reads R and dN in place, with no compression or scatter.  In a tied block
-    the tie groups of each row fill a ``(..., width)`` layout, ``width``
-    being the largest count of any row, the rest of a row being padding
-    (time inf); ``slots`` places the groups that hold a death.
+    the sorted block is the layout: ``group_times`` is ``times``.  In a tied
+    block the tie groups of each row fill a ``(..., width)`` layout,
+    ``width`` being the largest count of any row, the rest of a row being
+    padding (time inf).  ``slots`` places the groups that hold a death, and
+    ``at_risk`` and ``died`` are their own counts R and dN.
     """
 
     def __init__(self, times, events):
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            raise EmptySampleError("empty sample")
-        if np.shape(events) != times.shape:
-            raise InvalidObservationError(
-                f"invalid observation: {np.shape(events)} events for {times.shape} times")
-        if not np.all(np.isfinite(times)) or np.any(times < 0):
-            raise InvalidObservationError("invalid observation: negative or non-finite time")
-        m = times.shape[-1]
+        key = _sorted_key(times, events)
+        m = key.shape[-1]
         # lookup positions among ``group_times``, shared by every fit: they
         # do not depend on the counts
         self._position_cache = {}
-        self.slots = None
-        key = np.sort((times.view(np.uint64) << 1) | np.asarray(events, dtype=bool), axis=-1)
         self.times = (key >> 1).view(float)
         self.events = (key & 1).astype(bool)
         tied = self.times[..., 1:] == self.times[..., :-1]
         if not tied.any():
+            # one group per position: R = m - j and dN = 1 at a death at j
             self.group_times = self.times
+            self.slots = np.flatnonzero(self.events)
+            self.at_risk, self.died = m - self.slots % m, 1
             return
         # a tie group starts at every row start and wherever the time changes
-        starts = np.ones(times.shape, dtype=bool)
+        starts = np.ones(key.shape, dtype=bool)
         starts[..., 1:] = ~tied
         starts = starts.ravel()
         first = np.flatnonzero(starts)
         # each tie group's flat slot in the (..., width) layout: its index
         # among all tie groups plus the padding of the rows before its own
         row = first // m
-        counts = np.bincount(row, minlength=times.size // m)
+        counts = np.bincount(row, minlength=key.size // m)
         width = int(counts.max())
         pad = width - counts
         slots = np.arange(row.size) + (np.cumsum(pad) - pad)[row]
-        self.group_times = np.full(times.shape[:-1] + (width,), np.inf)
+        self.group_times = np.full(key.shape[:-1] + (width,), np.inf)
         self.group_times.reshape(-1)[slots] = self.times.ravel()[first]
         # each death group's slot, R (from its first sorted position to its
         # row's end) and dN (its run among the sorted deaths)
@@ -139,23 +156,13 @@ class SortedSample:
         padding) holds a neutral R = 1, dN = 0, in given counts too.  A
         group with R <= 0 (a vanished risk set) stops the curve at 0.  Given
         counts may have leading (replicate) axes before the layout; each
-        replicate is then fitted as if alone.
-
-        A tie-free block's own counts are R = m - j and dN = 1 at a death at
-        sorted position j: S-hat is the running product of 1 - 1/(m - j) at
-        the deaths, and R and dN are built only when read.
-        """
-        if counts is not None:
-            r, dn = counts
-        elif self.slots is None:
-            # tie-free: each entry is one observation, a death or not
-            m = self.times.shape[-1]
-            factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
-            return ProductLimit(self, np.cumprod(np.where(self.events, factor, 1.0), axis=-1))
-        else:
+        replicate is then fitted as if alone."""
+        if counts is None:
             r, dn = np.ones(self.group_times.shape), np.zeros(self.group_times.shape)
             r.reshape(-1)[self.slots] = self.at_risk
             dn.reshape(-1)[self.slots] = self.died
+        else:
+            r, dn = counts
 
         gone = r <= 0  # dN is 0 wherever R is not positive
         factor = 1.0 - np.minimum(np.maximum(dn / np.where(gone, 1.0, r), 0.0), 1.0)
@@ -174,14 +181,8 @@ class ProductLimit:
     with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))
     (0 once the whole risk set died), the Nelson-Aalen hazard sum dN/R, its
     variance sum dN/R^2 and ``exhausted_at`` (each row's first time its
-    whole risk set died, dN >= R, or inf) on first read.
-
-    ``counts`` holds R and dN as the fit took them; it is None for the fit
-    of a tie-free sample's own counts, whose R = m - j and dN = 1 at the
-    death at sorted position j are built on first read (by ``at_risk``,
-    ``deaths`` and the hazards); its Greenwood sum adds 1/((m - j)(m - j - 1))
-    at each death before the last position, and its ``exhausted_at`` is the
-    last time where the last unit died.
+    whole risk set died, dN >= R, or inf) on first read.  ``counts`` holds
+    R and dN as the fit took them.
 
     The ``*_at`` lookups are right-continuous: per row, the value at the
     row's last tie-group time <= t, and 1.0 (survival) or 0.0 (the
@@ -191,7 +192,7 @@ class ProductLimit:
 
     sample: SortedSample
     survival: np.ndarray
-    counts: tuple[np.ndarray, np.ndarray] | None = None
+    counts: tuple[np.ndarray, np.ndarray]
 
     @property
     def times(self) -> np.ndarray:
@@ -258,18 +259,13 @@ class ProductLimit:
         got[:, ahead] = before
         return got.reshape(values.shape[:-1] + np.shape(t))[()]
 
-    @cached_property
+    @property
     def at_risk(self) -> np.ndarray:
-        if self.counts is not None:
-            return self.counts[0]
-        m = self.times.shape[-1]
-        return np.where(self.sample.events, m - np.arange(m), 1.0)
+        return self.counts[0]
 
-    @cached_property
+    @property
     def deaths(self) -> np.ndarray:
-        if self.counts is not None:
-            return self.counts[1]
-        return self.sample.events.astype(float)
+        return self.counts[1]
 
     @cached_property
     def _dead(self) -> np.ndarray:
@@ -281,15 +277,8 @@ class ProductLimit:
 
     @cached_property
     def _greenwood_sum(self) -> np.ndarray:
-        if self.counts is None:
-            # R = m - j, dN = 1 at each death; 0 at j = m - 1, where the
-            # whole risk set dies
-            m = self.times.shape[-1]
-            r = m - np.arange(m - 1, dtype=float)
-            terms = np.where(self.sample.events, np.r_[1.0 / (r * (r - 1.0)), 0.0], 0.0)
-        else:
-            r, dn, dead = self.at_risk, self.deaths, self._dead
-            terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
+        r, dn, dead = self.at_risk, self.deaths, self._dead
+        terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
         return np.cumsum(terms, axis=-1)
 
     @cached_property
@@ -306,6 +295,64 @@ class ProductLimit:
 
     @cached_property
     def exhausted_at(self) -> np.ndarray:
-        if self.counts is None:
-            return np.where(self.sample.events[..., -1], self.times[..., -1], np.inf)
         return np.where(self._dead, self.times, np.inf).min(axis=-1, initial=np.inf)
+
+
+def product_limit_at(times, events, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every row of a ``(..., m)`` right-censored sample and read the
+    fits at times ``t``: S-hat and the Greenwood variance as ``(...,
+    *t.shape)`` and each row's ``exhausted_at`` as ``(...)``, bit for bit
+    what ``SortedSample(times, events).product_limit()`` and its
+    ``survival_at``, ``greenwood_at`` and ``exhausted_at`` give.
+
+    A block with a tie is fitted by that kernel.  In a block without one, a
+    death at sorted position j has R = m - j and dN = 1: a factor
+    1 - 1/(m - j) and a Greenwood term 1/((m - j)(m - j - 1)), 0 at the
+    last position, where the whole risk set dies.  The running product and
+    sum are taken in the kernel's order, position after position of each
+    row, and only up to the last position any row reads: where the block
+    has at least as many rows as positions, it is transposed to
+    position-major and each position is one numpy call across all rows;
+    otherwise ``ufunc.accumulate`` runs along each row.  A row reads its
+    value at its count of times <= t, 1.0 and 0.0 where that is 0."""
+    key = _sorted_key(times, events)
+    t = np.asarray(t, dtype=float)
+    m = key.shape[-1]
+    rows = key.size // m
+    # (positions, rows): position-major in memory where each position is
+    # one call across all rows, else a view of the rows as sorted
+    key = key.reshape(rows, m).T
+    by_position = rows >= m
+    if by_position:
+        key = np.ascontiguousarray(key)
+    sorted_times = (key >> 1).view(float)
+    if np.any(sorted_times[1:] == sorted_times[:-1]):
+        fit = SortedSample(times, events).product_limit()
+        return fit.survival_at(t), fit.greenwood_at(t), fit.exhausted_at
+    sorted_events = (key & 1).astype(bool)
+    # each row's count of times <= t, per query: at most m, so summed in
+    # the smallest unsigned type that holds m
+    below = (sorted_times <= t.reshape(-1, 1, 1)).view(np.uint8)
+    count = np.add.reduce(below, axis=1, dtype=np.min_scalar_type(m)).T
+    width = max(int(count.max()), 1)
+    r = (m - np.arange(width, dtype=float))[:, None]
+    died = sorted_events[:width]
+    # a death's factor and Greenwood term: times False they are 0.0, so
+    # every other entry has the factor 1.0 and the term 0.0
+    survival = 1.0 - died * (1.0 / r)
+    greenwood = died * np.divide(1.0, r * (r - 1.0), out=np.zeros_like(r), where=r > 1.0)
+    if by_position:
+        for s0, s1, g0, g1 in zip(survival, survival[1:], greenwood, greenwood[1:]):
+            np.multiply(s0, s1, out=s1)
+            np.add(g0, g1, out=g1)
+    else:
+        survival = np.multiply.accumulate(survival, axis=0)
+        greenwood = np.add.accumulate(greenwood, axis=0)
+    at = np.maximum(count, 1) - 1, np.arange(rows)[:, None]
+    ahead = count == 0
+    s, g = survival[at], greenwood[at]
+    s[ahead], g[ahead] = 1.0, 0.0
+    shape = np.shape(times)[:-1]
+    exhausted = np.where(sorted_events[-1], sorted_times[-1], np.inf)
+    return (s.reshape(shape + t.shape), (s * s * g).reshape(shape + t.shape),
+            exhausted.reshape(shape))

@@ -57,6 +57,42 @@ def weighted_product_limit(times, events, weights, t):
     return np.concatenate([before, surv], axis=-1)[..., np.searchsorted(u, t, side="right")]
 
 
+def tie_free_fit(times, events):
+    """The unweighted product-limit fit of a tie-free ``(..., m)`` block as
+    ``ProductLimit`` computed it before every fit took R and dN as counts,
+    its formulas verbatim: S-hat the running product of the factors
+    1 - 1/(m - j) at the deaths, the Greenwood sum adding
+    1/((m - j)(m - j - 1)) at each death before the last position, R = m - j
+    and dN = 1 at a death (R = 1, dN = 0 elsewhere) built on read, and
+    ``exhausted_at`` the last time where the last unit died.  Each row is
+    sorted by time, a -0.0 read as 0.0.  Returns the sorted times and the
+    outputs by ``ProductLimit`` attribute name."""
+    times, events = np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
+    order = np.argsort(times, axis=-1, kind="stable")
+    times = np.take_along_axis(times, order, axis=-1) + 0.0  # -0.0 + 0.0 is 0.0
+    events = np.take_along_axis(events, order, axis=-1)
+    m = times.shape[-1]
+    factor = 1.0 - 1.0 / (m - np.arange(m, dtype=float))
+    survival = np.cumprod(np.where(events, factor, 1.0), axis=-1)
+    at_risk = np.where(events, m - np.arange(m), 1.0)
+    deaths = events.astype(float)
+    # R = m - j, dN = 1 at each death; 0 at j = m - 1, where the whole risk
+    # set dies
+    r = m - np.arange(m - 1, dtype=float)
+    terms = np.where(events, np.r_[1.0 / (r * (r - 1.0)), 0.0], 0.0)
+    greenwood_sum = np.cumsum(terms, axis=-1)
+    safe_at_risk = np.where(at_risk <= 0, 1.0, at_risk)
+    return times, {
+        "survival": survival,
+        "greenwood_var": survival**2 * greenwood_sum,
+        "cum_hazard": np.cumsum(deaths / safe_at_risk, axis=-1),
+        "hazard_var": np.cumsum(deaths / safe_at_risk**2, axis=-1),
+        "at_risk": at_risk,
+        "deaths": deaths,
+        "exhausted_at": np.where(events[..., -1], times[..., -1], np.inf),
+    }
+
+
 @dataclass(frozen=True)
 class MultiplierLaw:
     """The multiplier weight law of rsskm before its three kinds became one

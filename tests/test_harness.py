@@ -398,6 +398,16 @@ class TestRunCell:
         with pytest.raises(Exception, match="b_mc"):
             run_cell(DesignPoint(EXP, 2, 5, 1.0, 0.0, (0.5,)), 1, RngStream(0))
 
+    def test_b_mc_too_large_to_hold_fails_before_any_work(self, monkeypatch):
+        # numpy refuses an array of 10**20 replicates at once
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an analytic column or a replicate was computed")
+
+        monkeypatch.setattr(harness, "_true_columns", must_not_run)
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
+        with pytest.raises(models.ParameterError, match="10+ replicates are too many to hold"):
+            run_cell(DesignPoint(EXP, 2, 5, 1.0, 0.0, (0.5,)), 10**20, RngStream(0))
+
 
 # --------------------------------------------------------------------------
 # run_grid + CLI
@@ -856,6 +866,38 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: simulate:")
         assert "jobs must be >= 1" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_simulate_too_many_replicates_is_reported_before_any_work(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # 10**20 replicates, which numpy refuses at once, fail before a
+        # model is calibrated, a pool starts or a replicate is drawn
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a model was calibrated, a pool started or a replicate drawn")
+
+        monkeypatch.setattr(harness, "prepare_model", must_not_run)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", must_not_run)
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
+        config = TINY_CONFIG.replace("b_mc = 30", f"b_mc = {10**20}")
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, config),
+                     "--out", str(out), f"--jobs={jobs}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: simulate:")
+        assert f"{10**20} replicates are too many to hold" in err[0] and not out.exists()
+
+    def test_bootstrap_too_many_replicates_is_reported_before_any_replicate(
+            self, tmp_path, capsys, monkeypatch, obs_csv):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(bootstrap, "_weight_sums", must_not_run)
+        out = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--input", obs_csv, "--out", str(out),
+                     "--reps", str(10**20)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bootstrap:")
+        assert f"{10**20} replicates are too many to hold" in err[0] and not out.exists()
 
     def test_non_numeric_lists_are_reported(self, tmp_path, capsys, obs_csv):
         assert main(["bootstrap", "--input", obs_csv, "--out", str(tmp_path / "b.csv"),

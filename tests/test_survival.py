@@ -4,13 +4,17 @@ Reference values in this file are hand-computed from the product-limit and
 cumulative-hazard formulas on tiny samples.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rsskm import EmptySampleError, InvalidObservationError
-from rsskm.survival import SortedSample
+from rsskm import survival
+from rsskm.survival import SortedSample, product_limit_at
 
 
 def fit_row(times, events):
@@ -403,22 +407,32 @@ class TestLayout:
 
 
 @st.composite
-def tie_free_samples(draw):
-    """(k, m) samples without a tie, m = 1 included, rows all censored or
-    ending in a death among them, and the one time 0 sometimes a -0.0."""
+def tie_free_samples(draw, leading=False):
+    """(k, m) samples without a tie, or with ``leading`` ``(reps, k, m)``
+    blocks of them, m = 1 included, rows all censored or ending in a death
+    among them, and the one time 0 sometimes a -0.0."""
     k = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=12))
-    times = np.asarray(draw(st.permutations(range(k * m))), dtype=float).reshape(k, m) / 4
+    shape = (draw(st.integers(min_value=1, max_value=3)), k, m) if leading else (k, m)
+    return tie_free_block(draw, shape, ["drawn", "all-censored", "last-dies"])
+
+
+def tie_free_block(draw, shape, fates):
+    """A tie-free block of ``shape``: its times a permutation of multiples
+    of 1/4, the one time 0 sometimes a -0.0, and each row's events drawn
+    (``"drawn"``), all censorings or all deaths, or drawn with the row's
+    last time a death (``"last-dies"``), as ``fates`` allow."""
+    n = math.prod(shape)
+    times = np.asarray(draw(st.permutations(range(n))), dtype=float).reshape(shape) / 4
     if draw(st.booleans()):
         times[times == 0] = -0.0
-    events = np.asarray(draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m)))
-    events = events.reshape(k, m)
-    for r in range(k):
-        fate = draw(st.sampled_from(["drawn", "all-censored", "last-dies"]))
-        if fate == "all-censored":
-            events[r] = False
+    events = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+    for row in np.ndindex(shape[:-1]):
+        fate = draw(st.sampled_from(fates))
+        if fate in ("all-censored", "all-deaths"):
+            events[row] = fate == "all-deaths"
         elif fate == "last-dies":
-            events[r, np.argmax(times[r])] = True
+            events[row][np.argmax(times[row])] = True
     return times, events
 
 
@@ -429,9 +443,29 @@ def assert_bits_equal(got, want):
 
 
 class TestConstantFactors:
-    """An unweighted fit of a tie-free block takes R = m - j and dN = 1 at
-    its deaths from m and the events alone; every output is that of the fit
-    of those counts (the totals of unit weights), bit for bit."""
+    """An unweighted fit of a tie-free block has R = m - j and dN = 1 at its
+    deaths: every output is that of the fit of those counts (the totals of
+    unit weights), and that of the constant-factor formulas a tie-free fit
+    once took (``oracles.tie_free_fit``), bit for bit."""
+
+    @given(st.one_of(tie_free_samples(), tie_free_samples(leading=True)),
+           st.permutations(LAZY))
+    @example(  # m = 1: a lone -0.0 dies as its row's last unit; a row all censored
+        (np.array([[-0.0], [0.25], [0.5]]), np.array([[True], [False], [True]])), LAZY)
+    @example((np.array([[[0.5, -0.0, 1.5], [0.75, 0.25, 1.0]], [[2.0, 1.25, 1.75],
+                                                                [2.5, 2.25, 2.75]]]),
+              np.array([[[False, True, True], [False, False, False]],
+                        [[True, True, True], [True, False, True]]])), LAZY)
+    @settings(max_examples=200, deadline=None)
+    def test_fit_is_the_constant_factor_formulas_bitwise(self, sample, read_order):
+        times, events = sample
+        fit = SortedSample(times, events).product_limit()
+        for name in read_order:  # each lazy output is computed on this first read
+            getattr(fit, name)
+        sorted_times, want = oracles.tie_free_fit(times, events)
+        assert_bits_equal(fit.times, sorted_times)
+        for name, values in want.items():
+            assert_bits_equal(getattr(fit, name), values)
 
     @given(tie_free_samples(), st.permutations(LAZY))
     @example(  # m = 1: a lone -0.0 dies as its row's last unit; a row all censored
@@ -536,10 +570,10 @@ class TestMixedBlock:
     @settings(max_examples=100, deadline=None)
     def test_rows_fit_as_alone(self, blocks):
         stack = SortedSample(*(np.concatenate(arrays) for arrays in zip(*blocks)))
-        assert stack.slots is not None  # the tied layout
+        assert stack.group_times is not stack.times  # the tied layout
         both = stack.product_limit()
         alone = [SortedSample(*block).product_limit() for block in blocks]
-        assert alone[1].counts is None  # the tie-free fit of its own counts
+        assert alone[1].times is alone[1].sample.times  # the tie-free layout
         times = np.unique(np.concatenate([block[0].ravel() for block in blocks]))
         grid = np.r_[-1.0, times, times + 0.125, np.inf]
         for lookup, _ in CURVES.values():
@@ -563,7 +597,7 @@ class TestReplicateAxis:
         else:
             times = rng.permutation(k * m).reshape(k, m) / 4
         sample = SortedSample(times, rng.random((k, m)) < 0.7)
-        assert (sample.slots is not None) == tied
+        assert (sample.group_times is not sample.times) == tied
         # risk sets of every sign, so that some entries have R <= 0
         r = rng.integers(-1, 6, (reps, *sample.group_times.shape)).astype(float)
         dn = rng.integers(0, 3, r.shape).astype(float)
@@ -576,3 +610,89 @@ class TestReplicateAxis:
                               np.stack([getattr(a, lookup)(grid) for a in alone]))
         assert_bits_equal(stacked.survival_at(1.0), np.stack([a.survival_at(1.0) for a in alone]))
         assert_bits_equal(stacked.exhausted_at, np.stack([a.exhausted_at for a in alone]))
+
+
+@st.composite
+def reducer_blocks(draw):
+    """Tie-free ``(reps, k, m)`` blocks of m - 1, m or m + 1 rows, so that
+    the reducer runs along each row, one position at a time and at the
+    boundary between, m = 1 and 2 included; rows drawn, all censored, all
+    deaths or ending in a death; with eval times before the first time, at
+    0, at sample times, between them and past the last, as a 1-D array or a
+    scalar."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    rows = draw(st.integers(min_value=max(1, m - 1), max_value=m + 1))
+    k = draw(st.sampled_from([d for d in range(1, rows + 1) if rows % d == 0]))
+    times, events = tie_free_block(draw, (rows // k, k, m),
+                                   ["drawn", "all-censored", "all-deaths", "last-dies"])
+    at = np.unique(times).tolist()
+    queries = st.sampled_from([-1.0, 0.0, *at, *(u + 0.125 for u in at), at[-1] + 1, np.inf])
+    t = draw(st.one_of(queries, st.lists(queries, min_size=1, max_size=6)))
+    return times, events, np.asarray(t)
+
+
+def block(times, events, t):
+    return np.asarray(times, dtype=float), np.asarray(events), np.asarray(t, dtype=float)
+
+
+class TestProductLimitAt:
+    """The grid's reducer: each row's S-hat and Greenwood at the eval times
+    and its ``exhausted_at`` are, bit for bit, those of the kernel's fit and
+    lookups, whichever order it runs in; a block with a tie is fitted by the
+    kernel."""
+
+    @given(reducer_blocks())
+    # m = 1, one row and two: the lone death is the last position
+    @example(block([[[0.5]]], [[[True]]], [0.0, 0.5, 1.0]))
+    @example(block([[[0.5]], [[0.25]]], [[[True]], [[False]]], [0.25, 0.5]))
+    # m = 2 along the row (one row), position by position (two and three)
+    @example(block([[[0.5, 0.25]]], [[[True, True]]], [-1.0, 0.25, 0.5, np.inf]))
+    @example(block([[[0.5, 0.25], [0.0, 1.0]]], [[[True, True], [False, True]]], [0.25, 2.0]))
+    @example(block([[[0.5, 0.25]], [[0.0, 1.0]], [[1.25, 0.75]]],
+                   [[[False, False]], [[True, False]], [[True, True]]], 0.75))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_kernel_bitwise(self, sample):
+        times, events, t = sample
+        fit = SortedSample(times, events).product_limit()
+        got = product_limit_at(times, events, t)
+        for values, want in zip(got, (fit.survival_at(t), fit.greenwood_at(t),
+                                      fit.exhausted_at)):
+            assert_bits_equal(values, want)
+
+    @pytest.mark.parametrize("shape", [(8, 3, 20), (4, 1, 60)], ids=["by-position", "along-rows"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    def test_only_a_tied_block_takes_the_kernel(self, shape, tied, monkeypatch):
+        rng = np.random.default_rng(sum(shape))
+        lifetimes, censoring = rng.weibull(1.5, shape), 1.3 * rng.weibull(1.5, shape)
+        if tied:  # draws rounded to 1 decimal
+            lifetimes, censoring = np.round(lifetimes, 1), np.round(censoring, 1)
+        times, events = np.minimum(lifetimes, censoring), lifetimes <= censoring
+        assert np.any(np.diff(np.sort(times, axis=-1), axis=-1) == 0) == tied
+        t = np.array([0.0, 0.3, 0.75, 1.0, 5.0])
+        fit = SortedSample(times, events).product_limit()
+        built = []
+
+        class Counted(SortedSample):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(survival, "SortedSample", Counted)
+        got = product_limit_at(times, events, t)
+        assert len(built) == tied
+        for values, want in zip(got, (fit.survival_at(t), fit.greenwood_at(t),
+                                      fit.exhausted_at)):
+            assert_bits_equal(values, want)
+
+    @pytest.mark.parametrize("times, events, error", [
+        (np.empty((2, 0)), np.empty((2, 0), dtype=bool), EmptySampleError),
+        ([[1.0, -2.0]], [[True, True]], InvalidObservationError),
+        ([[1.0, np.inf]], [[True, False]], InvalidObservationError),
+        ([[1.0, np.nan]], [[True, False]], InvalidObservationError),
+        ([[0.5, 1.0, 1.5]], [True, False, True], InvalidObservationError),
+    ], ids=["empty", "negative", "infinite", "nan", "events-of-another-shape"])
+    def test_checks_the_sample_as_the_kernel_does(self, times, events, error):
+        with pytest.raises(error):
+            SortedSample(times, events)
+        with pytest.raises(error):
+            product_limit_at(times, events, [1.0])
