@@ -14,22 +14,27 @@ from its names and each row from its values, floats to 6 significant
 digits.  ``run_kernels`` writes the same rows with the analytic columns
 in place of the Monte-Carlo ones, from the same code.
 
-Determinism contract: per-cell stream = (master seed, cell index); the
-replicates run in chunks whose size depends only on (k, m), and chunk c
-draws all its RSS samples from one child stream and all its SRS samples
-from another; reduction in replicate order.  Streams follow chunks, and
-compute follows blocks of consecutive chunks: a block draws each chunk's
-variates from the chunk's own streams and fits them together, which gives
-every replicate bit for bit the values a fit of its chunk alone gives, so
-the block size is not part of the output.  Output is byte-identical for a
+Determinism contract: per-cell stream = (master seed, cell index).  Each
+arm's replicates run in chunks of max(1, _BUDGET // (k * m)) replicates, a
+size that depends only on n = km: chunk c of the RSS arm draws all its
+samples from the cell stream's child (0, c, 0), and chunk c of the SRS arm
+from (0, c, 1); each chunk is drawn and fitted by one call, and replicates
+reduce in replicate order.  The SRS arm's law does not depend on rho or on
+how n splits into k and m, so a grid draws it once per (n, p_cens), from
+the stream of the first cell in grid order with that (n, p_cens), and every
+later cell with that (n, p_cens) reads the same arm.  ``run_cell`` on its
+own draws both arms from its stream, so it reproduces the grid row of a
+cell that is the first of its SRS arm.  Output is byte-identical for a
 fixed (config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,19 +50,19 @@ from .models import (
     dell_clutter_sigma,
 )
 from .rss import rss_mean
-from .sampling import RngStream, StreamParts, draw_samples, replicate_arrays
+from .sampling import RngStream, draw_samples, replicate_arrays
 from .survival import product_limit_at
 
 # per-cell substream branch of the Monte-Carlo replicates
 _PRIMARY = 0
-# chunk-size rule: a chunk holds max(1, _BUDGET // (m * k * min(k,
-# _SLOT_WIDTH))) replicates.  It is kept as a fixed part of the output, not
-# sized by what a sampler draws: it fixes which replicates share a stream,
-# so changing it changes every simulate value at a fixed seed, SRS columns
-# included.  A block of min(k, _SLOT_WIDTH) chunks, about _BUDGET units per
-# arm, is drawn and fitted at once; that grouping changes no value.
+# the arms of a cell, the last index of each chunk's stream
+_RSS, _SRS = 0, 1
+# chunk-size rule: a chunk holds max(1, _BUDGET // (k * m)) replicates of
+# an arm, about _BUDGET units, drawn and fitted at once.  It is a fixed part
+# of the output, not sized by what a sampler draws: it fixes which
+# replicates share a stream, so changing it changes every simulate value at
+# a fixed seed.
 _BUDGET = 2**15
-_SLOT_WIDTH = 4
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -95,57 +100,65 @@ def prepare_model(
     return WeibullModel(base.shape_nu, base.scale_theta1, sigma_z)
 
 
-def _fit_block(model, k: int, m: int, censoring, rng: StreamParts, reps: int, times):
-    """Draw and fit one arm of a block: per replicate, the rank averages of
-    S-hat and of Greenwood at ``times`` and its first time at which some
-    rank's whole risk set died.  The block's (reps, k, m) rows are fitted
-    and read at ``times`` by one ``product_limit_at`` call; only these values
-    outlive the call, so one arm's block is held at a time."""
-    survival, greenwood, exhausted = product_limit_at(
-        *draw_samples(model, k, m, censoring, rng, reps), times)
-    return rss_mean(survival), rss_mean(greenwood, 2), exhausted.min(axis=-1)
+class _Arm(NamedTuple):
+    """One arm's replicates, reduced: per evaluation time the mean S-hat,
+    its MC variance and the mean Greenwood; per replicate the first time at
+    which some curve's whole risk set died."""
+
+    mean_s: np.ndarray
+    v_mc: np.ndarray
+    mean_gw: np.ndarray
+    exhausted: np.ndarray
 
 
-def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times):
-    """Paired RSS/SRS replicates; returns per-replicate estimate arrays and,
+def _fit_arm(design: DesignPoint, n_reps: int, rng: RngStream, times, arm: int):
+    """Draw and fit one arm of a cell: ``_RSS``, its k x m ranked set
+    samples, or ``_SRS``, simple random samples of n = km (sets of one).
+    Returns per replicate the rank averages of S-hat and of Greenwood at
+    ``times``, and the first time at which some rank's whole risk set died.
+
+    Replicates run in chunks of max(1, _BUDGET // (k * m)): chunk c is
+    drawn from ``rng.child(c, arm)`` and fitted and read at ``times`` by one
+    ``product_limit_at`` call.  The result arrays are taken first, so a
+    count too large to hold fails before any replicate is drawn."""
+    k, m = (design.k, design.m) if arm == _RSS else (1, design.k * design.m)
+    censoring = censoring_for_fraction(design.model, design.p_cens)
+    s, gw = replicate_arrays(2, n_reps, len(times))
+    exhausted = np.empty(n_reps)
+    chunk = max(1, _BUDGET // (k * m))
+    for c, start in enumerate(range(0, n_reps, chunk)):
+        reps = slice(start, start + chunk)
+        survival, greenwood, exhausted_at = product_limit_at(*draw_samples(
+            design.model, k, m, censoring, rng.child(c, arm), min(chunk, n_reps - start)), times)
+        # a set of one: its rank averages are its values
+        s[reps], gw[reps], exhausted[reps] = (
+            rss_mean(survival), rss_mean(greenwood, 2), exhausted_at.min(axis=-1))
+        # so that one chunk's fit is held at a time
+        del survival, greenwood, exhausted_at
+    return s, gw, exhausted
+
+
+def _simulate_arm(design: DesignPoint, n_reps: int, rng: RngStream, times, arm: int) -> _Arm:
+    """``_fit_arm``'s replicates, reduced."""
+    s, gw, exhausted = _fit_arm(design, n_reps, rng, times, arm)
+    # one contiguous row of replicates per time, so that each row reduces
+    # in the summation order of a 1-D array
+    s, gw = np.ascontiguousarray(s.T), np.ascontiguousarray(gw.T)
+    return _Arm(np.mean(s, axis=1), np.var(s, axis=1, ddof=1), np.mean(gw, axis=1), exhausted)
+
+
+def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times,
+                    srs: _Arm | None = None):
+    """Paired RSS/SRS replicates: returns the RSS and the SRS ``_Arm`` and,
     per evaluation time, the number of replicates in which some curve was
-    degenerate (its whole risk set died at or before that time).
-
-    Replicates run in chunks of ``max(1, _BUDGET // (m * k * min(k,
-    _SLOT_WIDTH)))``: chunk c draws all its RSS samples from
-    ``rng.child(c, 0)`` and its SRS samples from ``rng.child(c, 1)``.
-    Blocks of min(k, _SLOT_WIDTH) consecutive chunks (fewer where that
-    would hold more than _BUDGET units per arm, at least one) are drawn
-    from their chunks' streams (``StreamParts``) and fitted with one
-    ``product_limit_at`` call per arm; every row of a fit is independent of
-    the others, so each replicate's values are those of a fit of its chunk
-    alone.  The result arrays are taken first, so a count too large to hold
-    fails before any replicate is drawn."""
-    model, k, m = design.model, design.k, design.m
-    n = k * m
-    censoring = censoring_for_fraction(model, design.p_cens)
-    times = np.asarray(times, float)
-    s_rss, gw_rss, s_srs, gw_srs = replicate_arrays(4, n_reps, times.size)
-    chunk = max(1, _BUDGET // (m * k * min(k, _SLOT_WIDTH)))
-    per_block = max(1, min(k, _SLOT_WIDTH, _BUDGET // (m * k * chunk)))
-    sizes = [min(chunk, n_reps - start) for start in range(0, n_reps, chunk)]
-    n_degenerate = np.zeros(times.size, dtype=int)
-
-    for first in range(0, len(sizes), per_block):
-        block = range(first, min(first + per_block, len(sizes)))
-        size = sum(sizes[c] for c in block)
-        reps = slice(first * chunk, first * chunk + size)
-        rss_rng, srs_rng = (StreamParts(tuple((rng.child(c, arm), sizes[c]) for c in block))
-                            for arm in (0, 1))
-        # the SRS arm is a set of one: its rank averages are its values
-        s_rss[reps], gw_rss[reps], rss_exhausted = _fit_block(
-            model, k, m, censoring, rss_rng, size, times)
-        s_srs[reps], gw_srs[reps], srs_exhausted = _fit_block(
-            model, 1, n, censoring, srs_rng, size, times)
-        exhausted = np.minimum(rss_exhausted, srs_exhausted)
-        n_degenerate += np.sum(exhausted[:, None] <= times, axis=0)
-
-    return s_rss, gw_rss, s_srs, gw_srs, n_degenerate
+    degenerate (its whole risk set died at or before that time).  The RSS
+    arm is drawn from ``rng``, and so is the SRS arm unless ``srs`` gives
+    it; replicate i of the one pairs with replicate i of the other."""
+    rss = _simulate_arm(design, n_reps, rng, times, _RSS)
+    if srs is None:
+        srs = _simulate_arm(design, n_reps, rng, times, _SRS)
+    exhausted = np.minimum(rss.exhausted, srs.exhausted)
+    return rss, srs, np.sum(exhausted[:, None] <= np.asarray(times), axis=0)
 
 
 def _true_columns(design: DesignPoint, times) -> dict[str, np.ndarray]:
@@ -188,37 +201,35 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _check_replicates(b_mc: int, n_times: int) -> None:
     """Raise ParameterError for a b_mc below 2, or one whose replicate
-    arrays (``_simulate_batch``'s) are too large to hold."""
+    arrays (an arm's and their transposes) are too large to hold."""
     if b_mc < 2:
         raise ParameterError(f"b_mc must be >= 2, got {b_mc}")
     replicate_arrays(4, b_mc, n_times)
 
 
-def run_cell(design: DesignPoint, b_mc: int, rng: RngStream) -> dict[str, list | np.ndarray]:
+def run_cell(design: DesignPoint, b_mc: int, rng: RngStream, *,
+             srs: _Arm | None = None) -> dict[str, list | np.ndarray]:
     """Run one grid cell; returns its CSV columns by name, in CSV order,
-    one entry per evaluation time.  ``seed`` is ``rng.seed``."""
+    one entry per evaluation time.  ``seed`` is ``rng.seed``.  Both arms
+    are drawn from ``rng``, unless ``srs`` gives the SRS arm: ``run_grid``
+    passes every cell the arm it drew once for the cell's (n, p_cens)."""
     _check_replicates(b_mc, len(design.eval_levels))
     times = design.eval_times()
     # first, so that an eval time outside the inference window fails before
     # any replicate is drawn
     re_true = _true_columns(design, times)["re_true"]
 
-    *batch, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times)
-    # one contiguous row of replicates per time, so that each row reduces
-    # in the summation order of a 1-D array
-    s_rss, gw_rss, s_srs, gw_srs = (np.ascontiguousarray(a.T) for a in batch)
-    v_rss, v_srs = np.var(s_rss, axis=1, ddof=1), np.var(s_srs, axis=1, ddof=1)
-    m_gw_rss, m_gw_srs = np.mean(gw_rss, axis=1), np.mean(gw_srs, axis=1)
+    rss, srs, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times, srs)
     return _cell_columns(design, times, {
-        "mean_s_rss": np.mean(s_rss, axis=1),
-        "mean_s_srs": np.mean(s_srs, axis=1),
-        "v_rss_mc": v_rss,
-        "v_srs_mc": v_srs,
-        "mean_gw_rss": m_gw_rss,
-        "mean_gw_srs": m_gw_srs,
+        "mean_s_rss": rss.mean_s,
+        "mean_s_srs": srs.mean_s,
+        "v_rss_mc": rss.v_mc,
+        "v_srs_mc": srs.v_mc,
+        "mean_gw_rss": rss.mean_gw,
+        "mean_gw_srs": srs.mean_gw,
         "re_true": re_true,
-        "re_mc": _ratio(v_srs, v_rss),
-        "re_gw": _ratio(m_gw_srs, m_gw_rss),
+        "re_mc": _ratio(srs.v_mc, rss.v_mc),
+        "re_gw": _ratio(srs.mean_gw, rss.mean_gw),
         "b_mc": b_mc,
         "n_degenerate": n_deg,
         "seed": rng.seed,
@@ -243,12 +254,41 @@ def _share_models(models) -> None:
     _models_by_rho.update(models)
 
 
+def _design(cell, levels, models) -> DesignPoint:
+    """The design of a (k, m, rho, p_cens) cell, with the model of its rho
+    from ``models``."""
+    k, m, rho, p_cens = cell
+    return DesignPoint(models[rho], k, m, rho, p_cens, levels)
+
+
+def _srs_task(task, models=_models_by_rho):
+    """Draw the SRS arm of a task's cell from the cell's stream."""
+    rng, cell, levels, b_mc = task
+    design = _design(cell, levels, models)
+    return _simulate_arm(design, b_mc, rng.child(_PRIMARY), design.eval_times(), _SRS)
+
+
 def _cell_task(task, models=_models_by_rho):
-    """Run one cell; the task names its rho, whose model comes from
-    ``models``."""
-    rng, k, m, rho, p_cens, levels, b_mc = task
-    design = DesignPoint(models[rho], k, m, rho, p_cens, levels)
-    return run_cell(design, b_mc, rng)
+    """Run one cell on the SRS arm the task carries."""
+    rng, cell, levels, b_mc, srs = task
+    return run_cell(_design(cell, levels, models), b_mc, rng, srs=srs)
+
+
+def _run_tasks(map_tasks, config: HarnessConfig, cells):
+    """Every cell's columns, in grid order, each task run by
+    ``map_tasks(fn, tasks)``: first the SRS arm of each (n, p_cens), drawn
+    from the stream of its first cell in grid order, then the cells, each
+    with its arm."""
+    levels = tuple(config.levels)
+    streams = [RngStream(config.seed, idx) for idx in range(len(cells))]
+    first = {}
+    for idx, (k, m, _, p_cens) in enumerate(cells):
+        first.setdefault((k * m, p_cens), idx)
+    arms = dict(zip(first, map_tasks(
+        _srs_task, [(streams[idx], cells[idx], levels, config.b_mc) for idx in first.values()])))
+    return map_tasks(_cell_task, [
+        (stream, cell, levels, config.b_mc, arms[cell[0] * cell[1], cell[3]])
+        for stream, cell in zip(streams, cells)])
 
 
 def _fmt(x) -> str:
@@ -289,27 +329,24 @@ def run_grid(
     """Run every grid cell and write one CSV row per (cell, eval time).
 
     Output is byte-identical for the same (config, seed) regardless of
-    ``parallelism``: cells are computed from per-cell streams and written in
-    grid order.  At most one worker per cell is started; each receives the
-    calibrated models once, so a model builds its cached tables at most once
-    per worker.
+    ``parallelism``: each SRS arm and each cell is computed from its cell's
+    stream, and cells are written in grid order.  At most one worker per
+    cell is started; each receives the calibrated models once, so a model
+    builds its cached tables at most once per worker.
     """
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     # before any model is calibrated or a pool starts
     _check_replicates(config.b_mc, len(config.levels))
     cells, calibrated = _grid(config)
-    tasks = [
-        (RngStream(config.seed, idx), k, m, rho, p, tuple(config.levels), config.b_mc)
-        for idx, (k, m, rho, p) in enumerate(cells)
-    ]
 
-    workers = min(parallelism, len(tasks))
+    workers = min(parallelism, len(cells))
     if workers > 1:
         with multiprocessing.Pool(workers, _share_models, (calibrated,)) as pool:
-            results = pool.map(_cell_task, tasks, chunksize=1)
+            results = _run_tasks(functools.partial(pool.map, chunksize=1), config, cells)
     else:
-        results = [_cell_task(t, calibrated) for t in tasks]
+        results = _run_tasks(lambda fn, tasks: [fn(task, calibrated) for task in tasks],
+                             config, cells)
     _write_rows(output_path, results)
 
 
@@ -320,8 +357,8 @@ def run_kernels(config: HarnessConfig, output_path: str) -> None:
     before the file is opened, so an error leaves no file."""
     cells, calibrated = _grid(config)
     results = []
-    for k, m, rho, p in cells:
-        design = DesignPoint(calibrated[rho], k, m, rho, p, tuple(config.levels))
+    for cell in cells:
+        design = _design(cell, tuple(config.levels), calibrated)
         times = design.eval_times()
         results.append(_cell_columns(design, times, _true_columns(design, times)))
     _write_rows(output_path, results)

@@ -366,7 +366,9 @@ def calibrate_aft_concomitant(model: AftModel, rho_target: float) -> float:
     ceiling = aft_rho_ceiling(model)
     target = min(rho_target, ceiling * (1.0 - _SATURATION_MARGIN))
     s = model.log_sd
-    return s * math.sqrt((ceiling / target) ** 2 - 1.0)
+    ratio = _finite(f"(ceiling / rho)^2 in the AFT ranking-noise calibration "
+                    f"(rho = {rho_target:g})", lambda: (ceiling / target) ** 2)
+    return s * math.sqrt(ratio - 1.0)
 
 
 def dell_clutter_sigma(var_x: float, rho: float) -> float:
@@ -376,7 +378,8 @@ def dell_clutter_sigma(var_x: float, rho: float) -> float:
         raise ParameterError("var_x must be positive")
     if not 0.0 < rho <= 1.0:
         raise ParameterError(f"rho must be in (0,1], got {rho}")
-    return var_x * (rho**-2 - 1.0)
+    return _finite(f"rho^-2 in the Weibull ranking-noise variance (rho = {rho:g})",
+                   lambda: var_x * (rho**-2 - 1.0))
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,10 @@ draws its own judged slots (``draw_slots``), each slot from its exact law:
 at k > 1, perfect-ranking Weibull in closed form and every other model by
 inverting the slot's tabulated CDF.  One stream can yield a block of
 replicate samples (``draw_samples``); a single-sample draw is its first
-replicate, and a simple random sample of n is the k = 1, m = n draw.  A
-block can also be drawn from a ``StreamParts``, consecutive streams each
-with its own number of replicates: the block is then, bit for bit, the
-concatenation of the parts' own draws, so one fit can serve several
-streams' samples.
+replicate, and a simple random sample of n is the k = 1, m = n draw.  The
+simulation study draws each chunk of replicates of each arm from one
+stream of its own (see ``rsskm.harness``), so which replicates share a
+stream is part of its output.
 """
 
 from __future__ import annotations
@@ -46,51 +45,11 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class StreamParts:
-    """A stream made of consecutive parts, ``(RngStream, reps)`` pairs: a
-    block of replicates drawn from it takes its first ``reps`` replicates
-    from the first part's stream, the next from the second, and so on.
-
-    ``child`` addresses the same child of every part, and ``generator``
-    fills each requested block part by part, so each part's stream is
-    consumed exactly as a draw of its own ``reps`` replicates consumes it."""
-
-    parts: tuple[tuple[RngStream, int], ...]
-
-    def child(self, *ids: int) -> "StreamParts":
-        return StreamParts(tuple((stream.child(*ids), reps) for stream, reps in self.parts))
-
-    def generator(self) -> "_PartedGenerator":
-        return _PartedGenerator([(stream.generator(), reps) for stream, reps in self.parts])
-
-
-class _PartedGenerator:
-    """The generators of a ``StreamParts``.  Every draw method takes the
-    block shape as its last argument, replicates on the first axis, and
-    concatenates one slice per part drawn by that part's generator with the
-    same other arguments."""
-
-    def __init__(self, parts):
-        self._parts = parts
-
-    def __getattr__(self, name: str):
-        def draw(*args):
-            *params, size = args
-            if size[0] != sum(reps for _, reps in self._parts):
-                raise ValueError(f"block of {size[0]} replicates from parts of "
-                                 f"{[reps for _, reps in self._parts]}")
-            return np.concatenate([getattr(gen, name)(*params, (reps, *size[1:]))
-                                   for gen, reps in self._parts])
-        return draw
-
-
 # substream tags within one sample draw
 _LIFETIMES, _PROXIES, _CENSORING = 0, 1, 2
 
 
-def draw_samples(model, k: int, m: int, censoring, rng: RngStream | StreamParts,
-                 reps: int = 1):
+def draw_samples(model, k: int, m: int, censoring, rng: RngStream, reps: int = 1):
     """Draw ``reps`` balanced k x m ranked set samples from one stream.
 
     Per replicate and cycle, the model's ``draw_slots`` gives the lifetimes
@@ -107,11 +66,6 @@ def draw_samples(model, k: int, m: int, censoring, rng: RngStream | StreamParts,
     the lifetime substream and no proxies, and ``CensoringLaw("none")`` no
     censoring block: its units are all deaths, observed at their lifetimes.
     Returns ``(times, events)`` of shape ``(reps, k, m)``.
-
-    ``rng`` may be a ``StreamParts`` whose parts hold ``reps`` replicates in
-    all: each part's replicates are then drawn from its own substreams,
-    exactly as a draw of that part alone, while everything after the raw
-    variates (slot inversion, censoring, layout) runs once on the block.
     """
     if k < 1 or m < 1:
         raise EmptyDesignError(f"empty design: k={k}, m={m}")

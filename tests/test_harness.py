@@ -155,38 +155,41 @@ class TestPrepareModel:
 # _simulate_batch and run_cell
 
 
-def chunk_draws(design, n_reps, rng, chunk):
-    """(replicate index, RSS slice, SRS slice) of the block draws that
-    ``_simulate_batch`` makes in chunks of ``chunk`` replicates, each slice
-    as a (times, events) pair."""
-    k, m = design.k, design.m
+def arm_shape(design, arm):
+    """(k, m) of one arm's samples: k x m for the RSS arm, a set of one of
+    n = km units for the SRS arm."""
+    return (design.k, design.m) if arm == harness._RSS else (1, design.k * design.m)
+
+
+def arm_draws(design, n_reps, rng, arm):
+    """Per replicate, the (times, events) pair of one arm's draws: chunks of
+    max(1, 2^15 // (k m)) replicates, chunk c drawn by one ``draw_samples``
+    call from ``rng.child(c, arm)``."""
+    k, m = arm_shape(design, arm)
     censoring = censoring_for_fraction(design.model, design.p_cens)
+    chunk = max(1, 2**15 // (k * m))
     for c, start in enumerate(range(0, n_reps, chunk)):
-        size = min(chunk, n_reps - start)
-        rss = draw_samples(design.model, k, m, censoring, rng.child(c, 0), size)
-        srs = draw_samples(design.model, 1, k * m, censoring, rng.child(c, 1), size)
-        for i in range(size):
-            yield start + i, (rss[0][i], rss[1][i]), (srs[0][i], srs[1][i])
+        times, events = draw_samples(design.model, k, m, censoring, rng.child(c, arm),
+                                     min(chunk, n_reps - start))
+        yield from zip(times, events)
 
 
-def reference_batch(design, n_reps, times, samples):
-    """``_simulate_batch`` outputs from one kernel call per sample, for
-    ``samples`` yielding (replicate, RSS, SRS) with each sample a
-    (times, events) pair."""
-    out = np.zeros((4, n_reps, len(times)))
-    n_degenerate = np.zeros(len(times), dtype=int)
-    for i, rss, srs in samples:
-        rss_fit = SortedSample(*rss).product_limit()
-        srs_fit = SortedSample(*srs).product_limit()
-        out[:, i] = (rss_mean(rss_fit.survival_at(times)),
-                     rss_mean(rss_fit.greenwood_at(times), 2),
-                     srs_fit.survival_at(times)[0], srs_fit.greenwood_at(times)[0])
-        exhausted = min(rss_fit.exhausted_at.min(), srs_fit.exhausted_at.min())
-        n_degenerate += exhausted <= np.asarray(times)
-    return (*out, n_degenerate)
+def reference_arm(times, samples):
+    """``_fit_arm`` outputs from one kernel call per sample, for
+    ``samples`` yielding (times, events) pairs."""
+    samples = list(samples)
+    s, gw = np.zeros((2, len(samples), len(times)))
+    exhausted = np.zeros(len(samples))
+    for i, sample in enumerate(samples):
+        fit = SortedSample(*sample).product_limit()
+        s[i] = rss_mean(fit.survival_at(times))
+        gw[i] = rss_mean(fit.greenwood_at(times), 2)
+        exhausted[i] = fit.exhausted_at.min()
+    return s, gw, exhausted
 
 
 FOUR_LEVELS = (0.75, 0.5, 0.25, 0.1)
+ARMS = [pytest.param(harness._RSS, id="rss"), pytest.param(harness._SRS, id="srs")]
 
 
 def assert_batches_equal(got, want):
@@ -199,92 +202,80 @@ class TestSimulateBatch:
     # k >= 8: a pairwise rank sum would differ from the rank-order one
     JUDGED_WEIBULL = DesignPoint(prepare_model(EXP, 0.9), 9, 7, 0.9, 0.3, FOUR_LEVELS)
 
-    def test_one_replicate_chunks_reproduce_per_replicate_draws(self, monkeypatch):
-        # replicate i drawn on its own from rng.child(i, 0) and rng.child(i, 1)
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_one_replicate_chunks_reproduce_per_replicate_draws(self, monkeypatch, arm):
+        # replicate i drawn on its own from rng.child(i, arm)
         monkeypatch.setattr(harness, "_BUDGET", 1)
         design, n_reps, rng = self.JUDGED_AFT, 25, RngStream(3, 1)
         times = eval_times(design)
         censoring = censoring_for_fraction(design.model, design.p_cens)
+        k, m = arm_shape(design, arm)
+        samples = [draw_balanced_rss(design.model, k, m, censoring, rng.child(i, arm))
+                   for i in range(n_reps)]
+        got = harness._fit_arm(design, n_reps, rng, times, arm)
+        assert_batches_equal(got, reference_arm(times, [(s.times, s.events) for s in samples]))
 
-        def per_replicate():
-            for i in range(n_reps):
-                rss = draw_balanced_rss(design.model, 3, 5, censoring, rng.child(i, 0))
-                srs = draw_balanced_rss(design.model, 1, 15, censoring, rng.child(i, 1))
-                yield i, (rss.times, rss.events), (srs.times, srs.events)
-
-        got = harness._simulate_batch(design, n_reps, rng, times)
-        assert_batches_equal(got, reference_batch(design, n_reps, times, per_replicate()))
-
-    # 5 chunks + 7 at k = 9: a full block of 4 chunks, then a block of one
-    # full chunk and a partial one
+    # both arms of a cell hold chunks of 2^15 // 63 replicates at n = 63,
+    # whichever sampler draws them
     @pytest.mark.parametrize("b_mc", [lambda chunk: 2, lambda chunk: chunk + 1,
-                                      lambda chunk: 2 * chunk + 43,
-                                      lambda chunk: 5 * chunk + 7],
-                             ids=["two", "chunk-plus-one", "non-multiple", "two-blocks"])
-    @pytest.mark.parametrize("times", [None, [0.5]], ids=["four-times", "one-time"])
-    def test_chunks_match_one_kernel_call_per_slice(self, b_mc, times):
-        design, rng = self.JUDGED_WEIBULL, RngStream(6, 2)
-        chunk = harness._BUDGET // (7 * 9 * 4)
+                                      lambda chunk: 2 * chunk + 43],
+                             ids=["two", "chunk-plus-one", "non-multiple"])
+    @pytest.mark.parametrize("arm", ARMS)
+    @pytest.mark.parametrize("design, times", [
+        (JUDGED_WEIBULL, None),
+        (JUDGED_WEIBULL, [0.5]),
+        (DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3, FOUR_LEVELS), None),
+        (DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3, FOUR_LEVELS), None),
+    ], ids=["judged-weibull", "judged-weibull-one-time", "aft", "perfect-weibull"])
+    def test_chunks_match_one_kernel_call_per_replicate(self, design, times, arm, b_mc):
+        rng = RngStream(6, 2)
+        chunk = harness._BUDGET // (7 * 9)
         assert chunk > 2
         n_reps = b_mc(chunk)
         if times is None:
             times = eval_times(design)
-        got = harness._simulate_batch(design, n_reps, rng, times)
-        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
-        assert_batches_equal(got, want)
+        got = harness._fit_arm(design, n_reps, rng, times, arm)
+        assert_batches_equal(got, reference_arm(times, arm_draws(design, n_reps, rng, arm)))
         assert got[0].shape == (n_reps, len(times))
 
-    @pytest.mark.parametrize("b_mc", [lambda chunk: chunk + 1, lambda chunk: 2 * chunk + 43,
-                                      lambda chunk: 5 * chunk + 7],
-                             ids=["chunk-plus-one", "non-multiple", "two-blocks"])
-    @pytest.mark.parametrize("design", [
-        DesignPoint(prepare_model(AftModel(), 0.5), 9, 7, 0.5, 0.3, FOUR_LEVELS),
-        DesignPoint(prepare_model(EXP, 1.0), 9, 7, 1.0, 0.3, FOUR_LEVELS),
-    ], ids=["aft", "perfect-weibull"])
-    def test_slot_law_chunks_hold_budget_over_m_k_4(self, design, b_mc):
-        # samplers that draw each slot from its law size chunks by
-        # m * k * min(k, 4), not by the m * k * k of a candidate set
-        rng = RngStream(6, 3)
-        chunk = harness._BUDGET // (7 * 9 * 4)
-        n_reps = b_mc(chunk)
-        times = eval_times(design)
-        got = harness._simulate_batch(design, n_reps, rng, times)
-        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
-        assert_batches_equal(got, want)
-
-
-    @pytest.mark.parametrize("design", [
-        DesignPoint(prepare_model(AftModel(), 0.5), 2, 200, 0.5, 0.3, FOUR_LEVELS),
-        DesignPoint(prepare_model(EXP, 0.9), 3, 100, 0.9, 0.3, FOUR_LEVELS),
-    ], ids=["aft-k2", "weibull-k3"])
-    def test_blocks_of_k_chunks_below_four(self, design):
-        # blocks of 2 (k = 2) and 3 (k = 3) chunks; 5 chunks + 7 end in a
-        # block whose last chunk is partial
-        k, m = design.k, design.m
-        chunk = harness._BUDGET // (m * k * k)
-        n_reps, rng = 5 * chunk + 7, RngStream(6, 4)
-        times = eval_times(design)
-        got = harness._simulate_batch(design, n_reps, rng, times)
-        want = reference_batch(design, n_reps, times, chunk_draws(design, n_reps, rng, chunk))
-        assert_batches_equal(got, want)
-
-    def test_blocks_draw_each_chunk_from_its_streams(self, monkeypatch):
-        # a block of 4 chunks draws each arm once, from the 4 chunks' streams
+    @pytest.mark.parametrize("given", [False, True], ids=["both-arms", "given-srs-arm"])
+    def test_each_chunk_is_one_draw_of_its_stream(self, monkeypatch, given):
+        # 2 chunks + 43 per arm; a given SRS arm is read, not drawn
         design, rng = self.JUDGED_WEIBULL, RngStream(6, 5)
-        chunk = harness._BUDGET // (7 * 9 * 4)
+        chunk = harness._BUDGET // (7 * 9)
+        n_reps = 2 * chunk + 43
+        srs = harness._simulate_arm(design, n_reps, rng, [0.5], harness._SRS) if given else None
         calls = []
 
-        def recording(model, k, m, censoring, streams, reps):
-            calls.append((k, streams.parts, reps))
-            return draw_samples(model, k, m, censoring, streams, reps)
+        def recording(model, k, m, censoring, stream, reps):
+            calls.append((k, m, stream, reps))
+            return draw_samples(model, k, m, censoring, stream, reps)
 
         monkeypatch.setattr(harness, "draw_samples", recording)
-        harness._simulate_batch(design, 5 * chunk + 7, rng, [0.5])
-        sizes = [[chunk] * 4, [chunk, 7]]
-        assert calls == [
-            (k, tuple((rng.child(first + i, arm), size) for i, size in enumerate(block)),
-             sum(block))
-            for first, block in zip((0, 4), sizes) for k, arm in ((9, 0), (1, 1))]
+        harness._simulate_batch(design, n_reps, rng, [0.5], srs)
+        arms = [(9, 7, harness._RSS)] + ([] if given else [(1, 63, harness._SRS)])
+        assert calls == [(k, m, rng.child(c, arm), size) for k, m, arm in arms
+                         for c, size in enumerate([chunk, chunk, 43])]
+
+    def test_arms_pair_by_replicate(self):
+        # the paired batch reduces each arm's replicates in replicate order,
+        # and n_degenerate counts the replicates where either arm's curve
+        # is exhausted at or before each time
+        design, rng = DesignPoint(EXP, 2, 3, 1.0, 0.0, FOUR_LEVELS), RngStream(6, 6)
+        times = eval_times(design)
+        n_reps = 2**15 // 6 + 9
+        rss, srs, n_degenerate = harness._simulate_batch(design, n_reps, rng, times)
+        arms = [harness._fit_arm(design, n_reps, rng, times, arm)
+                for arm in (harness._RSS, harness._SRS)]
+        for got, (s, gw, exhausted) in zip((rss, srs), arms):
+            np.testing.assert_array_equal(got.exhausted, exhausted, strict=True)
+            for j in range(len(times)):
+                assert got.mean_s[j] == np.mean(s[:, j])
+                assert got.v_mc[j] == np.var(s[:, j], ddof=1)
+                assert got.mean_gw[j] == np.mean(gw[:, j])
+        either = np.minimum(arms[0][2], arms[1][2])
+        want = [np.sum(either <= t) for t in times]
+        assert list(n_degenerate) == want and 0 < want[0] < want[-1] < n_reps
 
 
 class TestRunCell:
@@ -313,8 +304,9 @@ class TestRunCell:
         design = DesignPoint(prepare_model(AftModel(), 0.5), 3, 5, 0.5, 0.3, FOUR_LEVELS)
         rng = RngStream(7, 2)
         columns = run_cell(design, 300, rng)
-        s_rss, gw_rss, s_srs, gw_srs, _ = harness._simulate_batch(
-            design, 300, rng.child(harness._PRIMARY), eval_times(design))
+        (s_rss, gw_rss, _), (s_srs, gw_srs, _) = (
+            harness._fit_arm(design, 300, rng.child(harness._PRIMARY), eval_times(design), arm)
+            for arm in (harness._RSS, harness._SRS))
         for name, reps, reduce in [
             ("mean_s_rss", s_rss, np.mean), ("mean_s_srs", s_srs, np.mean),
             ("mean_gw_rss", gw_rss, np.mean), ("mean_gw_srs", gw_srs, np.mean),
@@ -349,7 +341,7 @@ class TestRunCell:
 
     def test_judged_law_is_tabulated_once_per_cell(self, monkeypatch):
         # re_true reads one k = 1 table for the SRS kernel and one judged
-        # table at the cell's times, then every block of the sampler reads
+        # table at the cell's times, then every chunk of the sampler reads
         # one judged-rank table at no times
         models._cached_judged_law.cache_clear()
         calls = []
@@ -361,7 +353,7 @@ class TestRunCell:
 
         monkeypatch.setattr(models, "_tabulate_judged_law", counting)
         design = DesignPoint(prepare_model(WeibullModel(1.5), 0.7), 10, 5, 0.7, 0.3, (0.75, 0.5))
-        run_cell(design, 3 * harness._BUDGET // (5 * 10 * 4), RngStream(1))
+        run_cell(design, 3 * harness._BUDGET // (5 * 10), RngStream(1))
         assert calls == [(1, 2), (10, 2), (10, 0)]
 
     def test_weibull_re_true_uses_analytic_kernels(self):
@@ -374,8 +366,8 @@ class TestRunCell:
 
     def test_n_degenerate_counts_replicates_per_time(self):
         # m=3 exhausts risk sets often; the reference refits every curve of
-        # every replicate slice of the same block draws (primary branch 0,
-        # chunk c, RSS 0 / SRS 1)
+        # every replicate of the same chunk draws (primary branch 0, chunk
+        # c, RSS 0 / SRS 1)
         design = DesignPoint(EXP, 2, 3, 1.0, 0.0, (0.75, 0.5, 0.25, 0.1))
         b_mc = 200
         columns = run_cell(design, b_mc, RngStream(4, 0))
@@ -385,8 +377,9 @@ class TestRunCell:
         assert np.all(np.diff(by_time) >= 0)
 
         total = 0
-        chunk = harness._BUDGET // (3 * 2 * 2)
-        for _, rss, srs in chunk_draws(design, b_mc, RngStream(4, 0).child(0), chunk):
+        rng = RngStream(4, 0).child(0)
+        for rss, srs in zip(arm_draws(design, b_mc, rng, harness._RSS),
+                            arm_draws(design, b_mc, rng, harness._SRS), strict=True):
             curves = [SortedSample(t[None], e[None]).product_limit() for t, e in zip(*rss)]
             curves.append(SortedSample(*srs).product_limit())
             # unweighted S-hat is 0 exactly where the whole risk set died
@@ -448,13 +441,14 @@ class TestRunGrid:
             assert row["seed"] == "11"
 
     def test_byte_identical_across_jobs(self, tmp_path):
+        # cells that share an SRS arm run in different workers
         cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
         outs = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             out = tmp_path / f"grid{jobs}.csv"
             run_grid(cfg, str(out), parallelism=jobs)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("grid, jobs, processes", [
         ("k = 1, 2\nrho = 0.5, 1.0\np_cens = 0, 0.3\n", 3, 3),  # 8 cells
@@ -492,6 +486,55 @@ class TestRunGrid:
         assert asked == ([] if processes is None else [processes])
         assert out.read_bytes() == serial.read_bytes()
 
+    # (k, m) = (2, 6) and (3, 4) share n = 12, so 16 cells hold 6 SRS arms,
+    # each drawn from the first of its cells: cell index
+    # ((k_i * 2 + m_i) * 2 + rho_i) * 2 + p_cens_i
+    SHARED_ARMS = ("model = weibull\nk = 2, 3\nm = 4, 6\nrho = 0.5, 1.0\np_cens = 0, 0.3\n"
+                   "levels = 0.75, 0.5\nb_mc = 30\nseed = 5\n")
+    FIRST_OF_ARM = {(8, "0"): 0, (8, "0.3"): 1, (12, "0"): 4, (12, "0.3"): 5,
+                    (18, "0"): 12, (18, "0.3"): 13}
+
+    def test_srs_columns_are_shared_by_n_and_p_cens(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        run_grid(parse_config(write_config(tmp_path, self.SHARED_ARMS)), str(out))
+        groups = {}
+        for row in read_rows(out):
+            groups.setdefault((int(row["n"]), row["p_cens"], row["level"]), []).append(row)
+        assert {(n, p) for n, p, _ in groups} == set(self.FIRST_OF_ARM)
+        for rows in groups.values():
+            assert len(rows) == (4 if rows[0]["n"] == "12" else 2)
+            assert len({(r["mean_s_srs"], r["v_srs_mc"], r["mean_gw_srs"]) for r in rows}) == 1
+            # the RSS arms are each cell's own
+            assert len({r["v_rss_mc"] for r in rows}) == len(rows)
+
+    def test_draws_srs_samples_once_per_n_and_p_cens(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(model, k, m, censoring, stream, reps):
+            calls.append((k, m, stream, reps))
+            return draw_samples(model, k, m, censoring, stream, reps)
+
+        monkeypatch.setattr(harness, "draw_samples", recording)
+        run_grid(parse_config(write_config(tmp_path, self.SHARED_ARMS)), str(tmp_path / "g.csv"))
+        assert [call for call in calls if call[0] == 1] == [
+            (1, n, RngStream(5, idx).child(0, 0, 1), 30)
+            for (n, _), idx in self.FIRST_OF_ARM.items()]
+        assert len(calls) == 16 + 6
+
+    def test_run_cell_reproduces_the_rows_of_the_first_cell_of_each_arm(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, self.SHARED_ARMS))
+        out = tmp_path / "grid.csv"
+        run_grid(cfg, str(out))
+        lines = out.read_text().splitlines()[2:]
+        cells, calibrated = harness._grid(cfg)
+        for idx, (k, m, rho, p_cens) in enumerate(cells):
+            design = DesignPoint(calibrated[rho], k, m, rho, p_cens, tuple(cfg.levels))
+            columns = run_cell(design, cfg.b_mc, RngStream(cfg.seed, idx))
+            alone = [",".join(map(harness._fmt, row)) for row in zip(*columns.values())]
+            # a later cell of an arm draws its own SRS arm when run alone
+            first = idx in self.FIRST_OF_ARM.values()
+            assert (alone == lines[2 * idx:2 * idx + 2]) == first
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -517,17 +560,17 @@ class TestRunGrid:
             "weibull,1,3,3,0.5,0.3,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,1.73205",
             "weibull,1,3,3,0.5,0.3,0.5,0.693147,0.508333,0.466667,0.0949561,0.142105,0.0594907,0.0421296,1,1.49654,0.708171,20,7,2,1.73205",
             "weibull,1,3,3,1,0,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,0",
-            "weibull,1,3,3,1,0,0.5,0.693147,0.466667,0.35,0.0748538,0.0640351,0.0592593,0.0555556,1,0.855469,0.9375,20,7,2,0",
+            "weibull,1,3,3,1,0,0.5,0.693147,0.466667,0.466667,0.0748538,0.0865497,0.0592593,0.0555556,1,1.15625,0.9375,20,6,2,0",
             "weibull,1,3,3,1,0.3,0.999,0.0010005,1,1,0,0,0,0,1,nan,nan,20,0,2,0",
-            "weibull,1,3,3,1,0.3,0.5,0.693147,0.533333,0.491667,0.130409,0.0627924,0.0458333,0.0655093,1,0.481502,1.42929,20,6,2,0",
+            "weibull,1,3,3,1,0.3,0.5,0.693147,0.533333,0.466667,0.130409,0.142105,0.0458333,0.0421296,1,1.08969,0.919192,20,8,2,0",
             "weibull,3,3,9,0.5,0,0.999,0.0010005,0.994444,1,0.000617284,0,0.000411523,0,1.00012,0,0,20,0,2,1.73205",
             "weibull,3,3,9,0.5,0,0.5,0.693147,0.516667,0.483333,0.0341455,0.0276478,0.01893,0.0248285,1.06213,0.809705,1.31159,20,5,2,1.73205",
             "weibull,3,3,9,0.5,0.3,0.999,0.0010005,1,1,0,0,0,0,1.00012,nan,nan,20,0,2,1.73205",
             "weibull,3,3,9,0.5,0.3,0.5,0.693147,0.480556,0.451195,0.0351771,0.0275337,0.0145833,0.031553,1.05905,0.782718,2.16364,20,11,2,1.73205",
             "weibull,3,3,9,1,0,0.999,0.0010005,1,1,0,0,0,0,1.002,nan,nan,20,0,2,0",
-            "weibull,3,3,9,1,0,0.5,0.693147,0.494444,0.438889,0.0110136,0.0318064,0.0111111,0.0240055,1.6,2.88791,2.16049,20,14,2,0",
+            "weibull,3,3,9,1,0,0.5,0.693147,0.494444,0.483333,0.0110136,0.0276478,0.0111111,0.0248285,1.6,2.51032,2.23457,20,14,2,0",
             "weibull,3,3,9,1,0.3,0.999,0.0010005,1,1,0,0,0,0,1.002,nan,nan,20,0,2,0",
-            "weibull,3,3,9,1,0.3,0.5,0.693147,0.447222,0.544196,0.018348,0.028946,0.00882202,0.0284065,1.54749,1.57762,3.21996,20,18,2,0",
+            "weibull,3,3,9,1,0.3,0.5,0.693147,0.447222,0.451195,0.018348,0.0275337,0.00882202,0.031553,1.54749,1.50064,3.57662,20,18,2,0",
         ]),
         ("model = aft\nk = 3\nrho = 0.5\np_cens = 0.3\n", [
             "aft,3,3,9,0.5,0.3,0.999,0.00825174,1,1,0,0,0,0,1.00199,nan,nan,20,0,2,0.402458",
@@ -548,20 +591,19 @@ class TestRunGrid:
 
 
     def test_output_bytes_across_chunks_and_blocks(self, tmp_path):
-        # k = 10, m = 50: chunks of 16 replicates, blocks of 4 chunks, so
-        # b_mc = 200 runs 13 chunks in 4 blocks, the last a partial chunk;
-        # recorded when every chunk was drawn and fitted on its own
+        # k = 10, m = 50: chunks of 65 replicates, so b_mc = 200 runs 4
+        # chunks, the last a partial chunk of 5
         cfg = write_config(tmp_path, "model = aft\nk = 10\nm = 50\nrho = 0.5\n"
                            "p_cens = 0, 0.3\nlevels = 0.75, 0.5, 0.25\nb_mc = 200\nseed = 2\n")
         out = tmp_path / "grid.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes().decode().split("\n")[2:] == [
-            "aft,10,50,500,0.5,0,0.75,0.350958,0.74995,0.75012,0.000179837,0.000362759,0.000169944,0.000374158,2.16177,2.01716,2.20166,200,1,2,0.402458",
-            "aft,10,50,500,0.5,0,0.5,1,0.50055,0.49914,0.000173987,0.00045594,0.000200784,0.000499091,2.41276,2.62053,2.48572,200,182,2,0.402458",
-            "aft,10,50,500,0.5,0,0.25,2.84935,0.25028,0.24971,0.000181268,0.000350167,0.000171363,0.000374013,2.16177,1.93176,2.18257,200,200,2,0.402458",
-            "aft,10,50,500,0.5,0.3,0.75,0.350958,0.748189,0.749845,0.000210578,0.000386477,0.000175295,0.000382154,2.14834,1.83532,2.18007,200,3,2,0.402458",
-            "aft,10,50,500,0.5,0.3,0.5,1,0.498723,0.499692,0.000213552,0.000609432,0.000217979,0.000527217,2.36131,2.85378,2.41865,200,181,2,0.402458",
-            "aft,10,50,500,0.5,0.3,0.25,2.84935,0.251563,0.249246,0.000247329,0.00047958,0.000211284,0.000438875,2.04314,1.93903,2.07718,200,200,2,0.402458",
+            "aft,10,50,500,0.5,0,0.75,0.350958,0.75099,0.74977,0.000160322,0.000336208,0.000169496,0.000374561,2.16177,2.09709,2.20985,200,1,2,0.402458",
+            "aft,10,50,500,0.5,0,0.5,1,0.50125,0.50006,0.000167053,0.000469383,0.000202187,0.000499066,2.41276,2.80979,2.46834,200,174,2,0.402458",
+            "aft,10,50,500,0.5,0,0.25,2.84935,0.25126,0.24721,0.000178505,0.000379212,0.000167197,0.00037144,2.16177,2.12438,2.22157,200,200,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.75,0.350958,0.750072,0.750927,0.000222632,0.000387576,0.00017273,0.000381023,2.14834,1.74088,2.20589,200,6,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.5,1,0.499259,0.501295,0.000213048,0.000608766,0.000218506,0.000526853,2.36131,2.85742,2.41116,200,173,2,0.402458",
+            "aft,10,50,500,0.5,0.3,0.25,2.84935,0.25008,0.250588,0.000236694,0.000524256,0.000210135,0.000438968,2.04314,2.21491,2.08898,200,200,2,0.402458",
             "",
         ]
 
@@ -827,9 +869,22 @@ class TestCli:
         ("simulate", "mu = 800\nlevels = 0.75\n", "quantile at survival level 0.75"),
         ("simulate", "mu = 700\nbeta = 10\nsigma_eps = 0\np_cens = 0.3\nlevels = 0.75\n",
          "AFT mean lifetime"),
+        # a rho in (0, 1] so small that its ranking noise overflows
+        *[(command, f"model = {model}\nrho = 0.5, {rho}\nlevels = 0.5\n", quantity)
+          for command in ("simulate", "kernels") for rho in ("1e-300", "1e-160")
+          for model, quantity in (
+              ("aft", f"(ceiling / rho)^2 in the AFT ranking-noise calibration (rho = {rho})"),
+              ("weibull", f"rho^-2 in the Weibull ranking-noise variance (rho = {rho})"))],
     ], ids=["weibull-quantile", "weibull-variance", "aft-ceiling-600", "aft-ceiling-40",
-            "aft-quantile", "aft-mean-lifetime"])
-    def test_overflowing_model_is_reported(self, tmp_path, capsys, command, text, quantity):
+            "aft-quantile", "aft-mean-lifetime",
+            *[f"{command}-{model}-rho-{rho}" for command in ("simulate", "kernels")
+              for rho in ("1e-300", "1e-160") for model in ("aft", "weibull")]])
+    def test_overflowing_model_is_reported(self, tmp_path, capsys, monkeypatch, command, text,
+                                           quantity):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
         out = tmp_path / "out.csv"
         base = "model = aft\nk = 2\nm = 5\nrho = 0.5\np_cens = 0\nb_mc = 5\n"
         cfg = write_config(tmp_path, base + text)

@@ -18,7 +18,7 @@ from rsskm.models import (
     judged_rank_survival,
 )
 from rsskm import models
-from rsskm.sampling import StreamParts, draw_samples
+from rsskm.sampling import draw_samples
 from oracles import judged_slot_scores, order_statistic_survival
 
 EXP = WeibullModel()
@@ -239,59 +239,6 @@ class TestDrawSamples:
         np.testing.assert_array_equal(times[0], one.times)
         np.testing.assert_array_equal(events[0], one.events)
         assert not np.array_equal(times[1], times[0])
-
-
-# (model, k): sets of one, judged AFT and Weibull, perfect-ranking Weibull,
-# and the candidate-set oracles, which draw standard_normal and weibull
-# blocks of (reps, m, k, k)
-PARTED_DRAWS = [
-    pytest.param(prepare_model(AftModel(), 0.5), 1, id="aft-k1"),
-    pytest.param(WeibullModel(1.5, 1.5), 1, id="weibull-k1"),
-    pytest.param(prepare_model(AftModel(), 0.5), 4, id="judged-aft"),
-    pytest.param(prepare_model(WeibullModel(1.5, 1.5), 0.7), 3, id="judged-weibull"),
-    pytest.param(WeibullModel(1.5, 1.5), 4, id="perfect-weibull"),
-    pytest.param(CandidateSetAft(prepare_model(AftModel(), 0.5)), 3, id="candidate-aft"),
-    pytest.param(CandidateSetWeibull(1.5, 1.5, 0.5), 3, id="candidate-weibull"),
-]
-
-
-class TestStreamParts:
-    """A block drawn from consecutive stream parts is, bit for bit, the
-    concatenation of each part's own draw."""
-
-    PARTS = StreamParts(((RngStream(5).child(0, 0), 3), (RngStream(5).child(1, 0), 1),
-                         (RngStream(5).child(2, 0), 5)))
-
-    @pytest.mark.parametrize("p_cens", [0.0, 0.3], ids=["no-censoring", "censored"])
-    @pytest.mark.parametrize("model, k", PARTED_DRAWS)
-    def test_block_is_the_parts_draws(self, model, k, p_cens):
-        law = censoring_for_fraction(model, p_cens)
-        assert law.kind == ("none" if p_cens == 0 else "weibull-scale")
-        times, events = draw_samples(model, k, 6, law, self.PARTS, 9)
-        alone = [draw_samples(model, k, 6, law, stream, reps)
-                 for stream, reps in self.PARTS.parts]
-        want = np.concatenate([t for t, _ in alone])
-        assert times.shape == (9, k, 6)
-        np.testing.assert_array_equal(times.view(np.uint64), want.view(np.uint64), strict=True)
-        np.testing.assert_array_equal(events, np.concatenate([e for _, e in alone]),
-                                      strict=True)
-
-    def test_generator_draws_each_part_in_sequence(self):
-        # several draws from one generator consume each part's generator as
-        # the same draws of the part's replicates alone do
-        gen = self.PARTS.generator()
-        got = gen.standard_normal((9, 2)), gen.weibull(1.5, (9, 3)), gen.random((9,))
-        start = 0
-        for stream, reps in self.PARTS.parts:
-            own = stream.generator()
-            want = own.standard_normal((reps, 2)), own.weibull(1.5, (reps, 3)), own.random(reps)
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a[start:start + reps], b, strict=True)
-            start += reps
-
-    def test_block_must_hold_the_parts_replicates(self):
-        with pytest.raises(ValueError, match="block of 8 replicates"):
-            self.PARTS.generator().random((8, 2))
 
 
 class TestAftSlotLaw:
