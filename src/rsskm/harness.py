@@ -12,7 +12,10 @@ CSV column in CSV order, each holding one value per evaluation time.  That
 dict is the one definition of the columns: ``run_grid`` writes the header
 from its names and each row from its values, floats to 6 significant
 digits.  ``run_kernels`` writes the same rows with the analytic columns
-in place of the Monte-Carlo ones, from the same code.
+in place of the Monte-Carlo ones, from the same code.  Both run a grid as
+its list of ``DesignPoint``s, one per cell, each holding the model of its
+rho calibrated once; a pool task carries its cell's design, and a worker
+builds each model's tables once, since ``models`` caches them by value.
 
 Determinism contract: per-cell stream = (master seed, cell index).  Each
 arm's replicates run in chunks of max(1, _BUDGET // (k * m)) replicates, a
@@ -207,7 +210,7 @@ def _check_replicates(b_mc: int, n_times: int) -> None:
     replicate_arrays(4, b_mc, n_times)
 
 
-def run_cell(design: DesignPoint, b_mc: int, rng: RngStream, *,
+def run_cell(design: DesignPoint, b_mc: int, rng: RngStream,
              srs: _Arm | None = None) -> dict[str, list | np.ndarray]:
     """Run one grid cell; returns its CSV columns by name, in CSV order,
     one entry per evaluation time.  ``seed`` is ``rng.seed``.  Both arms
@@ -246,49 +249,25 @@ def _base_model(cfg: HarnessConfig) -> SuperpopulationModel:
     return WeibullModel(cfg.nu, cfg.theta1)
 
 
-# a grid run's calibrated models by rho, set once in each pool worker
-_models_by_rho: dict = {}
-
-
-def _share_models(models) -> None:
-    _models_by_rho.update(models)
-
-
-def _design(cell, levels, models) -> DesignPoint:
-    """The design of a (k, m, rho, p_cens) cell, with the model of its rho
-    from ``models``."""
-    k, m, rho, p_cens = cell
-    return DesignPoint(models[rho], k, m, rho, p_cens, levels)
-
-
-def _srs_task(task, models=_models_by_rho):
-    """Draw the SRS arm of a task's cell from the cell's stream."""
-    rng, cell, levels, b_mc = task
-    design = _design(cell, levels, models)
+def _srs_task(design: DesignPoint, b_mc: int, rng: RngStream) -> _Arm:
+    """Draw the SRS arm of a cell from the cell's stream."""
     return _simulate_arm(design, b_mc, rng.child(_PRIMARY), design.eval_times(), _SRS)
 
 
-def _cell_task(task, models=_models_by_rho):
-    """Run one cell on the SRS arm the task carries."""
-    rng, cell, levels, b_mc, srs = task
-    return run_cell(_design(cell, levels, models), b_mc, rng, srs=srs)
-
-
-def _run_tasks(map_tasks, config: HarnessConfig, cells):
-    """Every cell's columns, in grid order, each task run by
+def _run_tasks(map_tasks, config: HarnessConfig, designs):
+    """Every cell's columns, in grid order, each task's arguments run by
     ``map_tasks(fn, tasks)``: first the SRS arm of each (n, p_cens), drawn
     from the stream of its first cell in grid order, then the cells, each
     with its arm."""
-    levels = tuple(config.levels)
-    streams = [RngStream(config.seed, idx) for idx in range(len(cells))]
+    streams = [RngStream(config.seed, idx) for idx in range(len(designs))]
     first = {}
-    for idx, (k, m, _, p_cens) in enumerate(cells):
-        first.setdefault((k * m, p_cens), idx)
+    for idx, design in enumerate(designs):
+        first.setdefault((design.k * design.m, design.p_cens), idx)
     arms = dict(zip(first, map_tasks(
-        _srs_task, [(streams[idx], cells[idx], levels, config.b_mc) for idx in first.values()])))
-    return map_tasks(_cell_task, [
-        (stream, cell, levels, config.b_mc, arms[cell[0] * cell[1], cell[3]])
-        for stream, cell in zip(streams, cells)])
+        _srs_task, [(designs[idx], config.b_mc, streams[idx]) for idx in first.values()])))
+    return map_tasks(run_cell, [
+        (design, config.b_mc, stream, arms[design.k * design.m, design.p_cens])
+        for design, stream in zip(designs, streams)])
 
 
 def _fmt(x) -> str:
@@ -297,14 +276,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _grid(config: HarnessConfig):
-    """The grid's (k, m, rho, p_cens) cells in CSV row order, and its
-    models calibrated by rho."""
+def _grid(config: HarnessConfig) -> list[DesignPoint]:
+    """The grid's cells in CSV row order, the model of each rho calibrated
+    once."""
     if not all([config.k, config.m, config.rho, config.p_cens]):
         raise ParameterError("empty grid: k, m, rho and p_cens each need at least one value")
     base = _base_model(config)
     calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
-    return list(itertools.product(config.k, config.m, config.rho, config.p_cens)), calibrated
+    levels = tuple(config.levels)
+    return [DesignPoint(calibrated[rho], k, m, rho, p_cens, levels) for k, m, rho, p_cens
+            in itertools.product(config.k, config.m, config.rho, config.p_cens)]
 
 
 def _write_rows(output_path: str, results) -> None:
@@ -331,22 +312,21 @@ def run_grid(
     Output is byte-identical for the same (config, seed) regardless of
     ``parallelism``: each SRS arm and each cell is computed from its cell's
     stream, and cells are written in grid order.  At most one worker per
-    cell is started; each receives the calibrated models once, so a model
-    builds its cached tables at most once per worker.
+    cell is started, and each task carries its cell's design; a worker
+    builds a model's tables once, as ``models`` caches them by model value.
     """
     if parallelism < 1:
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     # before any model is calibrated or a pool starts
     _check_replicates(config.b_mc, len(config.levels))
-    cells, calibrated = _grid(config)
+    designs = _grid(config)
 
-    workers = min(parallelism, len(cells))
+    workers = min(parallelism, len(designs))
     if workers > 1:
-        with multiprocessing.Pool(workers, _share_models, (calibrated,)) as pool:
-            results = _run_tasks(functools.partial(pool.map, chunksize=1), config, cells)
+        with multiprocessing.Pool(workers) as pool:
+            results = _run_tasks(functools.partial(pool.starmap, chunksize=1), config, designs)
     else:
-        results = _run_tasks(lambda fn, tasks: [fn(task, calibrated) for task in tasks],
-                             config, cells)
+        results = _run_tasks(lambda fn, tasks: [fn(*task) for task in tasks], config, designs)
     _write_rows(output_path, results)
 
 
@@ -355,10 +335,8 @@ def run_kernels(config: HarnessConfig, output_path: str) -> None:
     columns, the analytic columns and ``rank_noise_sd`` alone; no random
     draws, so ``b_mc`` and ``seed`` are not used.  Every row is computed
     before the file is opened, so an error leaves no file."""
-    cells, calibrated = _grid(config)
     results = []
-    for cell in cells:
-        design = _design(cell, tuple(config.levels), calibrated)
+    for design in _grid(config):
         times = design.eval_times()
         results.append(_cell_columns(design, times, _true_columns(design, times)))
     _write_rows(output_path, results)

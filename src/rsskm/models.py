@@ -15,10 +15,12 @@ measured in the judged slots of a ranked set sample (``draw_slots``).  The
 exact law of those units (``judged_rank_survival``) feeds the one asymptotic
 KM variance kernel, ``asymptotic_km_variance``: the population law at set
 size k = 1 (SRS), the rank-averaged judged law at k > 1 (RSS).  That law is
-tabulated once per (model, set size, eval times) (``_judged_law``); the
-kernel reads the table at its times, and at k > 1 the samplers invert each
-slot's CDF in the table at no times (``_judged_slots``).  Perfect-ranking
-Weibull alone draws its slots in closed form, as order statistics.
+tabulated once per (model, set size, eval times) (``_judged_law``) and a
+judged Weibull model's score CDF once per model (``_score_cdf``), both
+cached by model value, so equal models share the tables; the kernel reads
+the law at its times, and at k > 1 the samplers invert each slot's CDF in
+the law at no times (``_judged_slots``).  Perfect-ranking Weibull alone
+draws its slots in closed form, as order statistics.
 
 The standard normal comes from ``scipy.special`` (``ndtr``, ``ndtri``), in
 the forms ``scipy.stats.norm`` evaluates, and the Weibull score-CDF spline
@@ -139,6 +141,13 @@ class WeibullModel:
                 f"nu={self.shape_nu}, theta1={self.scale_theta1}")
         if not self.sigma_z >= 0:
             raise ParameterError("sigma_z must be nonnegative")
+        if 0 < self.sigma_z < math.inf:
+            # ``_score_cdf`` spreads 2000 knots over [-8 sigma_z, x + 8
+            # sigma_z], x below the lifetime at score 8, and its spline
+            # cubes offsets of up to one knot spacing
+            _finite(f"the cubed knot spacing of the Weibull score-CDF spline (ranking-noise "
+                    f"sd {self.sigma_z:g})", lambda: (
+                        (float(self.lifetime_at(8.0)) + 16 * self.sigma_z) / 1999) ** 3)
 
     @property
     def lifetime_variance(self) -> float:
@@ -193,27 +202,13 @@ class WeibullModel:
         """Lifetime at normal score w, i.e. with F(x) = Phi(w)."""
         return self.scale_theta1 * (-log_ndtr(-w)) ** (1 / self.shape_nu)
 
-    @cached_property
-    def _score_cdf(self):
-        """The score CDF F_V(v) = E Phi((v - X) / sigma_z) tabulated at 2000
-        equally spaced points of v, and the coefficients of its cubic spline
-        (``_cubic_spline``); built once per model."""
-        sigma = self.sigma_z
-        u, half = _panel_nodes(_W_EDGES)
-        x = self.lifetime_at(u).ravel()
-        dF = (half[:, None] * _GL_W * _normal_pdf(u)).ravel()
-        v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
-        cdf = np.concatenate(
-            [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
-        return v, _cubic_spline(v, cdf)
-
     def score_cdf_at(self, w, z):
         """Score CDF F_V(x + sigma_z * z) at the lifetime x of score w, read
-        from the model's tabulated F_V."""
+        from the model's tabulated F_V (``_score_cdf``)."""
         sigma = self.sigma_z
         if sigma == 0 or not math.isfinite(sigma):
             return ndtr(w if sigma == 0 else z)
-        v, coef = self._score_cdf
+        v, coef = _score_cdf(self)
         x = np.clip(self.lifetime_at(w) + sigma * z, v[0], v[-1])
         # scipy's PPoly evaluation: the knot at or left of x (the last
         # interval at v[-1]), then the terms in its order
@@ -224,6 +219,22 @@ class WeibullModel:
 
 
 SuperpopulationModel = AftModel | WeibullModel
+
+
+@lru_cache(maxsize=32)
+def _score_cdf(model: WeibullModel):
+    """The score CDF F_V(v) = E Phi((v - X) / sigma_z) of a judged Weibull
+    model tabulated at 2000 equally spaced points of v, and the coefficients
+    of its cubic spline (``_cubic_spline``); built once per model value while
+    among the 32 most recently read, so equal models share one table."""
+    sigma = model.sigma_z
+    u, half = _panel_nodes(_W_EDGES)
+    x = model.lifetime_at(u).ravel()
+    dF = (half[:, None] * _GL_W * _normal_pdf(u)).ravel()
+    v = np.linspace(-8 * sigma, x.max() + 8 * sigma, 2000)
+    cdf = np.concatenate(
+        [ndtr((part[:, None] - x) / sigma) @ dF for part in np.array_split(v, 8)])
+    return v, _cubic_spline(v, cdf)
 
 
 def _finite(quantity: str, compute) -> float:
@@ -577,15 +588,11 @@ def _tabulate_judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedL
                       np.pad(tail, ((0, 0), (0, 1)))[:, panel])
 
 
-def _judged_law(model: SuperpopulationModel, k: int, times) -> _JudgedLaw:
-    """``_tabulate_judged_law`` for 1-D ``times``, computed once per (model,
-    k, times) while among the 32 most recently read."""
-    return _cached_judged_law(model, k, np.asarray(times, dtype=float).tobytes())
-
-
 @lru_cache(maxsize=32)
-def _cached_judged_law(model: SuperpopulationModel, k: int, times: bytes) -> _JudgedLaw:
-    return _tabulate_judged_law(model, k, np.frombuffer(times))
+def _judged_law(model: SuperpopulationModel, k: int, times: tuple) -> _JudgedLaw:
+    """``_tabulate_judged_law`` at the tuple ``times``, computed once per
+    (model value, k, times) while among the 32 most recently read."""
+    return _tabulate_judged_law(model, k, np.array(times, dtype=float))
 
 
 def _judged_slots(model: SuperpopulationModel, k: int, size, proxies: RngStream):
@@ -615,7 +622,7 @@ def judged_rank_survival(model: SuperpopulationModel, k: int, times) -> np.ndarr
 def _judged_kernels(model, censoring: CensoringLaw, times, k: int) -> np.ndarray:
     """(k, times) per-rank kernels
     V_r(t) = S_[r](t)^2 int_0^t f_[r](u) / (S_[r](u)^2 K(u)) du."""
-    law = _judged_law(model, k, times)
+    law = _judged_law(model, k, tuple(times))
     n = law.panel.max(initial=0)
     cens = censoring.survival(model.lifetime_at(law.w[:n]))
     terms = (law.mass[:, :n] / (law.survival[:, :n] ** 2 * cens)) @ _GL_W

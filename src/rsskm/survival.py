@@ -13,14 +13,14 @@ it: the bits of finite times >= +0.0 are in the order of their values, and
 at a tied time censorings come before deaths.  The shift drops the sign
 bit, so a ``-0.0`` reads back as ``0.0``.
 
-The sample is laid out with one entry per tie group (distinct time).  A
-block without ties has one group per sorted position, so its layout is the
-sorted block.  A tied block's groups fill a ``(..., width)`` layout,
-``width`` being the largest count of any row, and shorter rows end in
-padding (time inf).  Only tie groups that hold a death get R and dN; every
-other entry carries the neutral R = 1, dN = 0 in every fit, a factor 1.0 in
-the product and 0.0 in the sums, so each output changes only at death
-groups, bit for bit as if the other entries were not there.
+The sample is laid out with one entry per tie group (distinct time): each
+row's groups fill a ``(..., width)`` layout, ``width`` being the largest
+count of any row, and shorter rows end in padding (time inf).  A block
+without ties takes the same steps: one group per sorted position, so its
+layout holds the sorted block.  Only tie groups that hold a death get R
+and dN; every other entry carries the neutral R = 1, dN = 0 in every fit,
+a factor 1.0 in the product and 0.0 in the sums, so each output changes
+only at death groups, bit for bit as if the other entries were not there.
 
 ``SortedSample.product_limit`` then turns the sample's own counts, or
 counts (R, dN) given in its layout, into a ``ProductLimit`` holding S-hat
@@ -91,12 +91,12 @@ class SortedSample:
     this sorts by time, and a censoring's key is below a death's at the same
     time.  The shift drops the sign bit, so a ``-0.0`` reads back as ``0.0``.
 
-    In a block without ties every sorted position is its own tie group, so
-    the sorted block is the layout: ``group_times`` is ``times``.  In a tied
-    block the tie groups of each row fill a ``(..., width)`` layout,
-    ``width`` being the largest count of any row, the rest of a row being
-    padding (time inf).  ``slots`` places the groups that hold a death, and
-    ``at_risk`` and ``died`` are their own counts R and dN.
+    The tie groups of each row fill a ``(..., width)`` layout, ``width``
+    being the largest count of any row, the rest of a row being padding
+    (time inf); in a block without ties every sorted position is its own
+    tie group, so ``group_times`` holds the sorted times.  ``slots`` places
+    the groups that hold a death, and ``at_risk`` and ``died`` are their
+    own counts R and dN.
     """
 
     def __init__(self, times, events):
@@ -107,16 +107,9 @@ class SortedSample:
         self._position_cache = {}
         self.times = (key >> 1).view(float)
         self.events = (key & 1).astype(bool)
-        tied = self.times[..., 1:] == self.times[..., :-1]
-        if not tied.any():
-            # one group per position: R = m - j and dN = 1 at a death at j
-            self.group_times = self.times
-            self.slots = np.flatnonzero(self.events)
-            self.at_risk, self.died = m - self.slots % m, 1
-            return
         # a tie group starts at every row start and wherever the time changes
         starts = np.ones(key.shape, dtype=bool)
-        starts[..., 1:] = ~tied
+        starts[..., 1:] = self.times[..., 1:] != self.times[..., :-1]
         starts = starts.ravel()
         first = np.flatnonzero(starts)
         # each tie group's flat slot in the (..., width) layout: its index
@@ -174,8 +167,8 @@ class SortedSample:
 class ProductLimit:
     """Estimates of every row of ``sample`` at each of its tie groups, for
     one pair of counts.  ``times``, ``at_risk`` (R) and ``deaths`` (dN) are in
-    the sample's tie-group layout: the sorted block when it has no tie, else
-    ``(..., width)`` with padding of time inf; entries without a death hold
+    the sample's tie-group layout, ``(..., width)`` with padding of time inf
+    (the sorted times when it has no tie); entries without a death hold
     R = 1, dN = 0, so every output there repeats the entry before it (or its
     value ahead of the first death).  S-hat is computed with the fit; the
     with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))

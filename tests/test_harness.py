@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -343,7 +344,7 @@ class TestRunCell:
         # re_true reads one k = 1 table for the SRS kernel and one judged
         # table at the cell's times, then every chunk of the sampler reads
         # one judged-rank table at no times
-        models._cached_judged_law.cache_clear()
+        models._judged_law.cache_clear()
         calls = []
         tabulate = models._tabulate_judged_law
 
@@ -461,11 +462,10 @@ class TestRunGrid:
 
         class RecordingPool:
             """Records the process count and runs each task in this process
-            with the models the workers would receive."""
+            on a pickled copy of its arguments, as a worker receives them."""
 
-            def __init__(self, n, initializer, initargs):
+            def __init__(self, n):
                 asked.append(n)
-                self.initargs = initargs
 
             def __enter__(self):
                 return self
@@ -473,8 +473,8 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
-                return [fn(task, *self.initargs) for task in tasks]
+            def starmap(self, fn, tasks, chunksize):
+                return [fn(*pickle.loads(pickle.dumps(task))) for task in tasks]
 
         text = f"model = weibull\nm = 5\nlevels = 0.5\nb_mc = 20\nseed = 3\n{grid}"
         cfg = parse_config(write_config(tmp_path, text))
@@ -526,14 +526,32 @@ class TestRunGrid:
         out = tmp_path / "grid.csv"
         run_grid(cfg, str(out))
         lines = out.read_text().splitlines()[2:]
-        cells, calibrated = harness._grid(cfg)
-        for idx, (k, m, rho, p_cens) in enumerate(cells):
-            design = DesignPoint(calibrated[rho], k, m, rho, p_cens, tuple(cfg.levels))
+        for idx, design in enumerate(harness._grid(cfg)):
             columns = run_cell(design, cfg.b_mc, RngStream(cfg.seed, idx))
             alone = [",".join(map(harness._fmt, row)) for row in zip(*columns.values())]
             # a later cell of an arm draws its own SRS arm when run alone
             first = idx in self.FIRST_OF_ARM.values()
             assert (alone == lines[2 * idx:2 * idx + 2]) == first
+
+    def test_spline_is_built_once_per_judged_model(self, tmp_path, monkeypatch):
+        # one judged rho at two k: both cells' kernels and samplers read one
+        # score-CDF table, and so does a later kernels run of an equal model
+        models._score_cdf.cache_clear()
+        knots = []
+        spline = models._cubic_spline
+
+        def counting(x, y):
+            knots.append(len(x))
+            return spline(x, y)
+
+        monkeypatch.setattr(models, "_cubic_spline", counting)
+        text = ("model = weibull\nk = 2, 5\nm = 5\nrho = 0.7\np_cens = 0.3\nlevels = 0.5\n"
+                "b_mc = 20\nseed = 2\n")
+        cfg = parse_config(write_config(tmp_path, text))
+        run_grid(cfg, str(tmp_path / "grid.csv"))
+        assert knots == [2000]
+        harness.run_kernels(cfg, str(tmp_path / "kernels.csv"))
+        assert knots == [2000]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
@@ -875,10 +893,15 @@ class TestCli:
           for model, quantity in (
               ("aft", f"(ceiling / rho)^2 in the AFT ranking-noise calibration (rho = {rho})"),
               ("weibull", f"rho^-2 in the Weibull ranking-noise variance (rho = {rho})"))],
+        # a ranking noise that calibrates, but whose score-CDF spline overflows
+        *[(command, "model = weibull\nnu = 1\nrho = 1e-150\nlevels = 0.5\nb_mc = 20\n",
+           "the cubed knot spacing of the Weibull score-CDF spline (ranking-noise sd 1e+150)")
+          for command in ("simulate", "kernels")],
     ], ids=["weibull-quantile", "weibull-variance", "aft-ceiling-600", "aft-ceiling-40",
             "aft-quantile", "aft-mean-lifetime",
             *[f"{command}-{model}-rho-{rho}" for command in ("simulate", "kernels")
-              for rho in ("1e-300", "1e-160") for model in ("aft", "weibull")]])
+              for rho in ("1e-300", "1e-160") for model in ("aft", "weibull")],
+            "simulate-weibull-spline-rho-1e-150", "kernels-weibull-spline-rho-1e-150"])
     def test_overflowing_model_is_reported(self, tmp_path, capsys, monkeypatch, command, text,
                                            quantity):
         def must_not_run(*args, **kwargs):

@@ -8,6 +8,7 @@ independent adaptive quadrature.
 """
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -87,6 +88,13 @@ class TestLifetimeLaws:
     def test_overflow_is_a_parameter_error(self, model, level, quantity):
         with pytest.raises(ParameterError, match=f"{quantity}.* overflows"):
             model.quantile(level) if quantity == "quantile" else aft_rho_ceiling(model)
+
+    @pytest.mark.parametrize("nu, theta1, sigma_z", [(1.0, 1.0, 1e106), (2.0, 1e110, 1e100)],
+                             ids=["rho-1e-106", "scale-1e110"])
+    def test_score_cdf_spline_overflow_is_a_parameter_error(self, nu, theta1, sigma_z):
+        # each of these judged models once read NaN from its score-CDF spline
+        with pytest.raises(ParameterError, match="score-CDF spline.* overflows"):
+            WeibullModel(nu, theta1, sigma_z)
 
     def test_level_bounds_rejected(self):
         with pytest.raises(ParameterError):
@@ -414,8 +422,8 @@ class TestJudgedRankLaw:
         np.testing.assert_allclose(grid, alone, rtol=1e-12)
 
     def test_score_cdf_is_tabulated_once_per_model(self):
-        # later cells of a model read its first table: their kernels are
-        # bitwise those of a fresh model
+        # an equal model, fresh or unpickled as a pool worker receives it,
+        # reads the first model's table, which is bitwise a table built anew
         def model():
             return prepare_model(WeibullModel(2.0, 1.5), 0.7)
 
@@ -423,12 +431,13 @@ class TestJudgedRankLaw:
         law = censoring_for_fraction(shared, 0.3)
         times = [shared.quantile(level) for level in self.LEVELS]
         first = asymptotic_km_variance(shared, law, times, 4)
-        table = shared._score_cdf
-        for k in (4, 6):
-            np.testing.assert_array_equal(asymptotic_km_variance(shared, law, times, k),
-                                          asymptotic_km_variance(model(), law, times, k))
-        np.testing.assert_array_equal(asymptotic_km_variance(shared, law, times, 4), first)
-        assert shared._score_cdf is table
+        table = models._score_cdf(shared)
+        for other in (model(), pickle.loads(pickle.dumps(shared))):
+            assert other == shared and other is not shared
+            assert models._score_cdf(other) is table
+            np.testing.assert_array_equal(asymptotic_km_variance(other, law, times, 4), first)
+        for got, want in zip(table, models._score_cdf.__wrapped__(model()), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rho", [0.3, 0.9])
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
@@ -445,12 +454,13 @@ class TestJudgedRankLaw:
 
         spline = models._cubic_spline
         monkeypatch.setattr(models, "_cubic_spline", capture)
+        models._score_cdf.cache_clear()
         model = prepare_model(WeibullModel(nu, 1.5), rho)
         w = np.concatenate([np.linspace(-9, 9, 2001), np.random.default_rng(1).normal(size=5000)])
         got = model.score_cdf_at(w, 0.0)
         ((x, y),) = tables
         want = CubicSpline(x, y)
-        np.testing.assert_array_equal(model._score_cdf[1], want.c)
+        np.testing.assert_array_equal(models._score_cdf(model)[1], want.c)
         np.testing.assert_array_equal(got, want(np.clip(model.lifetime_at(w), x[0], x[-1])))
 
     def test_k_must_be_positive(self):
