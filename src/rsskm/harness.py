@@ -4,8 +4,9 @@ Each grid cell fixes (model, k, m, rho, p_cens); per replicate one balanced
 RSS sample and one SRS sample of the same size n = mk are drawn under the
 same censoring law (independent substreams), both KM estimates and both
 Greenwood plug-ins are evaluated at the level-matched times, and the cell
-aggregates means, MC variances, and three relative-efficiency ratios (MC,
-Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law).
+aggregates means, MC variances, three relative-efficiency ratios (MC,
+Greenwood, and the analytic ``re_true`` under the sampler's judged-rank law)
+and the count of replicates with a degenerate curve (its S-hat 0) per time.
 
 ``run_cell`` returns a cell's CSV rows as named columns, one entry per
 CSV column in CSV order, each holding one value per evaluation time.  That
@@ -105,20 +106,20 @@ def prepare_model(
 
 class _Arm(NamedTuple):
     """One arm's replicates, reduced: per evaluation time the mean S-hat,
-    its MC variance and the mean Greenwood; per replicate the first time at
-    which some curve's whole risk set died."""
+    its MC variance and the mean Greenwood; per replicate and evaluation
+    time whether some curve was degenerate (its S-hat 0) there."""
 
     mean_s: np.ndarray
     v_mc: np.ndarray
     mean_gw: np.ndarray
-    exhausted: np.ndarray
+    degenerate: np.ndarray
 
 
 def _fit_arm(design: DesignPoint, n_reps: int, rng: RngStream, times, arm: int):
     """Draw and fit one arm of a cell: ``_RSS``, its k x m ranked set
     samples, or ``_SRS``, simple random samples of n = km (sets of one).
     Returns per replicate the rank averages of S-hat and of Greenwood at
-    ``times``, and the first time at which some rank's whole risk set died.
+    ``times``, and whether some rank's S-hat is 0 at each of ``times``.
 
     Replicates run in chunks of max(1, _BUDGET // (k * m)): chunk c is
     drawn from ``rng.child(c, arm)`` and fitted and read at ``times`` by one
@@ -127,41 +128,40 @@ def _fit_arm(design: DesignPoint, n_reps: int, rng: RngStream, times, arm: int):
     k, m = (design.k, design.m) if arm == _RSS else (1, design.k * design.m)
     censoring = censoring_for_fraction(design.model, design.p_cens)
     s, gw = replicate_arrays(2, n_reps, len(times))
-    exhausted = np.empty(n_reps)
+    degenerate = np.empty((n_reps, len(times)), dtype=bool)
     chunk = max(1, _BUDGET // (k * m))
     for c, start in enumerate(range(0, n_reps, chunk)):
         reps = slice(start, start + chunk)
-        survival, greenwood, exhausted_at = product_limit_at(*draw_samples(
+        survival, greenwood = product_limit_at(*draw_samples(
             design.model, k, m, censoring, rng.child(c, arm), min(chunk, n_reps - start)), times)
         # a set of one: its rank averages are its values
-        s[reps], gw[reps], exhausted[reps] = (
-            rss_mean(survival), rss_mean(greenwood, 2), exhausted_at.min(axis=-1))
+        s[reps], gw[reps], degenerate[reps] = (
+            rss_mean(survival), rss_mean(greenwood, 2), (survival == 0).any(axis=-2))
         # so that one chunk's fit is held at a time
-        del survival, greenwood, exhausted_at
-    return s, gw, exhausted
+        del survival, greenwood
+    return s, gw, degenerate
 
 
 def _simulate_arm(design: DesignPoint, n_reps: int, rng: RngStream, times, arm: int) -> _Arm:
     """``_fit_arm``'s replicates, reduced."""
-    s, gw, exhausted = _fit_arm(design, n_reps, rng, times, arm)
+    s, gw, degenerate = _fit_arm(design, n_reps, rng, times, arm)
     # one contiguous row of replicates per time, so that each row reduces
     # in the summation order of a 1-D array
     s, gw = np.ascontiguousarray(s.T), np.ascontiguousarray(gw.T)
-    return _Arm(np.mean(s, axis=1), np.var(s, axis=1, ddof=1), np.mean(gw, axis=1), exhausted)
+    return _Arm(np.mean(s, axis=1), np.var(s, axis=1, ddof=1), np.mean(gw, axis=1), degenerate)
 
 
 def _simulate_batch(design: DesignPoint, n_reps: int, rng: RngStream, times,
                     srs: _Arm | None = None):
     """Paired RSS/SRS replicates: returns the RSS and the SRS ``_Arm`` and,
     per evaluation time, the number of replicates in which some curve was
-    degenerate (its whole risk set died at or before that time).  The RSS
-    arm is drawn from ``rng``, and so is the SRS arm unless ``srs`` gives
-    it; replicate i of the one pairs with replicate i of the other."""
+    degenerate (its S-hat 0) at that time.  The RSS arm is drawn from
+    ``rng``, and so is the SRS arm unless ``srs`` gives it; replicate i of
+    the one pairs with replicate i of the other."""
     rss = _simulate_arm(design, n_reps, rng, times, _RSS)
     if srs is None:
         srs = _simulate_arm(design, n_reps, rng, times, _SRS)
-    exhausted = np.minimum(rss.exhausted, srs.exhausted)
-    return rss, srs, np.sum(exhausted[:, None] <= np.asarray(times), axis=0)
+    return rss, srs, np.sum(rss.degenerate | srs.degenerate, axis=0)
 
 
 def _true_columns(design: DesignPoint, times) -> dict[str, np.ndarray]:

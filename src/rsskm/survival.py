@@ -24,19 +24,20 @@ only at death groups, bit for bit as if the other entries were not there.
 
 ``SortedSample.product_limit`` then turns the sample's own counts, or
 counts (R, dN) given in its layout, into a ``ProductLimit`` holding S-hat
-per tie group; Greenwood, the cumulative hazard, its variance and the first
-exhausted risk set are computed the first time they are read, and
-right-continuous lookups read any of them at given times.
+per tie group; Greenwood, the cumulative hazard and its variance are
+computed the first time they are read, and right-continuous lookups read
+any of them at given times.  A factor of the product is 0 only where the
+whole risk set dies (dN >= R), and with a sample's own counts every other
+is at least 1/R: a row's curve is degenerate at t exactly where S-hat(t) = 0.
 
-``product_limit_at`` is the simulation grid's reducer: S-hat, Greenwood and
-``exhausted_at`` of every row of a block, read at a few times, bit for bit
-what the kernel's fit and lookups give.  On a block without ties a death at
-sorted position j has R = m - j and dN = 1, so the factors 1 - 1/(m - j) and
-the Greenwood terms are fixed by m and the events: it takes the running
-product and sum one sorted position at a time across all rows (or along
-each row, where rows are fewer than positions) and reads each row at its
-count of times <= t, with no tie-group layout.  A tied block goes to the
-kernel.
+``product_limit_at`` is the simulation grid's reducer: S-hat and Greenwood
+of every row of a block, read at a few times, bit for bit what the kernel's
+fit and lookups give.  On a block without ties a death at sorted position j
+has R = m - j and dN = 1, so the factors 1 - 1/(m - j) and the Greenwood
+terms are fixed by m and the events: it takes the running product and sum
+one sorted position at a time across all rows (or along each row, where
+rows are fewer than positions) and reads each row at its count of times
+<= t, with no tie-group layout.  A tied block goes to the kernel.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class SortedSample:
         gone = r <= 0  # dN is 0 wherever R is not positive
         factor = 1.0 - np.minimum(np.maximum(dn / np.where(gone, 1.0, r), 0.0), 1.0)
         factor[gone] = 0.0
-        return ProductLimit(self, np.cumprod(factor, axis=-1), (r, dn))
+        return ProductLimit(self, np.cumprod(factor, axis=-1), r, dn)
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,11 @@ class ProductLimit:
     the sample's tie-group layout, ``(..., width)`` with padding of time inf
     (the sorted times when it has no tie); entries without a death hold
     R = 1, dN = 0, so every output there repeats the entry before it (or its
-    value ahead of the first death).  S-hat is computed with the fit; the
-    with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))
-    (0 once the whole risk set died), the Nelson-Aalen hazard sum dN/R, its
-    variance sum dN/R^2 and ``exhausted_at`` (each row's first time its
-    whole risk set died, dN >= R, or inf) on first read.  ``counts`` holds
+    value ahead of the first death).  S-hat is computed with the fit, and
+    is 0 from each row's first group whose whole risk set died (dN >= R) on;
+    the with-ties Greenwood variance S-hat^2 times the sum of dN/(R(R - dN))
+    (0 once the whole risk set died), the Nelson-Aalen hazard sum dN/R and
+    its variance sum dN/R^2 on first read.  ``at_risk`` and ``deaths`` are
     R and dN as the fit took them.
 
     The ``*_at`` lookups are right-continuous: per row, the value at the
@@ -185,7 +186,8 @@ class ProductLimit:
 
     sample: SortedSample
     survival: np.ndarray
-    counts: tuple[np.ndarray, np.ndarray]
+    at_risk: np.ndarray
+    deaths: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -252,25 +254,14 @@ class ProductLimit:
         got[:, ahead] = before
         return got.reshape(values.shape[:-1] + np.shape(t))[()]
 
-    @property
-    def at_risk(self) -> np.ndarray:
-        return self.counts[0]
-
-    @property
-    def deaths(self) -> np.ndarray:
-        return self.counts[1]
-
-    @cached_property
-    def _dead(self) -> np.ndarray:
-        return self.deaths >= self.at_risk
-
     @cached_property
     def _safe_at_risk(self) -> np.ndarray:
         return np.where(self.at_risk <= 0, 1.0, self.at_risk)
 
     @cached_property
     def _greenwood_sum(self) -> np.ndarray:
-        r, dn, dead = self.at_risk, self.deaths, self._dead
+        r, dn = self.at_risk, self.deaths
+        dead = dn >= r
         terms = np.where(dead, 0.0, dn / np.where(dead, 1.0, r * (r - dn)))
         return np.cumsum(terms, axis=-1)
 
@@ -286,17 +277,12 @@ class ProductLimit:
     def hazard_var(self) -> np.ndarray:
         return np.cumsum(self.deaths / self._safe_at_risk**2, axis=-1)
 
-    @cached_property
-    def exhausted_at(self) -> np.ndarray:
-        return np.where(self._dead, self.times, np.inf).min(axis=-1, initial=np.inf)
 
-
-def product_limit_at(times, events, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def product_limit_at(times, events, t) -> tuple[np.ndarray, np.ndarray]:
     """Fit every row of a ``(..., m)`` right-censored sample and read the
     fits at times ``t``: S-hat and the Greenwood variance as ``(...,
-    *t.shape)`` and each row's ``exhausted_at`` as ``(...)``, bit for bit
-    what ``SortedSample(times, events).product_limit()`` and its
-    ``survival_at``, ``greenwood_at`` and ``exhausted_at`` give.
+    *t.shape)``, bit for bit what ``SortedSample(times, events)
+    .product_limit()`` and its ``survival_at`` and ``greenwood_at`` give.
 
     A block with a tie is fitted by that kernel.  In a block without one, a
     death at sorted position j has R = m - j and dN = 1: a factor
@@ -321,7 +307,7 @@ def product_limit_at(times, events, t) -> tuple[np.ndarray, np.ndarray, np.ndarr
     sorted_times = (key >> 1).view(float)
     if np.any(sorted_times[1:] == sorted_times[:-1]):
         fit = SortedSample(times, events).product_limit()
-        return fit.survival_at(t), fit.greenwood_at(t), fit.exhausted_at
+        return fit.survival_at(t), fit.greenwood_at(t)
     sorted_events = (key & 1).astype(bool)
     # each row's count of times <= t, per query: at most m, so summed in
     # the smallest unsigned type that holds m
@@ -345,7 +331,5 @@ def product_limit_at(times, events, t) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ahead = count == 0
     s, g = survival[at], greenwood[at]
     s[ahead], g[ahead] = 1.0, 0.0
-    shape = np.shape(times)[:-1]
-    exhausted = np.where(sorted_events[-1], sorted_times[-1], np.inf)
-    return (s.reshape(shape + t.shape), (s * s * g).reshape(shape + t.shape),
-            exhausted.reshape(shape))
+    shape = np.shape(times)[:-1] + t.shape
+    return s.reshape(shape), (s * s * g).reshape(shape)

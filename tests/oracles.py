@@ -62,11 +62,10 @@ def tie_free_fit(times, events):
     ``ProductLimit`` computed it before every fit took R and dN as counts,
     its formulas verbatim: S-hat the running product of the factors
     1 - 1/(m - j) at the deaths, the Greenwood sum adding
-    1/((m - j)(m - j - 1)) at each death before the last position, R = m - j
-    and dN = 1 at a death (R = 1, dN = 0 elsewhere) built on read, and
-    ``exhausted_at`` the last time where the last unit died.  Each row is
-    sorted by time, a -0.0 read as 0.0.  Returns the sorted times and the
-    outputs by ``ProductLimit`` attribute name."""
+    1/((m - j)(m - j - 1)) at each death before the last position, and
+    R = m - j and dN = 1 at a death (R = 1, dN = 0 elsewhere) built on
+    read.  Each row is sorted by time, a -0.0 read as 0.0.  Returns the
+    sorted times and the outputs by ``ProductLimit`` attribute name."""
     times, events = np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
     order = np.argsort(times, axis=-1, kind="stable")
     times = np.take_along_axis(times, order, axis=-1) + 0.0  # -0.0 + 0.0 is 0.0
@@ -89,8 +88,16 @@ def tie_free_fit(times, events):
         "hazard_var": np.cumsum(deaths / safe_at_risk**2, axis=-1),
         "at_risk": at_risk,
         "deaths": deaths,
-        "exhausted_at": np.where(events[..., -1], times[..., -1], np.inf),
     }
+
+
+def exhausted_at(times, events):
+    """Each row's time at which its whole risk set dies (dN >= R) under its
+    own counts, R = #{Y >= u}: its last time, when every unit there dies,
+    else inf.  An unweighted S-hat is 0 exactly from that time on."""
+    times, events = np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
+    last = times.max(axis=-1, keepdims=True)
+    return np.where(np.all(events | (times < last), axis=-1), last[..., 0], np.inf)
 
 
 @dataclass(frozen=True)

@@ -177,16 +177,17 @@ def arm_draws(design, n_reps, rng, arm):
 
 def reference_arm(times, samples):
     """``_fit_arm`` outputs from one kernel call per sample, for
-    ``samples`` yielding (times, events) pairs."""
+    ``samples`` yielding (times, events) pairs; a replicate is degenerate
+    at the times from the first at which some rank's whole risk set died."""
     samples = list(samples)
     s, gw = np.zeros((2, len(samples), len(times)))
-    exhausted = np.zeros(len(samples))
+    degenerate = np.zeros((len(samples), len(times)), dtype=bool)
     for i, sample in enumerate(samples):
         fit = SortedSample(*sample).product_limit()
         s[i] = rss_mean(fit.survival_at(times))
         gw[i] = rss_mean(fit.greenwood_at(times), 2)
-        exhausted[i] = fit.exhausted_at.min()
-    return s, gw, exhausted
+        degenerate[i] = np.asarray(times) >= oracles.exhausted_at(*sample).min()
+    return s, gw, degenerate
 
 
 FOUR_LEVELS = (0.75, 0.5, 0.25, 0.1)
@@ -260,22 +261,21 @@ class TestSimulateBatch:
 
     def test_arms_pair_by_replicate(self):
         # the paired batch reduces each arm's replicates in replicate order,
-        # and n_degenerate counts the replicates where either arm's curve
-        # is exhausted at or before each time
+        # and n_degenerate counts the replicates where either arm has a
+        # degenerate curve at each time
         design, rng = DesignPoint(EXP, 2, 3, 1.0, 0.0, FOUR_LEVELS), RngStream(6, 6)
         times = eval_times(design)
         n_reps = 2**15 // 6 + 9
         rss, srs, n_degenerate = harness._simulate_batch(design, n_reps, rng, times)
         arms = [harness._fit_arm(design, n_reps, rng, times, arm)
                 for arm in (harness._RSS, harness._SRS)]
-        for got, (s, gw, exhausted) in zip((rss, srs), arms):
-            np.testing.assert_array_equal(got.exhausted, exhausted, strict=True)
+        for got, (s, gw, degenerate) in zip((rss, srs), arms):
+            np.testing.assert_array_equal(got.degenerate, degenerate, strict=True)
             for j in range(len(times)):
                 assert got.mean_s[j] == np.mean(s[:, j])
                 assert got.v_mc[j] == np.var(s[:, j], ddof=1)
                 assert got.mean_gw[j] == np.mean(gw[:, j])
-        either = np.minimum(arms[0][2], arms[1][2])
-        want = [np.sum(either <= t) for t in times]
+        want = list(np.sum(arms[0][2] | arms[1][2], axis=0))
         assert list(n_degenerate) == want and 0 < want[0] < want[-1] < n_reps
 
 
@@ -915,6 +915,20 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {command}: {quantity}")
         assert "overflows" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "kernels"])
+    def test_unresolved_score_cdf_is_reported(self, tmp_path, capsys, command):
+        # nu 0.3, rho 0.9: F_V rises within a few knots of the score-CDF
+        # table, so its spline cannot give the judged law
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, "model = weibull\nnu = 0.3\nk = 4\nm = 5\nrho = 0.9\n"
+                                     "p_cens = 0\nlevels = 0.5\nb_mc = 5\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {command}: the Weibull score-CDF spline cannot resolve the ranking law "
+            f"at nu = 0.3")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", "model = aft\nk = 1040\nm = 2\nrho = 0.5\np_cens = 0\nb_mc = 5\n"),

@@ -463,6 +463,36 @@ class TestJudgedRankLaw:
         np.testing.assert_array_equal(models._score_cdf(model)[1], want.c)
         np.testing.assert_array_equal(got, want(np.clip(model.lifetime_at(w), x[0], x[-1])))
 
+    @pytest.mark.parametrize("nu, rho, resolved", [
+        (0.4, 0.9, True), (0.325, 0.6, False), (0.3, 0.9, False), (0.1, 0.5, False)])
+    def test_score_cdf_beyond_its_tolerance_is_a_parameter_error(self, nu, rho, resolved):
+        # at small nu the knots stretch over the lifetime's upper tail: the
+        # spline misses F_V between knots by 4.7e-4 at nu 0.4, rho 0.9,
+        # 5.3e-4 at nu 0.325, rho 0.6 (the tolerance is 5e-4), 0.13 and 0.3
+        model = prepare_model(WeibullModel(nu, 1.0), rho)
+        if resolved:
+            models._score_cdf(model)
+        else:
+            with pytest.raises(ParameterError, match="score-CDF spline cannot resolve"):
+                judged_rank_survival(model, 2, [model.quantile(0.5)])
+
+    def test_law_nearest_the_tolerance_matches_brute_force(self):
+        # nu 0.4, rho 0.9: of the passing models on a grid of nu 0.3-1
+        # and rho 0.3-0.9999, one of those whose spline misses F_V the most
+        # (4.7e-4 between knots); k-sets ranked by their noisy scores, the
+        # unit in each judged slot measured
+        model = prepare_model(WeibullModel(0.4, 1.0), 0.9)
+        k, n = 10, 500_000
+        times = [model.quantile(level) for level in self.LEVELS]
+        want = judged_rank_survival(model, k, times)
+        rng = RngStream(11)
+        x = model.draw_ranking_scale(rng.child(0).generator(), (n, k))
+        scores = weibull_scores(model, x, rng.child(1).generator())
+        measured = np.take_along_axis(x, np.argsort(scores, axis=1), axis=1)
+        got = np.array([np.mean(measured > t, axis=0) for t in times]).T
+        se = np.sqrt(want * (1 - want) / n)
+        assert np.all(np.abs(got - want) <= 4 * se + 1e-12)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError, match="k must be >= 1"):
             asymptotic_km_variance(EXP, CensoringLaw("none"), 1.0, 0)

@@ -35,6 +35,15 @@ def at_deaths(fit, values):
     return values[0][fit.deaths[0] > 0]
 
 
+def assert_zero_from(survival, at, exhausted):
+    """S-hat ``survival`` read at times ``at`` (on its last axis) is exactly
+    0 from each row's ``exhausted`` time on and > 0 before it; never 0 where
+    ``exhausted`` is inf."""
+    at, exhausted = np.asarray(at, dtype=float), np.asarray(exhausted)[..., None]
+    np.testing.assert_array_equal(np.asarray(survival) == 0,
+                                  (at >= exhausted) & np.isfinite(exhausted), strict=True)
+
+
 # sample of 3: death at 1, censored at 2, death at 3
 THREE = [(1.0, True), (2.0, False), (3.0, True)]
 
@@ -55,10 +64,9 @@ class TestKaplanMeier:
 
     def test_degenerate_tail_flagged_with_zero_variance(self):
         # at t=3 the whole risk set dies: S-hat = 0 exactly, variance 0
-        fit = km(THREE)
-        assert fit.exhausted_at[0] == 3.0
+        fit, t = km(THREE), [0.5, 1.0, 2.5, 3.0, 4.0]
+        assert_zero_from(fit.survival_at(t), t, [3.0])
         assert at_deaths(fit, fit.greenwood_var)[1] == 0.0
-        assert fit.survival_at(3.0)[0] == 0.0
 
     def test_ties_deaths_processed_before_censorings(self):
         # death and censoring tied at 2: both still at risk at u=2
@@ -190,10 +198,11 @@ def ranked_samples(draw):
 
 
 def direct_product_limit(times, events):
-    """One row's S-hat, Greenwood, hazard and hazard variance at every time
-    of the row, written out from the formulas: R = #{Y >= u},
-    dN = #{Y = u, death}, Greenwood terms dN/(R(R - dN)), and a Greenwood
-    variance of 0 once the whole risk set has died."""
+    """One row's S-hat, Greenwood, hazard, hazard variance and whether its
+    whole risk set has died, at every time of the row, written out from the
+    formulas: R = #{Y >= u}, dN = #{Y = u, death}, Greenwood terms
+    dN/(R(R - dN)), and a Greenwood variance of 0 once the whole risk set
+    has died."""
     out = []
     s, gw_sum, ch, hv, dead = 1.0, 0.0, 0.0, 0.0, False
     for u in np.unique(times):
@@ -204,14 +213,14 @@ def direct_product_limit(times, events):
         hv += dn / r**2
         dead |= dn == r
         gw_sum += 0.0 if dn == r else dn / (r * (r - dn))
-        out.append((u, s, 0.0 if dead else s * s * gw_sum, ch, hv))
+        out.append((u, s, 0.0 if dead else s * s * gw_sum, ch, hv, dead))
     return out
 
 
 # each curve of a fit, its lookup and the lookup's value before the first time
 CURVES = {"survival": ("survival_at", 1.0), "greenwood_var": ("greenwood_at", 0.0),
           "cum_hazard": ("cum_hazard_at", 0.0), "hazard_var": ("hazard_var_at", 0.0)}
-LAZY = ("greenwood_var", "cum_hazard", "hazard_var", "exhausted_at")
+LAZY = ("greenwood_var", "cum_hazard", "hazard_var")
 
 
 @st.composite
@@ -288,12 +297,12 @@ class TestKernel:
         fit = SortedSample(times, events).product_limit()
         for r in range(times.shape[0]):
             direct = direct_product_limit(times[r], events[r])
-            for u, s, gw, ch, hv in direct:
+            for u, s, gw, ch, hv, dead in direct:
                 got = [float(fit.survival_at(u)[r]), float(fit.greenwood_at(u)[r]),
                        float(fit.cum_hazard_at(u)[r]), float(fit.hazard_var_at(u)[r])]
                 np.testing.assert_allclose(got, [s, gw, ch, hv], rtol=0, atol=1e-12)
-            exhausted = [u for u, s, *_ in direct if s == 0.0]
-            assert fit.exhausted_at[r] == (exhausted[0] if exhausted else np.inf)
+                # S-hat is exactly 0 once the whole risk set died
+                assert (got[0] == 0.0) == dead
 
     @given(ranked_samples())
     @settings(max_examples=100, deadline=None)
@@ -338,7 +347,7 @@ class TestKernel:
                 # lookups: the dense value at the last position <= t
                 want = np.r_[before, dense[name]][np.searchsorted(t, grid, side="right")]
                 np.testing.assert_array_equal(getattr(fit, lookup)(grid)[r], want)
-            assert fit.exhausted_at[r] == exhausted
+            assert_zero_from(fit.survival_at(grid)[r], grid, exhausted)
 
     @given(weighted_samples(),
            st.lists(st.integers(min_value=-1, max_value=14).map(lambda i: i / 4)
@@ -383,7 +392,7 @@ class TestLayout:
             np.testing.assert_array_equal(fit.deaths[r], dense_dn)
             for name in CURVES:
                 np.testing.assert_array_equal(getattr(fit, name)[r], dense[name])
-            assert fit.exhausted_at[r] == exhausted
+            assert_zero_from(fit.survival[r], t, exhausted)
 
     @given(ranked_samples())
     @settings(max_examples=100, deadline=None)
@@ -403,7 +412,7 @@ class TestLayout:
         fit = sample.product_limit((np.array([[2.0, 1.0, 1.0, 0.0]]),
                                     np.array([[1.0, 0.0, 0.0, 0.0]])))
         np.testing.assert_array_equal(fit.survival_at([3.5, 4.0])[0], [0.5, 0.0])
-        assert fit.exhausted_at[0] == 4.0
+        assert_zero_from(fit.survival, fit.times, [4.0])
 
 
 @st.composite
@@ -466,6 +475,7 @@ class TestConstantFactors:
         assert_bits_equal(fit.times, sorted_times)
         for name, values in want.items():
             assert_bits_equal(getattr(fit, name), values)
+        assert_zero_from(fit.survival, sorted_times, oracles.exhausted_at(times, events))
 
     @given(tie_free_samples(), st.permutations(LAZY))
     @example(  # m = 1: a lone -0.0 dies as its row's last unit; a row all censored
@@ -487,6 +497,7 @@ class TestConstantFactors:
         for lookup, _ in CURVES.values():
             assert_bits_equal(getattr(plain, lookup)(grid), getattr(unit, lookup)(grid))
             assert_bits_equal(getattr(plain, lookup)(grid[1]), getattr(unit, lookup)(grid[1]))
+        assert_zero_from(unit.survival_at(grid), grid, oracles.exhausted_at(times, events))
 
 
 # tie-free, tied within a row, and holding -0.0 tied with 0.0 and alone
@@ -581,7 +592,8 @@ class TestMixedBlock:
         for lookup, _ in CURVES.values():
             assert_bits_equal(getattr(both, lookup)(grid),
                               np.concatenate([getattr(a, lookup)(grid) for a in alone]))
-        assert_bits_equal(both.exhausted_at, np.concatenate([a.exhausted_at for a in alone]))
+        exhausted = oracles.exhausted_at(*(np.concatenate(arrays) for arrays in zip(*blocks)))
+        assert_zero_from(both.survival_at(grid), grid, exhausted)
 
 
 class TestReplicateAxis:
@@ -612,7 +624,11 @@ class TestReplicateAxis:
             assert_bits_equal(getattr(stacked, lookup)(grid),
                               np.stack([getattr(a, lookup)(grid) for a in alone]))
         assert_bits_equal(stacked.survival_at(1.0), np.stack([a.survival_at(1.0) for a in alone]))
-        assert_bits_equal(stacked.exhausted_at, np.stack([a.exhausted_at for a in alone]))
+        # the curve stops at 0 at the first group where dN >= R (R <= 0
+        # included); padding (time inf) holds counts too, so the reads are
+        # at finite times
+        exhausted = np.where(dn >= r, sample.group_times, np.inf).min(axis=-1)
+        assert_zero_from(stacked.survival_at(grid[:-1]), grid[:-1], exhausted)
 
 
 @st.composite
@@ -640,9 +656,8 @@ def block(times, events, t):
 
 class TestProductLimitAt:
     """The grid's reducer: each row's S-hat and Greenwood at the eval times
-    and its ``exhausted_at`` are, bit for bit, those of the kernel's fit and
-    lookups, whichever order it runs in; a block with a tie is fitted by the
-    kernel."""
+    are, bit for bit, those of the kernel's fit and lookups, whichever order
+    it runs in; a block with a tie is fitted by the kernel."""
 
     @given(reducer_blocks())
     # m = 1, one row and two: the lone death is the last position
@@ -657,10 +672,11 @@ class TestProductLimitAt:
     def test_matches_the_kernel_bitwise(self, sample):
         times, events, t = sample
         fit = SortedSample(times, events).product_limit()
-        got = product_limit_at(times, events, t)
-        for values, want in zip(got, (fit.survival_at(t), fit.greenwood_at(t),
-                                      fit.exhausted_at)):
-            assert_bits_equal(values, want)
+        s_hat, greenwood = product_limit_at(times, events, t)
+        assert_bits_equal(s_hat, fit.survival_at(t))
+        assert_bits_equal(greenwood, fit.greenwood_at(t))
+        assert_zero_from(s_hat.reshape(*times.shape[:-1], -1), t.ravel(),
+                         oracles.exhausted_at(times, events))
 
     @pytest.mark.parametrize("shape", [(8, 3, 20), (4, 1, 60)], ids=["by-position", "along-rows"])
     @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
@@ -681,11 +697,11 @@ class TestProductLimitAt:
                 super().__init__(*args)
 
         monkeypatch.setattr(survival, "SortedSample", Counted)
-        got = product_limit_at(times, events, t)
+        s_hat, greenwood = product_limit_at(times, events, t)
         assert len(built) == tied
-        for values, want in zip(got, (fit.survival_at(t), fit.greenwood_at(t),
-                                      fit.exhausted_at)):
-            assert_bits_equal(values, want)
+        assert_bits_equal(s_hat, fit.survival_at(t))
+        assert_bits_equal(greenwood, fit.greenwood_at(t))
+        assert_zero_from(s_hat, t, oracles.exhausted_at(times, events))
 
     @pytest.mark.parametrize("times, events, error", [
         (np.empty((2, 0)), np.empty((2, 0), dtype=bool), EmptySampleError),
@@ -699,3 +715,23 @@ class TestProductLimitAt:
             SortedSample(times, events)
         with pytest.raises(error):
             product_limit_at(times, events, [1.0])
+
+
+class TestDegenerate:
+    """A curve is degenerate where its S-hat is 0: a factor of the product
+    is 0 only where the whole risk set dies, and every other is at least
+    1/R.  So each row's S-hat, from the kernel (in its layout and through
+    its lookups) and from the reducer, is exactly 0 from the time its whole
+    risk set dies on and > 0 before it."""
+
+    @given(mixed_blocks(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_s_hat_is_zero_exactly_from_the_exhausted_time(self, blocks, tied):
+        times, events = blocks[0 if tied else 1]
+        exhausted = oracles.exhausted_at(times, events)
+        at = np.unique(times)
+        grid = np.r_[-1.0, at, at + 0.125]
+        fit = SortedSample(times, events).product_limit()
+        assert_zero_from(fit.survival, fit.times, exhausted)
+        assert_zero_from(fit.survival_at(grid), grid, exhausted)
+        assert_zero_from(product_limit_at(times, events, grid)[0], grid, exhausted)
