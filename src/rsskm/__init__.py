@@ -10,7 +10,7 @@ The package root holds the estimation API, which loads with numpy alone, so
 and is imported from its modules: ``rsskm.harness`` (``DesignPoint``,
 ``prepare_model``, ``run_cell``, ``run_grid``, ``run_kernels``) and
 ``rsskm.models`` (the models, censoring laws, calibration and variance
-kernels)."""
+kernels).  Every error that bad input raises is an ``InputError``."""
 
 from .bootstrap import multiplier_bootstrap
 from .config import ConfigError, HarnessConfig, parse_config
@@ -25,6 +25,7 @@ from .sampling import RngStream, draw_balanced_rss
 from .survival import (
     EmptySampleError,
     InferenceWindowError,
+    InputError,
     InvalidObservationError,
     ParameterError,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "EmptySampleError",
     "HarnessConfig",
     "InferenceWindowError",
+    "InputError",
     "InvalidObservationError",
     "ParameterError",
     "RankedSetSample",

@@ -26,10 +26,10 @@ whole block.  Row b is replicate b whatever the block size, so a run of N
 replicates gives exactly the first N of a longer run.
 
 R* is summed over each whole row of the fit's tie-group layout, from its
-end.  The product-limit fit then covers only the head of the layout: per
-rank, the entries at or before max(t_grid), the widest rank setting the
-width (``SortedSample.head``).  The grid reads S* nowhere past them, so
-every replicate is bit for bit that of a fit of the whole layout.
+end.  The product-limit fit is then given counts for only the first
+entries of each rank: those at or before max(t_grid), the widest rank
+setting the width.  The grid reads S* nowhere past them, so every
+replicate is bit for bit that of a fit of the whole layout.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def multiplier_bootstrap(
     where any rank's R* is <= 0 at a death time <= the largest grid point
     are flagged and excluded from the variance (their count is reported),
     rather than imputed.  Each replicate's R* sums its totals over whole
-    ranks, but its KM is fitted only on the head of the layout at or before
-    max(t_grid), which holds every entry the grid reads.
+    ranks, but its KM is fitted only on each rank's first entries, the
+    widest rank's at or before max(t_grid): every entry the grid reads.
     """
     if t_grid is not None:
         t_grid = np.asarray(t_grid, float)
@@ -120,8 +120,7 @@ def multiplier_bootstrap(
 
     # the death groups, rank by rank and by time; ``flip`` reverses the rows
     layout, size = fit.times.shape, fit.times.size
-    slots = np.flatnonzero(fit.deaths)
-    at_risk, died = fit.at_risk.ravel()[slots], fit.deaths.ravel()[slots]
+    slots, at_risk, died = fit.sample.slots, fit.sample.at_risk, fit.sample.died
     flip = slots + layout[-1] - 1 - 2 * (slots % layout[-1])
     last = np.diff(slots // layout[-1], append=-1) != 0  # a rank's last group
     rest = at_risk - np.where(last, 0.0, np.roll(at_risk, -1)) - died
@@ -133,10 +132,9 @@ def multiplier_bootstrap(
     # fitted on the first ``width`` entries of every rank, the head
     early = fit.times.ravel()[slots] <= t_grid.max()
     width = max(1, int(np.count_nonzero(fit.times <= t_grid.max(), axis=-1).max()))
-    head = fit.sample.head(width)
-    rank, column = np.divmod(slots, layout[-1])
-    in_head = column < width
-    head_slots, head_flip = rank[in_head] * width + column[in_head], flip[in_head]
+    in_head = slots % layout[-1] < width
+    rank, column = np.divmod(slots[in_head], layout[-1])  # of each death group there
+    head_flip = flip[in_head]
     # R* falls along a rank: check each rank's last group <= max(t_grid)
     check = np.flatnonzero((early & (last | ~np.roll(early, -1)))[in_head])
 
@@ -146,8 +144,7 @@ def multiplier_bootstrap(
     # R = 1, dN = 0 and, in the reversed rows, a tail term of 0
     block = max(1, min(n_reps, _BLOCK_ENTRIES // size))
     tails = np.zeros((block, size))
-    r_star = np.ones((block, head.group_times.size))
-    dn_star = np.zeros((block, head.group_times.size))
+    r_star, dn_star = np.ones((block, layout[0], width)), np.zeros((block, layout[0], width))
     for start in range(0, n_reps, block):
         n = min(block, n_reps - start)
         deaths = _weight_sums(death_stream, np.broadcast_to(died, (n, died.size)), gamma_shape)
@@ -156,9 +153,8 @@ def multiplier_bootstrap(
             tails[:n, at] += _weight_sums(
                 gen, np.broadcast_to(units, (n, units.size)), gamma_shape)
         risk = np.cumsum(tails[:n].reshape(n, *layout), axis=-1).reshape(n, size)[:, head_flip]
-        r_star[:n, head_slots], dn_star[:n, head_slots] = risk, deaths[:, in_head]
-        replicate = head.product_limit((r_star[:n].reshape(n, *head.group_times.shape),
-                                        dn_star[:n].reshape(n, *head.group_times.shape)))
+        r_star[:n, rank, column], dn_star[:n, rank, column] = risk, deaths[:, in_head]
+        replicate = fit.sample.product_limit((r_star[:n], dn_star[:n]))
         reps[start:start + n] = rss_mean(replicate.survival_at(t_grid))
         ok[start:start + n] = ~np.any(risk[:, check] <= 0, axis=1)
 

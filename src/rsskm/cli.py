@@ -10,8 +10,8 @@ Subcommands:
   with the asymptotic variance kernels and ``re_true`` in place of the
   Monte-Carlo columns.
 
-All failures exit nonzero after printing a single machine-readable
-``error: <context>: <message>`` line on stderr.
+An ``InputError`` (bad input) or an ``OSError`` exits 2 after one
+``error: <command>: <message>`` line on stderr; any other error propagates.
 
 ``estimate`` and ``bootstrap`` need numpy only.  ``simulate`` and
 ``kernels`` import ``harness`` and ``models`` (and with them
@@ -28,32 +28,10 @@ import sys
 import numpy as np
 
 from .bootstrap import multiplier_bootstrap
-from .config import ConfigError, parse_config, undecodable_line
-from .rss import (
-    EmptyDesignError,
-    RankedSetSample,
-    UnbalancedDesignError,
-    rss_kaplan_meier,
-    rss_mean,
-)
+from .config import parse_config, undecodable_line
+from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
 from .sampling import RngStream
-from .survival import (
-    EmptySampleError,
-    InferenceWindowError,
-    InvalidObservationError,
-    ParameterError,
-)
-
-_KNOWN_ERRORS = (
-    ConfigError,
-    ParameterError,
-    InferenceWindowError,
-    EmptySampleError,
-    InvalidObservationError,
-    EmptyDesignError,
-    UnbalancedDesignError,
-    OSError,
-)
+from .survival import InputError, InvalidObservationError, ParameterError
 
 # observation CSV records converted per block
 _BLOCK_ROWS = 4096
@@ -285,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _KNOWN_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .survival import InputError
 
-class ConfigError(ValueError):
+
+class ConfigError(InputError):
     pass
 
 

@@ -15,8 +15,9 @@ from its names and each row from its values, floats to 6 significant
 digits.  ``run_kernels`` writes the same rows with the analytic columns
 in place of the Monte-Carlo ones, from the same code.  Both run a grid as
 its list of ``DesignPoint``s, one per cell, each holding the model of its
-rho calibrated once; a pool task carries its cell's design, and a worker
-builds each model's tables once, since ``models`` caches them by value.
+rho calibrated once and its analytic columns, computed before any draw so
+that a bad cell fails at once; a pool task carries its cell's design, and a
+worker builds each model's tables once, since ``models`` caches them by value.
 
 Determinism contract: per-cell stream = (master seed, cell index).  Each
 arm's replicates run in chunks of max(1, _BUDGET // (k * m)) replicates, a
@@ -34,9 +35,11 @@ fixed (config, seed) regardless of worker count.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +85,11 @@ class DesignPoint:
     def eval_times(self) -> list[float]:
         """The times t with S(t) = level, one per eval level."""
         return [self.model.quantile(level) for level in self.eval_levels]
+
+    @functools.cached_property
+    def true_columns(self) -> dict[str, np.ndarray]:
+        """``_true_columns`` at the eval times, kept also by a pool task's copy."""
+        return _true_columns(self, self.eval_times())
 
 
 def prepare_model(
@@ -218,9 +226,8 @@ def run_cell(design: DesignPoint, b_mc: int, rng: RngStream,
     passes every cell the arm it drew once for the cell's (n, p_cens)."""
     _check_replicates(b_mc, len(design.eval_levels))
     times = design.eval_times()
-    # first, so that an eval time outside the inference window fails before
-    # any replicate is drawn
-    re_true = _true_columns(design, times)["re_true"]
+    # first: an eval time outside the inference window fails before any draw
+    re_true = design.true_columns["re_true"]
 
     rss, srs, n_deg = _simulate_batch(design, b_mc, rng.child(_PRIMARY), times, srs)
     return _cell_columns(design, times, {
@@ -277,15 +284,33 @@ def _fmt(x) -> str:
 
 
 def _grid(config: HarnessConfig) -> list[DesignPoint]:
-    """The grid's cells in CSV row order, the model of each rho calibrated
-    once."""
+    """The grid's cells in CSV row order, each rho's model calibrated once
+    and every cell's analytic columns computed: a bad cell fails at once."""
     if not all([config.k, config.m, config.rho, config.p_cens]):
         raise ParameterError("empty grid: k, m, rho and p_cens each need at least one value")
     base = _base_model(config)
     calibrated = {rho: prepare_model(base, rho) for rho in config.rho}
     levels = tuple(config.levels)
-    return [DesignPoint(calibrated[rho], k, m, rho, p_cens, levels) for k, m, rho, p_cens
-            in itertools.product(config.k, config.m, config.rho, config.p_cens)]
+    designs = [DesignPoint(calibrated[rho], k, m, rho, p_cens, levels) for k, m, rho, p_cens
+               in itertools.product(config.k, config.m, config.rho, config.p_cens)]
+    for design in designs:
+        design.true_columns
+    return designs
+
+
+def _check_output(output_path: str) -> None:
+    """Raise ``_write_rows``'s error, creating no file, where the directory
+    of ``output_path`` is missing, not a directory or not writable."""
+    folder = os.path.dirname(output_path) or "."
+    try:
+        os.stat(folder)
+        code = errno.ENOTDIR if not os.path.isdir(folder) else (
+            0 if os.access(folder, os.W_OK) else errno.EACCES)
+    except OSError as exc:
+        code = exc.errno
+    if code:
+        exc = OSError(code, os.strerror(code), output_path)
+        raise ParameterError(f"unwritable output {output_path}: {exc}")
 
 
 def _write_rows(output_path: str, results) -> None:
@@ -319,6 +344,7 @@ def run_grid(
         raise ParameterError(f"jobs must be >= 1, got {parallelism}")
     # before any model is calibrated or a pool starts
     _check_replicates(config.b_mc, len(config.levels))
+    _check_output(output_path)
     designs = _grid(config)
 
     workers = min(parallelism, len(designs))
@@ -335,8 +361,7 @@ def run_kernels(config: HarnessConfig, output_path: str) -> None:
     columns, the analytic columns and ``rank_noise_sd`` alone; no random
     draws, so ``b_mc`` and ``seed`` are not used.  Every row is computed
     before the file is opened, so an error leaves no file."""
-    results = []
-    for design in _grid(config):
-        times = design.eval_times()
-        results.append(_cell_columns(design, times, _true_columns(design, times)))
+    _check_output(output_path)
+    results = [_cell_columns(design, design.eval_times(), design.true_columns)
+               for design in _grid(config)]
     _write_rows(output_path, results)

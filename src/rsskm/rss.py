@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import InvalidObservationError, ProductLimit, SortedSample
+from .survival import InputError, InvalidObservationError, ProductLimit, SortedSample
 
 
-class UnbalancedDesignError(ValueError):
+class UnbalancedDesignError(InputError):
     pass
 
 
-class EmptyDesignError(ValueError):
+class EmptyDesignError(InputError):
     pass
 
 

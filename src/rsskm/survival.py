@@ -23,12 +23,13 @@ a factor 1.0 in the product and 0.0 in the sums, so each output changes
 only at death groups, bit for bit as if the other entries were not there.
 
 ``SortedSample.product_limit`` then turns the sample's own counts, or
-counts (R, dN) given in its layout, into a ``ProductLimit`` holding S-hat
-per tie group; Greenwood, the cumulative hazard and its variance are
-computed the first time they are read, and right-continuous lookups read
-any of them at given times.  A factor of the product is 0 only where the
-whole risk set dies (dN >= R), and with a sample's own counts every other
-is at least 1/R: a row's curve is degenerate at t exactly where S-hat(t) = 0.
+counts (R, dN) given in its layout or in each row's first entries of it,
+into a ``ProductLimit`` holding S-hat per tie group; Greenwood, the
+cumulative hazard and its variance are computed the first time they are
+read, and right-continuous lookups read any of them at given times.  A
+factor of the product is 0 only where the whole risk set dies (dN >= R),
+and with a sample's own counts every other is at least 1/R: a row's curve
+is degenerate at t exactly where S-hat(t) = 0.
 
 ``product_limit_at`` is the simulation grid's reducer: S-hat and Greenwood
 of every row of a block, read at a few times, bit for bit what the kernel's
@@ -48,19 +49,23 @@ from functools import cached_property
 import numpy as np
 
 
-class EmptySampleError(ValueError):
+class InputError(ValueError):
+    """Bad input from the caller; every input error is one of these."""
+
+
+class EmptySampleError(InputError):
     pass
 
 
-class ParameterError(ValueError):
+class ParameterError(InputError):
     pass
 
 
-class InvalidObservationError(ValueError):
+class InvalidObservationError(InputError):
     pass
 
 
-class InferenceWindowError(ValueError):
+class InferenceWindowError(InputError):
     pass
 
 
@@ -131,17 +136,6 @@ class SortedSample:
         self.at_risk = m - first[group[runs]] % m
         self.died = np.diff(runs, append=deaths.size)
 
-    def head(self, width: int) -> "SortedSample":
-        """The first ``width`` entries of every row of the layout, as a
-        sample that fits counts given in its own layout.  S-hat and every sum
-        run along a row, so at times before each row's entry ``width`` such a
-        fit reads what the fit of the whole layout reads.  The head has no
-        counts of its own."""
-        head = object.__new__(SortedSample)
-        head.group_times = self.group_times[..., :width]
-        head._position_cache = {}
-        return head
-
     def product_limit(self, counts=None) -> "ProductLimit":
         """Run the arithmetic on ``counts``, a pair (R, dN) in the layout of
         ``group_times``, or on the sample's own counts when None: per tie
@@ -149,8 +143,9 @@ class SortedSample:
         and its number of deaths.  Every other entry (censorings only, or
         padding) holds a neutral R = 1, dN = 0, in given counts too.  A
         group with R <= 0 (a vanished risk set) stops the curve at 0.  Given
-        counts may have leading (replicate) axes before the layout; each
-        replicate is then fitted as if alone."""
+        counts may have leading (replicate) axes, each replicate fitted as if
+        alone, and may cover only each row's first entries: before a row's
+        first entry left out, the fit reads what a whole-layout fit reads."""
         if counts is None:
             r, dn = np.ones(self.group_times.shape), np.zeros(self.group_times.shape)
             r.reshape(-1)[self.slots] = self.at_risk
@@ -168,7 +163,8 @@ class SortedSample:
 class ProductLimit:
     """Estimates of every row of ``sample`` at each of its tie groups, for
     one pair of counts.  ``times``, ``at_risk`` (R) and ``deaths`` (dN) are in
-    the sample's tie-group layout, ``(..., width)`` with padding of time inf
+    the part of the sample's tie-group layout that the counts cover, ``(...,
+    width)`` with padding of time inf
     (the sorted times when it has no tie); entries without a death hold
     R = 1, dN = 0, so every output there repeats the entry before it (or its
     value ahead of the first death).  S-hat is computed with the fit, and
@@ -182,7 +178,7 @@ class ProductLimit:
     row's last tie-group time <= t, and 1.0 (survival) or 0.0 (the
     variances and the hazard) ahead of its first; ``greenwood_at`` gathers
     S-hat and the Greenwood sum, then multiplies.  Every fit of one sample
-    shares the sample's positions of the lookup times."""
+    and width shares the sample's positions of the lookup times."""
 
     sample: SortedSample
     survival: np.ndarray
@@ -191,7 +187,7 @@ class ProductLimit:
 
     @property
     def times(self) -> np.ndarray:
-        return self.sample.group_times
+        return self.sample.group_times[..., :self.survival.shape[-1]]
 
     def survival_at(self, t):
         """S-hat at t; 1.0 before the first time."""
@@ -234,13 +230,13 @@ class ProductLimit:
         the flat layout index of its last tie group <= t (its first entry
         when there is none), and the flat (row, query) indices with no tie
         group <= t.  The last query's are kept, so lookups of several values
-        at the same times, and in every fit of one sample, search once."""
+        at the same times, in every fit of one sample and width, search once."""
         t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
+        width = self.times.shape[-1]
+        key = (width, t.shape, t.tobytes())
         cache = self.sample._position_cache
         if key not in cache:
             positions = self._positions(t)
-            width = self.times.shape[-1]
             gather = np.maximum(positions - 1, 0) + (np.arange(len(positions)) * width)[:, None]
             cache.clear()
             cache[key] = gather.ravel(), np.flatnonzero(positions == 0)

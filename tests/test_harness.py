@@ -19,6 +19,7 @@ from rsskm import (
     ConfigError,
     HarnessConfig,
     InferenceWindowError,
+    InputError,
     RngStream,
     draw_balanced_rss,
     parse_config,
@@ -835,7 +836,12 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert len(read_rows(out)) == 8
 
-    def test_simulate_unwritable_out_is_reported(self, tmp_path, capsys):
+    def test_simulate_unwritable_out_is_reported(self, tmp_path, capsys, monkeypatch):
+        # before any sample is drawn
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
         cfg = write_config(tmp_path, TINY_CONFIG)
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -944,6 +950,24 @@ class TestCli:
                        f"k * C(k - 1, r) overflows a float"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_simulate_checks_every_cell_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # the first cell runs; at p_cens 0.5, the time of level 1e-7 is
+        # outside the inference window
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a pool started or a sample was drawn")
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", must_not_run)
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
+        text = "model = weibull\nk = 2\nm = 5\nrho = 1.0\np_cens = 0, 0.5\nlevels = 0.5, 1e-7\n"
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(out), f"--jobs={jobs}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: simulate:")
+        assert "outside inference window" in err[0] and not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_simulate_jobs_below_one_is_reported_before_any_work(
             self, tmp_path, capsys, monkeypatch, jobs):
@@ -990,6 +1014,36 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bootstrap:")
         assert f"{10**20} replicates are too many to hold" in err[0] and not out.exists()
+
+    def test_every_exported_error_is_an_input_error(self):
+        import rsskm
+
+        errors = [name for name in rsskm.__all__ if name.endswith("Error")]
+        assert "ParameterError" in errors and "ConfigError" in errors
+        for name in errors:
+            assert issubclass(getattr(rsskm, name), InputError), name
+
+    def test_any_input_error_is_reported(self, tmp_path, capsys, monkeypatch, obs_csv):
+        class NewCheckError(InputError):
+            pass
+
+        def failing(path):
+            raise NewCheckError("a new check failed")
+
+        monkeypatch.setattr(cli, "_read_observations", failing)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--input", obs_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: estimate: a new check failed"]
+        assert not out.exists()
+
+    def test_a_plain_value_error_is_not_reported_as_input(self, tmp_path, monkeypatch, obs_csv):
+        # a numpy or programming error is the program's fault: it propagates
+        def failing(path):
+            raise ValueError("a fault of the program")
+
+        monkeypatch.setattr(cli, "_read_observations", failing)
+        with pytest.raises(ValueError, match="a fault of the program"):
+            main(["estimate", "--input", obs_csv, "--out", str(tmp_path / "est.csv")])
 
     def test_non_numeric_lists_are_reported(self, tmp_path, capsys, obs_csv):
         assert main(["bootstrap", "--input", obs_csv, "--out", str(tmp_path / "b.csv"),

@@ -630,6 +630,35 @@ class TestReplicateAxis:
         exhausted = np.where(dn >= r, sample.group_times, np.inf).min(axis=-1)
         assert_zero_from(stacked.survival_at(grid[:-1]), grid[:-1], exhausted)
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_narrower_counts_fit_each_rows_first_entries(self, tied, seed):
+        # counts of each row's first ``width`` entries: at every time before
+        # a row's first entry left out, each lookup reads, bit for bit, what
+        # the fit of the whole layout reads
+        rng = np.random.default_rng(seed)
+        k, m, reps = 3, 8, 4
+        if tied:
+            times = rng.integers(0, 6, (k, m)) / 2
+        else:
+            times = rng.permutation(k * m).reshape(k, m) / 4
+        sample = SortedSample(times, rng.random((k, m)) < 0.7)
+        r = rng.integers(1, 9, (reps, *sample.group_times.shape)).astype(float)
+        dn = rng.integers(0, 3, r.shape).astype(float)
+        whole = sample.product_limit((r, dn))
+        full = sample.group_times.shape[-1]
+        grid = np.r_[-1.0, np.unique(times), np.unique(times) + 0.125]
+        for width in range(1, full + 1):
+            head = sample.product_limit((r[..., :width], dn[..., :width]))
+            assert_bits_equal(head.times, sample.group_times[..., :width])
+            cut = sample.group_times[:, width] if width < full else np.full(k, np.inf)
+            before = grid < cut[:, None]
+            # the head's reads first, then the whole fit's: each searches
+            # the times for its own width
+            for lookup, _ in CURVES.values():
+                got, want = getattr(head, lookup)(grid), getattr(whole, lookup)(grid)
+                assert_bits_equal(got[:, before], want[:, before])
+
 
 @st.composite
 def reducer_blocks(draw):
