@@ -24,6 +24,7 @@ import argparse
 import csv
 import itertools
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,13 +34,11 @@ from .rss import RankedSetSample, rss_kaplan_meier, rss_mean
 from .sampling import RngStream
 from .survival import InputError, InvalidObservationError, ParameterError
 
-# observation CSV records converted per block
+# observation CSV records converted per block by csv
 _BLOCK_ROWS = 4096
-# the lines that csv reads as no record
-_BLANK_LINES = ("\n", "\r\n", "\r")
 # NUL, which csv rejects before Python 3.11, and \x1c-\x1f, which numpy strips
-# around a number and float does not: csv reads a block that holds one
-_CSV_ONLY = "\0\x1c\x1d\x1e\x1f"
+# around a number and float does not: csv reads a file that holds one
+_CSV_ONLY = b"\0\x1c\x1d\x1e\x1f"
 
 
 def _read_observations(path: str) -> RankedSetSample:
@@ -50,15 +49,14 @@ def _read_observations(path: str) -> RankedSetSample:
     end in LF, CRLF or CR, and blank lines are skipped; errors name the line
     of the first bad row, undecodable byte or oversized field.
 
-    The lines are read in blocks of ``_BLOCK_ROWS`` records, so only one
-    block's strings are held.  numpy's C reader, whose tokenizer is csv's,
-    converts a block whose lines are its records; a block it rejects, or
-    that holds a record spanning lines, a line longer than csv's field limit
-    or a character on which it and ``float`` differ, is read by csv row by
-    row (``_block_columns``)."""
+    The choice is made once per file.  numpy's C reader, whose tokenizer is
+    csv's, converts the records after the header in one call when each is
+    one line no longer than csv's field limit and the file holds no
+    character on which it and ``float`` differ.  Any other file, and one
+    that numpy or the sample rejects, is read by csv row by row in blocks of
+    ``_BLOCK_ROWS`` records (``_block_columns``), so only one block's
+    strings are held and the first bad row in file order is named."""
     names = ("rank", "cycle", "time", "event")
-    blocks, lines = [np.empty((0, len(names)))], [np.empty(0, dtype=int)]
-    read = 0  # the lines read before ``reader`` started
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -68,75 +66,48 @@ def _read_observations(path: str) -> RankedSetSample:
                     f"{path}: header must contain columns {sorted(names)}"
                 )
             index = [header.index(name) for name in names]
-            read = reader.line_num
-            while True:
-                block, blank = _next_lines(fh)
-                if len(block) == blank:
-                    break
-                converted = _c_block(block, blank, index, read + 1)
-                if converted is None:
-                    # the block's records, each on the line where csv ends
-                    # it; the last may run on past the block
-                    reader = csv.reader(itertools.chain(block, fh))
-                    records = ((read + reader.line_num, row) for row in reader if row)
-                    rows = list(itertools.islice(records, _BLOCK_ROWS))
-                    converted = (np.column_stack(_block_columns(path, rows, index, names)),
-                                 np.array([lineno for lineno, _ in rows]))
-                    read += reader.line_num
-                else:
-                    read += len(block)
-                blocks.append(converted[0])
-                lines.append(converted[1])
+            records = _one_line_records(path)
+            if records is not None:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                            usecols=index, ndmin=2)
+                    if len(values) == records:  # no field is longer than its line
+                        return RankedSetSample.from_columns(*values.T)
+                except ValueError:  # csv and float name the bad row
+                    pass
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+            rows = ((reader.line_num, row) for row in reader if row)
+            blocks, lines = [np.empty((0, len(names)))], [np.empty(0, dtype=int)]
+            while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+                blocks.append(np.column_stack(_block_columns(path, block, index, names)))
+                lines.append(np.array([lineno for lineno, _ in block]))
         except UnicodeDecodeError as exc:
             raise InvalidObservationError(
                 f"{path}: line {undecodable_line(path)}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
-            raise InvalidObservationError(
-                f"{path}: line {read + reader.line_num}: {exc}") from None
+            raise InvalidObservationError(f"{path}: line {reader.line_num}: {exc}") from None
     return RankedSetSample.from_columns(*np.concatenate(blocks).T,
                                         lines=np.concatenate(lines))
 
 
-def _next_lines(fh) -> tuple[list[str], int]:
-    """The lines of ``fh`` up to its next ``_BLOCK_ROWS``-th non-blank line
-    (or its end), and how many of them are blank."""
-    block, blank = [], 0
-    while more := list(itertools.islice(fh, _BLOCK_ROWS - len(block) + blank)):
-        block += more
-        blank += sum(map(more.count, _BLANK_LINES))
-    return block, blank
-
-
-def _c_block(block, blank, index, first):
-    """The named columns of a block of lines as a (records, columns) float
-    array, read by numpy's C reader, and each record's line number (the
-    block's first line being ``first``); None where csv and ``float`` might
-    read the block otherwise."""
-    text = "".join(block)
-    limit = csv.field_size_limit()
-    if any(c in text for c in _CSV_ONLY) or (len(text) > limit and max(map(len, block)) > limit):
+def _one_line_records(path: str) -> int | None:
+    """The number of records after the header of ``path`` where the header
+    and each record are one line: its non-blank lines but one.  None where
+    a line is longer than csv's field limit or the file holds one of
+    ``_CSV_ONLY``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if any(c in data for c in _CSV_ONLY):
         return None
-    try:
-        values = np.loadtxt(block, delimiter=",", quotechar='"', comments=None,
-                            usecols=index, ndmin=2)
-    except ValueError:  # csv and float name the bad row
+    ends = np.flatnonzero(np.frombuffer(data.replace(b"\r", b"\n"), np.uint8) == ord("\n"))
+    lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
+    if lengths.max() > csv.field_size_limit():
         return None
-    # a record that spans lines takes more than one; one that starts on the
-    # last line and stays open runs on past the block
-    last = next(line for line in reversed(block) if line not in _BLANK_LINES)
-    if len(values) != len(block) - blank or _ends_quoted(last):
-        return None
-    if not blank:
-        return values, np.arange(first, first + len(block))
-    return values, first + np.flatnonzero([line not in _BLANK_LINES for line in block])
-
-
-def _ends_quoted(line: str) -> bool:
-    """Whether a record that starts at ``line`` is still in a quoted field
-    at its end."""
-    reader = csv.reader((line, "\n"))
-    next(reader)
-    return reader.line_num > 1
+    return np.count_nonzero(lengths) - 1  # a header on more lines leaves fewer records
 
 
 def _block_columns(path, block, index, names) -> list[np.ndarray]:

@@ -300,12 +300,17 @@ def _grid(config: HarnessConfig) -> list[DesignPoint]:
 
 def _check_output(output_path: str) -> None:
     """Raise ``_write_rows``'s error, creating no file, where the directory
-    of ``output_path`` is missing, not a directory or not writable."""
+    of ``output_path`` is missing, not a directory or not writable, or
+    ``output_path`` is itself a directory."""
     folder = os.path.dirname(output_path) or "."
     try:
         os.stat(folder)
-        code = errno.ENOTDIR if not os.path.isdir(folder) else (
-            0 if os.access(folder, os.W_OK) else errno.EACCES)
+        if not os.path.isdir(folder):
+            code = errno.ENOTDIR
+        elif os.path.isdir(output_path):
+            code = errno.EISDIR
+        else:
+            code = 0 if os.access(folder, os.W_OK) else errno.EACCES
     except OSError as exc:
         code = exc.errno
     if code:

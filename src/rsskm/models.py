@@ -359,6 +359,10 @@ def aft_rho_ceiling(model: AftModel) -> float:
     s = model.log_sd
     spread = _finite(f"exp(s^2) in the AFT ranking-correlation ceiling (log-lifetime sd "
                      f"s = {s:g})", lambda: math.expm1(s**2))
+    if spread == 0:  # s is 0, or s^2 underflows
+        raise ParameterError(f"exp(s^2) - 1 in the AFT ranking-correlation ceiling is 0 "
+                             f"(log-lifetime sd s = {s:g}): beta or sigma_eps must spread "
+                             f"the lifetimes")
     return s / math.sqrt(spread)
 
 

@@ -207,23 +207,11 @@ class ProductLimit:
 
     def _positions(self, t) -> np.ndarray:
         """Per row, the number of tie-group times <= t, as
-        ``(rows, t.size)``.
-
-        One search serves all rows: each group time is bucketed by the number
-        of (sorted) query times below it.  A query with j query times below
-        it is not below a group time in buckets 0..j and is below every
-        other, so a row's position there is the count of its group times in
-        those buckets."""
-        t = np.asarray(t, dtype=float)
-        times = self.times
-        rows = times.size // times.shape[-1]
-        queries = np.sort(t.ravel())
-        q = queries.size
-        bucket = np.searchsorted(queries, times.reshape(rows, -1), side="left")
-        bucket += (np.arange(rows) * (q + 1))[:, None]
-        counts = np.bincount(bucket.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)
-        below = np.searchsorted(queries, t.ravel(), side="left")
-        return np.cumsum(counts[:, :q], axis=1)[:, below]
+        ``(rows, t.size)``."""
+        t = np.ravel(np.asarray(t, dtype=float))
+        width = self.times.shape[-1]
+        return np.array([np.searchsorted(row, t, side="right")
+                         for row in self.times.reshape(-1, width)])
 
     def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Where each row reads its values at times t: per row and query,

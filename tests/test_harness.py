@@ -811,6 +811,17 @@ def long_observation_file():
     return b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n"
 
 
+def late_undecodable_file():
+    """One rank of more than two ``cli._BLOCK_ROWS`` records: the first
+    holds a word for its time, and a byte that is not UTF-8 comes more
+    than a block after it."""
+    n = 2 * cli._BLOCK_ROWS + 50
+    lines = ["cycle,rank,time,event", "1,1,two,1"]
+    lines += [f"{c},1,1.0,1" for c in range(2, n + 1)]
+    lines[2 * cli._BLOCK_ROWS + 10] = lines[2 * cli._BLOCK_ROWS + 10].replace("1.0", "@")
+    return "\n".join(lines).encode().replace(b"@", b"\xff") + b"\n"
+
+
 def read_outcome(read, path):
     """What ``read`` makes of ``path``: the sample's shape, time bits and
     events, or the type and message of its error."""
@@ -849,6 +860,21 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"error: simulate: unwritable output {out}: [Errno 2]")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "kernels"])
+    def test_directory_out_is_reported(self, tmp_path, capsys, monkeypatch, command):
+        # before any sample is drawn
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {command}: unwritable output {out}: [Errno 21] Is a directory: '{out}'"]
+        assert not any(out.iterdir())
 
     def test_simulate_bad_config_is_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bogus = 1\n")
@@ -921,6 +947,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {command}: {quantity}")
         assert "overflows" in err[0] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "kernels"])
+    @pytest.mark.parametrize("beta, s", [("0", "0"), ("1e-200", "1e-200")],
+                             ids=["zero", "underflowing-square"])
+    def test_aft_without_spread_is_reported(self, tmp_path, capsys, monkeypatch, command,
+                                            beta, s):
+        # log X ~ N(mu, 0) has no ranking-correlation ceiling: s^2 is 0, or
+        # rounds to 0
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(harness, "draw_samples", must_not_run)
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, f"model = aft\nbeta = {beta}\nsigma_eps = 0\nk = 2\n"
+                                     "m = 5\nrho = 0.5, 1.0\np_cens = 0\nb_mc = 5\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {command}: exp(s^2) - 1 in the AFT ranking-correlation ceiling is 0 "
+            f"(log-lifetime sd s = {s}): beta or sigma_eps must spread the lifetimes"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "kernels"])
     def test_unresolved_score_cdf_is_reported(self, tmp_path, capsys, command):
@@ -1319,6 +1365,15 @@ class TestCli:
     @example(case=(b"cycle,rank,time,event\n1,1,1.0,1\n\n1,2,-2.0,1\n", None))
     @example(case=(b'cycle,rank,time,event\n1,1,"1.0\n",1\n1,2,-2.0,1\n', None))
     @example(case=(b'cycle,rank,time,event\n1,1,1.0,"1\n"\n1,2,2.0,1\n', 1))
+    # no record: a header alone, or followed by blank lines only
+    @example(case=(b"cycle,rank,time,event\n", None))
+    @example(case=(b"cycle,rank,time,event\r\n\r\n\n\r", None))
+    # a field longer than csv's limit whose every line is shorter
+    @example(case=(b'cycle,rank,time,event,note\n1,1,1.0,1,"'
+                   + b"a" * (csv.field_size_limit() // 2) + b"\n" * 3
+                   + b"a" * (csv.field_size_limit() // 2) + b'"\n', None))
+    # the first bad row is named, not a byte more than a block after it
+    @example(case=(late_undecodable_file(), None))
     @settings(max_examples=300, deadline=None)
     def test_reader_matches_row_by_row_reference(self, tmp_path_factory, case):
         # the same sample, bit for bit, or the same error as csv and float
@@ -1332,18 +1387,22 @@ class TestCli:
             want = read_outcome(oracles.read_observations, str(path))
             assert read_outcome(cli._read_observations, str(path)) == want
 
-    def test_blocks_join_into_one_sample(self, tmp_path):
+    @pytest.mark.parametrize("note, blocks", [("x", 0), ("a\nb", 5)], ids=["numpy", "csv"])
+    def test_blocks_join_into_one_sample(self, tmp_path, note, blocks):
+        # a note that spans lines sends the file to csv, in blocks
         n = 2 * cli._BLOCK_ROWS + 7
         times = np.round(np.random.default_rng(3).exponential(size=(2, n)), 3)
         path = tmp_path / "obs.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["cycle", "rank", "time", "event"])
+            writer.writerow(["cycle", "rank", "time", "event", "note"])
             for c in range(n):
-                writer.writerows([[c + 1, r + 1, times[r, c], 1] for r in (1, 0)])
+                writer.writerows([[c + 1, r + 1, times[r, c], 1, note] for r in (1, 0)])
                 if c % 1000 == 0:
                     writer.writerow([])
-        sample = cli._read_observations(str(path))
+        with mock.patch.object(cli, "_block_columns", wraps=cli._block_columns) as convert:
+            sample = cli._read_observations(str(path))
+        assert convert.call_count == blocks
         np.testing.assert_array_equal(sample.times, times)
         assert sample.events.all()
 
